@@ -7,6 +7,9 @@ set -eux
 go vet ./...
 go build ./...
 go test -race ./...
+# The benchmark in bench/ is its own Go module, so ./... above never
+# reaches it: run its smoke, digest and check tests explicitly.
+go -C bench test ./...
 go test -run '^$' -bench BenchmarkEngine -benchtime 100x ./internal/sim
 # Parallel sweep smoke: drive the worker pool with more points than
 # workers under the race detector (report discarded; the differential
@@ -54,6 +57,10 @@ go test -run '^$' -bench 'BenchmarkStepBatched' -benchtime 1000x -benchmem ./int
 # under -race above.
 go test -run '^$' -bench 'BenchmarkTraceDispatch' -benchtime 1000x -benchmem ./internal/isa | grep 'BenchmarkTraceDispatch' | grep -q ' 0 allocs/op'
 go test -run '^$' -bench 'BenchmarkFusedStore' -benchtime 200x -benchmem ./internal/msg | grep 'BenchmarkFusedStore' | grep -q ' 0 allocs/op'
+# Harness copy-out guard: Node.UserReadBytes (micro-TLB translation,
+# line-granular cache reads; the Go-level Channel.Recv path) must stay
+# allocation-free.
+go test -run '^$' -bench 'BenchmarkUserReadBytes' -benchtime 1000x -benchmem ./internal/core | grep 'BenchmarkUserReadBytes' | grep -q ' 0 allocs/op'
 go test -run TestTraceCacheHitRateFloor -count 1 ./internal/msg
 go test -run '^$' -bench 'BenchmarkBus' -benchtime 1000x -benchmem ./internal/bus | grep 'BenchmarkBus' | awk '!/ 0 allocs\/op/ {bad=1} END {exit bad}'
 # Fault-injection guards. The deterministic fault sweep must be

@@ -16,6 +16,7 @@ package cache
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/bus"
 	"repro/internal/phys"
@@ -74,7 +75,8 @@ type Cache struct {
 
 	lineMask uint32
 	setMask  uint32
-	setShift uint32
+	setShift uint32 // log2(LineBytes): address bits below the set index
+	tagShift uint32 // setShift + log2(Sets): address bits below the tag
 	scratch  [4]byte
 
 	// Spin-probe access counters (see SpinProbe). pureAcc counts only
@@ -104,19 +106,11 @@ func New(eng *sim.Engine, cfg Config, xbus *bus.Xpress) *Cache {
 		c.sets[i] = ways
 	}
 	c.lineMask = uint32(cfg.LineBytes - 1)
-	c.setShift = uint32(trailingZeros(uint32(cfg.LineBytes)))
+	c.setShift = uint32(bits.TrailingZeros32(uint32(cfg.LineBytes)))
+	c.tagShift = c.setShift + uint32(bits.TrailingZeros32(uint32(cfg.Sets)))
 	c.setMask = uint32(cfg.Sets - 1)
 	xbus.AddSnooper(snoopPort{c})
 	return c
-}
-
-func trailingZeros(v uint32) int {
-	n := 0
-	for v&1 == 0 {
-		v >>= 1
-		n++
-	}
-	return n
 }
 
 // Stats returns a snapshot of cache statistics.
@@ -163,16 +157,7 @@ func (c *Cache) SpinAccount(iters, loads uint64) {
 
 func (c *Cache) decompose(a phys.PAddr) (set, tag, off uint32) {
 	u := uint32(a)
-	return (u >> c.setShift) & c.setMask, u >> c.setShift >> log2u(uint32(c.cfg.Sets)), u & c.lineMask
-}
-
-func log2u(v uint32) uint32 {
-	var n uint32
-	for v > 1 {
-		v >>= 1
-		n++
-	}
-	return n
+	return (u >> c.setShift) & c.setMask, u >> c.tagShift, u & c.lineMask
 }
 
 func (c *Cache) lookup(a phys.PAddr) *line {
@@ -211,7 +196,7 @@ func (c *Cache) victim(a phys.PAddr) *line {
 }
 
 func (c *Cache) lineBase(set, tag uint32) phys.PAddr {
-	return phys.PAddr((tag<<log2u(uint32(c.cfg.Sets)) | set) << c.setShift)
+	return phys.PAddr(tag<<c.tagShift | set<<c.setShift)
 }
 
 // Load reads size (1, 2 or 4) bytes at a, returning the value and the
@@ -232,23 +217,55 @@ func (c *Cache) load(a phys.PAddr, size int) (uint32, sim.Time) {
 		v, done := c.xbus.Read32(bus.InitCPU, a)
 		return truncate(v, size), done - c.eng.Now()
 	}
+	l, lat := c.fetch(a)
+	return truncate(read32(l.data, uint32(a)&c.lineMask), size), lat
+}
+
+// fetch returns the line holding DRAM address a and the load latency,
+// counting a hit or taking the miss path (victim write-back, then fill).
+func (c *Cache) fetch(a phys.PAddr) (*line, sim.Time) {
 	if l := c.lookup(a); l != nil {
 		c.stats.LoadHits++
 		c.pureAcc++
 		c.allAcc++
-		_, _, off := c.decompose(a)
-		return truncate(read32(l.data, off), size), c.cfg.HitTime
+		return l, c.cfg.HitTime
 	}
 	c.stats.LoadMisses++
 	c.allAcc++
 	l := c.victim(a)
-	set, tag, off := c.decompose(a)
-	base := c.lineBase(set, tag)
-	done := c.xbus.ReadInto(bus.InitCPU, base, l.data)
+	set, tag, _ := c.decompose(a)
+	done := c.xbus.ReadInto(bus.InitCPU, c.lineBase(set, tag), l.data)
 	l.valid, l.dirty, l.tag = true, false, tag
 	c.clock++
 	l.lru = c.clock
-	return truncate(read32(l.data, off), size), done - c.eng.Now()
+	return l, done - c.eng.Now()
+}
+
+// ReadBytes fills out from a onward with exactly the effect of len(out)
+// one-byte Loads in address order, latencies discarded. Each line's
+// first byte takes the full load path (a hit, or a miss with victim
+// write-back and fill); the line's remaining k bytes are copied out and
+// charged as the k hits those loads would have been — to LoadHits, both
+// spin-probe counters and the LRU clock, so even the clock value
+// matches. Command-space addresses keep one load per byte.
+func (c *Cache) ReadBytes(a phys.PAddr, out []byte) {
+	for len(out) > 0 {
+		if c.xbus.Memory().IsCmd(a) {
+			v, _ := c.load(a, 1)
+			out[0] = byte(v)
+			a, out = a+1, out[1:]
+			continue
+		}
+		l, _ := c.fetch(a)
+		n := copy(out, l.data[uint32(a)&c.lineMask:])
+		k := uint64(n - 1)
+		c.stats.LoadHits += k
+		c.pureAcc += k
+		c.allAcc += k
+		c.clock += k
+		l.lru = c.clock
+		a, out = a+phys.PAddr(n), out[n:]
+	}
 }
 
 // Store writes size (1, 2 or 4) bytes at a. writeThrough selects the

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -235,5 +236,125 @@ func TestCoherenceUnderRandomInterleaving(t *testing.T) {
 		if got, _ := c.Load(a, 4); got != want {
 			t.Fatalf("final: %#x = %#x, want %#x", uint32(a), got, want)
 		}
+	}
+}
+
+// twinCache is a cache together with everything it touches, so two of
+// them can be driven through the same history and compared field by
+// field.
+type twinCache struct {
+	x   *bus.Xpress
+	c   *Cache
+	cmd *countingCmd
+}
+
+func newTwinCache() *twinCache {
+	eng := sim.NewEngine()
+	mem := phys.NewMemory(64)
+	for i := uint32(0); i < mem.Size(); i += 4 {
+		mem.Write32(phys.PAddr(i), i*2654435761)
+	}
+	x := bus.NewXpress(eng, bus.DefaultXpressConfig(), mem)
+	cmd := &countingCmd{}
+	x.SetCommandTarget(cmd)
+	return &twinCache{x: x, c: New(eng, DefaultConfig(), x), cmd: cmd}
+}
+
+// loadBytes is the per-byte reference ReadBytes must match: one
+// one-byte Load per byte, in address order.
+func loadBytes(c *Cache, a phys.PAddr, out []byte) {
+	for i := range out {
+		v, _ := c.Load(a+phys.PAddr(i), 1)
+		out[i] = byte(v)
+	}
+}
+
+// sameState fails unless the two caches are indistinguishable: bytes
+// read, statistics, spin-probe counters, LRU clock, every line's tag,
+// state, age and data, and the bus and command-space traffic they caused.
+func sameState(t *testing.T, what string, a, b *twinCache) {
+	t.Helper()
+	if a.c.Stats() != b.c.Stats() {
+		t.Fatalf("%s: cache stats\nReadBytes: %+v\nper byte:  %+v", what, a.c.Stats(), b.c.Stats())
+	}
+	if a.x.Stats() != b.x.Stats() {
+		t.Fatalf("%s: bus stats\nReadBytes: %+v\nper byte:  %+v", what, a.x.Stats(), b.x.Stats())
+	}
+	if *a.cmd != *b.cmd {
+		t.Fatalf("%s: command traffic %+v vs %+v", what, *a.cmd, *b.cmd)
+	}
+	ap, aa := a.c.SpinProbe()
+	bp, ba := b.c.SpinProbe()
+	if ap != bp || aa != ba || a.c.clock != b.c.clock {
+		t.Fatalf("%s: probe (%d,%d) clock %d vs probe (%d,%d) clock %d", what, ap, aa, a.c.clock, bp, ba, b.c.clock)
+	}
+	for s := range a.c.sets {
+		for w := range a.c.sets[s] {
+			la, lb := a.c.sets[s][w], b.c.sets[s][w]
+			if la.valid != lb.valid || la.dirty != lb.dirty || la.tag != lb.tag || la.lru != lb.lru ||
+				!bytes.Equal(la.data, lb.data) {
+				t.Fatalf("%s: set %d way %d differs: %+v vs %+v", what, s, w, la, lb)
+			}
+		}
+	}
+	if !bytes.Equal(a.x.Memory().Read(0, int(a.x.Memory().Size())), b.x.Memory().Read(0, int(b.x.Memory().Size()))) {
+		t.Fatalf("%s: memory differs", what)
+	}
+}
+
+// ReadBytes must have exactly the effect of one-byte Loads in address
+// order: the same bytes, statistics, LRU ages (and so the same victim on
+// a later conflicting miss), write-backs and bus traffic.
+func TestReadBytesMatchesPerByteLoads(t *testing.T) {
+	const way = 256 * 32 // DefaultConfig: addresses this far apart share a set
+	cases := []struct {
+		name string
+		prep func(c *Cache)
+		a    phys.PAddr // offset from CmdBase when cmd is set
+		n    int
+		cmd  bool
+		wb   uint64 // write-backs the read must cause
+	}{
+		{name: "unaligned multi-line", a: 0x105, n: 150},
+		{name: "within one line", a: 0x203, n: 9},
+		{name: "hits then misses", prep: func(c *Cache) { c.Load(0x340, 4); c.Load(0x360, 4) }, a: 0x33c, n: 80},
+		{name: "miss writes back a dirty victim", prep: func(c *Cache) {
+			c.Store(0x400, 0xdeadbeef, 4, false) // dirty, write-back
+			c.Store(0x400+way, 7, 4, false)      // fills the set's other way
+			c.Load(0x400+way, 4)                 // 0x400's way is now LRU
+		}, a: 0x400 + 2*way + 3, n: 64, wb: 1},
+		{name: "command space", a: 6, n: 12, cmd: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			a, b := newTwinCache(), newTwinCache()
+			addr := tc.a
+			if tc.cmd {
+				addr += a.x.Memory().CmdBase()
+			}
+			if tc.prep != nil {
+				tc.prep(a.c)
+				tc.prep(b.c)
+			}
+			got, want := make([]byte, tc.n), make([]byte, tc.n)
+			a.c.ReadBytes(addr, got)
+			loadBytes(b.c, addr, want)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("bytes\nReadBytes: %x\nper byte:  %x", got, want)
+			}
+			sameState(t, "after read", a, b)
+			if wb := a.c.Stats().WriteBacks; wb != tc.wb {
+				t.Fatalf("read caused %d write-backs, want %d", wb, tc.wb)
+			}
+			if tc.cmd && a.cmd.reads != tc.n {
+				t.Fatalf("%d command-space bus reads for %d bytes", a.cmd.reads, tc.n)
+			}
+			// A later conflicting miss in the first line's set must pick
+			// the same victim on both sides.
+			conflict := addr&^31 + 3*way
+			a.c.Load(conflict, 4)
+			b.c.Load(conflict, 4)
+			sameState(t, "after conflicting miss", a, b)
+		})
 	}
 }

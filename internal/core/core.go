@@ -494,13 +494,19 @@ func (m *Machine) RunUntilIdle(limit uint64) error {
 }
 
 // Await drives the simulation until the future resolves, then returns
-// its error. A machine check raised while waiting is returned instead;
-// it panics only if the event queue runs dry with no failure recorded.
+// its error. A machine check raised while waiting is returned instead.
+// If the event queue runs dry because the issuing node has crashed (its
+// kernel will never see the reply), Await returns an error wrapping
+// fault.ErrPeerDown; running dry with the issuer alive is a harness bug
+// and panics.
 func (m *Machine) Await(f *kernel.Future) error {
 	ok := m.RunWhile(func() bool { return !f.Done() })
 	if !ok && !f.Done() {
 		if err := m.Failed(); err != nil {
 			return err
+		}
+		if m.Nodes[f.Node()].NIC.Dead() {
+			return fmt.Errorf("core: node %d crashed with its request outstanding: %w", f.Node(), fault.ErrPeerDown)
 		}
 		panic("core: Await ran out of events before future resolved")
 	}
@@ -557,7 +563,7 @@ func (n *Node) userStore(p *kernel.Process, va vm.VAddr, v uint32, size int) err
 			break
 		}
 	}
-	tr, f := p.AS.Translate(va, true)
+	tr, f := n.Box.Translate(p.AS, va, true)
 	if f != nil {
 		return f
 	}
@@ -570,7 +576,7 @@ func (n *Node) userStore(p *kernel.Process, va vm.VAddr, v uint32, size int) err
 
 // UserRead32 is the load counterpart of UserWrite32.
 func (n *Node) UserRead32(p *kernel.Process, va vm.VAddr) (uint32, error) {
-	tr, f := p.AS.Translate(va, false)
+	tr, f := n.Box.Translate(p.AS, va, false)
 	if f != nil {
 		return 0, f
 	}
@@ -621,17 +627,31 @@ func (n *Node) UserWriteBytes(p *kernel.Process, va vm.VAddr, b []byte) error {
 	return nil
 }
 
-// UserReadBytes loads len(out) bytes from p's virtual memory.
+// UserReadBytes loads len(out) bytes from p's virtual memory with the
+// effect of len(out) one-byte loads in address order. It translates
+// once per page and reads each page's chunk line by line
+// (cache.ReadBytes). That is exact because no event fires inside it and
+// nothing it calls touches the page table, so each page's translation
+// holds for all of its bytes.
 func (n *Node) UserReadBytes(p *kernel.Process, va vm.VAddr, out []byte) error {
+	if len(out) == 0 {
+		return nil
+	}
+	tr, f := n.Box.Translate(p.AS, va, false)
+	if f != nil {
+		return f
+	}
 	prev := n.enter()
 	defer n.Eng.EnterDomain(prev)
-	for i := range out {
-		tr, f := p.AS.Translate(va+vm.VAddr(i), false)
-		if f != nil {
+	for {
+		k := min(len(out), phys.PageSize-int(va.Offset()))
+		n.Cache.ReadBytes(tr.PA, out[:k])
+		va, out = va+vm.VAddr(k), out[k:]
+		if len(out) == 0 {
+			return nil
+		}
+		if tr, f = n.Box.Translate(p.AS, va, false); f != nil {
 			return f
 		}
-		v, _ := n.Cache.Load(tr.PA, 1)
-		out[i] = byte(v)
 	}
-	return nil
 }

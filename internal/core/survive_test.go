@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -408,5 +409,48 @@ func TestHeartbeatDetectsIdleCrash(t *testing.T) {
 	}
 	if m.Node(2).K.Stats().PeerDowns != 0 {
 		t.Fatal("the dead node declared peers down")
+	}
+}
+
+// A request issued by a node that then crashes can never resolve: its
+// kernel will not see the reply. Await must report that as
+// fault.ErrPeerDown — for a Map in flight at the crash and for every
+// later Map from the dead node — instead of panicking when the event
+// queue runs dry.
+func TestAwaitOnCrashedIssuer(t *testing.T) {
+	cfg := ConfigFor(2, 2, nic.GenEISAPrototype)
+	cfg.Faults = fault.Config{
+		Seed: 1, Reliable: true, Survivable: true,
+		Heartbeat:   200 * sim.Microsecond,
+		RetryBudget: 6, AckTimeout: 10 * sim.Microsecond,
+		Nodes: [2]fault.NodeFault{{Node: 2, Kind: fault.NodeCrash, At: 100 * sim.Microsecond}},
+	}
+	m := New(cfg)
+	src, dst := m.Node(2), m.Node(0)
+	ps, pd := src.K.CreateProcess(), dst.K.CreateProcess()
+	m.RunFor(90*sim.Microsecond - m.Now())
+	for i := 0; i < 3; i++ {
+		sendVA, err := ps.AllocPages(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recvVA, err := pd.AllocPages(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		issued := m.Now()
+		_, fut := src.K.Map(ps, sendVA, phys.PageSize, dst.ID, pd.PID, recvVA, nipt.SingleWriteAU)
+		if err := m.Await(fut); !errors.Is(err, fault.ErrPeerDown) {
+			t.Fatalf("map %d issued at %v by the crashing node: got %v, want fault.ErrPeerDown", i, issued, err)
+		}
+		if i == 0 && issued >= 100*sim.Microsecond {
+			t.Fatalf("precondition: the first map must be in flight at the crash (issued %v)", issued)
+		}
+	}
+	if !dst.K.PeerIsDown(src.ID) {
+		t.Fatal("the survivors never declared the crashed node down")
+	}
+	if err := m.Failed(); err != nil {
+		t.Fatalf("survivable crash raised a machine check: %v", err)
 	}
 }

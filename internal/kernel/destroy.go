@@ -16,7 +16,7 @@ import (
 // frames return to the allocator, and swap records are dropped. The
 // future resolves when all remote acknowledgements are in.
 func (k *Kernel) DestroyProcess(p *Process) *Future {
-	fut := &Future{}
+	fut := k.newFuture()
 	if _, ok := k.procs[p.PID]; !ok {
 		fut.resolve(fmt.Errorf("kernel%d: no process %d", k.id, p.PID), nil)
 		return fut

@@ -344,10 +344,12 @@ func (p *Process) FrameOf(va vm.VAddr) (phys.PageNum, bool) {
 // memory through the cache. The kernel swaps CurrentAS on a context
 // switch; the network interface needs no action (Figure 3).
 //
-// Translation goes through a small direct-mapped micro-TLB. The TLB is
-// purely a host-side accelerator — Translate carries no simulated cost,
-// so caching it must never change behavior. Each entry is tagged with
-// the owning address space and that table's generation counter
+// Translation goes through a small direct-mapped micro-TLB, shared by
+// the ISA CPU and by harness accesses (core.Node's user accessors),
+// which name their address space explicitly. The TLB is purely a
+// host-side accelerator — Translate carries no simulated cost, so
+// caching it must never change behavior. Each entry is tagged with the
+// owning address space and that table's generation counter
 // (vm.AddressSpace.Gen), which advances on every Map, Unmap, and
 // SetWritable: a remap or protection change leaves stale entries
 // unmatchable by construction, and a context switch misses via the
@@ -368,6 +370,7 @@ type tlbEntry struct {
 	vpn      vm.VPN
 	base     phys.PAddr // physical base of the page (command offset folded in)
 	wt       bool       // page is write-through (or command)
+	cmd      bool       // page is a command page
 	writable bool
 }
 
@@ -376,50 +379,71 @@ type tlbEntry struct {
 // Reset so no entry outlives its address space object.
 func (b *MemBox) InvalidateTLB() { b.tlb = [tlbSlots]tlbEntry{} }
 
-func (b *MemBox) slot(vpn vm.VPN) *tlbEntry { return &b.tlb[uint32(vpn)&(tlbSlots-1)] }
+// Translate resolves a in as for a read or write access, exactly as
+// as.Translate would, through the micro-TLB.
+func (b *MemBox) Translate(as *vm.AddressSpace, a vm.VAddr, write bool) (vm.Translation, *vm.Fault) {
+	if e := b.hit(as, a, write); e != nil {
+		return vm.Translation{PA: e.base + phys.PAddr(a.Offset()), WriteThrough: e.wt, Command: e.cmd}, nil
+	}
+	return b.fill(as, a, write)
+}
 
-func (b *MemBox) fill(e *tlbEntry, a vm.VAddr, tr vm.Translation) {
-	pte, _ := b.CurrentAS.Lookup(a.Page())
-	*e = tlbEntry{
-		as:       b.CurrentAS,
-		gen:      b.CurrentAS.Gen(),
+// hit returns the TLB entry that translates a in as, or nil on a miss.
+// A write hit requires the writable bit: entries filled by loads on
+// read-only pages take the slow path so protection faults (the §4.4
+// invalidation protocol depends on them) still surface. hit is small
+// enough to inline, so the ISA load and store paths pay no call for it.
+func (b *MemBox) hit(as *vm.AddressSpace, a vm.VAddr, write bool) *tlbEntry {
+	e := &b.tlb[uint32(a.Page())&(tlbSlots-1)]
+	if e.as == as && e.vpn == a.Page() && e.gen == as.Gen() && (e.writable || !write) {
+		return e
+	}
+	return nil
+}
+
+// fill is the miss path: walk the page table and, on success, cache
+// the translation.
+func (b *MemBox) fill(as *vm.AddressSpace, a vm.VAddr, write bool) (vm.Translation, *vm.Fault) {
+	tr, f := as.Translate(a, write)
+	if f != nil {
+		return tr, f
+	}
+	pte, _ := as.Lookup(a.Page())
+	b.tlb[uint32(a.Page())&(tlbSlots-1)] = tlbEntry{
+		as:       as,
+		gen:      as.Gen(),
 		vpn:      a.Page(),
 		base:     tr.PA - phys.PAddr(a.Offset()),
 		wt:       tr.WriteThrough,
+		cmd:      tr.Command,
 		writable: pte.Writable,
 	}
+	return tr, nil
 }
 
 // Load implements isa.MemPort.
 func (b *MemBox) Load(a vm.VAddr, size int) (uint32, sim.Time, *vm.Fault) {
-	vpn := a.Page()
-	if e := b.slot(vpn); e.as != nil && e.as == b.CurrentAS && e.vpn == vpn && e.gen == b.CurrentAS.Gen() {
+	if e := b.hit(b.CurrentAS, a, false); e != nil {
 		v, t := b.Cache.Load(e.base+phys.PAddr(a.Offset()), size)
 		return v, t, nil
 	}
-	tr, f := b.CurrentAS.Translate(a, false)
+	tr, f := b.fill(b.CurrentAS, a, false)
 	if f != nil {
 		return 0, 0, f
 	}
-	b.fill(b.slot(vpn), a, tr)
 	v, t := b.Cache.Load(tr.PA, size)
 	return v, t, nil
 }
 
-// Store implements isa.MemPort. A TLB hit requires the writable bit:
-// entries filled by loads on read-only pages take the slow path so
-// protection faults (the §4.4 invalidation protocol depends on them)
-// still surface.
+// Store implements isa.MemPort.
 func (b *MemBox) Store(a vm.VAddr, v uint32, size int) (sim.Time, *vm.Fault) {
-	vpn := a.Page()
-	if e := b.slot(vpn); e.as != nil && e.as == b.CurrentAS && e.vpn == vpn && e.writable && e.gen == b.CurrentAS.Gen() {
+	if e := b.hit(b.CurrentAS, a, true); e != nil {
 		return b.Cache.Store(e.base+phys.PAddr(a.Offset()), v, size, e.wt), nil
 	}
-	tr, f := b.CurrentAS.Translate(a, true)
+	tr, f := b.fill(b.CurrentAS, a, true)
 	if f != nil {
 		return 0, f
 	}
-	b.fill(b.slot(vpn), a, tr)
 	return b.Cache.Store(tr.PA, v, size, tr.WriteThrough), nil
 }
 

@@ -144,7 +144,7 @@ func (k *Kernel) Map(p *Process, sendVA vm.VAddr, bytes int, dst packet.NodeID, 
 	// inherited domain would be whichever event fired last.
 	prev := k.enter()
 	defer k.eng.EnterDomain(prev)
-	fut := &Future{}
+	fut := k.newFuture()
 	m := &Mapping{
 		Proc: p, SendVA: sendVA, Bytes: bytes, Dst: dst, DstPID: dstPID,
 		RecvVA: recvVA, Mode: mode, kernel: k,
@@ -297,7 +297,7 @@ func (k *Kernel) removeSegment(frame phys.PageNum, rec *OutMapping) {
 func (k *Kernel) Unmap(m *Mapping) *Future {
 	prev := k.enter()
 	defer k.eng.EnterDomain(prev)
-	fut := &Future{}
+	fut := k.newFuture()
 	if m.unmapped {
 		fut.resolve(fmt.Errorf("kernel: mapping already unmapped"), nil)
 		return fut

@@ -32,7 +32,7 @@ func (k *Kernel) hasSwap(p *Process, vpn vm.VPN) bool {
 // page has actually been freed — immediately for unshared pages, after
 // the invalidation round for mapped-in pages under InvalidateProtocol.
 func (k *Kernel) EvictPage(p *Process, vpn vm.VPN) *Future {
-	fut := &Future{}
+	fut := k.newFuture()
 	pte, ok := p.AS.Lookup(vpn)
 	if !ok || !pte.Present || pte.Command {
 		fut.resolve(fmt.Errorf("kernel: evict: page %#x not resident", uint32(vpn)), nil)

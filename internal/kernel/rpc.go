@@ -57,11 +57,19 @@ func statusErr(st uint8, what string) error {
 
 // Future is the completion handle for an asynchronous kernel RPC.
 type Future struct {
+	node   packet.NodeID // whose kernel issued the request
 	done   bool
 	err    error
 	frames []phys.PageNum
 	cbs    []func(*Future)
 }
+
+func (k *Kernel) newFuture() *Future { return &Future{node: k.id} }
+
+// Node returns the node whose kernel issued the request. Only that
+// kernel's events can resolve the future, so it never resolves once
+// the node has crashed.
+func (f *Future) Node() packet.NodeID { return f.node }
 
 // Done reports whether the RPC has completed.
 func (f *Future) Done() bool { return f.done }
@@ -95,7 +103,7 @@ func (f *Future) resolve(err error, frames []phys.PageNum) {
 
 func (k *Kernel) newRequest(dst packet.NodeID) (uint32, *Future) {
 	k.nextReq++
-	f := &Future{}
+	f := k.newFuture()
 	k.pending[k.nextReq] = f
 	k.pendingDst[k.nextReq] = dst
 	return k.nextReq, f
@@ -105,7 +113,7 @@ func (k *Kernel) newRequest(dst packet.NodeID) (uint32, *Future) {
 // already declared dead: the future resolves immediately (callers see
 // fault.ErrPeerDown via errors.Is) without touching the ring.
 func (k *Kernel) deadRequest(dst packet.NodeID) *Future {
-	f := &Future{}
+	f := k.newFuture()
 	f.resolve(k.peerDownErr(dst), nil)
 	return f
 }

@@ -76,22 +76,22 @@ func NewChannel(m *core.Machine, snd, rcv Endpoint, pages int) (*Channel, error)
 	return c, nil
 }
 
-// await steps the simulation until cond holds. In Survivable fault
-// plans it also watches both kernels' membership views: a channel
-// endpoint declared dead can never set the flag being waited on, so the
-// wait surfaces fault.ErrPeerDown promptly instead of spinning until
-// the queues drain.
-func (c *Channel) await(cond func() bool) error {
+// await steps m until cond holds. In Survivable fault plans it also
+// watches both endpoints' membership views: an endpoint declared dead
+// can never set the flag being waited on, so the wait surfaces
+// fault.ErrPeerDown promptly instead of spinning until the queues drain.
+// what names the channel kind in the deadlock error.
+func await(m *core.Machine, snd, rcv Endpoint, what string, cond func() bool) error {
 	down := func() error {
-		if c.snd.Node.K.PeerIsDown(c.rcv.Node.ID) {
-			return fmt.Errorf("msg: channel to node %d: %w", c.rcv.Node.ID, fault.ErrPeerDown)
+		if snd.Node.K.PeerIsDown(rcv.Node.ID) {
+			return fmt.Errorf("msg: %s to node %d: %w", what, rcv.Node.ID, fault.ErrPeerDown)
 		}
-		if c.rcv.Node.K.PeerIsDown(c.snd.Node.ID) {
-			return fmt.Errorf("msg: channel from node %d: %w", c.snd.Node.ID, fault.ErrPeerDown)
+		if rcv.Node.K.PeerIsDown(snd.Node.ID) {
+			return fmt.Errorf("msg: %s from node %d: %w", what, snd.Node.ID, fault.ErrPeerDown)
 		}
 		return nil
 	}
-	ok := c.m.RunWhile(func() bool { return !cond() && down() == nil })
+	ok := m.RunWhile(func() bool { return !cond() && down() == nil })
 	if cond() {
 		return nil
 	}
@@ -99,7 +99,7 @@ func (c *Channel) await(cond func() bool) error {
 		return err
 	}
 	if !ok {
-		return fmt.Errorf("msg: channel deadlock: nothing left to simulate")
+		return fmt.Errorf("msg: %s deadlock: nothing left to simulate", what)
 	}
 	return nil
 }
@@ -114,7 +114,7 @@ func (c *Channel) Send(b []byte) error {
 		v, err := c.snd.Node.UserRead32(c.snd.Proc, c.sFlag)
 		return err == nil && v == 0
 	}
-	if err := c.await(flagClear); err != nil {
+	if err := await(c.m, c.snd, c.rcv, "channel", flagClear); err != nil {
 		return err
 	}
 	if err := c.snd.Node.UserWriteBytes(c.snd.Proc, c.sBuf, b); err != nil {
@@ -135,7 +135,7 @@ func (c *Channel) Recv() ([]byte, error) {
 		n = v
 		return v != 0
 	}
-	if err := c.await(arrived); err != nil {
+	if err := await(c.m, c.snd, c.rcv, "channel", arrived); err != nil {
 		return nil, err
 	}
 	out := make([]byte, n)
@@ -208,8 +208,8 @@ func (c *DoubleChannel) Send(b []byte) error {
 		v, err := c.snd.Node.UserRead32(c.snd.Proc, flag)
 		return err == nil && v == 0
 	}
-	if ok := c.m.RunWhile(func() bool { return !free() }); !ok && !free() {
-		return fmt.Errorf("msg: double channel deadlock on send")
+	if err := await(c.m, c.snd, c.rcv, "double channel", free); err != nil {
+		return err
 	}
 	if err := c.snd.Node.UserWriteBytes(c.snd.Proc, buf, b); err != nil {
 		return err
@@ -236,8 +236,8 @@ func (c *DoubleChannel) Recv() ([]byte, error) {
 		n = v
 		return v != 0
 	}
-	if ok := c.m.RunWhile(func() bool { return !arrived() }); !ok && !arrived() {
-		return nil, fmt.Errorf("msg: double channel deadlock on recv")
+	if err := await(c.m, c.snd, c.rcv, "double channel", arrived); err != nil {
+		return nil, err
 	}
 	out := make([]byte, n)
 	if err := c.rcv.Node.UserReadBytes(c.rcv.Proc, buf, out); err != nil {

@@ -2,11 +2,14 @@ package msg
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/nic"
+	"repro/internal/sim"
 )
 
 func newMachine(t *testing.T) *core.Machine {
@@ -91,6 +94,51 @@ func TestDoubleChannelOrderAndContent(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("iteration %d corrupted", i)
 		}
+	}
+}
+
+// crashCfg is a 2x2 EISA machine under a Survivable fault plan that
+// crashes node 2 at the given time.
+func crashCfg(at sim.Time) core.Config {
+	cfg := core.ConfigFor(2, 2, nic.GenEISAPrototype)
+	cfg.Faults = fault.Config{
+		Seed: 1, Reliable: true, Survivable: true,
+		Heartbeat:   200 * sim.Microsecond,
+		RetryBudget: 6, AckTimeout: 10 * sim.Microsecond,
+		Nodes: [2]fault.NodeFault{{Node: 2, Kind: fault.NodeCrash, At: at}},
+	}
+	return cfg
+}
+
+// A DoubleChannel whose far end crashes must surface fault.ErrPeerDown
+// once the survivor has declared it dead, on both the sending and the
+// receiving side, not a deadlock after the queues drain.
+func TestDoubleChannelReportsPeerDown(t *testing.T) {
+	m := core.New(crashCfg(400 * sim.Microsecond))
+	ch, err := NewDoubleChannel(m, NewEndpoint(m.Node(0)), NewEndpoint(m.Node(2)), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Both buffers fill; the third send waits for a consumer that dies.
+	for i := 0; i < 2; i++ {
+		if err := ch.Send([]byte("to a doomed consumer")); err != nil {
+			t.Fatalf("send %d: %v", i, err)
+		}
+	}
+	if err := ch.Send([]byte("never consumed")); !errors.Is(err, fault.ErrPeerDown) {
+		t.Fatalf("third send: got %v, want fault.ErrPeerDown", err)
+	}
+	if !m.Node(0).K.PeerIsDown(2) {
+		t.Fatal("node 0 never declared node 2 down")
+	}
+
+	m = core.New(crashCfg(400 * sim.Microsecond))
+	ch, err = NewDoubleChannel(m, NewEndpoint(m.Node(2)), NewEndpoint(m.Node(0)), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ch.Recv(); !errors.Is(err, fault.ErrPeerDown) {
+		t.Fatalf("recv from a crashed producer: got %v, want fault.ErrPeerDown", err)
 	}
 }
 

@@ -361,7 +361,10 @@ func TestTraceCacheHitRateFloor(t *testing.T) {
 // cached-translation invalidation: a store warms the micro-TLB for a
 // page, the page is then remapped to a different frame, and the next
 // store must land in the new frame — never through the stale cached
-// translation into the old one.
+// translation into the old one. The harness accessors (Node.UserWrite32,
+// UserRead32, UserReadBytes) share the same TLB, so the same holds for
+// them, and a protection change or unmap must still fault even though
+// the page's translation is cached.
 func TestRemapInvalidatesStaleTranslation(t *testing.T) {
 	p := NewPair(nic.GenEISAPrototype)
 	va, err := p.PS.AllocPages(1)
@@ -399,5 +402,46 @@ func TestRemapInvalidatesStaleTranslation(t *testing.T) {
 	}
 	if v, _ := p.S.Cache.Load(oldPTE.Frame.Addr(0), 4); v != 0x11111111 {
 		t.Fatalf("store after remap hit the stale frame: old frame now %#x", v)
+	}
+
+	// Harness path. A UserReadBytes warms the TLB with the new frame; after
+	// a remap back onto the old frame it must read the old frame's bytes.
+	buf := make([]byte, 4)
+	if err := p.S.UserReadBytes(p.PS, va, buf); err != nil || buf[0] != 0x22 {
+		t.Fatalf("UserReadBytes before remap: %x, %v", buf, err)
+	}
+	p.PS.AS.Map(va.Page(), oldPTE)
+	if err := p.S.UserReadBytes(p.PS, va, buf); err != nil || buf[0] != 0x11 {
+		t.Fatalf("UserReadBytes after remap read %x (%v), want the old frame's 11111111", buf, err)
+	}
+
+	wantFault := func(what string, err error, reason vm.FaultReason) {
+		t.Helper()
+		f, ok := err.(*vm.Fault)
+		if !ok || f.Reason != reason {
+			t.Fatalf("%s: got %v, want a %v fault", what, err, reason)
+		}
+	}
+	// A UserWrite32 fills a writable entry; a later SetWritable(false)
+	// must still make the next write fault.
+	if err := p.S.UserWrite32(p.PS, va, 0x33333333); err != nil {
+		t.Fatalf("UserWrite32 to a writable page: %v", err)
+	}
+	p.PS.AS.SetWritable(va.Page(), false)
+	wantFault("UserWrite32 after SetWritable(false)", p.S.UserWrite32(p.PS, va, 0x44444444), vm.Protection)
+	// An entry filled by a read of the read-only page must not let a
+	// write through either.
+	if v, err := p.S.UserRead32(p.PS, va); err != nil || v != 0x33333333 {
+		t.Fatalf("UserRead32 of a read-only page: %#x, %v", v, err)
+	}
+	wantFault("UserWrite32 after a read-only fill", p.S.UserWrite32(p.PS, va, 0x44444444), vm.Protection)
+	// After Unmap both accessors miss the page entirely.
+	p.PS.AS.Unmap(va.Page())
+	wantFault("UserWrite32 after Unmap", p.S.UserWrite32(p.PS, va, 0x44444444), vm.NotPresent)
+	if _, err := p.S.UserRead32(p.PS, va); err == nil {
+		t.Fatal("UserRead32 after Unmap succeeded")
+	}
+	if v, _ := p.S.Cache.Load(oldPTE.Frame.Addr(0), 4); v != 0x33333333 {
+		t.Fatalf("a faulting write reached memory: old frame now %#x", v)
 	}
 }

@@ -78,9 +78,12 @@ func (f *Fault) Error() string {
 
 // AddressSpace is one process's page table. cmdBase is the physical base
 // of the NIC command space on the owning node. gen counts page-table
-// mutations; translation caches (the kernel MemBox micro-TLB) key their
-// entries on it so a remap, unmap, or protection change invalidates any
-// stale cached translation without a shootdown walk.
+// mutations. The node's translation cache, the kernel MemBox micro-TLB,
+// keys its entries on it, so a remap, unmap, or protection change
+// invalidates any stale cached translation without a shootdown walk.
+// Both the ISA CPU and the harness user accessors (core.Node's
+// UserRead32, UserWrite32, UserReadBytes) translate through that TLB;
+// Translate here is the page-table walk behind its misses.
 type AddressSpace struct {
 	pt      map[VPN]PTE
 	cmdBase phys.PAddr
