@@ -5,6 +5,7 @@
 set -eux
 
 go vet ./...
+test -z "$(gofmt -l *.go bench cmd examples internal)"
 go build ./...
 go test -race ./...
 # The benchmark in bench/ is its own Go module, so ./... above never
@@ -15,30 +16,6 @@ go test -run '^$' -bench BenchmarkEngine -benchtime 100x ./internal/sim
 # workers under the race detector (report discarded; the differential
 # tests assert parallel == sequential output).
 go run -race ./cmd/shrimp-bench -parallel 4 -iters 2 -only sweep -o /dev/null
-# Partitioned-engine guards. The partition differential suites (any
-# node→partition assignment must reproduce the sequential engine
-# bit-for-bit: latencies, goodput, machine checks, metrics, Table 1)
-# run under the race detector at both ends of the scheduler-parallelism
-# range, and a race smoke drives the mesh/par allreduce pair on a small
-# mesh so real cluster goroutines cross the rendezvous under -race.
-GOMAXPROCS=1 go test -race -count 1 -run 'TestPartition|TestTable1Partition' ./internal/core ./internal/msg
-GOMAXPROCS=8 go test -race -count 1 -run 'TestPartition|TestTable1Partition' ./internal/core ./internal/msg
-go run -race ./cmd/shrimp-bench -iters 1 -only mesh/par -mesh 8x8 -partitions 1,4,8 -o /dev/null
-# Rendezvous allocation guards, unconditional (they hold on any host,
-# unlike the speedup gate below): the typed post/message path through
-# the cluster must not touch the heap, and the partitioned allreduce
-# must allocate within 2x of the sequential machine per op (BENCH_7's
-# regression was a 29x blowup that only an >= 8-CPU host would have
-# caught via the speedup gate).
-go test -run '^$' -bench 'BenchmarkClusterPost' -benchtime 1000x -benchmem ./internal/sim | grep 'BenchmarkClusterPost' | grep -q ' 0 allocs/op'
-go run ./cmd/shrimp-bench -iters 2 -only mesh/par -mesh 16x16 -partitions 1,8 -allocratio mesh/par/1,mesh/par/8,2.0 -o /dev/null
-# Intra-machine speedup gate: the 32x32 allreduce with 8 partitions
-# must run >= 4x faster than with 1 partition (BENCH_9.json is the
-# committed snapshot of this pair). Meaningless without cores for the
-# gang workers to land on, so skipped on hosts with < 8 CPUs.
-if [ "$(getconf _NPROCESSORS_ONLN)" -ge 8 ]; then
-	go run ./cmd/shrimp-bench -iters 3 -only mesh/par -partitions 1,8 -speedup mesh/par/1,mesh/par/8,4.0 -o /dev/null
-fi
 # Observability guard: the metrics registry and causal spans must stay
 # allocation-free on the hot path (counters, gauges, histograms, span
 # lifecycle all land in preallocated arrays). Run without -race — the
@@ -78,16 +55,13 @@ go run ./cmd/shrimp-bench -iters 3 -only faults -compare BENCH_5.json -tol 0.5 -
 # mid-workload crashes, Survivable armed) and the rest of the
 # degraded-mode suite run under the race detector at both ends of the
 # scheduler-parallelism range; the availability sweep must print
-# byte-identically run to run and across partition counts; and the
-# peer-down emit suppression (the degraded-mode hot path) must stay
-# allocation-free.
+# byte-identically run to run; and the peer-down emit suppression (the
+# degraded-mode hot path) must stay allocation-free.
 GOMAXPROCS=1 go test -race -count 1 -run 'TestCrashSurvival|TestSurvivable|TestHeartbeat|TestShootdownCrash|TestDestroyProcessSurvives|TestReestablishDegrades' ./internal/core
 GOMAXPROCS=8 go test -race -count 1 -run 'TestCrashSurvival|TestSurvivable|TestHeartbeat|TestShootdownCrash|TestDestroyProcessSurvives|TestReestablishDegrades' ./internal/core
 go run -race ./cmd/shrimp-faults -avail 0,1,2 -w 4 -h 4 > /tmp/shrimp-avail-a.txt
 go run ./cmd/shrimp-faults -avail 0,1,2 -w 4 -h 4 > /tmp/shrimp-avail-b.txt
-go run ./cmd/shrimp-faults -avail 0,1,2 -w 4 -h 4 -partitions 4 > /tmp/shrimp-avail-p.txt
 cmp /tmp/shrimp-avail-a.txt /tmp/shrimp-avail-b.txt
-cmp /tmp/shrimp-avail-a.txt /tmp/shrimp-avail-p.txt
 go test -run '^$' -bench 'BenchmarkStorePeerDown' -benchtime 1000x -benchmem ./internal/nic | grep 'BenchmarkStorePeerDown' | grep -q ' 0 allocs/op'
 # Simulator-performance regression gate: rerun the benchmark suite and
 # compare events/sec and allocs/op against the committed BENCH_3.json
@@ -114,15 +88,10 @@ go run ./cmd/shrimp-bench -iters 3 -only metrics/recorder -compare BENCH_8.json 
 # the deadline/FIFO-stall and differential watchdog suites).
 go test -race -count 1 -run 'TestWatchdog' ./internal/core
 # OpenMetrics determinism: two one-shot shrimp-top runs must compare
-# byte-identical, and a partitioned run must reproduce the sequential
-# exposition exactly (partition-aware aggregation: per-node scopes are
-# summed in node order at quiescent pacing cuts, so the merged timeline
-# is independent of the partition count).
+# byte-identical.
 go run ./cmd/shrimp-top -mesh 2x2 -rounds 2 > /tmp/shrimp-top-a.prom
 go run ./cmd/shrimp-top -mesh 2x2 -rounds 2 > /tmp/shrimp-top-b.prom
 cmp /tmp/shrimp-top-a.prom /tmp/shrimp-top-b.prom
-go run -race ./cmd/shrimp-top -mesh 2x2 -rounds 2 -partitions 4 > /tmp/shrimp-top-p.prom
-cmp /tmp/shrimp-top-a.prom /tmp/shrimp-top-p.prom
 # Timeline smoke: a 16-node run must export valid Chrome trace JSON,
 # with recorder counter tracks riding along.
 go run ./cmd/shrimp-trace -rounds 1 -interval 10us -o /dev/null

@@ -2,16 +2,13 @@
 // hardware: discrete events dispatched per wall-clock second, heap
 // allocations per operation, and the ratio of simulated time to wall
 // time, for the E2 latency and E3 bandwidth experiments, the 16-node
-// mesh workloads, the parallel sweep harness (sequential versus
-// -parallel N workers, fresh machines versus Reset reuse), and the
-// partitioned engine (mesh/par/N: one large-mesh allreduce machine
-// split across -partitions N engines). It emits a JSON report (the
-// BENCH_*.json files in the repo root are committed snapshots; see
-// DESIGN.md §6–§11 for how each pair is regenerated).
+// mesh workloads, and the parallel sweep harness (sequential versus
+// -parallel N workers, fresh machines versus Reset reuse). It emits a
+// JSON report (the BENCH_*.json files in the repo root are committed
+// snapshots; see DESIGN.md §6–§12 for how each pair is regenerated).
 //
 //	go run ./cmd/shrimp-bench -o BENCH_1.json
 //	go run ./cmd/shrimp-bench -parallel 4 -o BENCH_2.json
-//	go run ./cmd/shrimp-bench -only mesh/par -o BENCH_7.json
 package main
 
 import (
@@ -20,7 +17,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 
 	shrimp "repro"
@@ -30,33 +26,17 @@ import (
 func main() {
 	iters := flag.Int("iters", 20, "measured iterations per benchmark")
 	parallel := flag.Int("parallel", 1, "sweep worker-pool size for the sweep/*/par benchmarks (0 = GOMAXPROCS)")
-	partitions := flag.String("partitions", "1,8", "comma-separated partition counts for the mesh/par/* benchmarks")
-	meshDim := flag.String("mesh", "32x32", "mesh size WxH for the mesh/par/* benchmarks")
 	only := flag.String("only", "", "run only benchmarks whose name contains this substring")
 	out := flag.String("o", "", "write JSON report to this file (default stdout)")
 	compare := flag.String("compare", "", "baseline report JSON; exit 1 on events/sec or allocs/op regressions beyond -tol")
 	tol := flag.Float64("tol", 0.10, "fractional regression tolerance for -compare")
-	speedup := flag.String("speedup", "", "A,B,minX: exit 1 unless benchmark B ran at least minX times faster (wall ns/op) than benchmark A")
-	allocratio := flag.String("allocratio", "", "A,B,maxX: exit 1 if benchmark B allocated more than maxX times benchmark A's allocs/op")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the benchmark run to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile at the end of the run to this file")
-	blockprofile := flag.String("blockprofile", "", "write a pprof blocking profile (channel/sync waits: rendezvous parks) to this file")
-	mutexprofile := flag.String("mutexprofile", "", "write a pprof mutex-contention profile to this file")
 	flag.Parse()
 
 	workers := *parallel
 	if workers <= 0 {
 		workers = shrimp.DefaultSweepWorkers()
-	}
-	partsList, err := parseInts(*partitions)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bad -partitions: %v\n", err)
-		os.Exit(1)
-	}
-	meshW, meshH, err := parseMesh(*meshDim)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bad -mesh: %v\n", err)
-		os.Exit(1)
 	}
 
 	if *cpuprofile != "" {
@@ -72,23 +52,9 @@ func main() {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	// Block and mutex profiling cover what the CPU profile cannot: time
-	// partition workers and the coordinator spend parked on the gang
-	// barrier (channel waits) and any lock contention. Rates are set
-	// before any benchmark runs so the whole run is covered; the
-	// profiles are written on the way out.
-	if *blockprofile != "" {
-		runtime.SetBlockProfileRate(1)
-		defer writeProfile("block", *blockprofile)
-	}
-	if *mutexprofile != "" {
-		runtime.SetMutexProfileFraction(1)
-		defer writeProfile("mutex", *mutexprofile)
-	}
 
 	rep := perf.NewReport("Virtual Memory Mapped Network Interface for the SHRIMP Multicomputer")
 	rep.Workers = workers
-	rep.Partitions = partsList
 	run := func(name string, fn func() perf.Sample) {
 		if *only != "" && !strings.Contains(name, *only) {
 			return
@@ -105,21 +71,6 @@ func main() {
 	run("bandwidth/xpress/1024B", func() perf.Sample { return bandwidthSample(shrimp.GenXpress, 1024) })
 	run("mesh/neighbors", func() perf.Sample { return meshSample(neighborLinks(4, 4)) })
 	run("mesh/hotspot", func() perf.Sample { return meshSample(hotspotLinks(4, 4)) })
-
-	// Partitioned-engine pair: the same spanning-tree allreduce on one
-	// -mesh machine, run with each -partitions count. The machine and
-	// its channels are built lazily in Measure's untimed warm-up call
-	// and released before the next partition count builds, so only the
-	// allreduce rounds are timed. Simulated results are bit-identical
-	// across counts (the partition differential suites); the wall-clock
-	// ratio is the intra-machine parallel speedup. BENCH_7.json is the
-	// committed snapshot of this pair.
-	for _, p := range partsList {
-		fn, done := allreduceSample(meshW, meshH, p)
-		run(fmt.Sprintf("mesh/par/%d", p), fn)
-		done() // stop the dropped machine's worker gang before the next count builds
-		runtime.GC()
-	}
 
 	// Machine construction tax: the same latency point on a fresh machine
 	// per op versus one machine Reset per op. The allocs/op gap is the
@@ -222,70 +173,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "no regressions vs %s (tolerance %.0f%%)\n", *compare, 100**tol)
 	}
 
-	if *speedup != "" {
-		parts := strings.Split(*speedup, ",")
-		if len(parts) != 3 {
-			fmt.Fprintln(os.Stderr, "bad -speedup: want A,B,minX")
-			os.Exit(1)
-		}
-		minX, err := strconv.ParseFloat(parts[2], 64)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bad -speedup factor: %v\n", err)
-			os.Exit(1)
-		}
-		find := func(name string) perf.Result {
-			for _, r := range rep.Results {
-				if r.Name == name {
-					return r
-				}
-			}
-			fmt.Fprintf(os.Stderr, "-speedup: benchmark %q did not run\n", name)
-			os.Exit(1)
-			panic("unreachable")
-		}
-		a, b := find(parts[0]), find(parts[1])
-		got := a.WallNSPerOp / b.WallNSPerOp
-		if got < minX {
-			fmt.Fprintf(os.Stderr, "speedup gate: %s is %.2fx faster than %s, want >= %.2fx\n",
-				parts[1], got, parts[0], minX)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "speedup gate: %s is %.2fx faster than %s (>= %.2fx)\n",
-			parts[1], got, parts[0], minX)
-	}
-
-	if *allocratio != "" {
-		parts := strings.Split(*allocratio, ",")
-		if len(parts) != 3 {
-			fmt.Fprintln(os.Stderr, "bad -allocratio: want A,B,maxX")
-			os.Exit(1)
-		}
-		maxX, err := strconv.ParseFloat(parts[2], 64)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bad -allocratio factor: %v\n", err)
-			os.Exit(1)
-		}
-		find := func(name string) perf.Result {
-			for _, r := range rep.Results {
-				if r.Name == name {
-					return r
-				}
-			}
-			fmt.Fprintf(os.Stderr, "-allocratio: benchmark %q did not run\n", name)
-			os.Exit(1)
-			panic("unreachable")
-		}
-		a, b := find(parts[0]), find(parts[1])
-		got := b.AllocsPerOp / a.AllocsPerOp
-		if got > maxX {
-			fmt.Fprintf(os.Stderr, "alloc gate: %s allocates %.2fx %s (%.0f vs %.0f allocs/op), want <= %.2fx\n",
-				parts[1], got, parts[0], b.AllocsPerOp, a.AllocsPerOp, maxX)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "alloc gate: %s allocates %.2fx %s (<= %.2fx)\n",
-			parts[1], got, parts[0], maxX)
-	}
-
 	if *memprofile != "" {
 		f, err := os.Create(*memprofile)
 		if err != nil {
@@ -299,54 +186,6 @@ func main() {
 			os.Exit(1)
 		}
 	}
-}
-
-// writeProfile dumps a named runtime profile (block, mutex) to path.
-func writeProfile(name, path string) {
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	defer f.Close()
-	if err := pprof.Lookup(name).WriteTo(f, 0); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-}
-
-// parseInts parses a comma-separated list of positive ints.
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil {
-			return nil, err
-		}
-		if n < 1 {
-			return nil, fmt.Errorf("count %d < 1", n)
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
-// parseMesh parses "WxH".
-func parseMesh(s string) (w, h int, err error) {
-	a, b, ok := strings.Cut(s, "x")
-	if !ok {
-		return 0, 0, fmt.Errorf("want WxH, got %q", s)
-	}
-	if w, err = strconv.Atoi(a); err != nil {
-		return 0, 0, err
-	}
-	if h, err = strconv.Atoi(b); err != nil {
-		return 0, 0, err
-	}
-	if w < 2 || h < 1 {
-		return 0, 0, fmt.Errorf("mesh %dx%d too small", w, h)
-	}
-	return w, h, nil
 }
 
 // latencySample measures the E2 corner-to-corner automatic-update store
@@ -541,111 +380,6 @@ func cpuTraceSample(trace bool) perf.Sample {
 			"trace":                on,
 		},
 	}
-}
-
-// allreducer is the mesh/par workload: a W×H machine with channels
-// along a spanning tree (columns reduce into row 0, row 0 reduces into
-// node 0, and the broadcast retraces the tree downward). One round is
-// the up wave plus the down wave — every node both sends and receives,
-// so with Partitions > 1 every partition engine has work in flight and
-// the wall-clock ratio across partition counts is the parallel speedup.
-type allreducer struct {
-	m        *shrimp.Machine
-	up, down []*shrimp.Channel
-	payload  []byte
-}
-
-func newAllreducer(w, h, parts int) *allreducer {
-	n := w * h
-	cfg := shrimp.ConfigFor(w, h, shrimp.GenEISAPrototype)
-	// Kernel rings are all-to-all (two pages per peer), so large meshes
-	// outgrow the default per-node physical page budget.
-	if need := 2*(n-1) + 1024; cfg.MemPagesPerNode < need {
-		cfg.MemPagesPerNode = need
-	}
-	cfg.Partitions = parts
-	m := shrimp.New(cfg)
-	eps := make([]shrimp.Endpoint, n)
-	for i := range eps {
-		eps[i] = shrimp.NewEndpoint(m.Node(i))
-	}
-	a := &allreducer{m: m, payload: make([]byte, 1024)}
-	addEdge := func(child, parent int) {
-		up, err := shrimp.NewChannel(m, eps[child], eps[parent], 2)
-		if err != nil {
-			panic(err)
-		}
-		down, err := shrimp.NewChannel(m, eps[parent], eps[child], 2)
-		if err != nil {
-			panic(err)
-		}
-		a.up = append(a.up, up)
-		a.down = append(a.down, down)
-	}
-	for i := 1; i < n; i++ {
-		if x, y := i%w, i/w; y > 0 {
-			addEdge(i, i-w) // column link toward row 0
-		} else {
-			addEdge(i, x-1) // row-0 link toward node 0
-		}
-	}
-	return a
-}
-
-func (a *allreducer) round() perf.Sample {
-	ev0, t0 := a.m.Fired(), a.m.Now()
-	for _, ch := range a.up {
-		if err := ch.Send(a.payload); err != nil {
-			panic(err)
-		}
-	}
-	for _, ch := range a.up {
-		if _, err := ch.Recv(); err != nil {
-			panic(err)
-		}
-	}
-	for _, ch := range a.down {
-		if err := ch.Send(a.payload); err != nil {
-			panic(err)
-		}
-	}
-	for _, ch := range a.down {
-		if _, err := ch.Recv(); err != nil {
-			panic(err)
-		}
-	}
-	if err := a.m.RunUntilIdle(4_000_000_000); err != nil {
-		panic(err)
-	}
-	elapsed := a.m.Now() - t0
-	bytes := len(a.payload) * (len(a.up) + len(a.down))
-	return perf.Sample{
-		Events:  a.m.Fired() - ev0,
-		SimTime: elapsed,
-		Metrics: map[string]float64{"machine_mbps": float64(bytes) / 1e6 / elapsed.Seconds()},
-	}
-}
-
-// allreduceSample defers machine construction to the first call —
-// Measure's untimed warm-up — so the build cost of a big partitioned
-// machine stays out of both the timing and the allocation counts. The
-// returned done func stops the machine's worker gang once the pair of
-// runs is over (idle workers would self-reap anyway; this just keeps
-// goroutine accounting exact between partition counts).
-func allreduceSample(w, h, parts int) (fn func() perf.Sample, done func()) {
-	var a *allreducer
-	fn = func() perf.Sample {
-		if a == nil {
-			a = newAllreducer(w, h, parts)
-		}
-		return a.round()
-	}
-	done = func() {
-		if a != nil {
-			a.m.Close()
-		}
-	}
-	return fn, done
 }
 
 func neighborLinks(w, h int) [][2]int {

@@ -15,8 +15,8 @@
 // workload runs with Survivable mode armed while the fault plan crashes
 // 0, 1, 2... nodes mid-run, and each point reports the survivors'
 // verified goodput, the failure-detector and teardown accounting, and a
-// checksum of every surviving receive page (bit-identical across runs,
-// partition counts, and resets).
+// checksum of every surviving receive page (bit-identical across runs
+// and resets).
 package main
 
 import (
@@ -42,7 +42,6 @@ func main() {
 	avail := flag.String("avail", "", "availability mode: comma-separated crashed-node counts (e.g. 0,1,2)")
 	rounds := flag.Int("rounds", 6, "availability mode: write rounds per flow")
 	words := flag.Int("words", 64, "availability mode: words per round per flow")
-	partitions := flag.Int("partitions", 0, "availability mode: simulation engine partitions (0/1 = sequential)")
 	crashAt := flag.Int("crashat", 450, "availability mode: first crash time in microseconds")
 	stagger := flag.Int("stagger", 120, "availability mode: gap between crashes in microseconds")
 	flag.Parse()
@@ -52,7 +51,7 @@ func main() {
 		g = shrimp.GenEISAPrototype
 	}
 	if *avail != "" {
-		availMode(*w, *h, g, *seed, *avail, *rounds, *words, *partitions, *workers,
+		availMode(*w, *h, g, *seed, *avail, *rounds, *words, *workers,
 			shrimp.Time(*crashAt)*shrimp.Microsecond, shrimp.Time(*stagger)*shrimp.Microsecond)
 		return
 	}
@@ -101,7 +100,7 @@ func main() {
 // same printing discipline (two runs with the same flags are
 // byte-identical), but the ladder is crashed-node counts instead of
 // loss rates.
-func availMode(w, h int, g shrimp.Generation, seed uint64, counts string, rounds, words, partitions, workers int,
+func availMode(w, h int, g shrimp.Generation, seed uint64, counts string, rounds, words, workers int,
 	crashBase, crashStagger shrimp.Time) {
 	var crashes []int
 	for _, f := range strings.Split(counts, ",") {
@@ -123,7 +122,6 @@ func availMode(w, h int, g shrimp.Generation, seed uint64, counts string, rounds
 
 	cfg := shrimp.ConfigFor(w, h, g)
 	cfg.Metrics = true
-	cfg.Partitions = partitions
 	cfg.Faults = shrimp.FaultConfig{
 		Seed:       seed,
 		Reliable:   true,

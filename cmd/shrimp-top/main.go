@@ -4,11 +4,10 @@
 //
 // One-shot (default): run the workload to quiescence, then dump the
 // final registry snapshot plus the recorder's retained timeline —
-// deterministic, so two runs with the same flags diff byte-identical,
-// at any -partitions setting:
+// deterministic, so two runs with the same flags diff byte-identical:
 //
 //	shrimp-top -mesh 4x4 -workload neighbors -rounds 8
-//	shrimp-top -partitions 4 -o metrics.prom
+//	shrimp-top -o metrics.prom
 //
 // Serve (-serve addr): publish the latest exposition over HTTP while
 // the simulation runs, republishing on every recorder sample; after the
@@ -37,10 +36,8 @@ func main() {
 	workload := flag.String("workload", "neighbors", "workload: neighbors, hotspot or ring")
 	msgBytes := flag.Int("bytes", 1024, "message size")
 	rounds := flag.Int("rounds", 8, "workload rounds")
-	partitions := flag.Int("partitions", 0, "partition the engine over N workers (0/1 = sequential)")
 	interval := flag.Duration("interval", 10*time.Microsecond, "flight-recorder cadence in simulated time")
 	capacity := flag.Int("cap", 0, "recorder ring capacity in samples (0 = default)")
-	omit := flag.Bool("omit-artifacts", false, "omit simulator-bookkeeping series from the exposition")
 	serve := flag.String("serve", "", "serve the exposition over HTTP at this address, e.g. :9100")
 	out := flag.String("o", "", "write the one-shot exposition to this file (default stdout)")
 	flag.Parse()
@@ -55,7 +52,6 @@ func main() {
 	}
 	cfg := shrimp.ConfigFor(w, h, g)
 	cfg.Metrics = true
-	cfg.Partitions = *partitions
 	cfg.Recorder = shrimp.RecorderConfig{
 		Interval: shrimp.Time(interval.Nanoseconds()) * shrimp.Nanosecond,
 		Capacity: *capacity,
@@ -64,15 +60,14 @@ func main() {
 		fatal(err)
 	}
 	m := shrimp.New(cfg)
-	opt := shrimp.OpenMetricsOptions{OmitEngineArtifacts: *omit}
 
 	// Serve mode: republish the exposition on every recorder sample; the
-	// callback runs on the coordinator at a quiescent cut, so reading the
-	// registry is safe. HTTP handlers only ever see the atomic pointer.
+	// callback runs between events, so reading the registry is safe.
+	// HTTP handlers only ever see the atomic pointer.
 	var latest atomic.Pointer[[]byte]
 	publish := func() {
 		var b bytes.Buffer
-		if err := m.WriteOpenMetrics(&b, opt); err != nil {
+		if err := m.WriteOpenMetrics(&b); err != nil {
 			fatal(err)
 		}
 		bs := b.Bytes()
@@ -114,7 +109,7 @@ func main() {
 		defer f.Close()
 		dst = f
 	}
-	if err := m.WriteOpenMetrics(dst, opt); err != nil {
+	if err := m.WriteOpenMetrics(dst); err != nil {
 		fatal(err)
 	}
 }

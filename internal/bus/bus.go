@@ -81,11 +81,11 @@ func DefaultXpressConfig() XpressConfig {
 
 // XpressStats aggregates memory bus activity.
 type XpressStats struct {
-	Reads, Writes  uint64
-	CmdReads       uint64
-	CmdWrites      uint64
-	BytesRead      uint64
-	BytesWritten   uint64
+	Reads, Writes uint64
+	CmdReads      uint64
+	CmdWrites     uint64
+	BytesRead     uint64
+	BytesWritten  uint64
 	// SnoopsFiltered counts CPU writes that skipped the snooper fan-out
 	// because the snoop filter reported no interested snooper (see
 	// SetSnoopFilter).

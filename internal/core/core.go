@@ -46,8 +46,7 @@ type Config struct {
 	// sampled into a preallocated ring every Recorder.Interval of
 	// simulated time, giving counters and gauges a time series and
 	// histograms windowed rates. Requires Metrics. The zero value
-	// disables it; arming it changes no simulated result, and samples
-	// are bit-identical across Partitions settings (see
+	// disables it; arming it changes no simulated result (see
 	// internal/sim/pacer.go).
 	Recorder obs.RecorderConfig
 	// Watchdog arms the progress watchdog (watchdog.go): at every
@@ -62,18 +61,6 @@ type Config struct {
 	// is built and the machine is bit-identical to one without the
 	// subsystem.
 	Faults fault.Config
-	// Partitions splits the node set across that many simulation engines
-	// so one machine runs its node phases on multiple cores (the mesh
-	// fabric gets its own hub engine). 0 or 1 selects the sequential
-	// single-engine machine. Results are bit-identical across partition
-	// counts by construction — see internal/sim's Cluster. Incompatible
-	// with TraceCapacity (the tracer is a single serial log) and with
-	// StartGangScheduling.
-	Partitions int
-	// PartitionSeed, when nonzero, shuffles the node→partition assignment
-	// deterministically instead of using contiguous blocks. Exists to let
-	// the differential tests prove assignment does not affect results.
-	PartitionSeed uint64
 
 	Mesh   mesh.Config
 	Xpress bus.XpressConfig
@@ -109,9 +96,7 @@ func ConfigFor(w, h int, gen nic.Generation) Config {
 	return cfg
 }
 
-// Node is one SHRIMP node (Figure 2). Eng is the engine the node's
-// events run on: the machine's only engine sequentially, the owning
-// partition's engine when the machine is partitioned.
+// Node is one SHRIMP node (Figure 2). Eng is the machine's engine.
 type Node struct {
 	Eng   *sim.Engine
 	ID    packet.NodeID
@@ -125,25 +110,14 @@ type Node struct {
 	Box   *kernel.MemBox
 	K     *kernel.Kernel
 
-	m *Machine // for cluster-aware run loops in user accessors
+	m *Machine // for run loops in user accessors
 }
 
-// Machine is a booted SHRIMP multicomputer.
-//
-// Eng is the fabric engine: the single shared engine of a sequential
-// machine, or the mesh hub of a partitioned one. Harness code that
-// drives the simulation should use the Machine's own clock and run
-// methods (Now, Step, RunWhile, RunFor, Fired, Failed) — they are the
-// sequential engine's methods when Clu is nil and the cluster's
-// canonical-order equivalents otherwise.
+// Machine is a booted SHRIMP multicomputer. Eng is the one engine every
+// node and the mesh run on; the Machine's clock and run methods (Now,
+// Step, RunWhile, RunFor, Fired, Failed) are shorthands for it.
 type Machine struct {
 	Eng    *sim.Engine
-	Clu    *sim.Cluster  // nil unless Cfg.Partitions > 1
-	Parts  []*sim.Engine // partition engines; nil sequentially
-	PartOf []int         // node id → partition index; nil sequentially
-
-	partNodes [][]int  // partition index → node ids (probe scan order)
-	glue      *cluGlue // typed post/message decoder; nil sequentially
 	Cfg    Config
 	Net    *mesh.Network
 	Nodes  []*Node
@@ -170,30 +144,9 @@ func New(cfg Config) *Machine {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	// The fabric engine: the only engine sequentially, the hub of a
-	// partitioned machine. The mesh always lives here.
 	eng := sim.NewEngine()
 	net := mesh.New(eng, cfg.Mesh)
 	m := &Machine{Eng: eng, Cfg: cfg, Net: net}
-	if cfg.Partitions > 1 {
-		m.Parts = make([]*sim.Engine, cfg.Partitions)
-		for i := range m.Parts {
-			m.Parts[i] = sim.NewEngine()
-		}
-		m.PartOf = partitionNodes(cfg.NodeCount(), cfg.Partitions, cfg.PartitionSeed)
-		m.partNodes = make([][]int, cfg.Partitions)
-		for id, p := range m.PartOf {
-			m.partNodes[p] = append(m.partNodes[p], id)
-		}
-		m.Clu = sim.NewCluster(m.Parts, eng, cfg.Mesh.Lookahead())
-		m.glue = &cluGlue{
-			m:       m,
-			mesh:    net,
-			eps:     make([]mesh.Endpoint, cfg.NodeCount()),
-			injFree: make([]func(), cfg.NodeCount()),
-		}
-		m.Clu.SetDispatch(m.glue)
-	}
 	if cfg.TraceCapacity > 0 {
 		m.Tracer = trace.New(eng, cfg.TraceCapacity)
 		net.Tracer = m.Tracer
@@ -209,32 +162,20 @@ func New(cfg Config) *Machine {
 
 	for id := 0; id < cfg.NodeCount(); id++ {
 		coord := cfg.CoordOf(packet.NodeID(id))
-		nodeEng := eng
-		var nodeNet nic.Network = net
-		if m.Clu != nil {
-			nodeEng = m.Parts[m.PartOf[id]]
-			nodeNet = &partNet{
-				clu: m.Clu, mesh: net, glue: m.glue, eng: nodeEng,
-				node: id, part: m.PartOf[id], dom: sim.DomNode(id),
-			}
-		}
 		mem := phys.NewMemory(cfg.MemPagesPerNode)
-		xbus := bus.NewXpress(nodeEng, cfg.Xpress, mem)
+		xbus := bus.NewXpress(eng, cfg.Xpress, mem)
 		var eisaBus *bus.EISA
 		if cfg.Generation == nic.GenEISAPrototype {
-			eisaBus = bus.NewEISA(nodeEng, cfg.EISA, xbus)
+			eisaBus = bus.NewEISA(eng, cfg.EISA, xbus)
 		}
-		ch := cache.New(nodeEng, cfg.Cache, xbus)
+		ch := cache.New(eng, cfg.Cache, xbus)
 		table := nipt.New(cfg.MemPagesPerNode)
-		nicDev := nic.New(nodeEng, cfg.NIC, packet.NodeID(id), coord, table, xbus, eisaBus, nodeNet)
-		if m.Clu != nil {
-			nicDev.SetFabricEngine(eng)
-		}
+		nicDev := nic.New(eng, cfg.NIC, packet.NodeID(id), coord, table, xbus, eisaBus, net)
 		box := &kernel.MemBox{Cache: ch}
-		cpu := isa.NewCPU(nodeEng, cfg.CPU, box)
+		cpu := isa.NewCPU(eng, cfg.CPU, box)
 		cpu.SetName(fmt.Sprintf("cpu%d", id))
 		cpu.SetDom(sim.DomNode(id))
-		k := kernel.New(nodeEng, cfg.Kernel, packet.NodeID(id), coord, mem, xbus, nicDev, cpu, box)
+		k := kernel.New(eng, cfg.Kernel, packet.NodeID(id), coord, mem, xbus, nicDev, cpu, box)
 		nicDev.Tracer = m.Tracer
 		k.Tracer = m.Tracer
 		scope := m.Obs.Node(id) // nil when metrics are disabled
@@ -256,21 +197,10 @@ func New(cfg Config) *Machine {
 				k.OnPeerDown = func(pd *fault.PeerDown) { m.notePeerDown(observer, pd) }
 			}
 		}
-		if m.Clu != nil {
-			// Harness syscalls must be timestamped at the cluster's
-			// observable clock, exactly where the sequential machine's
-			// single clock would sit (see Node.enter).
-			eng := nodeEng
-			k.SetClockSync(func() { eng.AdvanceTo(m.Clu.Now()) })
-		}
 		m.Nodes = append(m.Nodes, &Node{
-			Eng: nodeEng, ID: packet.NodeID(id), Coord: coord, Mem: mem, Xbus: xbus,
+			Eng: eng, ID: packet.NodeID(id), Coord: coord, Mem: mem, Xbus: xbus,
 			EISA: eisaBus, Cache: ch, NIC: nicDev, CPU: cpu, Box: box, K: k, m: m,
 		})
-	}
-	if m.Clu != nil {
-		m.Clu.SetPartProbes(m.partProbes)
-		m.Clu.SetPairLookahead(m.pairLookahead())
 	}
 	if cfg.Recorder.Interval > 0 {
 		m.Rec = obs.NewRecorder(m.Obs, cfg.Recorder)
@@ -279,15 +209,7 @@ func New(cfg Config) *Machine {
 		m.wd = newWatchdog(m, cfg.Watchdog)
 	}
 	if p := m.pacer(); p != nil {
-		// The pacer observes the canonical event order without scheduling
-		// anything; on a partitioned machine it must sit on the Cluster
-		// coordinator (node phases run concurrently), never on a
-		// partition engine.
-		if m.Clu != nil {
-			m.Clu.SetPacer(p)
-		} else {
-			m.Eng.SetPacer(p)
-		}
+		m.Eng.SetPacer(p)
 	}
 	m.installKernelRings()
 	m.applyFaults()
@@ -402,91 +324,31 @@ func peerIndex(a, b int) int {
 // Node returns node i.
 func (m *Machine) Node(i int) *Node { return m.Nodes[i] }
 
-// Now returns the machine's simulated clock (the furthest engine when
-// partitioned).
-func (m *Machine) Now() sim.Time {
-	if m.Clu != nil {
-		return m.Clu.Now()
-	}
-	return m.Eng.Now()
-}
+// Now returns the machine's simulated clock.
+func (m *Machine) Now() sim.Time { return m.Eng.Now() }
 
-// Fired returns the total events executed across all engines.
-func (m *Machine) Fired() uint64 {
-	if m.Clu != nil {
-		return m.Clu.Fired()
-	}
-	return m.Eng.Fired()
-}
+// Fired returns the number of events executed so far.
+func (m *Machine) Fired() uint64 { return m.Eng.Fired() }
 
-// Failed returns the machine's recorded failure (the canonically-first
-// one across partitions), if any.
-func (m *Machine) Failed() error {
-	if m.Clu != nil {
-		return m.Clu.Failed()
-	}
-	return m.Eng.Failed()
-}
+// Failed returns the machine's recorded failure, if any.
+func (m *Machine) Failed() error { return m.Eng.Failed() }
 
-// Step fires the next event in canonical global order; false when no
-// events remain.
-func (m *Machine) Step() bool {
-	if m.Clu != nil {
-		return m.Clu.Step()
-	}
-	return m.Eng.Step()
-}
+// Step fires the next event; false when no events remain.
+func (m *Machine) Step() bool { return m.Eng.Step() }
 
-// RunWhile fires events in canonical order while cond() holds; false if
-// it stopped early (queues drained or a failure was recorded).
-func (m *Machine) RunWhile(cond func() bool) bool {
-	if m.Clu != nil {
-		return m.Clu.RunWhile(cond)
-	}
-	return m.Eng.RunWhile(cond)
-}
+// RunWhile fires events while cond() holds; false if it stopped early
+// (queue drained or a failure was recorded).
+func (m *Machine) RunWhile(cond func() bool) bool { return m.Eng.RunWhile(cond) }
 
 // RunFor advances the machine by d, firing everything in the window.
-func (m *Machine) RunFor(d sim.Time) {
-	if m.Clu != nil {
-		m.Clu.RunFor(d)
-		return
-	}
-	m.Eng.RunFor(d)
-}
-
-// Close stops the partitioned machine's persistent worker gang (a
-// no-op sequentially). The machine remains usable — the next parallel
-// round restarts the gang — and idle workers self-reap on their own, so
-// Close is a courtesy for deterministic goroutine accounting (tests,
-// benchmark harnesses cycling machines), not a requirement.
-func (m *Machine) Close() {
-	if m.Clu != nil {
-		m.Clu.Close()
-	}
-}
-
-// MaxPending returns the deepest any engine's queue has been.
-func (m *Machine) MaxPending() int {
-	if m.Clu != nil {
-		return m.Clu.MaxPending()
-	}
-	return m.Eng.MaxPending()
-}
+func (m *Machine) RunFor(d sim.Time) { m.Eng.RunFor(d) }
 
 // RunUntilIdle drains the event queue and returns the machine check a
 // component raised through the engine's failure surface, if any. It
 // still panics after limit events (livelock guard): a blown budget is a
-// harness bug, not a simulated fault. On a partitioned machine this is
-// the parallel path: events drain in lookahead-bounded rounds across
-// all partition engines.
+// harness bug, not a simulated fault.
 func (m *Machine) RunUntilIdle(limit uint64) error {
-	var err error
-	if m.Clu != nil {
-		err = m.Clu.DrainBudget(limit)
-	} else {
-		err = m.Eng.DrainBudget(limit)
-	}
+	err := m.Eng.DrainBudget(limit)
 	if errors.Is(err, sim.ErrBudget) {
 		panic(fmt.Sprintf("core: RunUntilIdle exceeded %d events: %v", limit, err))
 	}
@@ -538,22 +400,10 @@ func (n *Node) UserWrite32(p *kernel.Process, va vm.VAddr, v uint32) error {
 
 // enter tags the engine with this node's event domain for the duration
 // of a harness-initiated component call: anything the call schedules
-// carries the node's domain, so the canonical (time, domain, seq) order
-// — and with it a partitioned run — matches the sequential one
-// regardless of which event happened to fire last. The caller must
-// restore the returned previous domain.
-//
-// In a partitioned machine it also synchronizes the node's clock to the
-// cluster's observable time first: a sequential machine has one clock,
-// so a harness action always runs at the time of the last fired event,
-// wherever it fired. A partition engine's clock only advances when its
-// own events fire, so without the sync a harness action on a lagging
-// node would issue bus cycles in the past relative to the sequential
-// run.
+// carries the node's domain, so the (time, domain, seq) order does not
+// depend on which event happened to fire last. The caller must restore
+// the returned previous domain.
 func (n *Node) enter() sim.Domain {
-	if n.m.Clu != nil {
-		n.Eng.AdvanceTo(n.m.Clu.Now())
-	}
 	return n.Eng.EnterDomain(sim.DomNode(int(n.ID)))
 }
 

@@ -39,13 +39,7 @@ func (m *Machine) Settle(phase string) error {
 }
 
 func (m *Machine) settleWithin(phase string, budget uint64) error {
-	var err error
-	if m.Clu != nil {
-		err = m.Clu.DrainBudget(budget)
-	} else {
-		err = m.Eng.DrainBudget(budget)
-	}
-	if err != nil {
+	if err := m.Eng.DrainBudget(budget); err != nil {
 		return fmt.Errorf("core: %s: %w", phase, err)
 	}
 	return nil

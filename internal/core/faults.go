@@ -30,11 +30,10 @@ func (m *Machine) applyFaults() {
 			panic(err) // Validate already rejected non-adjacent pairs
 		}
 	}
-	// Node fault events run on the faulted node's own engine under its
-	// own domain: they mutate node-owned state (CPU, NIC dead flag — the
-	// fabric learns of a crash through the NIC's SetDead post), and the
-	// explicit domain keeps the canonical order identical whether or not
-	// the machine is partitioned.
+	// Node fault events run under the faulted node's own domain: they
+	// mutate node-owned state (CPU, NIC dead flag — the fabric learns of
+	// a crash through the NIC's SetDead entry), and the explicit domain
+	// keeps their same-instant order independent of what fired before.
 	for _, nf := range fc.Nodes {
 		node := m.Nodes[nf.Node]
 		dom := sim.DomNode(nf.Node)
@@ -121,19 +120,9 @@ func (ev *heartbeatEvent) Fire() {
 
 // notePeerDown pins one failure-detector declaration to the flight
 // recorder timeline. The teardown already ran node-locally; only the
-// mark crosses to the recorder, and on a partitioned machine it rides a
-// typed post so the hub applies it in canonical order (mark sequences
-// stay bit-identical across partition counts).
+// mark crosses to the recorder.
 func (m *Machine) notePeerDown(observer int, pd *fault.PeerDown) {
 	if m.Rec == nil {
-		return
-	}
-	if m.Clu != nil {
-		node := m.Nodes[observer]
-		m.Clu.PostTo(m.PartOf[observer], sim.Post{
-			At: node.Eng.Now(), Dom: sim.DomNode(observer), Kind: pkPeerDown,
-			A: int64(observer), Ptr: pd,
-		})
 		return
 	}
 	m.Rec.MarkAt(pd.At, fmt.Sprintf("node %d: peer down: node %d", observer, pd.Node))
@@ -282,7 +271,6 @@ stream:
 // runs inline); results are ordered as dropsPPM. The base config's
 // seed, rates and plan are kept; only DropPPM varies per point.
 func FaultSweep(cfg Config, dropsPPM []uint32, transferBytes, totalBytes, workers int) []FaultPoint {
-	workers = exp.CapWorkers(workers, cfg.Partitions)
 	return exp.Map(workers, len(dropsPPM), newMachinePool,
 		func(p *machinePool, i int) FaultPoint {
 			c := cfg

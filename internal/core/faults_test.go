@@ -43,15 +43,20 @@ func faultyCfg(dropPPM uint32) Config {
 
 // A lossy run is a deterministic function of the config: same seed,
 // same rates, same results — field for field, including every recovery
-// counter.
+// counter. The second plan arms every rate at once: drops, corruption,
+// duplication and Outgoing-FIFO stalls.
 func TestFaultyTransferDeterministic(t *testing.T) {
-	a := MeasureFaultyTransfer(faultyCfg(25_000), 0, 1, 1024, 64*1024)
-	b := MeasureFaultyTransfer(faultyCfg(25_000), 0, 1, 1024, 64*1024)
-	if a != b {
-		t.Fatalf("two identical faulty runs diverged:\na: %+v\nb: %+v", a, b)
-	}
-	if a.FaultDrops == 0 || a.Retransmits == 0 {
-		t.Fatalf("2.5%% drop rate injected nothing: %+v", a)
+	mixed := faultyCfg(60_000)
+	mixed.Faults.CorruptPPM, mixed.Faults.DupPPM, mixed.Faults.StallPPM = 40_000, 20_000, 30_000
+	for _, cfg := range []Config{faultyCfg(25_000), mixed} {
+		a := MeasureFaultyTransfer(cfg, 0, 1, 1024, 64*1024)
+		b := MeasureFaultyTransfer(cfg, 0, 1, 1024, 64*1024)
+		if a != b {
+			t.Fatalf("two identical faulty runs diverged:\na: %+v\nb: %+v", a, b)
+		}
+		if a.Err != "" || a.FaultDrops == 0 || a.Retransmits == 0 {
+			t.Fatalf("%d ppm drop rate injected nothing or failed: %+v", cfg.Faults.DropPPM, a)
+		}
 	}
 }
 

@@ -27,12 +27,6 @@ func (m *Machine) StartGangScheduling(slice sim.Time) (*GangScheduler, error) {
 	if slice <= 0 {
 		return nil, fmt.Errorf("core: gang slice must be positive")
 	}
-	if m.Clu != nil {
-		// A gang tick touches every node's kernel in one event; that event
-		// would have to run on every partition engine at once.
-		return nil, fmt.Errorf("core: gang scheduling requires a sequential machine; "+
-			"set Partitions <= 1 (this machine runs %d partitions; DESIGN.md §11)", m.Cfg.Partitions)
-	}
 	for _, n := range m.Nodes {
 		if n.K.RunnableCount() == 0 {
 			return nil, fmt.Errorf("core: node %d has no runnable processes", n.ID)

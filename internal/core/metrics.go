@@ -31,12 +31,12 @@ func (m *Machine) TraceJSON(w io.Writer) error {
 // WriteOpenMetrics writes the machine's registry snapshot in OpenMetrics
 // text exposition format, followed by the flight recorder's timeline
 // when one is armed (Config.Recorder.Interval > 0).
-func (m *Machine) WriteOpenMetrics(w io.Writer, opt obs.OpenMetricsOptions) error {
-	if err := obs.WriteOpenMetricsOpts(w, m.Obs.Snapshot(), m.Now(), opt); err != nil {
+func (m *Machine) WriteOpenMetrics(w io.Writer) error {
+	if err := obs.WriteOpenMetrics(w, m.Obs.Snapshot(), m.Now()); err != nil {
 		return err
 	}
 	if m.Rec == nil {
 		return nil
 	}
-	return m.Rec.WriteOpenMetrics(w, opt)
+	return m.Rec.WriteOpenMetrics(w)
 }

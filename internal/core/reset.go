@@ -15,11 +15,7 @@ package core
 // those events referenced, and the boot "firmware" step re-installs the
 // kernel ring mappings exactly as New does.
 func (m *Machine) Reset() {
-	if m.Clu != nil {
-		m.Clu.Reset() // hub plus every partition engine, and buffered traffic
-	} else {
-		m.Eng.Reset()
-	}
+	m.Eng.Reset()
 	m.Net.Reset()
 	for _, n := range m.Nodes {
 		n.Mem.Reset()

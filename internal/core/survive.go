@@ -20,8 +20,8 @@ import (
 // armed the run must complete with no machine check, the survivors'
 // flows must deliver every word, and the crashed peers' mappings must
 // be torn down. Everything reported is deterministic: the same config
-// produces bit-identical AvailabilityPoints across Partitions settings
-// and Reset replays.
+// produces bit-identical AvailabilityPoints run to run and across Reset
+// replays.
 
 // AvailabilityPoint is one measured crash-survival run. Comparable, so
 // differential tests can assert bit-identity with ==.
@@ -257,7 +257,6 @@ rounds:
 // crashes[i] victims staggered from crashBase by crashStagger.
 func AvailabilitySweep(cfg Config, crashes []int, crashBase, crashStagger sim.Time,
 	rounds, wordsPerRound, workers int) []AvailabilityPoint {
-	workers = exp.CapWorkers(workers, cfg.Partitions)
 	return exp.Map(workers, len(crashes), newMachinePool,
 		func(p *machinePool, i int) AvailabilityPoint {
 			c := cfg

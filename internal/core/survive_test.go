@@ -60,27 +60,6 @@ func TestCrashSurvivalSoak(t *testing.T) {
 	}
 }
 
-// Determinism under partitioning: the same crash plan reports a
-// bit-identical AvailabilityPoint whether the engine runs sequentially
-// or split 4 or 8 ways. Run under -race in CI this doubles as the
-// data-race proof for the peer-down path.
-func TestCrashSurvivalBitIdenticalAcrossPartitions(t *testing.T) {
-	var pts []AvailabilityPoint
-	for _, parts := range []int{1, 4, 8} {
-		cfg := surviveCfg(4, 4, 2)
-		cfg.Partitions = parts
-		p := MeasureAvailability(cfg, 30, 64)
-		p.Events = 0 // partition engines fire extra coordination events
-		pts = append(pts, p)
-	}
-	if pts[0] != pts[1] || pts[1] != pts[2] {
-		t.Fatalf("availability diverged across partitions:\n1: %#v\n4: %#v\n8: %#v", pts[0], pts[1], pts[2])
-	}
-	if pts[0].Err != "" {
-		t.Fatalf("partitioned survivable run failed: %s", pts[0].Err)
-	}
-}
-
 // Reset must replay the identical crash: peer-down membership, the
 // quarantine teardown, and the heartbeat schedule all rewind.
 func TestCrashSurvivalResetMatchesFresh(t *testing.T) {

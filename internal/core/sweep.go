@@ -40,12 +40,7 @@ func (p *machinePool) get(cfg Config) *Machine {
 // LatencySweepParallel is LatencySweep fanned across workers goroutines
 // (workers <= 0 selects exp.DefaultWorkers, workers == 1 runs inline).
 // Results are ordered by destination node, exactly as LatencySweep.
-// Sweeps of partitioned machines compose the two parallelism levels:
-// the outer worker count is capped so workers × cfg.Partitions stays
-// within the host CPU count (exp.CapWorkers); results are unaffected,
-// both levels being bit-identical to their sequential forms.
 func LatencySweepParallel(cfg Config, workers int) []LatencyResult {
-	workers = exp.CapWorkers(workers, cfg.Partitions)
 	return exp.Map(workers, cfg.NodeCount()-1, newMachinePool,
 		func(p *machinePool, i int) LatencyResult {
 			return measureStoreLatencyOn(p.get(cfg), 0, i+1)
@@ -55,7 +50,6 @@ func LatencySweepParallel(cfg Config, workers int) []LatencyResult {
 // BandwidthSweepParallel is BandwidthSweep fanned across workers
 // goroutines; results are ordered as sizes.
 func BandwidthSweepParallel(cfg Config, sizes []int, totalBytes, workers int) []BandwidthResult {
-	workers = exp.CapWorkers(workers, cfg.Partitions)
 	return exp.Map(workers, len(sizes), newMachinePool,
 		func(p *machinePool, i int) BandwidthResult {
 			return measureDeliberateBandwidthOn(p.get(cfg), 0, 1, sizes[i], totalBytes)
@@ -66,7 +60,6 @@ func BandwidthSweepParallel(cfg Config, sizes []int, totalBytes, workers int) []
 // (MeasureAUBandwidth) for each mode, fanned across workers goroutines;
 // results are ordered as modes.
 func AUBandwidthSweep(cfg Config, modes []nipt.Mode, stores, workers int) []AUBandwidthResult {
-	workers = exp.CapWorkers(workers, cfg.Partitions)
 	return exp.Map(workers, len(modes), newMachinePool,
 		func(p *machinePool, i int) AUBandwidthResult {
 			return measureAUBandwidthOn(p.get(cfg), modes[i], stores)
@@ -78,7 +71,6 @@ func AUBandwidthSweep(cfg Config, modes []nipt.Mode, stores, workers int) []AUBa
 // is NIC configuration, so every point builds its own machine — the
 // sweep parallelizes but cannot Reset-reuse across distinct windows.
 func MergeWindowSweep(cfg Config, windows []sim.Time, storeGap sim.Time, stores, workers int) []MergeWindowResult {
-	workers = exp.CapWorkers(workers, cfg.Partitions)
 	return exp.Map(workers, len(windows), newMachinePool,
 		func(p *machinePool, i int) MergeWindowResult {
 			c := cfg

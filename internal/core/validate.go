@@ -20,21 +20,6 @@ func (c Config) Validate() error {
 			c.Mesh.Width, c.Mesh.Height, c.MeshWidth, c.MeshHeight)
 	}
 	n := c.NodeCount()
-	if c.Partitions < 0 {
-		return fmt.Errorf("core: %d partitions invalid", c.Partitions)
-	}
-	if c.Partitions > n {
-		return fmt.Errorf("core: %d partitions exceed %d nodes", c.Partitions, n)
-	}
-	if c.Partitions > 1 && c.TraceCapacity > 0 {
-		// The tracer is one serial event log on one engine; a partitioned
-		// machine has no single serial order to record mid-run. Metrics,
-		// the flight recorder, and the watchdog all remain available under
-		// partitioning (DESIGN.md §12 "Flight recorder & telemetry").
-		return fmt.Errorf("core: instruction tracing (TraceCapacity=%d) requires a sequential machine; "+
-			"set Partitions <= 1 or drop TraceCapacity (DESIGN.md §11; metrics and the flight recorder "+
-			"work under partitioning)", c.TraceCapacity)
-	}
 	if c.Recorder.Interval < 0 {
 		return fmt.Errorf("core: recorder interval %v negative", c.Recorder.Interval)
 	}
@@ -82,6 +67,10 @@ func (c Config) Validate() error {
 	}
 	if c.Generation == 0 && c.EISA.BytesPerSecond <= 0 {
 		return fmt.Errorf("core: EISA generation needs a positive deposit rate")
+	}
+	if c.Cache.Sets <= 0 || c.Cache.Ways <= 0 || c.Cache.LineBytes <= 0 {
+		return fmt.Errorf("core: cache sets (%d), ways (%d) and line size (%d) must be positive",
+			c.Cache.Sets, c.Cache.Ways, c.Cache.LineBytes)
 	}
 	if c.Cache.Sets&(c.Cache.Sets-1) != 0 || c.Cache.LineBytes&(c.Cache.LineBytes-1) != 0 {
 		return fmt.Errorf("core: cache sets (%d) and line size (%d) must be powers of two",

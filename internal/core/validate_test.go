@@ -7,52 +7,15 @@ import (
 	"repro/internal/sim"
 )
 
-// The partition-restriction errors are user-facing diagnostics: they must
-// name the offending knob and point at the design doc, not just state the
-// restriction. These tests pin the exact wording so a rephrase is a
-// conscious decision.
-
-func TestValidateTracingPartitionsError(t *testing.T) {
+// Telemetry validates with every observer armed at once: the recorder
+// and the watchdog share the machine's one pacer slot.
+func TestValidateTelemetryArmed(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Partitions = 4
-	cfg.TraceCapacity = 256
-	err := cfg.Validate()
-	if err == nil {
-		t.Fatal("tracing + partitions validated")
-	}
-	want := "core: instruction tracing (TraceCapacity=256) requires a sequential machine; " +
-		"set Partitions <= 1 or drop TraceCapacity (DESIGN.md §11; metrics and the flight recorder " +
-		"work under partitioning)"
-	if err.Error() != want {
-		t.Fatalf("error message drifted:\n got: %s\nwant: %s", err, want)
-	}
-}
-
-func TestValidateGangPartitionsError(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Partitions = 4
-	m := New(cfg)
-	_, err := m.StartGangScheduling(10 * sim.Microsecond)
-	if err == nil {
-		t.Fatal("gang scheduling started on a partitioned machine")
-	}
-	want := "core: gang scheduling requires a sequential machine; " +
-		"set Partitions <= 1 (this machine runs 4 partitions; DESIGN.md §11)"
-	if err.Error() != want {
-		t.Fatalf("error message drifted:\n got: %s\nwant: %s", err, want)
-	}
-}
-
-// Telemetry stays legal under partitioning — the restriction the tracing
-// error documents must not leak onto the recorder or watchdog.
-func TestValidateTelemetryUnderPartitions(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Partitions = 4
 	cfg.Metrics = true
 	cfg.Recorder.Interval = 10 * sim.Microsecond
 	cfg.Watchdog.Interval = 100 * sim.Microsecond
 	if err := cfg.Validate(); err != nil {
-		t.Fatalf("recorder+watchdog under partitions rejected: %v", err)
+		t.Fatalf("recorder+watchdog rejected: %v", err)
 	}
 }
 
@@ -68,5 +31,27 @@ func TestValidateTelemetryNeedsMetrics(t *testing.T) {
 	err = cfg.Validate()
 	if err == nil || !strings.Contains(err.Error(), "Metrics: true") {
 		t.Fatalf("watchdog without metrics: %v", err)
+	}
+}
+
+// A zero cache dimension passes a bare x&(x-1) power-of-two test, and
+// the cache then fails in Go instead of in Validate: zero sets index
+// out of range on the first DMA write, zero ways on the first lookup,
+// and zero-byte lines spin forever in the snoop loop.
+func TestValidateRejectsZeroCacheGeometry(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		zero func(*Config)
+	}{
+		{"sets", func(c *Config) { c.Cache.Sets = 0 }},
+		{"ways", func(c *Config) { c.Cache.Ways = 0 }},
+		{"line", func(c *Config) { c.Cache.LineBytes = 0 }},
+	} {
+		cfg := DefaultConfig()
+		c.zero(&cfg)
+		err := cfg.Validate()
+		if err == nil || !strings.Contains(err.Error(), "cache") {
+			t.Errorf("zero cache %s: Validate = %v, want a cache geometry error", c.name, err)
+		}
 	}
 }

@@ -52,7 +52,7 @@ type WatchdogConfig struct {
 }
 
 // watchdog holds the per-window progress baselines. All state lives in
-// preallocated slices; checks run on the coordinator at pacing cuts.
+// preallocated slices; checks run at pacing cuts.
 type watchdog struct {
 	m        *Machine
 	interval sim.Time
@@ -128,17 +128,12 @@ func (w *watchdog) trip(mc *fault.MachineCheck) {
 		w.tripped = true
 	}
 	w.m.Rec.MarkAt(mc.At, "watchdog: "+mc.Kind.String())
-	if w.m.Clu != nil {
-		w.m.Clu.Fail(mc)
-	} else {
-		w.m.Eng.Fail(mc)
-	}
+	w.m.Eng.Fail(mc)
 }
 
 // check inspects one window. Ordering matters for determinism only in
 // that at most one check trips (the first in the fixed sequence below);
-// everything read is the registry at the cut, which is partition-
-// invariant.
+// everything read is the registry at the cut.
 func (w *watchdog) check(at sim.Time) {
 	if w.deadline > 0 && at >= w.deadline {
 		w.trip(&fault.MachineCheck{Node: -1, Kind: fault.CheckDeadline, At: at,

@@ -30,30 +30,6 @@ import (
 // actually execute in parallel.
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
-// CapWorkers composes outer sweep parallelism with inner per-point
-// parallelism: when every sweep point runs a machine split into
-// partitions engines (each backed by its own goroutine during node
-// phases), the effective concurrency is workers × partitions, so the
-// outer worker count is capped to keep that product within the host's
-// CPU count. workers <= 0 resolves to DefaultWorkers() first; the
-// result is always at least 1, and partitions <= 1 (a sequential inner
-// machine) leaves the worker count unchanged.
-func CapWorkers(workers, partitions int) int {
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
-	if partitions <= 1 {
-		return workers
-	}
-	if limit := runtime.NumCPU() / partitions; workers > limit {
-		workers = limit
-	}
-	if workers < 1 {
-		return 1
-	}
-	return workers
-}
-
 // Map runs fn over the indices 0..n-1 on a pool of workers goroutines
 // and returns the n results in index order. Each worker calls newState
 // once and passes that private state to every fn call it executes, so

@@ -65,35 +65,3 @@ func TestDefaultWorkers(t *testing.T) {
 		t.Fatalf("DefaultWorkers() = %d", got)
 	}
 }
-
-func TestCapWorkers(t *testing.T) {
-	ncpu := runtime.NumCPU()
-	cases := []struct {
-		workers, partitions, want int
-	}{
-		{4, 1, 4},                     // sequential inner machine: unchanged
-		{4, 0, 4},                     // partitions <= 1 treated alike
-		{3, ncpu + 1, 1},              // product can never fit: floor of one worker
-		{1, ncpu, 1},                  // never below one
-		{0, 1, DefaultWorkers()},      // workers <= 0 resolves to the default first
-		{ncpu * 2, 2, max(ncpu/2, 1)}, // oversubscribed product clamps to NumCPU
-	}
-	for _, c := range cases {
-		if got := CapWorkers(c.workers, c.partitions); got != c.want {
-			t.Errorf("CapWorkers(%d, %d) = %d, want %d", c.workers, c.partitions, got, c.want)
-		}
-	}
-	// The invariant itself: workers × partitions never exceeds NumCPU
-	// once an inner machine is partitioned.
-	for w := 0; w <= ncpu*2; w++ {
-		for p := 2; p <= ncpu*2; p++ {
-			got := CapWorkers(w, p)
-			if got < 1 {
-				t.Fatalf("CapWorkers(%d, %d) = %d < 1", w, p, got)
-			}
-			if got > 1 && got*p > ncpu {
-				t.Fatalf("CapWorkers(%d, %d) = %d oversubscribes: %d×%d > %d", w, p, got, got, p, ncpu)
-			}
-		}
-	}
-}

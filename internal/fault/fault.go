@@ -223,9 +223,7 @@ func splitmix(x uint64) uint64 {
 // roll draws one decision for (node, stream) at simulated time now:
 // true with probability ppm/1e6. The hash key mixes the seed, node,
 // stream, that stream's per-node counter, and the caller's clock —
-// deterministic state only. Callers pass their own engine's Now so a
-// partitioned machine (where the mesh and each node run on different
-// engines) draws the same decisions as a sequential one.
+// deterministic state only.
 func (i *Injector) roll(node, stream int, ppm uint32, now sim.Time) bool {
 	if i == nil || ppm == 0 {
 		return false

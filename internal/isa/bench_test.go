@@ -62,7 +62,7 @@ func benchStep(b *testing.B, maxBatch int, trace bool) {
 }
 
 func BenchmarkStepPerInstruction(b *testing.B) { benchStep(b, 1, false) }
-func BenchmarkStepBatched(b *testing.B)       { benchStep(b, 64, false) }
+func BenchmarkStepBatched(b *testing.B)        { benchStep(b, 64, false) }
 
 // BenchmarkTraceDispatch is the headline superblock number: same
 // workload, same quantum as BenchmarkStepBatched, dispatching through

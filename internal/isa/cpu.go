@@ -243,9 +243,8 @@ func (c *CPU) Reset() {
 // SetDom sets the event domain the CPU's root events (Start, Thaw,
 // Resume, interrupt wakes) are tagged with — its node's domain in an
 // assembled machine. Events scheduled mid-execution inherit it. The
-// explicit tag keeps the canonical (time, domain, seq) event order
-// independent of which event happened to fire before a harness call,
-// which is what lets a partitioned machine replay the sequential order.
+// explicit tag keeps the (time, domain, seq) event order independent of
+// which event happened to fire before a harness call.
 func (c *CPU) SetDom(d sim.Domain) { c.dom = d }
 
 // Load installs a program without starting execution. Built

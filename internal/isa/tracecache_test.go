@@ -12,10 +12,10 @@ import (
 // cache, batched with superblock dispatch, and superblock dispatch with
 // spin fast-forward.
 var traceModes = []struct {
-	name    string
-	batch   int
-	trace   bool
-	spin    bool
+	name  string
+	batch int
+	trace bool
+	spin  bool
 }{
 	{"per-instr", 1, false, false},
 	{"batched", 64, false, false},

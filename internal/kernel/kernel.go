@@ -92,7 +92,6 @@ type Stats struct {
 type Kernel struct {
 	eng   *sim.Engine
 	dom   sim.Domain // the node's event domain; tags harness-entered syscalls
-	sync  func()     // optional: advances eng to the machine clock before harness syscalls
 	cfg   Config
 	id    packet.NodeID
 	coord packet.Coord
@@ -167,9 +166,9 @@ func New(eng *sim.Engine, cfg Config, id packet.NodeID, coord packet.Coord,
 	k := &Kernel{
 		eng: eng, dom: sim.DomNode(int(id)), cfg: cfg, id: id, coord: coord,
 		mem: mem, xbus: xbus, nic: n, cpu: cpu, box: box,
-		procs:     make(map[int]*Process),
-		nextPID:   1,
-		swap:      make(map[swapKey][]byte),
+		procs:      make(map[int]*Process),
+		nextPID:    1,
+		swap:       make(map[swapKey][]byte),
 		peers:      make(map[packet.NodeID]*peer),
 		ringOwner:  make(map[phys.PageNum]packet.NodeID),
 		pending:    make(map[uint32]*Future),
@@ -218,21 +217,10 @@ func (k *Kernel) Reset() {
 // ID returns the node id.
 func (k *Kernel) ID() packet.NodeID { return k.id }
 
-// SetClockSync installs a callback run at every harness syscall entry
-// (Map, GrantCommandPages, StartScheduler) before the kernel tags its
-// domain. A partitioned machine uses it to advance this node's engine
-// to the cluster clock: the sequential machine has one clock, so a
-// syscall issued between Steps must be timestamped at the globally
-// last-fired event, not at this partition's (possibly lagging) one.
-func (k *Kernel) SetClockSync(fn func()) { k.sync = fn }
-
-// enter syncs the clock (if configured) and tags the node's domain.
-func (k *Kernel) enter() sim.Domain {
-	if k.sync != nil {
-		k.sync()
-	}
-	return k.eng.EnterDomain(k.dom)
-}
+// enter tags the node's domain at a harness syscall entry (Map,
+// GrantCommandPages, StartScheduler); the caller restores the returned
+// previous domain.
+func (k *Kernel) enter() sim.Domain { return k.eng.EnterDomain(k.dom) }
 
 // Coord returns the node's mesh coordinates.
 func (k *Kernel) Coord() packet.Coord { return k.coord }

@@ -51,8 +51,8 @@ func (k *Kernel) peerDownErr(dst packet.NodeID) error {
 // targeting it is invalidated (the §4.4 teardown, minus the handshake
 // the dead node can no longer complete), its mapped-in claims on local
 // frames are dropped, and queued control records to it are discarded.
-// Idempotent; all iteration orders are sorted so replays and partition
-// counts cannot reorder the teardown.
+// Idempotent; all iteration orders are sorted so replays cannot
+// reorder the teardown.
 func (k *Kernel) HandlePeerDown(pd *fault.PeerDown) {
 	d := packet.NodeID(pd.Node)
 	if d == k.id || k.down[d] != nil {

@@ -56,39 +56,12 @@ func DefaultConfig(w, h int) Config {
 	}
 }
 
-// Lookahead returns the minimum simulated delay between any fabric entry
-// (Inject, Release, SetDead) and the earliest node-visible consequence
-// (a Deliver or injector-free callback). Every delivery path streams at
-// least one flit after the entry — an unparked worm drains no earlier
-// than one WireTime (>= one FlitCycle) later, and a fresh injection also
-// pays per-hop routing first — so one flit time is a safe conservative
-// lookahead for a partitioned simulation.
-func (c Config) Lookahead() sim.Time { return c.FlitCycle }
-
-// InjectLookahead returns the minimum simulated delay between a packet
-// injection and any node-visible consequence at a destination hops links
-// away: the head crosses the injection channel plus hops link channels
-// (RouterLatency+FlitCycle each), pays the final router's arrival
-// latency, and the earliest consequence — the worm draining into the
-// ejection port, or freeing its injector — streams at least one more
-// flit (WireTime >= FlitCycle). Contention and parking only delay a
-// worm beyond this unimpeded floor, and a consequence at a node nearer
-// than the worm's own destination does not exist (XY wormholes release
-// channels only when the tail drains), so the bound is safe per
-// partition pair when hops is the minimum distance between the two
-// partitions' node sets.
-func (c Config) InjectLookahead(hops int) sim.Time {
-	return sim.Time(hops+1)*(c.RouterLatency+c.FlitCycle) + c.RouterLatency + c.FlitCycle
-}
-
 // Endpoint is the node-side consumer attached to a router's processor
 // port (the SHRIMP network interface).
 //
 // Accept and Credit run in the mesh's (hub) domain and may touch only
 // the endpoint's fabric-facing occupancy state; Deliver runs in the
-// node's domain (a partitioned machine defers it through the cluster's
-// message channel). This split is what lets the mesh run on a different
-// engine than its endpoints.
+// node's domain.
 type Endpoint interface {
 	// Accept is called when a worm's head reaches the processor port.
 	// Returning false parks the worm — it keeps holding its channels,
@@ -203,9 +176,7 @@ type Network struct {
 	park  []*worm // parked worm per node index (at most one: it owns the ejection channel)
 	// dead marks crashed nodes on the fabric side: the ejection port
 	// bit-buckets worms for them without consulting the endpoint. It is
-	// set through SetDead — a fabric entry — so a partitioned run learns
-	// of the crash in (time, domain) order, never early from a
-	// partition's run-ahead.
+	// set through SetDead, a fabric entry.
 	dead []bool
 	// injFree is called when a node's injection port frees up with no
 	// waiters; the NIC uses it to pace its outgoing FIFO drain.
@@ -621,9 +592,8 @@ func (n *Network) Unpark(c packet.Coord) {
 // Release is the endpoint's end-of-deposit fabric entry: it returns wire
 // bytes of Incoming-FIFO occupancy (Endpoint.Credit), completes the
 // packet's causal span (as a drop when the deposit discarded it), and
-// retries the worm parked at c now that space freed up. Bundling the
-// three keeps them a single atomic fabric action, so a partitioned run
-// replays them at exactly the sequential point.
+// retries the worm parked at c now that space freed up, as one fabric
+// action in the hub domain.
 func (n *Network) Release(c packet.Coord, wire int, span uint64, dropped bool) {
 	prev := n.eng.EnterDomain(sim.DomHub)
 	defer n.eng.EnterDomain(prev)
@@ -648,7 +618,7 @@ func (n *Network) Release(c packet.Coord, wire int, span uint64, dropped bool) {
 // DropSpan completes a causal span as a drop at the fabric's clock. Node
 // components use it for packets discarded before they ever reached the
 // fabric (Outgoing-FIFO overflow), keeping span completion — shared
-// machine-wide state — a fabric action in partitioned runs.
+// machine-wide state — a fabric action.
 func (n *Network) DropSpan(span uint64) {
 	prev := n.eng.EnterDomain(sim.DomHub)
 	defer n.eng.EnterDomain(prev)

@@ -142,28 +142,6 @@ type Stats struct {
 	PeerDownDrops  uint64 // outbound packets suppressed against a dead peer
 }
 
-// Network is the routing backplane as the NIC sees it. *mesh.Network
-// implements it directly (the sequential machine); a partitioned
-// machine installs a per-node proxy whose mutating entries post to the
-// fabric coordinator instead, so node events never touch fabric state.
-// Attach and OnInjectorFree are build-time wiring; the rest are
-// runtime fabric actions.
-type Network interface {
-	Attach(c packet.Coord, ep mesh.Endpoint)
-	OnInjectorFree(c packet.Coord, fn func())
-	// Inject starts a worm carrying p from src into the backplane.
-	Inject(src packet.Coord, p *packet.Packet, wire int)
-	// Release returns wire bytes of Incoming-FIFO occupancy (via
-	// Endpoint.Credit), completes the packet's span, and retries the
-	// parked worm, as one fabric action.
-	Release(c packet.Coord, wire int, span uint64, dropped bool)
-	// DropSpan completes a span as a drop for a packet discarded before
-	// it reached the fabric.
-	DropSpan(span uint64)
-	// SetDead bit-buckets future worms arriving for c.
-	SetDead(c packet.Coord)
-}
-
 // IRQCause identifies why the NIC interrupted the CPU.
 type IRQCause uint8
 
@@ -183,12 +161,7 @@ type NIC struct {
 	table *nipt.Table
 	xbus  *bus.Xpress
 	eisa  *bus.EISA
-	net   Network
-	// fab is the engine whose event stream runs the fabric (and hence
-	// the mesh-facing endpoint methods). It is eng itself in a
-	// sequential machine; a partitioned machine points it at the
-	// coordinator's hub engine.
-	fab *sim.Engine
+	net   *mesh.Network
 	// dom is this node's event domain. Every event the NIC schedules is
 	// tagged with it explicitly: NIC pipelines can be kicked from event
 	// chains carrying another node's domain (e.g. a deposit chain that
@@ -276,7 +249,6 @@ type injectEvent struct{ n *NIC }
 func (ev *injectEvent) Fire() {
 	n := ev.n
 	head := n.out.q.peek()
-	n.out.injectFired = true
 	n.obs.SpanInjected(head.pkt.Span, n.eng.Now())
 	n.net.Inject(n.coord, head.pkt, head.wire)
 }
@@ -321,31 +293,21 @@ type outState struct {
 	injecting bool
 	stalled   bool
 	stallFrom sim.Time
-	// injectAt/injectFired track the pending injectEvent for the
-	// partition-lookahead probe (EarliestPost): the exact scheduled
-	// injection instant, and whether it has already fired (worm in
-	// flight, next injection gated on the injector-free callback).
-	injectAt    sim.Time
-	injectFired bool
 }
 
 type inState struct {
 	q          pktQueue
 	bytes      int
 	depositing bool
-	// nextAt is the scheduled time of the deposit pipeline's next event
-	// (depositEv or finishEv) while depositing — the earliest instant
-	// the pipeline can call Network.Release.
-	nextAt sim.Time
 }
 
 // New builds a network interface and attaches it to the backplane and
 // memory bus.
 func New(eng *sim.Engine, cfg Config, node packet.NodeID, coord packet.Coord,
-	table *nipt.Table, xbus *bus.Xpress, eisa *bus.EISA, net Network) *NIC {
+	table *nipt.Table, xbus *bus.Xpress, eisa *bus.EISA, net *mesh.Network) *NIC {
 	n := &NIC{
-		eng: eng, fab: eng, cfg: cfg, node: node, coord: coord,
-		dom: sim.DomNode(int(node)),
+		eng: eng, cfg: cfg, node: node, coord: coord,
+		dom:   sim.DomNode(int(node)),
 		table: table, xbus: xbus, eisa: eisa, net: net,
 	}
 	n.injectEv.n = n
@@ -382,12 +344,6 @@ func (n *NIC) SetFaults(inj *fault.Injector) {
 		n.rel = newRelState(n)
 	}
 }
-
-// SetFabricEngine points the NIC at the engine that runs the fabric's
-// event stream. The mesh-facing endpoint methods (Accept, Credit)
-// execute there, so their clock reads and failure reports must use it;
-// New defaults it to the NIC's own engine (the sequential machine).
-func (n *NIC) SetFabricEngine(e *sim.Engine) { n.fab = e }
 
 // SetDead marks the node as crashed: the NIC stops delivering arriving
 // packets (the fabric bit-buckets its worms so the mesh cannot
@@ -431,49 +387,6 @@ func (n *NIC) declarePeerDown(dstNode int, dst packet.Coord, cause string) {
 // Survivable mode).
 func (n *NIC) PeerDeclaredDown(c packet.Coord) bool {
 	return n.downCount != 0 && n.downPeers[c] != nil
-}
-
-// EarliestPost lower-bounds the next instant this NIC can invoke a
-// fabric action that leads to cross-node traffic (Network.Inject or
-// Network.Release) — the per-node half of the partitioned machine's
-// conservative lookahead. An armed injection and an active deposit
-// pipeline are tracked exactly; any fresh injection needs a node event
-// to fire first (>= now) and then the FIFO+setup latency. Only a lower
-// bound is required: underestimates shrink the window, overestimates
-// would break it.
-func (n *NIC) EarliestPost() sim.Time {
-	t := n.EarliestInject()
-	if r := n.EarliestRelease(); r < t {
-		t = r
-	}
-	return t
-}
-
-// EarliestInject lower-bounds the next instant this NIC can invoke
-// Network.Inject: the armed injection instant when a worm is scheduled
-// and unfired, else a fresh injection's floor (a node event >= now plus
-// the FIFO+setup latency). The partitioned machine pairs this floor
-// with the mesh hop distance between partitions (mesh.Config's
-// InjectLookahead) to widen windows between distant partitions.
-func (n *NIC) EarliestInject() sim.Time {
-	t := n.eng.Now() + n.cfg.OutFIFOLatency + n.cfg.InjectSetup
-	if n.out.injecting && !n.out.injectFired && n.out.injectAt < t {
-		t = n.out.injectAt
-	}
-	return t
-}
-
-// EarliestRelease lower-bounds the next instant this NIC can invoke
-// Network.Release. Releases happen only from the deposit pipeline
-// (finishDeposit/finishControl), whose next event is in.nextAt while
-// depositing; an idle pipeline cannot release until a packet delivery —
-// a hub→node message, which dirties the partition's cached floor —
-// restarts it, so Forever is sound when idle.
-func (n *NIC) EarliestRelease() sim.Time {
-	if n.in.depositing {
-		return n.in.nextAt
-	}
-	return sim.Forever
 }
 
 // Dead reports whether the node has been crashed by fault injection.
@@ -537,11 +450,8 @@ func (n *NIC) Reset() {
 	n.out.injecting = false
 	n.out.stalled = false
 	n.out.stallFrom = 0
-	n.out.injectAt = 0
-	n.out.injectFired = false
 	n.in.bytes = 0
 	n.in.depositing = false
-	n.in.nextAt = 0
 	chunkBuf := n.dma.chunkBuf
 	n.dma = dmaState{chunkBuf: chunkBuf}
 	if o := n.merge.open; o != nil {
@@ -691,8 +601,6 @@ func (n *NIC) drainOut() {
 		n.stats.FaultStalls++
 		n.scope.Inc(obs.CtrFaultStalls)
 	}
-	n.out.injectAt = n.eng.Now() + delay
-	n.out.injectFired = false
 	n.eng.ScheduleAfterDom(n.dom, delay, &n.injectEv)
 }
 

@@ -19,13 +19,8 @@ type endpoint NIC
 // Accept implements mesh.Endpoint: the incoming flow-control decision.
 // Once the Incoming FIFO exceeds its programmable threshold the NIC
 // ceases to accept packets from the network; the parked worm holds its
-// channels and backpressures the mesh (§4).
-// Accept, like Credit below, executes on the fabric's event stream
-// (n.fab): Incoming-FIFO occupancy is fabric-owned state, claimed here
-// and returned by Credit, so a partitioned machine never has a node
-// worker and the coordinator touching it at once. (Crashed nodes never
-// reach Accept — the fabric bit-buckets their worms; see
-// Network.SetDead.)
+// channels and backpressures the mesh (§4). Crashed nodes never reach
+// Accept — the fabric bit-buckets their worms (see mesh.Network.SetDead).
 func (e *endpoint) Accept(p *packet.Packet, wire int) bool {
 	n := (*NIC)(e)
 	if n.in.bytes >= n.cfg.InThreshold {
@@ -35,8 +30,8 @@ func (e *endpoint) Accept(p *packet.Packet, wire int) bool {
 		// Threshold headroom must cover a maximum-size packet; raise a
 		// machine check (a mis-sized model, not a recoverable fault) and
 		// refuse the worm, which parks until the failure surfaces.
-		n.fab.Fail(&fault.MachineCheck{
-			Node: int(n.node), Kind: fault.CheckInFIFOHeadroom, At: n.fab.Now(),
+		n.eng.Fail(&fault.MachineCheck{
+			Node: int(n.node), Kind: fault.CheckInFIFOHeadroom, At: n.eng.Now(),
 			Detail: fmt.Sprintf("%d+%d > %d bytes", n.in.bytes, wire, n.cfg.InFIFOBytes),
 		})
 		return false
@@ -50,9 +45,8 @@ func (e *endpoint) Accept(p *packet.Packet, wire int) bool {
 	return true
 }
 
-// Credit implements mesh.Endpoint: Network.Release returns the wire
-// bytes of Incoming-FIFO occupancy that Accept claimed. Fabric event
-// stream, like Accept.
+// Credit implements mesh.Endpoint: mesh.Network.Release returns the
+// wire bytes of Incoming-FIFO occupancy that Accept claimed.
 func (e *endpoint) Credit(wire int) {
 	n := (*NIC)(e)
 	n.in.bytes -= wire
@@ -65,7 +59,7 @@ func (e *endpoint) Deliver(p *packet.Packet, wire int) {
 	n := (*NIC)(e)
 	if n.dead {
 		// The fabric bit-bucketed this worm without claiming FIFO space
-		// (see Network.SetDead), so there is nothing to Credit back.
+		// (see mesh.Network.SetDead), so there is nothing to Credit back.
 		n.stats.DropDead++
 		n.Tracer.Record(int(n.node), trace.Drop, trace.DropNodeDead, uint64(p.DstAddr.Page()))
 		n.net.DropSpan(p.Span)
@@ -114,7 +108,6 @@ func (n *NIC) deposit() {
 	}
 	n.in.depositing = true
 	n.depositQP = n.in.q.pop()
-	n.in.nextAt = n.eng.Now() + n.cfg.InFIFOLatency
 	n.eng.ScheduleAfterDom(n.dom, n.cfg.InFIFOLatency, &n.depositEv)
 }
 
@@ -155,21 +148,19 @@ func (n *NIC) depositPacket(q queuedPacket) {
 	if n.cfg.Generation == GenEISAPrototype {
 		done = n.eisa.DMAWrite(p.DstAddr, p.Payload)
 		n.finishEv.xpress = false
-		n.in.nextAt = done
 		n.eng.ScheduleDom(n.dom, done, &n.finishEv)
 		return
 	}
 	// Next generation: the NIC masters the Xpress bus directly.
 	done = n.eng.Now() + n.cfg.XpressDepositSetup + sim.PerByte(n.cfg.XpressDepositRate, len(p.Payload))
 	n.finishEv.xpress = true
-	n.in.nextAt = done
 	n.eng.ScheduleDom(n.dom, done, &n.finishEv)
 }
 
 // finishDeposit raises any arrival interrupt, recycles the packet,
-// returns the packet's FIFO space through the fabric (Network.Release,
-// which also completes the span and retries the parked worm), and
-// resumes the deposit pipeline.
+// returns the packet's FIFO space through the fabric
+// (mesh.Network.Release, which also completes the span and retries the
+// parked worm), and resumes the deposit pipeline.
 func (n *NIC) finishDeposit(q queuedPacket, delivered bool) {
 	n.in.depositing = false
 	if delivered {

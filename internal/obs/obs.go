@@ -469,8 +469,7 @@ type Registry struct {
 // New builds a registry for a machine of the given node count. spanCap
 // bounds each node's in-flight spans and the retained-completed ring
 // (<= 0 selects DefaultSpanCapacity). The registry holds no engine
-// reference: span stages take explicit timestamps, so one registry
-// serves every partition of a partitioned machine.
+// reference: span stages take explicit timestamps.
 func New(nodes, spanCap int) *Registry {
 	if spanCap <= 0 {
 		spanCap = DefaultSpanCapacity

@@ -14,33 +14,6 @@ import (
 // and every value is a pure function of the simulated run — so two runs
 // of the same workload diff byte-identical, which ci.sh gates.
 
-// OpenMetricsOptions tunes the exposition writers.
-type OpenMetricsOptions struct {
-	// OmitEngineArtifacts drops simulator-bookkeeping series (CPU batch
-	// break counters, trace-cache and spin fast-forward counters, and
-	// their histograms). Those legitimately differ across Partitions
-	// settings — rendezvous windows break CPU batches at different
-	// points — so diffs across partition counts must exclude them; all
-	// simulated results remain. The list matches the partition
-	// differential tests' scrub set.
-	OmitEngineArtifacts bool
-}
-
-// engineArtifacts names the metrics that reflect how the simulator ran
-// rather than what the simulated machine did.
-var engineArtifacts = map[string]bool{
-	"batch-break-event": true, "batch-break-quantum": true,
-	"batch-break-fault": true, "batch-break-halt": true,
-	"batch-break-freeze": true,
-	"trace-hits":         true, "trace-misses": true, "trace-flushes": true,
-	"spin-fast-forwards": true, "spin-skipped-ps": true,
-	"batch-len": true, "spin-skipped": true,
-}
-
-// IsEngineArtifact reports whether the named metric is simulator
-// bookkeeping (see OpenMetricsOptions.OmitEngineArtifacts).
-func IsEngineArtifact(name string) bool { return engineArtifacts[name] }
-
 // metricName converts a registry name to an OpenMetrics family name:
 // shrimp_ prefix, dashes to underscores.
 func metricName(name string) string {
@@ -58,11 +31,6 @@ func escapeLabel(v string) string {
 // format, ending with the # EOF terminator. now stamps the simulated
 // time the snapshot was cut at (exposed as shrimp_sim_time_seconds).
 func WriteOpenMetrics(w io.Writer, s Snapshot, now sim.Time) error {
-	return WriteOpenMetricsOpts(w, s, now, OpenMetricsOptions{})
-}
-
-// WriteOpenMetricsOpts is WriteOpenMetrics with options.
-func WriteOpenMetricsOpts(w io.Writer, s Snapshot, now sim.Time, opt OpenMetricsOptions) error {
 	var err error
 	pf := func(format string, args ...any) {
 		if err == nil {
@@ -75,9 +43,6 @@ func WriteOpenMetricsOpts(w io.Writer, s Snapshot, now sim.Time, opt OpenMetrics
 
 	for c := Counter(0); c < numCounters; c++ {
 		name := c.String()
-		if opt.OmitEngineArtifacts && engineArtifacts[name] {
-			continue
-		}
 		family := metricName(name)
 		wrote := false
 		for _, n := range s.Nodes {
@@ -110,9 +75,6 @@ func WriteOpenMetricsOpts(w io.Writer, s Snapshot, now sim.Time, opt OpenMetrics
 	}
 	for h := Hist(0); h < numHists; h++ {
 		name := h.String()
-		if opt.OmitEngineArtifacts && engineArtifacts[name] {
-			continue
-		}
 		family := metricName(name)
 		wrote := false
 		for _, n := range s.Nodes {
@@ -165,7 +127,7 @@ func WriteOpenMetricsOpts(w io.Writer, s Snapshot, now sim.Time, opt OpenMetrics
 // line per sample per series, machine totals under a shrimp_rec_ prefix.
 // All-zero series are elided. Nil-safe: a nil recorder writes only the
 // terminator.
-func (r *Recorder) WriteOpenMetrics(w io.Writer, opt OpenMetricsOptions) error {
+func (r *Recorder) WriteOpenMetrics(w io.Writer) error {
 	var err error
 	pf := func(format string, args ...any) {
 		if err == nil {
@@ -193,9 +155,6 @@ func (r *Recorder) WriteOpenMetrics(w io.Writer, opt OpenMetricsOptions) error {
 	}
 	for c := Counter(0); c < numCounters; c++ {
 		name := c.String()
-		if opt.OmitEngineArtifacts && engineArtifacts[name] {
-			continue
-		}
 		vs := s.Counter(c)
 		if !anyNonZero(vs) {
 			continue
@@ -226,9 +185,6 @@ func (r *Recorder) WriteOpenMetrics(w io.Writer, opt OpenMetricsOptions) error {
 	}
 	for h := Hist(0); h < numHists; h++ {
 		name := h.String()
-		if opt.OmitEngineArtifacts && engineArtifacts[name] {
-			continue
-		}
 		counts, sums := s.HistCount(h), s.HistSum(h)
 		if !anyNonZero(counts) {
 			continue

@@ -10,17 +10,12 @@ import (
 // histogram a windowed rate — the time axis the end-of-run Snapshot
 // lacks.
 //
-// The recorder is a sim.Pacer (see internal/sim/pacer.go): the engine —
-// or, on a partitioned machine, the Cluster coordinator — hands it
-// control at each deadline D once every event strictly before D has
-// fired and nothing at or after D has. Each sample is therefore a pure
-// function of the canonical event order, which partitioned runs
-// reproduce by construction, so recorder samples are bit-identical
-// across Partitions ∈ {1, N}. Partition-aware aggregation is the sample
-// loop itself: the per-node scopes (disjointly owned by the partitions)
-// are summed into machine totals in ascending node order at the
-// rendezvous cut — a deterministic merge with no locks, because pacing
-// only runs while node phases are quiescent.
+// The recorder is a sim.Pacer (see internal/sim/pacer.go): the engine
+// hands it control at each deadline D once every event strictly before
+// D has fired and nothing at or after D has. Each sample is therefore a
+// pure function of the event order: the per-node scopes are summed into
+// machine totals in ascending node order at the cut, so recorder
+// samples are bit-identical run to run.
 //
 // Recording never schedules events, never advances clocks, and never
 // allocates on the sample path; arming a recorder changes no simulated
@@ -57,8 +52,7 @@ type Mark struct {
 }
 
 // Recorder samples a Registry into preallocated rings. Build one with
-// NewRecorder and install it as the machine's pacer; all methods are
-// coordinator-side (never called from partition node phases).
+// NewRecorder and install it as the machine's pacer.
 type Recorder struct {
 	reg      *Registry
 	interval sim.Time
@@ -150,11 +144,10 @@ func (r *Recorder) sample(at sim.Time) {
 }
 
 // SetOnSample installs a callback invoked after each sample with the
-// sample's deadline (nil removes it). It runs on the coordinator while
-// the simulation is quiescent, so it may read the registry and recorder,
-// but must not mutate simulation state. Live exporters (shrimp-top) use
-// it to publish; the zero-alloc sample contract covers the recorder
-// itself, not the callback.
+// sample's deadline (nil removes it). It runs between events, so it
+// may read the registry and recorder, but must not mutate simulation
+// state. Live exporters (shrimp-top) use it to publish; the zero-alloc
+// sample contract covers the recorder itself, not the callback.
 func (r *Recorder) SetOnSample(fn func(at sim.Time)) { r.onSample = fn }
 
 // MarkAt pins a labeled annotation to the recorder timeline. Bounded and

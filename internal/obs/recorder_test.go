@@ -272,33 +272,13 @@ func TestWriteOpenMetricsDeterministic(t *testing.T) {
 	}
 }
 
-func TestWriteOpenMetricsOmitsArtifacts(t *testing.T) {
-	reg := New(1, 0)
-	reg.Node(0).Inc(CtrTraceHits)
-	reg.Node(0).Inc(CtrPacketsOut)
-	var b strings.Builder
-	if err := WriteOpenMetricsOpts(&b, reg.Snapshot(), 0, OpenMetricsOptions{OmitEngineArtifacts: true}); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if strings.Contains(out, "trace_hits") {
-		t.Fatal("engine artifact series not omitted")
-	}
-	if !strings.Contains(out, "shrimp_packets_out_total") {
-		t.Fatal("simulated-result series missing")
-	}
-	if !IsEngineArtifact("trace-hits") || IsEngineArtifact("packets-out") {
-		t.Fatal("IsEngineArtifact misclassifies")
-	}
-}
-
 func TestRecorderWriteOpenMetrics(t *testing.T) {
 	reg := New(2, 0)
 	r := NewRecorder(reg, RecorderConfig{Interval: 10 * sim.Microsecond, Capacity: 8})
 	driveRecorder(r, reg, 2)
 	r.MarkAt(15*sim.Microsecond, `watchdog: "quoted"`)
 	var b strings.Builder
-	if err := r.WriteOpenMetrics(&b, OpenMetricsOptions{}); err != nil {
+	if err := r.WriteOpenMetrics(&b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -319,7 +299,7 @@ func TestRecorderWriteOpenMetrics(t *testing.T) {
 	}
 	var nilRec *Recorder
 	b.Reset()
-	if err := nilRec.WriteOpenMetrics(&b, OpenMetricsOptions{}); err != nil {
+	if err := nilRec.WriteOpenMetrics(&b); err != nil {
 		t.Fatal(err)
 	}
 	if b.String() != "# EOF\n" {

@@ -22,12 +22,10 @@ import "repro/internal/sim"
 //	          instant)
 //
 // Allocation is sharded per source node: minting and the send-side
-// stage stamps happen on the minting node's event stream, so in a
-// partitioned machine each partition touches only its own nodes'
-// shards. Completion (and the shared completed ring) is a fabric
-// action — routed through mesh.Release/DropSpan — and therefore runs
-// only while node phases are quiescent. Timestamps are passed in
-// explicitly because a partitioned machine has no single engine clock.
+// stage stamps happen on the minting node's event stream. Completion
+// (and the shared completed ring) is a fabric action, routed through
+// mesh.Release/DropSpan. Timestamps are passed in explicitly, so the
+// registry needs no engine reference.
 
 // SpanKind classifies what initiated a span's transfer.
 type SpanKind uint8
@@ -86,10 +84,9 @@ type Span struct {
 }
 
 // spanShard is one source node's in-flight span slab. Only that node's
-// event stream allocates from it or stamps send-side stages, so shards
-// need no locks in a partitioned machine. The slab grows on demand up
-// to its capacity (it is not preallocated: a 1,024-node machine would
-// otherwise pay capacity × nodes up front).
+// event stream allocates from it or stamps send-side stages. The slab
+// grows on demand up to its capacity (it is not preallocated: a
+// 1,024-node machine would otherwise pay capacity × nodes up front).
 type spanShard struct {
 	active    []Span
 	freeList  []int32 // slots returned by finished spans
@@ -141,7 +138,7 @@ func (t *spanTable) reset() {
 // the packet (0 when untracked: nil registry or shard exhausted). start
 // may precede the current time (blocked-write packets start at their
 // first merged store). Span IDs are (src, per-shard sequence) so they
-// are unique and identical at any partition count.
+// are unique and deterministic.
 func (r *Registry) BeginSpan(src, dst, bytes int, kind SpanKind, start sim.Time) uint64 {
 	if r == nil {
 		return 0

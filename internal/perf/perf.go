@@ -91,17 +91,13 @@ type Report struct {
 	GOARCH    string `json:"goarch"`
 	CPUs      int    `json:"cpus"`
 	// GOMAXPROCS is the scheduler's parallelism limit at report time —
-	// the number of goroutines (sweep workers × partition engines) that
-	// can actually run at once; 0 for reports that predate the field.
+	// the number of sweep workers that can actually run at once; 0 for
+	// reports that predate the field.
 	GOMAXPROCS int `json:"gomaxprocs,omitempty"`
 	// Workers is the sweep worker-pool size the parallel benchmarks ran
 	// with (the -parallel flag); 0 for reports that predate the pool.
-	Workers int `json:"workers,omitempty"`
-	// Partitions lists the intra-machine partition counts the mesh/par
-	// benchmarks ran with (the -partitions flag); empty for reports that
-	// predate the partitioned engine.
-	Partitions []int    `json:"partitions,omitempty"`
-	Results    []Result `json:"results"`
+	Workers int      `json:"workers,omitempty"`
+	Results []Result `json:"results"`
 }
 
 // NewReport builds a report shell with the runtime environment filled in.
@@ -136,7 +132,7 @@ func ReadReport(rd io.Reader) (*Report, error) {
 // tolerance.
 type Regression struct {
 	Name   string
-	Metric string  // "events_per_sec" or "allocs_per_op"
+	Metric string // "events_per_sec" or "allocs_per_op"
 	Old    float64
 	New    float64
 	Change float64 // fractional change, positive = worse

@@ -99,9 +99,8 @@ type Handler interface {
 // to: a node (its CPU, caches, buses, NIC send/deposit pipelines) or the
 // shared mesh fabric. Domains are the middle component of the event key
 // (at, dom, seq), so same-instant events fire node-by-node in ascending
-// node order with the mesh fabric last — an order a partitioned Cluster
-// can reproduce exactly without a global sequence counter, which is what
-// makes parallel runs bit-identical to sequential ones by construction.
+// node order with the mesh fabric last, regardless of the order they
+// were scheduled in.
 //
 // Events inherit the domain of the event that scheduled them; the few
 // true roots (CPU start/wake, kernel scheduler ticks, fault plan events,
@@ -114,8 +113,7 @@ const (
 	DomHost Domain = 0
 	// DomHub is the mesh fabric's domain; it sorts after every node so
 	// that, at one instant, all node-side work (injections, credits)
-	// precedes fabric arbitration — the order the partitioned Cluster's
-	// rendezvous replays posts in.
+	// precedes fabric arbitration.
 	DomHub Domain = 1 << 30
 )
 
@@ -161,12 +159,7 @@ type Engine struct {
 	// failure is the first fatal error a component raised through Fail
 	// (a structured machine check). Drains stop at the event that
 	// raised it and surface it instead of truncating silently.
-	// failAt/failDom stamp where in (time, domain) order it was raised,
-	// so a Cluster can pick the canonically-first failure across
-	// partitions.
 	failure error
-	failAt  Time
-	failDom Domain
 	// pacer, when non-nil, is consulted before each event fires (see
 	// pacer.go). It observes but never perturbs; Reset keeps it wired.
 	pacer Pacer
@@ -196,16 +189,11 @@ func (e *Engine) MaxPending() int { return e.maxPending }
 func (e *Engine) Fail(err error) {
 	if err != nil && e.failure == nil {
 		e.failure = err
-		e.failAt, e.failDom = e.now, e.cur
 	}
 }
 
 // Failed returns the failure recorded by Fail, or nil.
 func (e *Engine) Failed() error { return e.failure }
-
-// FailedAt returns the (time, domain) stamp of the recorded failure;
-// meaningful only when Failed is non-nil.
-func (e *Engine) FailedAt() (Time, Domain) { return e.failAt, e.failDom }
 
 // NextEventAt returns the timestamp of the earliest pending event, or
 // Forever when the queue is empty. Synchronous run-ahead components use
@@ -256,10 +244,6 @@ func (e *Engine) EnterDomain(d Domain) Domain {
 	e.cur = d
 	return prev
 }
-
-// Domain returns the current scheduling domain: the domain of the event
-// being fired, or of the last EnterDomain inside it.
-func (e *Engine) Domain() Domain { return e.cur }
 
 // At schedules fn to run at absolute time t in the current domain.
 // Scheduling in the past (t < Now) panics: it would silently reorder
@@ -385,41 +369,6 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// headKey returns the (time, domain) key of the earliest pending event;
-// ok is false when the queue is empty. The Cluster merges engines by it.
-func (e *Engine) headKey() (at Time, dom Domain, ok bool) {
-	if len(e.events) == 0 {
-		return Forever, 0, false
-	}
-	return e.events[0].at, e.events[0].dom, true
-}
-
-// runWindow fires every event strictly before w, publishing w as the run
-// bound so run-ahead components never advance past the window. It stops
-// early on a recorded failure. The Cluster's windowed rounds use it for
-// each partition's node phase.
-func (e *Engine) runWindow(w Time) {
-	prevBound, prevBounded := e.bound, e.bounded
-	e.bound, e.bounded = w, true
-	for len(e.events) > 0 && e.events[0].at < w && e.failure == nil {
-		e.Step()
-	}
-	e.bound, e.bounded = prevBound, prevBounded
-}
-
-// runAt fires every event at exactly t with the run bound pinned to t, so
-// run-ahead components execute at most one instruction past the tick —
-// exactly the yield a sequential engine with a pending event at t takes.
-// The Cluster's tick rounds use it for each partition's node phase.
-func (e *Engine) runAt(t Time) {
-	prevBound, prevBounded := e.bound, e.bounded
-	e.bound, e.bounded = t, true
-	for len(e.events) > 0 && e.events[0].at <= t && e.failure == nil {
-		e.Step()
-	}
-	e.bound, e.bounded = prevBound, prevBounded
-}
-
 // Run fires events until none remain.
 func (e *Engine) Run() {
 	for e.Step() {
@@ -537,5 +486,4 @@ func (e *Engine) Reset() {
 	e.bound = 0
 	e.bounded = false
 	e.failure = nil
-	e.failAt, e.failDom = 0, 0
 }

@@ -3,9 +3,8 @@ package sim
 import "testing"
 
 // Horizon is the yield point for synchronous run-ahead (spin
-// fast-forward, CPU batching) and, in the partitioned machine, the
-// basis of the lookahead argument — a component that consumes time past
-// it would fire over a pending event or escape the caller's run window.
+// fast-forward, CPU batching) — a component that consumes time past it
+// would fire over a pending event or escape the caller's run window.
 // These tests pin its edge cases directly.
 
 func TestHorizonEmptyQueue(t *testing.T) {

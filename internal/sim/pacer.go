@@ -2,30 +2,23 @@
 // perturb the simulation.
 //
 // A Pacer is a passive observer with a schedule of deadlines. The engine
-// (or, for a partitioned machine, the Cluster coordinator) consults it
-// before firing events: when the next pending event's timestamp reaches a
-// deadline D, every event strictly before D has fired and nothing at or
-// after D has, so the Pacer sees the machine state exactly "at D". The
-// cut is a pure function of the canonical event order — which partitioned
-// runs reproduce by construction — so a paced observation is bit-identical
-// across Partitions ∈ {1, N}.
+// consults it before firing each event: when the next pending event's
+// timestamp reaches a deadline D, every event strictly before D has
+// fired and nothing at or after D has, so the Pacer sees the machine
+// state exactly "at D". The cut is a pure function of the event order,
+// so a paced observation is bit-identical run to run.
 //
 // Crucially the Pacer is NOT an event: it never enters the pending queue,
 // never advances the clock, and never changes Fired(), MaxPending() or
-// quiescence. Arming one therefore changes no simulated result on a
-// sequential engine. On a Cluster the coordinator additionally caps
-// windowed rounds at the next deadline so the cut stays exact; that only
-// moves rendezvous edges, which — like partitioning itself — perturbs
-// engine bookkeeping (run-bound yields) but no simulated outcome.
+// quiescence. Arming one therefore changes no simulated result.
 package sim
 
 // Pacer observes the simulation at deterministic simulated-time deadlines.
 //
 // Implementations must not schedule events, advance clocks, or otherwise
 // mutate simulation state from Pace; recording a failure via Fail is the
-// one sanctioned side effect (a watchdog's whole purpose). Pace runs on
-// the coordinator (never inside a partition's node phase), so it may read
-// any machine state without locks.
+// one sanctioned side effect (a watchdog's whole purpose). Pace runs
+// between events, so it may read any machine state.
 type Pacer interface {
 	// NextDeadline returns the next simulated instant the pacer wants to
 	// observe, or Forever when it has none.
@@ -39,9 +32,7 @@ type Pacer interface {
 }
 
 // SetPacer installs p as the engine's pacer (nil removes it). The pacer
-// is wiring, not state: Reset keeps it installed. Install a pacer only on
-// a free-standing engine — on a partitioned machine, install it on the
-// Cluster instead, which paces the canonical global order.
+// is wiring, not state: Reset keeps it installed.
 func (e *Engine) SetPacer(p Pacer) { e.pacer = p }
 
 // pace fires every pacer deadline <= head, guarding against a pacer that
@@ -58,9 +49,3 @@ func pace(p Pacer, head Time) {
 		}
 	}
 }
-
-// SetPacer installs p as the cluster's pacer (nil removes it). The
-// coordinator consults it before every round and every exact step, and
-// caps windowed rounds at the next deadline so observations cut the
-// canonical event order exactly where a sequential engine would.
-func (c *Cluster) SetPacer(p Pacer) { c.pacer = p }

@@ -129,61 +129,3 @@ func TestEnginePacerLivelockGuard(t *testing.T) {
 		}
 	}
 }
-
-// TestClusterPacerCut: the coordinator paces the canonical global order —
-// windowed rounds end at deadlines, so a cut never sees an event at or
-// after its deadline fired, across all partitions.
-func TestClusterPacerCut(t *testing.T) {
-	for _, mode := range []string{"rounds", "steps"} {
-		parts := []*Engine{NewEngine(), NewEngine()}
-		hub := NewEngine()
-		// Distinct domains per engine, as core wiring guarantees.
-		parts[0].EnterDomain(DomNode(0))
-		parts[1].EnterDomain(DomNode(1))
-		hub.EnterDomain(DomHub)
-		c := NewCluster(parts, hub, 10)
-
-		var fired0, fired1 []Time
-		for _, at := range []Time{3, 13, 23, 33} {
-			at := at
-			parts[0].At(at, func() { fired0 = append(fired0, at) })
-		}
-		for _, at := range []Time{7, 17, 27, 37} {
-			at := at
-			parts[1].At(at, func() { fired1 = append(fired1, at) })
-		}
-		total := func() uint64 { return uint64(len(fired0) + len(fired1)) }
-		p := newRecordingPacer(10, total)
-		c.SetPacer(p)
-		if mode == "rounds" {
-			if err := c.DrainBudget(1000); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			for c.Step() {
-			}
-		}
-
-		// Eight events at 3,7,13,17,23,27,33,37; deadlines 10,20,30 cut
-		// after 2, 4, 6 events. (Deadline 40 never becomes due: no event
-		// at/after it remains to trigger the cut.)
-		want := []cut{{10, 0, 2}, {20, 0, 4}, {30, 0, 6}}
-		if len(p.cuts) != len(want) {
-			t.Fatalf("%s: cuts %+v", mode, p.cuts)
-		}
-		for i := range want {
-			got := p.cuts[i]
-			if got.deadline != want[i].deadline || got.state != want[i].state {
-				t.Fatalf("%s: cut %d = %+v, want deadline %v state %d",
-					mode, i, got, want[i].deadline, want[i].state)
-			}
-			if got.head < got.deadline {
-				t.Fatalf("%s: cut %d head %v precedes deadline %v", mode, i, got.head, got.deadline)
-			}
-		}
-		fired := total()
-		if fired != 8 {
-			t.Fatalf("%s: fired %d events", mode, fired)
-		}
-	}
-}

@@ -142,8 +142,6 @@ type (
 	// and retry-storm detection surfaced as machine checks. Requires
 	// Config.Metrics.
 	WatchdogConfig = core.WatchdogConfig
-	// OpenMetricsOptions tunes the OpenMetrics exposition writers.
-	OpenMetricsOptions = obs.OpenMetricsOptions
 )
 
 // WriteOpenMetrics writes a snapshot in OpenMetrics text exposition
