@@ -1,7 +1,7 @@
 #!/bin/sh
 # ci.sh — the repo's gate: static checks, full build, race-enabled tests,
-# and a smoke run of the engine microbenchmark (which also enforces the
-# zero-allocation scheduling path via its companion tests).
+# and smoke runs of the microbenchmarks; the hot-path rows are grepped
+# for 0 allocs/op to enforce the zero-allocation contracts.
 set -eux
 
 go vet ./...
@@ -11,7 +11,11 @@ go test -race ./...
 # The benchmark in bench/ is its own Go module, so ./... above never
 # reaches it: run its smoke, digest and check tests explicitly.
 go -C bench test ./...
-go test -run '^$' -bench BenchmarkEngine -benchtime 100x ./internal/sim
+# Event-queue guard: scheduling and firing, on the Handler path and the
+# closure path, at every benchmarked heap depth, must stay
+# allocation-free (TestScheduleZeroAlloc, run by the race tests above,
+# pins the same contract). An empty benchmark listing fails too.
+go test -run '^$' -bench BenchmarkEngine -benchtime 100x -benchmem ./internal/sim | grep 'BenchmarkEngine/' | awk '!/ 0 allocs\/op/ {bad=1} END {exit bad || NR == 0}'
 # Parallel sweep smoke: drive the worker pool with more points than
 # workers under the race detector (report discarded; the differential
 # tests assert parallel == sequential output).

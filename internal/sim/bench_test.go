@@ -18,30 +18,17 @@ func (h *tickHandler) Fire() {
 }
 
 // BenchmarkEngine measures raw schedule/fire throughput on the Handler
-// fast path. The acceptance bar for the zero-allocation event queue is 0
-// allocs/op here.
+// fast path. Every row must report 0 allocs/op; ci.sh greps for it, and
+// TestScheduleZeroAlloc pins the same contract as a test.
 func BenchmarkEngine(b *testing.B) {
-	b.Run("ScheduleFire", func(b *testing.B) {
-		e := NewEngine()
-		// Keep a standing population of 64 self-rescheduling handlers so
-		// the heap works at a realistic depth.
-		handlers := make([]*tickHandler, 64)
-		for i := range handlers {
-			handlers[i] = &tickHandler{e: e, left: b.N}
-			e.Schedule(Time(i), handlers[i])
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			e.Step()
-		}
-		b.StopTimer()
-		for i := range handlers {
-			handlers[i].left = 0
-		}
-		e.Run()
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
-	})
+	// Standing populations of self-rescheduling handlers: 4 is where
+	// nearly every fire of the paper and overlap-isa workloads sits, 512
+	// covers the faults workload's heartbeat ticks (several hundred NIC
+	// events pending, peak near 1000), and 64 keeps the original row
+	// comparable with earlier measurements.
+	b.Run("ScheduleFire", func(b *testing.B) { benchScheduleFire(b, 64) })
+	b.Run("ScheduleFireDepth4", func(b *testing.B) { benchScheduleFire(b, 4) })
+	b.Run("ScheduleFireDepth512", func(b *testing.B) { benchScheduleFire(b, 512) })
 
 	b.Run("ClosureAtFire", func(b *testing.B) {
 		// The closure path: the fn is preallocated, so the queue itself
@@ -74,4 +61,26 @@ func BenchmarkEngineCold(b *testing.B) {
 	}
 	for e.Step() {
 	}
+}
+
+// benchScheduleFire fires b.N events with depth self-rescheduling
+// handlers always pending, so the heap works at that depth throughout.
+func benchScheduleFire(b *testing.B, depth int) {
+	e := NewEngine()
+	handlers := make([]*tickHandler, depth)
+	for i := range handlers {
+		handlers[i] = &tickHandler{e: e, left: b.N}
+		e.Schedule(Time(i), handlers[i])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+	b.StopTimer()
+	for i := range handlers {
+		handlers[i].left = 0
+	}
+	e.Run()
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
 }

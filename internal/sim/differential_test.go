@@ -6,21 +6,24 @@ import (
 	"testing"
 )
 
-// refEngine is the pre-optimization event queue — the boxed
-// container/heap implementation the Engine replaced — retained verbatim
-// as a reference model. The differential test below drives random event
-// workloads through both queues and requires identical (time, seq)
-// firing orders, which is exactly the determinism contract every
-// component model in this repository leans on.
+// refEngine is a reference model of the event queue built on the boxed
+// container/heap implementation the Engine replaced, ordered by the
+// unpacked triple (at, dom, seq) and tracking the current domain the
+// same way the Engine does. The differential test below drives random
+// event workloads through both queues and requires identical firing
+// orders and firing domains, which is exactly the determinism contract
+// every component model in this repository leans on.
 type refEngine struct {
 	now    Time
 	seq    uint64
+	cur    Domain
 	events refEventHeap
 	fired  uint64
 }
 
 type refEvent struct {
 	at  Time
+	dom Domain
 	seq uint64
 	fn  func()
 }
@@ -31,6 +34,9 @@ func (h refEventHeap) Len() int { return len(h) }
 func (h refEventHeap) Less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
+	}
+	if h[i].dom != h[j].dom {
+		return h[i].dom < h[j].dom
 	}
 	return h[i].seq < h[j].seq
 }
@@ -44,10 +50,15 @@ func (h *refEventHeap) Pop() (popped any) {
 	return
 }
 
-func (e *refEngine) At(t Time, fn func()) {
+func (e *refEngine) AtDom(d Domain, t Time, fn func()) {
 	e.seq++
-	heap.Push(&e.events, refEvent{at: t, seq: e.seq, fn: fn})
+	heap.Push(&e.events, refEvent{at: t, dom: d, seq: e.seq, fn: fn})
 }
+
+func (e *refEngine) At(t Time, fn func())                    { e.AtDom(e.cur, t, fn) }
+func (e *refEngine) Schedule(t Time, h Handler)              { e.AtDom(e.cur, t, h.Fire) }
+func (e *refEngine) ScheduleDom(d Domain, t Time, h Handler) { e.AtDom(d, t, h.Fire) }
+func (e *refEngine) Cur() Domain                             { return e.cur }
 
 func (e *refEngine) Step() bool {
 	if len(e.events) == 0 {
@@ -55,6 +66,7 @@ func (e *refEngine) Step() bool {
 	}
 	ev := heap.Pop(&e.events).(refEvent)
 	e.now = ev.at
+	e.cur = ev.dom
 	e.fired++
 	ev.fn()
 	return true
@@ -66,24 +78,46 @@ func (e *refEngine) Run() {
 }
 
 // firing is one observed event execution: which logical event fired, at
-// what simulated time, as the k-th firing overall.
+// what simulated time, in which domain, as the k-th firing overall.
 type firing struct {
-	id int
-	at Time
+	id  int
+	at  Time
+	dom Domain
 }
 
 // scheduler abstracts the two engines for the differential driver.
 type scheduler interface {
 	At(t Time, fn func())
+	AtDom(d Domain, t Time, fn func())
+	Schedule(t Time, h Handler)
+	ScheduleDom(d Domain, t Time, h Handler)
+	Cur() Domain // domain of the event firing now
 	Run()
 }
 
 type newEngineAdapter struct{ *Engine }
 
+func (a newEngineAdapter) Cur() Domain { return a.cur }
+
+// funcHandler is a closure behind a pointer Handler, so the random
+// workload can reach Schedule and ScheduleDom with the same per-event
+// bodies.
+type funcHandler struct{ fn func() }
+
+func (h *funcHandler) Fire() { h.fn() }
+
+// diffDomains is the pool the random workload draws explicit domains from:
+// the harness, several nodes (adjacent and far apart) and the hub.
+var diffDomains = []Domain{DomHost, DomNode(0), DomNode(1), DomNode(2), DomNode(7), DomNode(255), DomHub}
+
 // driveRandomWorkload schedules a randomized workload on s and returns
-// the firing order. Fired events reschedule children pseudo-randomly —
-// from an rng sequence derived only from the event id, so both engines
-// see the identical schedule requests in the identical causal order.
+// the firing order. Each event is scheduled through a random one of At,
+// AtDom, Schedule and ScheduleDom, so explicit domains and inherited ones
+// (At and Schedule from inside a handler take the firing event's domain)
+// mix at colliding timestamps. Fired events reschedule children
+// pseudo-randomly — from an rng sequence consumed only in scheduling
+// order, so both engines see the identical schedule requests in the
+// identical causal order.
 func driveRandomWorkload(s scheduler, seed int64) []firing {
 	rng := rand.New(rand.NewSource(seed))
 	var log []firing
@@ -102,12 +136,23 @@ func driveRandomWorkload(s scheduler, seed int64) []firing {
 		for i := range delays {
 			delays[i] = Time(rng.Intn(50)) // deliberately collides timestamps
 		}
-		s.At(at, func() {
-			log = append(log, firing{id: id, at: at})
+		fn := func() {
+			log = append(log, firing{id: id, at: at, dom: s.Cur()})
 			for _, d := range delays {
 				schedule(at+d, depth+1)
 			}
-		})
+		}
+		dom := diffDomains[rng.Intn(len(diffDomains))]
+		switch rng.Intn(4) {
+		case 0:
+			s.At(at, fn)
+		case 1:
+			s.AtDom(dom, at, fn)
+		case 2:
+			s.Schedule(at, &funcHandler{fn})
+		default:
+			s.ScheduleDom(dom, at, &funcHandler{fn})
+		}
 	}
 	for i := 0; i < 500; i++ {
 		schedule(Time(rng.Intn(1000)), 0)
@@ -117,9 +162,10 @@ func driveRandomWorkload(s scheduler, seed int64) []firing {
 }
 
 // TestDifferentialOrderingAgainstContainerHeap fires random workloads —
-// heavy same-timestamp collisions, rescheduling from inside handlers —
-// through the 4-ary heap and the retired container/heap implementation
-// and requires bit-identical firing orders.
+// heavy same-timestamp collisions across domains, rescheduling from
+// inside handlers with inherited and explicit domains — through the
+// 4-ary heap on packed keys and the container/heap reference on
+// (at, dom, seq), and requires bit-identical firing orders and domains.
 func TestDifferentialOrderingAgainstContainerHeap(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		got := driveRandomWorkload(newEngineAdapter{NewEngine()}, seed)

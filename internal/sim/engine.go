@@ -6,18 +6,23 @@
 // a given workload is bit-for-bit reproducible.
 //
 // The pending-event queue is a hand-rolled 4-ary min-heap over a concrete
-// event slice. Unlike container/heap, nothing crosses an interface
-// boundary, so scheduling and firing allocate nothing: hot component
-// models schedule pooled Handler values (see Schedule) and pay only the
-// sift cost. A 4-ary layout halves the tree depth of a binary heap and
-// keeps sibling keys in adjacent cache lines, which measurably helps the
-// pop-heavy access pattern of a discrete-event simulator.
+// slice of 32-byte entries: the firing time, one uint64 key packing the
+// event's domain above its scheduling sequence number, and a Handler.
+// Unlike container/heap, nothing crosses an interface boundary, so
+// scheduling and firing allocate nothing: hot component models schedule
+// pooled Handler values (see Schedule), closures ride through the same
+// Handler path, and each heap step pays two compares on (at, key). A
+// 4-ary layout halves the tree depth of a binary heap and keeps sibling
+// keys in adjacent cache lines, which measurably helps the pop-heavy
+// access pattern of a discrete-event simulator.
 package sim
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // Time is a simulated timestamp in picoseconds.
@@ -95,9 +100,16 @@ type Handler interface {
 	Fire()
 }
 
+// funcEvent adapts a closure scheduled through At/After/AtDom to Handler,
+// so every event fires through the one Handler path. A func value is
+// pointer-shaped: converting it to an interface does not allocate.
+type funcEvent func()
+
+func (f funcEvent) Fire() { f() }
+
 // Domain identifies which sequential unit of the machine an event belongs
 // to: a node (its CPU, caches, buses, NIC send/deposit pipelines) or the
-// shared mesh fabric. Domains are the middle component of the event key
+// shared mesh fabric. Domains are the middle component of the event order
 // (at, dom, seq), so same-instant events fire node-by-node in ascending
 // node order with the mesh fabric last, regardless of the order they
 // were scheduled in.
@@ -107,39 +119,47 @@ type Handler interface {
 // mesh entry points) tag themselves explicitly.
 type Domain int32
 
+// An event's key packs its domain into the high domBits and its
+// scheduling sequence number into the low seqBits, so one uint64 compare
+// orders (dom, seq). The engine renumbers the pending events before seq
+// would carry into the domain field (see renumber).
+const (
+	seqBits = 40
+	domBits = 64 - seqBits
+	seqMask = 1<<seqBits - 1
+)
+
 const (
 	// DomHost is the default domain: harness-level scheduling from
 	// outside any event. Node domains start above it.
 	DomHost Domain = 0
-	// DomHub is the mesh fabric's domain; it sorts after every node so
-	// that, at one instant, all node-side work (injections, credits)
-	// precedes fabric arbitration.
-	DomHub Domain = 1 << 30
+	// DomHub is the mesh fabric's domain, the top of the domain field;
+	// it sorts after every node so that, at one instant, all node-side
+	// work (injections, credits) precedes fabric arbitration. Scheduling
+	// in a domain outside [DomHost, DomHub] panics.
+	DomHub Domain = 1<<domBits - 1
 )
 
 // DomNode returns the domain of node id (node domains are 1-based so
-// they never collide with DomHost).
+// they never collide with DomHost; ids run below DomHub-1).
 func DomNode(id int) Domain { return Domain(id) + 1 }
 
-// event is one pending queue entry. Exactly one of fn and h is set.
+// event is one pending queue entry, 32 bytes: the firing time, the packed
+// Domain<<seqBits | seq key, and the action.
 type event struct {
 	at  Time
-	dom Domain
-	seq uint64
-	fn  func()
+	key uint64
 	h   Handler
 }
 
-// before reports the firing order: time-ordered, domain-ordered within an
-// instant, scheduling-ordered within a domain.
+// before reports the firing order: time-ordered, then key-ordered, which
+// is domain-ordered within an instant and scheduling-ordered within a
+// domain.
 func (a *event) before(b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
-	if a.dom != b.dom {
-		return a.dom < b.dom
-	}
-	return a.seq < b.seq
+	return a.key < b.key
 }
 
 // Engine is a discrete-event simulator: a clock plus a pending-event queue.
@@ -148,7 +168,7 @@ type Engine struct {
 	now        Time
 	seq        uint64
 	cur        Domain  // domain of the event being fired; inherited by schedules
-	events     []event // 4-ary min-heap on (at, dom, seq)
+	events     []event // 4-ary min-heap on (at, key)
 	fired      uint64
 	maxPending int
 	// bound/bounded track an active RunUntil window so synchronous
@@ -251,13 +271,7 @@ func (e *Engine) EnterDomain(d Domain) Domain {
 func (e *Engine) At(t Time, fn func()) { e.AtDom(e.cur, t, fn) }
 
 // AtDom schedules fn to run at absolute time t in domain d.
-func (e *Engine) AtDom(d Domain, t Time, fn func()) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
-	}
-	e.seq++
-	e.push(event{at: t, dom: d, seq: e.seq, fn: fn})
-}
+func (e *Engine) AtDom(d Domain, t Time, fn func()) { e.ScheduleDom(d, t, funcEvent(fn)) }
 
 // After schedules fn to run d after the current time.
 func (e *Engine) After(d Time, fn func()) { e.AtDom(e.cur, e.now+d, fn) }
@@ -274,8 +288,30 @@ func (e *Engine) ScheduleDom(d Domain, t Time, h Handler) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
+	if uint32(d) > uint32(DomHub) {
+		panic(fmt.Sprintf("sim: scheduling event in domain %d outside [%d, %d]", d, DomHost, DomHub))
+	}
+	if e.seq == seqMask {
+		e.renumber()
+	}
 	e.seq++
-	e.push(event{at: t, dom: d, seq: e.seq, h: h})
+	e.push(event{at: t, key: uint64(d)<<seqBits | e.seq, h: h})
+}
+
+// renumber gives the pending events the sequence numbers 1..n in firing
+// order, so seq restarts low instead of carrying into the domain field.
+// Firing order is unchanged: events keep their relative order, and every
+// event scheduled afterwards still sorts after each pending one of its
+// (at, dom). Sorting in firing order leaves a valid heap.
+func (e *Engine) renumber() {
+	slices.SortFunc(e.events, func(a, b event) int {
+		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.key, b.key))
+	})
+	for i := range e.events {
+		ev := &e.events[i]
+		ev.key = ev.key&^seqMask | uint64(i+1)
+	}
+	e.seq = uint64(len(e.events))
 }
 
 // ScheduleAfter schedules h to fire d after the current time.
@@ -311,7 +347,7 @@ func (e *Engine) pop() event {
 	root := h[0]
 	last := len(h) - 1
 	ev := h[last]
-	h[last] = event{} // drop fn/h references so fired events don't pin memory
+	h[last] = event{} // drop the Handler so fired events don't pin memory
 	e.events = h[:last]
 	if last > 0 {
 		e.siftDown(ev)
@@ -359,13 +395,9 @@ func (e *Engine) Step() bool {
 	}
 	ev := e.pop()
 	e.now = ev.at
-	e.cur = ev.dom
+	e.cur = Domain(ev.key >> seqBits)
 	e.fired++
-	if ev.fn != nil {
-		ev.fn()
-	} else {
-		ev.h.Fire()
-	}
+	ev.h.Fire()
 	return true
 }
 
@@ -473,8 +505,8 @@ func (e *Engine) DrainBudget(limit uint64) error {
 // Reset returns the engine to its initial state — time zero, no pending
 // events, zeroed counters — while keeping the event queue's backing
 // array, so a long-lived harness can run many simulations without
-// rebuilding the engine. Pending events are discarded (their Handler and
-// closure references are dropped so they don't pin memory).
+// rebuilding the engine. Pending events are discarded (their Handlers are
+// dropped so they don't pin memory).
 func (e *Engine) Reset() {
 	clear(e.events)
 	e.events = e.events[:0]
