@@ -54,8 +54,8 @@ func mustSettle(m *Machine, phase string) {
 }
 
 // LatencyResult is one measured automatic-update store latency. Events
-// and SimEnd carry whole-run engine accounting (boot included) so
-// harnesses like cmd/shrimp-bench can report simulator throughput.
+// and SimEnd carry whole-run engine accounting (boot included), which
+// the benchmark in bench/ reports as simulated work per op.
 type LatencyResult struct {
 	Src, Dst packet.NodeID
 	Hops     int
@@ -96,13 +96,6 @@ func setupPair(m *Machine, src, dst int, mode nipt.Mode) *pairSetup {
 // from node src to node dst on a fresh machine of the given config.
 func MeasureStoreLatency(cfg Config, src, dst int) LatencyResult {
 	return measureStoreLatencyOn(New(cfg), src, dst)
-}
-
-// MeasureStoreLatencyOn is MeasureStoreLatency on a caller-provided
-// post-boot machine (fresh or freshly Reset) — the machine-reuse entry
-// point for harnesses that amortize construction across measurements.
-func MeasureStoreLatencyOn(m *Machine, src, dst int) LatencyResult {
-	return measureStoreLatencyOn(m, src, dst)
 }
 
 // measureStoreLatencyOn is MeasureStoreLatency on a caller-provided

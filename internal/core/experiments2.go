@@ -126,67 +126,6 @@ func runOverlap(m *Machine, mode nipt.Mode, iters int, mapped bool) (sim.Time, u
 	return cpuTime, dst.NIC.Stats().BytesIn
 }
 
-// CPUBoundResult is one run of the pure instruction-interpretation
-// benchmark: the overlap compute loop storing to a private page, so the
-// simulator spends its time retiring instructions rather than moving
-// packets. Instructions is the mode-independent work unit shrimp-bench
-// reports throughput in; EngineEvents is the mode-dependent event count
-// that CPU batching (Config.CPU.MaxBatch) exists to shrink.
-type CPUBoundResult struct {
-	Instructions uint64   // instructions retired (user + kernel)
-	CPUTime      sim.Time // simulated start-to-halt time
-	EngineEvents uint64   // engine events fired over the whole run
-	SimEnd       sim.Time
-}
-
-// MeasureCPUBound runs the overlap compute loop against an unmapped
-// page on a fresh machine of the given config and reports instruction
-// and event accounting. Simulated results (Instructions, CPUTime) are
-// batch-invariant; EngineEvents is not, by design.
-func MeasureCPUBound(cfg Config, iters int) CPUBoundResult {
-	m := New(cfg)
-	src := m.Node(0)
-	ps := src.K.CreateProcess()
-	buf, err := ps.AllocPages(1)
-	if err != nil {
-		panic(err)
-	}
-	stack, err := ps.AllocPages(1)
-	if err != nil {
-		panic(err)
-	}
-	mustSettle(m, "cpu-bound setup")
-
-	prog := isa.MustAssembleCached("overlap", overlapProgram, map[string]int64{
-		"ITERS":   int64(iters),
-		"BUF":     int64(buf),
-		"BUFMASK": int64(buf) | (phys.PageSize - 1),
-	})
-	src.K.BindProcess(ps)
-	cpu := src.CPU
-	cpu.Load(prog)
-	cpu.R = [8]uint32{}
-	cpu.R[isa.ESP] = uint32(stack) + phys.PageSize
-	cpu.ResetCounters()
-	start := m.Now()
-	if err := cpu.Start("work"); err != nil {
-		panic(err)
-	}
-	ok := m.RunWhile(func() bool { return !cpu.Halted() })
-	if !ok && !cpu.Halted() {
-		panic("core: cpu-bound program starved")
-	}
-	if err := cpu.Err(); err != nil {
-		panic(err)
-	}
-	return CPUBoundResult{
-		Instructions: cpu.Counters().Total(),
-		CPUTime:      m.Now() - start,
-		EngineEvents: m.Fired(),
-		SimEnd:       m.Now(),
-	}
-}
-
 // MergeWindowResult is one point of the blocked-write window sweep.
 type MergeWindowResult struct {
 	Window      sim.Time

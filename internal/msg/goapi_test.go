@@ -17,26 +17,67 @@ func newMachine(t *testing.T) *core.Machine {
 	return core.New(core.ConfigFor(2, 2, nic.GenEISAPrototype))
 }
 
+// Channel round trips over three link sets: one pair across a 2x2
+// mesh, and two workloads on the 16-node prototype. In "neighbors" every
+// node sends east, wrapping within its row. In the 15-to-1 hotspot every
+// other node streams into node 0, and the worms contend for its links,
+// NIC and memory bus.
 func TestChannelRoundTrips(t *testing.T) {
-	m := newMachine(t)
-	snd := NewEndpoint(m.Node(0))
-	rcv := NewEndpoint(m.Node(3))
-	ch, err := NewChannel(m, snd, rcv, 1)
-	if err != nil {
-		t.Fatal(err)
+	var neighbors, hotspot [][2]int
+	for i := 0; i < 16; i++ {
+		neighbors = append(neighbors, [2]int{i, i/4*4 + (i+1)%4})
+		if i > 0 {
+			hotspot = append(hotspot, [2]int{i, 0})
+		}
 	}
-	for i := 0; i < 10; i++ {
-		want := []byte(fmt.Sprintf("message %d with some body", i))
-		if err := ch.Send(want); err != nil {
-			t.Fatalf("send %d: %v", i, err)
-		}
-		got, err := ch.Recv()
-		if err != nil {
-			t.Fatalf("recv %d: %v", i, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("message %d corrupted: %q != %q", i, got, want)
-		}
+	for _, tc := range []struct {
+		name   string
+		w, h   int
+		links  [][2]int
+		rounds int
+		extra  int // patterned bytes appended to each message
+	}{
+		{"pair", 2, 2, [][2]int{{0, 3}}, 10, 0},
+		{"neighbors", 4, 4, neighbors, 4, 2048},
+		{"hotspot-15-to-1", 4, 4, hotspot, 4, 2048},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := core.New(core.ConfigFor(tc.w, tc.h, nic.GenEISAPrototype))
+			eps := make([]Endpoint, tc.w*tc.h)
+			for i := range eps {
+				eps[i] = NewEndpoint(m.Node(i))
+			}
+			chans := make([]*Channel, len(tc.links))
+			for i, l := range tc.links {
+				var err error
+				if chans[i], err = NewChannel(m, eps[l[0]], eps[l[1]], 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := make([][]byte, len(chans))
+			for r := 0; r < tc.rounds; r++ {
+				for i, ch := range chans {
+					want[i] = []byte(fmt.Sprintf("message %d on link %d with some body", r, i))
+					// The pattern differs per round and link, so a lost
+					// packet cannot pass for the previous round's bytes.
+					for j := 0; j < tc.extra; j++ {
+						want[i] = append(want[i], byte(r*31+i*7+j))
+					}
+					if err := ch.Send(want[i]); err != nil {
+						t.Fatalf("round %d link %d send: %v", r, i, err)
+					}
+				}
+				for i, ch := range chans {
+					got, err := ch.Recv()
+					if err != nil {
+						t.Fatalf("round %d link %d recv: %v", r, i, err)
+					}
+					if !bytes.Equal(got, want[i]) {
+						t.Fatalf("round %d link %d corrupted: %q != %q", r, i, got, want[i])
+					}
+				}
+			}
+		})
 	}
 }
 

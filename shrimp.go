@@ -36,7 +36,6 @@ import (
 	"io"
 
 	"repro/internal/core"
-	"repro/internal/exp"
 	"repro/internal/fault"
 	"repro/internal/isa"
 	"repro/internal/kernel"
@@ -265,20 +264,13 @@ func MeasureStoreLatency(cfg Config, src, dst int) LatencyResult {
 	return core.MeasureStoreLatency(cfg, src, dst)
 }
 
-// MeasureStoreLatencyOn is MeasureStoreLatency on a caller-provided
-// machine (fresh, or recycled with Machine.Reset) so construction cost
-// amortizes across measurements.
-func MeasureStoreLatencyOn(m *Machine, src, dst int) LatencyResult {
-	return core.MeasureStoreLatencyOn(m, src, dst)
-}
-
 // LatencySweep measures store latency from node 0 to every other node.
 func LatencySweep(cfg Config) []LatencyResult { return core.LatencySweep(cfg) }
 
 // LatencySweepParallel is LatencySweep fanned across a deterministic
 // worker pool (one machine per worker, results in input order — output
-// is bit-identical to LatencySweep). workers <= 0 selects
-// DefaultSweepWorkers().
+// is bit-identical to LatencySweep). workers <= 0 selects GOMAXPROCS
+// workers.
 func LatencySweepParallel(cfg Config, workers int) []LatencyResult {
 	return core.LatencySweepParallel(cfg, workers)
 }
@@ -320,10 +312,6 @@ func MergeWindowSweep(cfg Config, windows []Time, storeGap Time, stores, workers
 func OverlapSweep(cfg Config, modes []Mode, iters, workers int) []OverlapResult {
 	return core.OverlapSweep(cfg, modes, iters, workers)
 }
-
-// DefaultSweepWorkers is the worker count the parallel sweeps use when
-// asked for workers <= 0 (GOMAXPROCS).
-func DefaultSweepWorkers() int { return exp.DefaultWorkers() }
 
 // MeasureAUBandwidth measures automatic-update store streaming (the
 // single-write versus blocked-write ablation).
@@ -419,17 +407,6 @@ func MeasureAvailability(cfg Config, rounds, wordsPerRound int) AvailabilityPoin
 func AvailabilitySweep(cfg Config, crashes []int, crashBase, crashStagger Time,
 	rounds, wordsPerRound, workers int) []AvailabilityPoint {
 	return core.AvailabilitySweep(cfg, crashes, crashBase, crashStagger, rounds, wordsPerRound, workers)
-}
-
-// CPUBoundResult is one run of the pure instruction-interpretation
-// benchmark (see core.MeasureCPUBound).
-type CPUBoundResult = core.CPUBoundResult
-
-// MeasureCPUBound runs the instruction-bound compute loop and reports
-// instruction/event accounting — the workload the CPU batch quantum
-// (Config.CPU.MaxBatch) is benchmarked on.
-func MeasureCPUBound(cfg Config, iters int) CPUBoundResult {
-	return core.MeasureCPUBound(cfg, iters)
 }
 
 // Assembly tooling (the simulated i386-subset used by the measured
