@@ -1,9 +1,13 @@
 #!/bin/sh
 # ci.sh — the repo's gate: static checks, full build, race-enabled tests,
-# exact event-count pins, zero-allocation checks on the hot paths, and
-# byte-identity checks on the CLIs. Every gate here is deterministic.
-# Wall time is measured by the benchmark in bench/ (bash bench/run.sh,
-# protocol in bench/README.md) and gated by nothing in this script.
+# exact event-count pins, zero-allocation checks on the hot paths,
+# byte-identity checks on the CLIs, and a short fuzzing run. Every gate
+# but the fuzzing run is deterministic; that step explores new inputs on
+# each run, and a failure is a real divergence between the CPU's fast
+# path and per-instruction stepping — fix it, then commit the failing
+# input as a seed under internal/isa/testdata/fuzz/. Wall time is
+# measured by the benchmark in bench/ (bash bench/run.sh, protocol in
+# bench/README.md) and gated by nothing in this script.
 set -eux
 
 scratch=$(mktemp -d)
@@ -46,20 +50,21 @@ zero_alloc ./internal/sim '^BenchmarkEngine$' 100x
 # race runtime itself allocates and would mask a regression.
 go test -run TestInstrumentationZeroAlloc -count 1 ./internal/obs
 zero_alloc ./internal/obs BenchmarkEngineMetrics 100x
-# Batched-interpretation guards: the differential tests (batched versus
-# per-instruction stepping must be bit-identical) run under -race above;
-# here the zero-alloc contract — the batched step path and the bus
-# Write32/Read32/command-read paths must not touch the heap.
-zero_alloc ./internal/isa BenchmarkStepBatched 1000x
+# CPU guards: the differential suites (the fast path — batching,
+# superblock dispatch, fused terminators and spin fast-forward — must be
+# bit-identical to per-instruction stepping) run under -race above;
+# here the zero-alloc contract — both CPU paths, the fused store path
+# and the bus Write32/Read32/command-read paths must not touch the heap
+# — and the trace cache must actually serve the §5 loop workload
+# (hit-rate floor asserted by the test).
+zero_alloc ./internal/isa '^Benchmark(StepPerInstruction|TraceDispatch)$' 1000x
 zero_alloc ./internal/bus BenchmarkBus 1000x
-# Trace-cache guards: superblock dispatch and the fused store path must
-# stay allocation-free, and the trace cache must actually serve the §5
-# loop workload (hit-rate floor asserted by the test). The differential
-# suites (trace on == off, spin fast-forward == literal spinning) run
-# under -race above.
-zero_alloc ./internal/isa BenchmarkTraceDispatch 1000x
 zero_alloc ./internal/msg BenchmarkFusedStore 200x
 go test -run TestTraceCacheHitRateFloor -count 1 ./internal/msg
+# Fuzzing: random programs with an external memory write, run on the
+# fast path at quanta 3 and 64 against per-instruction stepping (the
+# committed seed corpus already ran with the unit tests above).
+go test -run '^$' -fuzz '^FuzzFastPathMatchesReference$' -fuzztime 15s ./internal/isa
 # Harness copy-out guard: Node.UserReadBytes (micro-TLB translation,
 # line-granular cache reads; the Go-level Channel.Recv path) must stay
 # allocation-free.

@@ -60,6 +60,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+	if *transfer <= 0 || *transfer%4 != 0 || *transfer > shrimp.PageSize {
+		fmt.Fprintf(os.Stderr, "shrimp-faults: bad -transfer %d (want a positive multiple of 4, at most %d)\n",
+			*transfer, shrimp.PageSize)
+		os.Exit(1)
+	}
+	if *total < *transfer {
+		fmt.Fprintf(os.Stderr, "shrimp-faults: bad -bytes %d (want at least one %d B transfer)\n", *total, *transfer)
+		os.Exit(1)
+	}
 
 	cfg := shrimp.ConfigFor(*w, *h, g)
 	cfg.Metrics = true // tail-latency quantiles ride the stage-total histogram

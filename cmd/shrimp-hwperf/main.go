@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 	"strings"
 
 	shrimp "repro"
@@ -23,10 +24,13 @@ func main() {
 	parallel := flag.Int("parallel", 0, "sweep worker-pool size (0 = GOMAXPROCS, 1 = sequential)")
 	flag.Parse()
 
+	sizes := []int{64, 128, 256, 512, 1024, 2048, 4096}
 	var w, h int
 	if _, err := fmt.Sscanf(strings.ToLower(*mesh), "%dx%d", &w, &h); err != nil || w < 1 || h < 1 {
-		fmt.Println("bad -mesh; want e.g. 4x4")
-		return
+		fatal("shrimp-hwperf: bad -mesh %q; want e.g. 4x4", *mesh)
+	}
+	if largest := sizes[len(sizes)-1]; *total < largest {
+		fatal("shrimp-hwperf: bad -total %d; want at least the largest transfer size, %d", *total, largest)
 	}
 	workers := *parallel
 
@@ -68,7 +72,6 @@ func main() {
 
 	if *exp == "bandwidth" || *exp == "all" {
 		fmt.Println("\n=== §5.1 peak bandwidth: deliberate-update transfers ===")
-		sizes := []int{64, 128, 256, 512, 1024, 2048, 4096}
 		for _, g := range gens {
 			cfg := shrimp.ConfigFor(2, 1, g.gen)
 			fmt.Printf("\n%s:\n", g.name)
@@ -108,4 +111,10 @@ func main() {
 		fmt.Println("\n(single-write optimizes latency; blocked-write optimizes network")
 		fmt.Println(" bandwidth usage — the two implementations of §4.1)")
 	}
+}
+
+// fatal reports a bad flag on stderr and exits 1.
+func fatal(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, format+"\n", args...)
+	os.Exit(1)
 }

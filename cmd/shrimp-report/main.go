@@ -105,7 +105,7 @@ func main() {
 func batchObservabilityRun() error {
 	cfg := shrimp.ConfigFor(2, 1, shrimp.GenEISAPrototype)
 	cfg.Metrics = true
-	p := msg.NewPairOn(cfg, 0, 1)
+	p := msg.NewPair(shrimp.New(cfg), 0, 1)
 	p.MapBuf("FLAG", 1, 1, shrimp.SingleWriteAU)
 	p.Drain()
 	send := isa.MustAssemble("report-send", `

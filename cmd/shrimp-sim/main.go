@@ -23,8 +23,18 @@ func main() {
 
 	var w, h int
 	if _, err := fmt.Sscanf(strings.ToLower(*mesh), "%dx%d", &w, &h); err != nil || w < 1 || h < 1 {
-		fmt.Println("bad -mesh; want e.g. 4x4")
-		return
+		fatal("shrimp-sim: bad -mesh %q; want e.g. 4x4", *mesh)
+	}
+	switch *workload {
+	case "neighbors", "hotspot", "ring":
+	default:
+		fatal("shrimp-sim: unknown -workload %q; want neighbors, hotspot or ring", *workload)
+	}
+	if *msgBytes < 1 {
+		fatal("shrimp-sim: bad -bytes %d; want at least 1", *msgBytes)
+	}
+	if *rounds < 1 {
+		fatal("shrimp-sim: bad -rounds %d; want at least 1", *rounds)
 	}
 	g := shrimp.GenEISAPrototype
 	if *gen == "xpress" {
@@ -63,9 +73,6 @@ func main() {
 		for i := 0; i < n; i++ {
 			links = append(links, link{i, (i + 1) % n})
 		}
-	default:
-		fmt.Println("unknown workload; want neighbors, hotspot or ring")
-		return
 	}
 
 	channels := make([]*shrimp.Channel, len(links))
@@ -73,8 +80,7 @@ func main() {
 	for i, l := range links {
 		ch, err := shrimp.NewChannel(m, eps[l.src], eps[l.dst], pages)
 		if err != nil {
-			fmt.Printf("map %d->%d: %v\n", l.src, l.dst, err)
-			return
+			fatal("shrimp-sim: map %d->%d: %v", l.src, l.dst, err)
 		}
 		channels[i] = ch
 	}
@@ -87,19 +93,16 @@ func main() {
 	for r := 0; r < *rounds; r++ {
 		for _, ch := range channels {
 			if err := ch.Send(payload); err != nil {
-				fmt.Println("send:", err)
-				return
+				fatal("shrimp-sim: send: %v", err)
 			}
 		}
 		for i, ch := range channels {
 			got, err := ch.Recv()
 			if err != nil {
-				fmt.Println("recv:", err)
-				return
+				fatal("shrimp-sim: recv: %v", err)
 			}
 			if len(got) != *msgBytes {
-				fmt.Printf("link %d: short message %d\n", i, len(got))
-				return
+				fatal("shrimp-sim: link %d: short message %d", i, len(got))
 			}
 		}
 	}
@@ -134,4 +137,10 @@ func main() {
 			fmt.Println("trace dump:", err)
 		}
 	}
+}
+
+// fatal reports a bad flag or a failed run on stderr and exits 1.
+func fatal(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, format+"\n", args...)
+	os.Exit(1)
 }

@@ -22,21 +22,21 @@ func batchedCfg(maxBatch int) Config {
 }
 
 // TestBatchDifferentialOverlap pins the instruction-bound overlap
-// experiment across batch quanta. measureOverlapOn runs baseline and
+// experiment across batch quanta. MeasureOverlap runs baseline and
 // mapped pass on one machine via Reset, so this also covers batching
 // across Machine.Reset reuse.
 func TestBatchDifferentialOverlap(t *testing.T) {
 	const iters = 400
-	want := MeasureOverlap(batchedCfg(1), nipt.BlockedWriteAU, iters)
+	want := MeasureOverlap(New(batchedCfg(1)), nipt.BlockedWriteAU, iters)
 	for _, mb := range []int{0, 3, 64} {
-		got := MeasureOverlap(batchedCfg(mb), nipt.BlockedWriteAU, iters)
+		got := MeasureOverlap(New(batchedCfg(mb)), nipt.BlockedWriteAU, iters)
 		if got != want {
 			t.Fatalf("MaxBatch=%d changed overlap:\n got  %+v\n want %+v", mb, got, want)
 		}
 	}
 	instr := batchedCfg(64)
 	instr.Metrics = true
-	if got := MeasureOverlap(instr, nipt.BlockedWriteAU, iters); got != want {
+	if got := MeasureOverlap(New(instr), nipt.BlockedWriteAU, iters); got != want {
 		t.Fatalf("batching with metrics on changed overlap:\n got  %+v\n want %+v", got, want)
 	}
 }

@@ -26,7 +26,7 @@ func TestEventCountPins(t *testing.T) {
 	sweep := func(cfg Config) func() uint64 {
 		return func() uint64 {
 			var n uint64
-			for _, r := range LatencySweep(cfg) {
+			for _, r := range LatencySweep(cfg, 1) {
 				n += r.Events
 			}
 			return n
@@ -36,12 +36,12 @@ func TestEventCountPins(t *testing.T) {
 	pair := ConfigFor(2, 1, nic.GenXpress)
 	reliable := pair
 	reliable.Faults = fault.Config{Seed: 1729, Reliable: true}
-	transfer := func(cfg Config) FaultPoint { return MeasureFaultyTransfer(cfg, 0, 1, 1024, 256<<10) }
+	transfer := func(cfg Config) FaultPoint { return MeasureFaultyTransfer(New(cfg), 0, 1, 1024, 256<<10) }
 
 	overlap := func(cfg Config) func() uint64 {
 		return func() uint64 {
 			m := New(cfg)
-			measureOverlapOn(m, nipt.BlockedWriteAU, 20000)
+			MeasureOverlap(m, nipt.BlockedWriteAU, 20000)
 			return m.Fired()
 		}
 	}

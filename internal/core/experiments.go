@@ -17,9 +17,11 @@ import (
 // bandwidth of deliberate-update transfers. Both cmd/shrimp-hwperf and
 // the benchmark suite drive these.
 //
-// Every Measure* function has a machine-reusing measure*On twin that
-// runs on a caller-provided post-boot machine; the sweep harnesses in
-// sweep.go feed those twins reset machines from a per-worker pool.
+// Each harness has exactly one entry point. A harness that runs on one
+// machine takes a post-boot *Machine, fresh from New or freshly Reset;
+// a harness that spans machines — every sweep in sweep.go — takes a
+// Config and a worker count, and feeds the single-machine harness reset
+// machines from a per-worker pool.
 
 // ExperimentEventBudget bounds every drain-until-idle phase of the
 // experiment harnesses. It is a livelock guard, not a tuning knob: the
@@ -93,14 +95,8 @@ func setupPair(m *Machine, src, dst int, mode nipt.Mode) *pairSetup {
 }
 
 // MeasureStoreLatency measures one single-write automatic-update store
-// from node src to node dst on a fresh machine of the given config.
-func MeasureStoreLatency(cfg Config, src, dst int) LatencyResult {
-	return measureStoreLatencyOn(New(cfg), src, dst)
-}
-
-// measureStoreLatencyOn is MeasureStoreLatency on a caller-provided
-// post-boot machine (fresh or freshly Reset).
-func measureStoreLatencyOn(m *Machine, src, dst int) LatencyResult {
+// from node src to node dst on a post-boot machine.
+func MeasureStoreLatency(m *Machine, src, dst int) LatencyResult {
 	s := setupPair(m, src, dst, nipt.SingleWriteAU)
 
 	const probe = 0x5a5a_5a5a
@@ -125,16 +121,9 @@ func measureStoreLatencyOn(m *Machine, src, dst int) LatencyResult {
 	}
 }
 
-// LatencySweep measures store latency from node 0 to every other node
-// of the configured mesh (the paper quotes the 16-node figure). It is
-// the sequential (workers == 1) path of LatencySweepParallel.
-func LatencySweep(cfg Config) []LatencyResult {
-	return LatencySweepParallel(cfg, 1)
-}
-
 // MaxLatency returns the worst-case (corner-to-corner) store latency.
-func MaxLatency(cfg Config) LatencyResult {
-	return MeasureStoreLatency(cfg, 0, cfg.NodeCount()-1)
+func MaxLatency(m *Machine) LatencyResult {
+	return MeasureStoreLatency(m, 0, m.Cfg.NodeCount()-1)
 }
 
 // BandwidthResult is one point of the deliberate-update bandwidth sweep.
@@ -155,36 +144,42 @@ func (r BandwidthResult) String() string {
 		r.TransferBytes, r.MBps, r.TotalBytes, r.Elapsed, r.Packets)
 }
 
-// MeasureDeliberateBandwidth streams totalBytes from node src to node
-// dst using back-to-back deliberate-update transfers of transferBytes
-// each (≤ one page), and reports the sustained bandwidth.
-func MeasureDeliberateBandwidth(cfg Config, src, dst, transferBytes, totalBytes int) BandwidthResult {
-	return measureDeliberateBandwidthOn(New(cfg), src, dst, transferBytes, totalBytes)
-}
-
-// measureDeliberateBandwidthOn is MeasureDeliberateBandwidth on a
-// caller-provided post-boot machine.
-func measureDeliberateBandwidthOn(m *Machine, src, dst, transferBytes, totalBytes int) BandwidthResult {
-	if transferBytes <= 0 || transferBytes > phys.PageSize {
-		panic("core: transfer size must be within one page")
+// setupDeliberate prepares a deliberate-update stream from src to dst:
+// one mapped page, filled once (content is irrelevant to timing), whose
+// command page it returns the physical address of. It panics on sizes a
+// stream cannot honour: each command moves whole words within one page,
+// and the stream carries at least one transfer.
+func setupDeliberate(m *Machine, src, dst, transferBytes, totalBytes int, phase string) (*pairSetup, phys.PAddr) {
+	if transferBytes <= 0 || transferBytes%4 != 0 || transferBytes > phys.PageSize {
+		panic(fmt.Sprintf("core: transfer size %d B is not a positive multiple of 4 within one page", transferBytes))
+	}
+	if totalBytes < transferBytes {
+		panic(fmt.Sprintf("core: total %d B is smaller than one %d B transfer", totalBytes, transferBytes))
 	}
 	s := setupPair(m, src, dst, nipt.DeliberateUpdate)
 	if err := s.src.K.GrantCommandPages(s.ps, s.sendVA, s.sendVA+0x4000_0000, 1); err != nil {
 		panic(err)
 	}
-	// Fill the page once (content is irrelevant to timing).
 	for off := 0; off < phys.PageSize; off += 4 {
 		if err := s.src.UserWrite32(s.ps, s.sendVA+vm.VAddr(off), uint32(off)); err != nil {
 			panic(err)
 		}
 	}
-	mustSettle(m, "bandwidth page fill")
-
-	cmdVA := s.sendVA + 0x4000_0000
-	tr, f := s.ps.AS.Translate(cmdVA, true)
+	mustSettle(m, phase)
+	tr, f := s.ps.AS.Translate(s.sendVA+0x4000_0000, true)
 	if f != nil {
 		panic(f)
 	}
+	return s, tr.PA
+}
+
+// MeasureDeliberateBandwidth streams totalBytes from node src to node
+// dst on a post-boot machine, using back-to-back deliberate-update
+// transfers of transferBytes each, and reports the sustained
+// bandwidth. transferBytes must be a positive multiple of 4 within one
+// page and totalBytes at least one transfer; anything else panics.
+func MeasureDeliberateBandwidth(m *Machine, src, dst, transferBytes, totalBytes int) BandwidthResult {
+	s, cmd := setupDeliberate(m, src, dst, transferBytes, totalBytes, "bandwidth page fill")
 	words := uint32(transferBytes / 4)
 	transfers := totalBytes / transferBytes
 	startPkts := s.dst.NIC.Stats().PacketsIn
@@ -192,7 +187,7 @@ func measureDeliberateBandwidthOn(m *Machine, src, dst, transferBytes, totalByte
 	for i := 0; i < transfers; i++ {
 		// The §4.3 protocol: locked CMPXCHG until the engine accepts.
 		for {
-			_, swapped, _ := s.src.LockedCmpxchg(tr.PA, 0, words)
+			_, swapped, _ := s.src.LockedCmpxchg(cmd, 0, words)
 			if swapped {
 				break
 			}
@@ -218,13 +213,6 @@ func measureDeliberateBandwidthOn(m *Machine, src, dst, transferBytes, totalByte
 	}
 }
 
-// BandwidthSweep measures sustained deliberate-update bandwidth across
-// transfer sizes. It is the sequential (workers == 1) path of
-// BandwidthSweepParallel.
-func BandwidthSweep(cfg Config, sizes []int, totalBytes int) []BandwidthResult {
-	return BandwidthSweepParallel(cfg, sizes, totalBytes, 1)
-}
-
 // AUBandwidthResult is one point of the automatic-update ablation
 // (single-write vs blocked-write, §4.1).
 type AUBandwidthResult struct {
@@ -247,13 +235,7 @@ func (r AUBandwidthResult) String() string {
 // efficiency. This is the A1 ablation: blocked-write merging exists
 // precisely because single-write packetization is wildly inefficient
 // for bulk data.
-func MeasureAUBandwidth(cfg Config, mode nipt.Mode, stores int) AUBandwidthResult {
-	return measureAUBandwidthOn(New(cfg), mode, stores)
-}
-
-// measureAUBandwidthOn is MeasureAUBandwidth on a caller-provided
-// post-boot machine.
-func measureAUBandwidthOn(m *Machine, mode nipt.Mode, stores int) AUBandwidthResult {
+func MeasureAUBandwidth(m *Machine, mode nipt.Mode, stores int) AUBandwidthResult {
 	s := setupPair(m, 0, 1, mode)
 	before := s.dst.NIC.Stats()
 	beforeWire := m.Net.Stats().TotalWireByte

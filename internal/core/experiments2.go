@@ -48,18 +48,13 @@ wloop:
 	hlt
 `
 
-// MeasureOverlap runs the identical ISA program twice — once storing to
-// a private page, once to a page mapped out with the given AU mode — and
-// compares CPU-visible completion times.
-func MeasureOverlap(cfg Config, mode nipt.Mode, iters int) OverlapResult {
-	return measureOverlapOn(New(cfg), mode, iters)
-}
-
-// measureOverlapOn is MeasureOverlap on a caller-provided post-boot
-// machine; the unmapped baseline and the mapped run share the machine
-// via Reset (the page allocator is deterministic, so both runs see the
-// same addresses and the assembled program caches across them).
-func measureOverlapOn(m *Machine, mode nipt.Mode, iters int) OverlapResult {
+// MeasureOverlap runs the identical ISA program twice on a post-boot
+// machine — once storing to a private page, once to a page mapped out
+// with the given AU mode — and compares CPU-visible completion times.
+// The unmapped baseline and the mapped run share the machine via Reset
+// (the page allocator is deterministic, so both runs see the same
+// addresses and the assembled program caches across them).
+func MeasureOverlap(m *Machine, mode nipt.Mode, iters int) OverlapResult {
 	base, _ := runOverlap(m, mode, iters, false)
 	m.Reset()
 	mappedTime, bytes := runOverlap(m, mode, iters, true)
@@ -135,19 +130,13 @@ type MergeWindowResult struct {
 }
 
 // MeasureMergeWindow streams stores with a fixed inter-store gap through
-// a blocked-write mapping under a given merge window, reporting how many
-// packets the NIC emitted. Windows shorter than the gap degrade to one
-// packet per store; longer windows merge up to the payload bound.
-func MeasureMergeWindow(cfg Config, window, storeGap sim.Time, stores int) MergeWindowResult {
-	cfg.NIC.MergeWindow = window
-	return measureMergeWindowOn(New(cfg), storeGap, stores)
-}
-
-// measureMergeWindowOn is MeasureMergeWindow on a caller-provided
-// post-boot machine whose config already carries the merge window under
-// test (the window is part of the NIC config, so sweeping it requires a
-// machine per window, not just a Reset).
-func measureMergeWindowOn(m *Machine, storeGap sim.Time, stores int) MergeWindowResult {
+// a blocked-write mapping on a post-boot machine, under the merge window
+// of the machine's NIC config, reporting how many packets the NIC
+// emitted. Windows shorter than the gap degrade to one packet per store;
+// longer windows merge up to the payload bound. The window is part of
+// the NIC config, so sweeping it takes a machine per window, not just a
+// Reset.
+func MeasureMergeWindow(m *Machine, storeGap sim.Time, stores int) MergeWindowResult {
 	window := m.Cfg.NIC.MergeWindow
 	s := setupPair(m, 0, 1, nipt.BlockedWriteAU)
 	before := s.dst.NIC.Stats().PacketsIn

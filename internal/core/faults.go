@@ -5,12 +5,9 @@ import (
 
 	"repro/internal/exp"
 	"repro/internal/fault"
-	"repro/internal/nipt"
 	"repro/internal/obs"
 	"repro/internal/packet"
-	"repro/internal/phys"
 	"repro/internal/sim"
-	"repro/internal/vm"
 )
 
 // applyFaults installs the deterministic fault plan on a post-boot
@@ -168,35 +165,15 @@ func (p FaultPoint) String() string {
 }
 
 // MeasureFaultyTransfer streams totalBytes of deliberate-update
-// transfers from node src to node dst under the config's fault plan and
-// reports the surviving goodput. Unlike the clean-fabric harnesses it
-// never panics on a machine check: a failed run comes back with Err set
-// (graceful degradation is exactly what fault sweeps measure).
-func MeasureFaultyTransfer(cfg Config, src, dst, transferBytes, totalBytes int) FaultPoint {
-	return measureFaultyTransferOn(New(cfg), src, dst, transferBytes, totalBytes)
-}
-
-func measureFaultyTransferOn(m *Machine, src, dst, transferBytes, totalBytes int) FaultPoint {
-	if transferBytes <= 0 || transferBytes > phys.PageSize {
-		panic("core: transfer size must be within one page")
-	}
+// transfers from node src to node dst on a post-boot machine, under its
+// config's fault plan, and reports the surviving goodput. Unlike the
+// clean-fabric harnesses it never panics on a machine check: a failed
+// run comes back with Err set (graceful degradation is exactly what
+// fault sweeps measure). Sizes follow MeasureDeliberateBandwidth: a bad
+// transfer size or total panics.
+func MeasureFaultyTransfer(m *Machine, src, dst, transferBytes, totalBytes int) FaultPoint {
 	res := FaultPoint{DropPPM: m.Cfg.Faults.DropPPM, TransferBytes: transferBytes}
-	s := setupPair(m, src, dst, nipt.DeliberateUpdate)
-	if err := s.src.K.GrantCommandPages(s.ps, s.sendVA, s.sendVA+0x4000_0000, 1); err != nil {
-		panic(err)
-	}
-	for off := 0; off < phys.PageSize; off += 4 {
-		if err := s.src.UserWrite32(s.ps, s.sendVA+vm.VAddr(off), uint32(off)); err != nil {
-			panic(err)
-		}
-	}
-	mustSettle(m, "faulty transfer page fill")
-
-	cmdVA := s.sendVA + 0x4000_0000
-	tr, f := s.ps.AS.Translate(cmdVA, true)
-	if f != nil {
-		panic(f)
-	}
+	s, cmd := setupDeliberate(m, src, dst, transferBytes, totalBytes, "faulty transfer page fill")
 	words := uint32(transferBytes / 4)
 	transfers := totalBytes / transferBytes
 	var latBefore obs.Histogram
@@ -220,7 +197,7 @@ stream:
 				// goodput is the measurement.
 				break stream
 			}
-			_, swapped, _ := s.src.LockedCmpxchg(tr.PA, 0, words)
+			_, swapped, _ := s.src.LockedCmpxchg(cmd, 0, words)
 			if swapped {
 				break
 			}
@@ -276,6 +253,6 @@ func FaultSweep(cfg Config, dropsPPM []uint32, transferBytes, totalBytes, worker
 			c := cfg
 			c.Faults.DropPPM = dropsPPM[i]
 			c.Faults.Reliable = true
-			return measureFaultyTransferOn(p.get(c), 0, c.NodeCount()-1, transferBytes, totalBytes)
+			return MeasureFaultyTransfer(p.get(c), 0, c.NodeCount()-1, transferBytes, totalBytes)
 		})
 }

@@ -23,11 +23,11 @@ func TestZeroRateFaultsBitIdentical(t *testing.T) {
 			armed := clean
 			armed.Faults = fault.Config{Seed: 42} // injector present, every rate zero
 
-			if a, b := MeasureStoreLatency(clean, 0, 3), MeasureStoreLatency(armed, 0, 3); a != b {
+			if a, b := MeasureStoreLatency(New(clean), 0, 3), MeasureStoreLatency(New(armed), 0, 3); a != b {
 				t.Fatalf("latency diverged:\nclean: %+v\narmed: %+v", a, b)
 			}
-			ba := MeasureDeliberateBandwidth(clean, 0, 1, 1024, 64*1024)
-			bb := MeasureDeliberateBandwidth(armed, 0, 1, 1024, 64*1024)
+			ba := MeasureDeliberateBandwidth(New(clean), 0, 1, 1024, 64*1024)
+			bb := MeasureDeliberateBandwidth(New(armed), 0, 1, 1024, 64*1024)
 			if ba != bb {
 				t.Fatalf("bandwidth diverged:\nclean: %+v\narmed: %+v", ba, bb)
 			}
@@ -49,8 +49,8 @@ func TestFaultyTransferDeterministic(t *testing.T) {
 	mixed := faultyCfg(60_000)
 	mixed.Faults.CorruptPPM, mixed.Faults.DupPPM, mixed.Faults.StallPPM = 40_000, 20_000, 30_000
 	for _, cfg := range []Config{faultyCfg(25_000), mixed} {
-		a := MeasureFaultyTransfer(cfg, 0, 1, 1024, 64*1024)
-		b := MeasureFaultyTransfer(cfg, 0, 1, 1024, 64*1024)
+		a := MeasureFaultyTransfer(New(cfg), 0, 1, 1024, 64*1024)
+		b := MeasureFaultyTransfer(New(cfg), 0, 1, 1024, 64*1024)
 		if a != b {
 			t.Fatalf("two identical faulty runs diverged:\na: %+v\nb: %+v", a, b)
 		}
@@ -65,12 +65,12 @@ func TestFaultyTransferDeterministic(t *testing.T) {
 // the retransmit queues and the per-flow sequence state were all dirty.
 func TestFaultyResetMatchesFresh(t *testing.T) {
 	cfg := faultyCfg(10_000)
-	fresh := measureFaultyTransferOn(New(cfg), 0, 1, 1024, 32*1024)
+	fresh := MeasureFaultyTransfer(New(cfg), 0, 1, 1024, 32*1024)
 
 	m := New(cfg)
-	measureFaultyTransferOn(m, 0, 1, 512, 16*1024) // dirty the flows
+	MeasureFaultyTransfer(m, 0, 1, 512, 16*1024) // dirty the flows
 	m.Reset()
-	reused := measureFaultyTransferOn(m, 0, 1, 1024, 32*1024)
+	reused := MeasureFaultyTransfer(m, 0, 1, 1024, 32*1024)
 	if fresh != reused {
 		t.Fatalf("faulty run after Reset diverged:\nfresh:  %+v\nreused: %+v", fresh, reused)
 	}
@@ -102,7 +102,7 @@ func TestFaultSweepParallelMatchesSequential(t *testing.T) {
 // the sequence discipline drops the duplicates) and the run terminates
 // without a machine check.
 func TestGracefulUnderLoss(t *testing.T) {
-	res := MeasureFaultyTransfer(faultyCfg(10_000), 0, 1, 1024, 128*1024)
+	res := MeasureFaultyTransfer(New(faultyCfg(10_000)), 0, 1, 1024, 128*1024)
 	if res.Err != "" {
 		t.Fatalf("1%% loss escalated to failure: %s", res.Err)
 	}
@@ -125,7 +125,7 @@ func TestLinkOutageHeals(t *testing.T) {
 	cfg.Faults.LinkFrom, cfg.Faults.LinkTo = 0, 1
 	cfg.Faults.LinkDownAt = 50 * sim.Microsecond
 	cfg.Faults.LinkRepairAt = 250 * sim.Microsecond
-	res := MeasureFaultyTransfer(cfg, 0, 1, 1024, 64*1024)
+	res := MeasureFaultyTransfer(New(cfg), 0, 1, 1024, 64*1024)
 	if res.Err != "" {
 		t.Fatalf("transient outage escalated to failure: %s", res.Err)
 	}
@@ -144,7 +144,7 @@ func TestNodeCrashEscalatesToMachineCheck(t *testing.T) {
 	cfg := faultyCfg(0)
 	cfg.Faults.RetryBudget = 4 // fail fast: 4 timeouts, not 16
 	cfg.Faults.Nodes[0] = fault.NodeFault{Node: 1, Kind: fault.NodeCrash, At: 300 * sim.Microsecond}
-	res := MeasureFaultyTransfer(cfg, 0, 1, 1024, 4*1024*1024)
+	res := MeasureFaultyTransfer(New(cfg), 0, 1, 1024, 4*1024*1024)
 	if res.Err == "" {
 		t.Fatalf("crashed receiver did not fail the run: %+v", res)
 	}
@@ -170,7 +170,7 @@ func TestNodeFreezeThaws(t *testing.T) {
 		Node: 1, Kind: fault.NodeFreeze,
 		At: 20 * sim.Microsecond, Until: 80 * sim.Microsecond,
 	}
-	res := MeasureFaultyTransfer(cfg, 0, 1, 1024, 32*1024)
+	res := MeasureFaultyTransfer(New(cfg), 0, 1, 1024, 32*1024)
 	if res.Err != "" {
 		t.Fatalf("freeze window failed the run: %s", res.Err)
 	}

@@ -99,14 +99,14 @@ func TestMetricsChangeNothing(t *testing.T) {
 	instr := plain
 	instr.Metrics = true
 
-	a := MeasureStoreLatency(plain, 0, 15)
-	b := MeasureStoreLatency(instr, 0, 15)
+	a := MeasureStoreLatency(New(plain), 0, 15)
+	b := MeasureStoreLatency(New(instr), 0, 15)
 	if a != b {
 		t.Fatalf("metrics changed the measurement:\n off %+v\n on  %+v", a, b)
 	}
 
-	ba := MeasureDeliberateBandwidth(plain, 0, 3, 4096, 64*1024)
-	bb := MeasureDeliberateBandwidth(instr, 0, 3, 4096, 64*1024)
+	ba := MeasureDeliberateBandwidth(New(plain), 0, 3, 4096, 64*1024)
+	bb := MeasureDeliberateBandwidth(New(instr), 0, 3, 4096, 64*1024)
 	if ba != bb {
 		t.Fatalf("metrics changed bandwidth:\n off %+v\n on  %+v", ba, bb)
 	}
@@ -117,8 +117,8 @@ func TestMetricsChangeNothing(t *testing.T) {
 // and results must stay bit-identical to the sequential path.
 func TestMetricsSweepParallelMatchesSequential(t *testing.T) {
 	cfg := metricsCfg(4, 4)
-	seq := LatencySweep(cfg)
-	par := LatencySweepParallel(cfg, 4)
+	seq := LatencySweep(cfg, 1)
+	par := LatencySweep(cfg, 4)
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatalf("parallel sweep diverged with metrics on:\n seq %+v\n par %+v", seq, par)
 	}

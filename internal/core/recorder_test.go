@@ -36,7 +36,7 @@ func TestRecorderDifferentialOff(t *testing.T) {
 			cfg = recCfg(cfg)
 		}
 		m := New(cfg)
-		r := measureAUBandwidthOn(m, nipt.SingleWriteAU, 600)
+		r := MeasureAUBandwidth(m, nipt.SingleWriteAU, 600)
 		return r, m.Obs.Snapshot(), m.Fired()
 	}
 	plainR, plainS, plainF := run(false)
@@ -58,7 +58,7 @@ func TestRecorderResetReuse(t *testing.T) {
 	cfg := recCfg(ConfigFor(4, 4, nic.GenEISAPrototype))
 	cfg.Recorder.Capacity = 8 // small ring: exercise wraparound + O(used) reset
 	fresh := New(cfg)
-	want := measureAUBandwidthOn(fresh, nipt.SingleWriteAU, 600)
+	want := MeasureAUBandwidth(fresh, nipt.SingleWriteAU, 600)
 	wantS := fresh.Rec.Series()
 	if len(wantS.Times) == 0 {
 		t.Fatal("fresh run took no samples; workload too short for the cadence")
@@ -69,7 +69,7 @@ func TestRecorderResetReuse(t *testing.T) {
 		if round > 0 {
 			m.Reset()
 		}
-		if got := measureAUBandwidthOn(m, nipt.SingleWriteAU, 600); got != want {
+		if got := MeasureAUBandwidth(m, nipt.SingleWriteAU, 600); got != want {
 			t.Fatalf("round %d: result diverged: %+v vs %+v", round, got, want)
 		}
 		if got := m.Rec.Series(); !reflect.DeepEqual(got, wantS) {
@@ -82,8 +82,8 @@ func TestRecorderResetReuse(t *testing.T) {
 // the recorder armed return exactly the recorder-off results, event
 // counts included.
 func TestRecorderParallelSweep(t *testing.T) {
-	want := LatencySweepParallel(ConfigFor(4, 4, nic.GenEISAPrototype), 4)
-	got := LatencySweepParallel(recCfg(ConfigFor(4, 4, nic.GenEISAPrototype)), 4)
+	want := LatencySweep(ConfigFor(4, 4, nic.GenEISAPrototype), 4)
+	got := LatencySweep(recCfg(ConfigFor(4, 4, nic.GenEISAPrototype)), 4)
 	if len(got) != len(want) {
 		t.Fatalf("sweep sizes differ")
 	}
@@ -100,7 +100,7 @@ func TestRecorderParallelSweep(t *testing.T) {
 func TestMachineOpenMetricsDeterministic(t *testing.T) {
 	render := func() string {
 		m := New(recCfg(ConfigFor(4, 4, nic.GenEISAPrototype)))
-		measureAUBandwidthOn(m, nipt.SingleWriteAU, 600)
+		MeasureAUBandwidth(m, nipt.SingleWriteAU, 600)
 		var b strings.Builder
 		if err := m.WriteOpenMetrics(&b); err != nil {
 			t.Fatal(err)
@@ -129,7 +129,7 @@ func TestWatchdogRetryStorm(t *testing.T) {
 	cfg.Watchdog = WatchdogConfig{Interval: 50 * sim.Microsecond}
 	cfg.Recorder = obs.RecorderConfig{Interval: 50 * sim.Microsecond}
 	m := New(cfg)
-	p := measureFaultyTransferOn(m, 0, 1, 1024, 64*1024)
+	p := MeasureFaultyTransfer(m, 0, 1, 1024, 64*1024)
 	if p.Err == "" {
 		t.Fatal("crashed receiver with huge retry budget did not fail")
 	}
@@ -212,7 +212,7 @@ func TestWatchdogDifferentialOff(t *testing.T) {
 			cfg.Watchdog = WatchdogConfig{Interval: 20 * sim.Microsecond}
 		}
 		m := New(cfg)
-		return measureAUBandwidthOn(m, nipt.SingleWriteAU, 600)
+		return MeasureAUBandwidth(m, nipt.SingleWriteAU, 600)
 	}
 	if got, want := run(true), run(false); got != want {
 		t.Fatalf("watchdog changed the result:\n got  %+v\n want %+v", got, want)
@@ -226,7 +226,7 @@ func TestFaultPointTailLatency(t *testing.T) {
 		cfg := ConfigFor(2, 1, nic.GenXpress)
 		cfg.Metrics = true
 		cfg.Faults = fault.Config{Seed: 7, DropPPM: 20_000, Reliable: true}
-		return measureFaultyTransferOn(New(cfg), 0, 1, 1024, 32*1024)
+		return MeasureFaultyTransfer(New(cfg), 0, 1, 1024, 32*1024)
 	}
 	p := run()
 	if p.Err != "" {

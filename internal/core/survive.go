@@ -80,29 +80,19 @@ func CrashPlan(n, k int, base, stagger sim.Time) [2]fault.NodeFault {
 	return plan
 }
 
-// MeasureAvailability boots a machine for cfg and runs the ring
-// workload: every node i maps one page onto node (i+1) mod N with
-// single-write automatic update, then drives `rounds` rounds of
-// `wordsPerRound` stores each, skipping flows whose endpoint has
-// crashed (a frozen CPU stores nothing) or been declared dead (the
-// quarantined mapping would fault). Crashes come from cfg.Faults.Nodes.
-func MeasureAvailability(cfg Config, rounds, wordsPerRound int) AvailabilityPoint {
-	return measureAvailabilityOn(New(cfg), rounds, wordsPerRound)
-}
-
-// MeasureAvailabilityOn is MeasureAvailability on a caller-provided
-// post-boot machine (fresh or freshly Reset).
-func MeasureAvailabilityOn(m *Machine, rounds, wordsPerRound int) AvailabilityPoint {
-	return measureAvailabilityOn(m, rounds, wordsPerRound)
-}
-
 // availPattern is the value written to word j of flow i in round r; the
 // receive page of a fully-delivered flow ends holding round rounds-1.
 func availPattern(i, r, j int) uint32 {
 	return uint32(i)<<24 | uint32(r)<<12 | uint32(j)&0xfff | 0x8000_0000
 }
 
-func measureAvailabilityOn(m *Machine, rounds, wordsPerRound int) AvailabilityPoint {
+// MeasureAvailability runs the ring workload on a post-boot machine:
+// every node i maps one page onto node (i+1) mod N with single-write
+// automatic update, then drives `rounds` rounds of `wordsPerRound`
+// stores each, skipping flows whose endpoint has crashed (a frozen CPU
+// stores nothing) or been declared dead (the quarantined mapping would
+// fault). Crashes come from the machine's Cfg.Faults.Nodes.
+func MeasureAvailability(m *Machine, rounds, wordsPerRound int) AvailabilityPoint {
 	n := m.Cfg.NodeCount()
 	if wordsPerRound <= 0 || wordsPerRound > phys.PageSize/4 {
 		panic("core: availability words per round must fit one page")
@@ -263,6 +253,6 @@ func AvailabilitySweep(cfg Config, crashes []int, crashBase, crashStagger sim.Ti
 			c.Faults.Reliable = true
 			c.Faults.Survivable = true
 			c.Faults.Nodes = CrashPlan(c.NodeCount(), crashes[i], crashBase, crashStagger)
-			return measureAvailabilityOn(p.get(c), rounds, wordsPerRound)
+			return MeasureAvailability(p.get(c), rounds, wordsPerRound)
 		})
 }

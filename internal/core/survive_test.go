@@ -40,7 +40,7 @@ func TestCrashSurvivalSoak(t *testing.T) {
 	// instants, so the workload itself (not just the heartbeat) trips
 	// the failure detector and post-detection stores exercise the
 	// emit-drop path.
-	p := MeasureAvailability(surviveCfg(4, 4, 2), 30, 64)
+	p := MeasureAvailability(New(surviveCfg(4, 4, 2)), 30, 64)
 	if p.Err != "" {
 		t.Fatalf("survivable 2-crash run failed: %s", p.Err)
 	}
@@ -64,12 +64,12 @@ func TestCrashSurvivalSoak(t *testing.T) {
 // quarantine teardown, and the heartbeat schedule all rewind.
 func TestCrashSurvivalResetMatchesFresh(t *testing.T) {
 	cfg := surviveCfg(2, 2, 1)
-	fresh := MeasureAvailability(cfg, 6, 32)
+	fresh := MeasureAvailability(New(cfg), 6, 32)
 
 	m := New(cfg)
-	measureAvailabilityOn(m, 3, 16) // dirty the membership view and teardown state
+	MeasureAvailability(m, 3, 16) // dirty the membership view and teardown state
 	m.Reset()
-	reused := measureAvailabilityOn(m, 6, 32)
+	reused := MeasureAvailability(m, 6, 32)
 	if fresh != reused {
 		t.Fatalf("survivable run after Reset diverged:\nfresh:  %+v\nreused: %+v", fresh, reused)
 	}
@@ -92,7 +92,7 @@ func TestSurvivableOffStillMachineChecks(t *testing.T) {
 		}
 		return cfg
 	}
-	off := MeasureFaultyTransfer(plan(false), 0, 1, 1024, 512*1024)
+	off := MeasureFaultyTransfer(New(plan(false)), 0, 1, 1024, 512*1024)
 	if off.Err == "" {
 		t.Fatal("crash with Survivable off did not raise a machine check")
 	}
@@ -102,7 +102,7 @@ func TestSurvivableOffStillMachineChecks(t *testing.T) {
 
 	onCfg := plan(true)
 	m := New(onCfg)
-	on := measureFaultyTransferOn(m, 0, 1, 1024, 512*1024)
+	on := MeasureFaultyTransfer(m, 0, 1, 1024, 512*1024)
 	if on.Err != "" {
 		t.Fatalf("the same crash with Survivable on still failed: %s", on.Err)
 	}
@@ -128,8 +128,8 @@ func TestSurvivableZeroCrashBitIdentical(t *testing.T) {
 	off := faultyCfg(10_000)
 	on := off
 	on.Faults.Survivable = true
-	a := MeasureFaultyTransfer(off, 0, 1, 1024, 64*1024)
-	b := MeasureFaultyTransfer(on, 0, 1, 1024, 64*1024)
+	a := MeasureFaultyTransfer(New(off), 0, 1, 1024, 64*1024)
+	b := MeasureFaultyTransfer(New(on), 0, 1, 1024, 64*1024)
 	if a != b {
 		t.Fatalf("Survivable flag perturbed a crash-free run:\noff: %+v\non:  %+v", a, b)
 	}

@@ -37,22 +37,24 @@ func (p *machinePool) get(cfg Config) *Machine {
 	return p.m
 }
 
-// LatencySweepParallel is LatencySweep fanned across workers goroutines
-// (workers <= 0 selects exp.DefaultWorkers, workers == 1 runs inline).
-// Results are ordered by destination node, exactly as LatencySweep.
-func LatencySweepParallel(cfg Config, workers int) []LatencyResult {
+// LatencySweep measures store latency from node 0 to every other node
+// of the configured mesh (the paper quotes the 16-node figure), fanned
+// across workers goroutines (workers <= 0 selects exp.DefaultWorkers,
+// workers == 1 runs inline). Results are ordered by destination node.
+func LatencySweep(cfg Config, workers int) []LatencyResult {
 	return exp.Map(workers, cfg.NodeCount()-1, newMachinePool,
 		func(p *machinePool, i int) LatencyResult {
-			return measureStoreLatencyOn(p.get(cfg), 0, i+1)
+			return MeasureStoreLatency(p.get(cfg), 0, i+1)
 		})
 }
 
-// BandwidthSweepParallel is BandwidthSweep fanned across workers
+// BandwidthSweep measures sustained deliberate-update bandwidth from
+// node 0 to node 1 across transfer sizes, fanned across workers
 // goroutines; results are ordered as sizes.
-func BandwidthSweepParallel(cfg Config, sizes []int, totalBytes, workers int) []BandwidthResult {
+func BandwidthSweep(cfg Config, sizes []int, totalBytes, workers int) []BandwidthResult {
 	return exp.Map(workers, len(sizes), newMachinePool,
 		func(p *machinePool, i int) BandwidthResult {
-			return measureDeliberateBandwidthOn(p.get(cfg), 0, 1, sizes[i], totalBytes)
+			return MeasureDeliberateBandwidth(p.get(cfg), 0, 1, sizes[i], totalBytes)
 		})
 }
 
@@ -62,7 +64,7 @@ func BandwidthSweepParallel(cfg Config, sizes []int, totalBytes, workers int) []
 func AUBandwidthSweep(cfg Config, modes []nipt.Mode, stores, workers int) []AUBandwidthResult {
 	return exp.Map(workers, len(modes), newMachinePool,
 		func(p *machinePool, i int) AUBandwidthResult {
-			return measureAUBandwidthOn(p.get(cfg), modes[i], stores)
+			return MeasureAUBandwidth(p.get(cfg), modes[i], stores)
 		})
 }
 
@@ -75,7 +77,7 @@ func MergeWindowSweep(cfg Config, windows []sim.Time, storeGap sim.Time, stores,
 		func(p *machinePool, i int) MergeWindowResult {
 			c := cfg
 			c.NIC.MergeWindow = windows[i]
-			return measureMergeWindowOn(p.get(c), storeGap, stores)
+			return MeasureMergeWindow(p.get(c), storeGap, stores)
 		})
 }
 
@@ -84,6 +86,6 @@ func MergeWindowSweep(cfg Config, windows []sim.Time, storeGap sim.Time, stores,
 func OverlapSweep(cfg Config, modes []nipt.Mode, iters, workers int) []OverlapResult {
 	return exp.Map(workers, len(modes), newMachinePool,
 		func(p *machinePool, i int) OverlapResult {
-			return measureOverlapOn(p.get(cfg), modes[i], iters)
+			return MeasureOverlap(p.get(cfg), modes[i], iters)
 		})
 }

@@ -20,30 +20,30 @@ func TestResetEquivalence(t *testing.T) {
 	for _, gen := range []nic.Generation{nic.GenEISAPrototype, nic.GenXpress} {
 		cfg := ConfigFor(2, 2, gen)
 		t.Run(gen.String(), func(t *testing.T) {
-			fresh := measureStoreLatencyOn(New(cfg), 0, 3)
+			fresh := MeasureStoreLatency(New(cfg), 0, 3)
 
 			m := New(cfg)
 			// Dirty the machine with unrelated experiments, including one
 			// that stops mid-flight with events still queued.
-			measureAUBandwidthOn(m, nipt.BlockedWriteAU, 64)
+			MeasureAUBandwidth(m, nipt.BlockedWriteAU, 64)
 			m.Reset()
-			measureStoreLatencyOn(m, 0, 1)
+			MeasureStoreLatency(m, 0, 1)
 			m.Reset()
-			reused := measureStoreLatencyOn(m, 0, 3)
+			reused := MeasureStoreLatency(m, 0, 3)
 			if fresh != reused {
 				t.Fatalf("latency after Reset diverged:\nfresh:  %+v\nreused: %+v", fresh, reused)
 			}
 
 			m.Reset()
-			bwFresh := measureDeliberateBandwidthOn(New(cfg), 0, 1, 1024, 64*1024)
-			bwReused := measureDeliberateBandwidthOn(m, 0, 1, 1024, 64*1024)
+			bwFresh := MeasureDeliberateBandwidth(New(cfg), 0, 1, 1024, 64*1024)
+			bwReused := MeasureDeliberateBandwidth(m, 0, 1, 1024, 64*1024)
 			if bwFresh != bwReused {
 				t.Fatalf("bandwidth after Reset diverged:\nfresh:  %+v\nreused: %+v", bwFresh, bwReused)
 			}
 
 			m.Reset()
-			auFresh := measureAUBandwidthOn(New(cfg), nipt.SingleWriteAU, 256)
-			auReused := measureAUBandwidthOn(m, nipt.SingleWriteAU, 256)
+			auFresh := MeasureAUBandwidth(New(cfg), nipt.SingleWriteAU, 256)
+			auReused := MeasureAUBandwidth(m, nipt.SingleWriteAU, 256)
 			if auFresh != auReused {
 				t.Fatalf("AU bandwidth after Reset diverged:\nfresh:  %+v\nreused: %+v", auFresh, auReused)
 			}
@@ -58,8 +58,8 @@ func TestParallelSweepsMatchSequential(t *testing.T) {
 	cfg := ConfigFor(4, 4, nic.GenEISAPrototype)
 
 	t.Run("latency", func(t *testing.T) {
-		seq := LatencySweepParallel(cfg, 1) // 15 points > 4 workers
-		par := LatencySweepParallel(cfg, 4)
+		seq := LatencySweep(cfg, 1) // 15 points > 4 workers
+		par := LatencySweep(cfg, 4)
 		if !reflect.DeepEqual(seq, par) {
 			t.Fatalf("latency sweep diverged:\nseq: %+v\npar: %+v", seq, par)
 		}
@@ -68,8 +68,8 @@ func TestParallelSweepsMatchSequential(t *testing.T) {
 	small := ConfigFor(2, 1, nic.GenEISAPrototype)
 	t.Run("bandwidth", func(t *testing.T) {
 		sizes := []int{64, 128, 256, 512, 1024, 2048, 4096}
-		seq := BandwidthSweepParallel(small, sizes, 32*1024, 1)
-		par := BandwidthSweepParallel(small, sizes, 32*1024, 3)
+		seq := BandwidthSweep(small, sizes, 32*1024, 1)
+		par := BandwidthSweep(small, sizes, 32*1024, 3)
 		if !reflect.DeepEqual(seq, par) {
 			t.Fatalf("bandwidth sweep diverged:\nseq: %+v\npar: %+v", seq, par)
 		}
@@ -103,14 +103,14 @@ func TestParallelSweepsMatchSequential(t *testing.T) {
 	})
 }
 
-// The sequential sweeps must also match the historical one-fresh-machine
-// -per-point behavior (public Measure* wrappers), pinning down that
-// pooling/Reset did not change reported numbers.
+// The sequential sweeps must also match one fresh machine per point
+// (the single-machine harness on New), pinning down that pooling/Reset
+// did not change reported numbers.
 func TestSweepMatchesFreshMachines(t *testing.T) {
 	cfg := ConfigFor(2, 2, nic.GenXpress)
-	sweep := LatencySweep(cfg)
+	sweep := LatencySweep(cfg, 1)
 	for i, r := range sweep {
-		fresh := MeasureStoreLatency(cfg, 0, i+1)
+		fresh := MeasureStoreLatency(New(cfg), 0, i+1)
 		if r != fresh {
 			t.Fatalf("dst %d: sweep %+v != fresh %+v", i+1, r, fresh)
 		}

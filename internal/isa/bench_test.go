@@ -27,15 +27,13 @@ bloop:
 `
 
 // benchStep measures whole runs of the loop at the given batch quantum.
-// ci.sh greps the batched and trace variants for "0 allocs/op": the
-// entire step path — dispatch, superblock lookup, execute, batch
-// bookkeeping — must stay off the heap.
-func benchStep(b *testing.B, maxBatch int, trace bool) {
+// ci.sh greps both benchmarks for "0 allocs/op": the entire step path —
+// dispatch, superblock lookup, execute, batch bookkeeping — must stay
+// off the heap.
+func benchStep(b *testing.B, maxBatch int) {
 	eng := sim.NewEngine()
 	cfg := DefaultConfig()
 	cfg.MaxBatch = maxBatch
-	cfg.TraceCache = trace
-	cfg.SpinFastForward = trace
 	c := NewCPU(eng, cfg, newFlatMem())
 	c.Load(MustAssemble("bench", benchLoop, map[string]int64{"ITERS": benchIters}))
 	run := func() {
@@ -61,10 +59,8 @@ func benchStep(b *testing.B, maxBatch int, trace bool) {
 	b.ReportMetric(float64(perRun)*float64(b.N)/b.Elapsed().Seconds(), "instr/s")
 }
 
-func BenchmarkStepPerInstruction(b *testing.B) { benchStep(b, 1, false) }
-func BenchmarkStepBatched(b *testing.B)        { benchStep(b, 64, false) }
+func BenchmarkStepPerInstruction(b *testing.B) { benchStep(b, 1) }
 
-// BenchmarkTraceDispatch is the headline superblock number: same
-// workload, same quantum as BenchmarkStepBatched, dispatching through
-// the trace cache.
-func BenchmarkTraceDispatch(b *testing.B) { benchStep(b, 64, true) }
+// BenchmarkTraceDispatch is the headline superblock number: the same
+// workload on the shipping path at the default quantum.
+func BenchmarkTraceDispatch(b *testing.B) { benchStep(b, 64) }

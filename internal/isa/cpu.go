@@ -65,32 +65,20 @@ type Config struct {
 	// StringIterCycles is the extra cycles per string-op iteration
 	// beyond its memory traffic.
 	StringIterCycles int
-	// MaxBatch bounds how many instructions the interpreter retires
-	// inside a single engine event (the batching quantum). Values <= 1
-	// select per-instruction stepping: one event per instruction, the
-	// pre-batching behavior. Batching is a pure simulator optimization:
-	// the CPU runs ahead on the engine clock between hazard boundaries
-	// (pending event, fault, halt, freeze, quantum), so all simulated
-	// results are bit-identical at any setting — the differential tests
-	// in internal/core and internal/msg pin this.
+	// MaxBatch is the CPU's one execution field. Values <= 1 select
+	// per-instruction stepping: one engine event per instruction, the
+	// reference interpreter every differential test compares against.
+	// Values > 1 select the shipping path, which retires up to MaxBatch
+	// instructions inside one engine event: the CPU runs ahead on the
+	// engine clock between hazard boundaries (pending event, fault,
+	// halt, freeze, quantum), dispatches straight-line runs through the
+	// superblock trace cache and fused terminators, and fast-forwards
+	// verified spin loops when the memory port implements SpinMemPort
+	// (tracecache.go). All of it is a pure simulator optimization:
+	// simulated results are bit-identical at any setting — the
+	// differential tests in internal/isa, internal/core and internal/msg
+	// pin this.
 	MaxBatch int
-	// TraceCache enables the superblock trace cache (tracecache.go):
-	// straight-line pure instruction runs are pre-decoded once and
-	// dispatched as a unit, and MOV-to-memory terminators dispatch
-	// through a specialized store path. Like MaxBatch this is a pure
-	// simulator optimization with bit-identical results; it is inert
-	// when MaxBatch <= 1 so per-instruction stepping stays the pristine
-	// reference implementation.
-	TraceCache bool
-	// SpinFastForward models verified poll/backoff spin loops as
-	// computed wait-states: instead of literally retiring iterations
-	// that cannot exit until the next engine event, the CPU advances its
-	// clock toward the event horizon in one step and charges the skipped
-	// iterations to its counters (see tracecache.go for the proof
-	// protocol). Requires TraceCache and a memory port implementing
-	// SpinMemPort; with either missing it is inert. Off = the
-	// differential mode that steps spins literally.
-	SpinFastForward bool
 }
 
 // DefaultConfig models a 66 MHz i486-class CPU: one cycle per simple
@@ -104,8 +92,6 @@ func DefaultConfig() Config {
 		CallRetCycles:     2,
 		StringIterCycles:  1,
 		MaxBatch:          64,
-		TraceCache:        true,
-		SpinFastForward:   true,
 	}
 }
 
@@ -368,14 +354,13 @@ func (c *CPU) step() {
 	// (quantum > 1): per-instruction stepping stays the untouched
 	// reference path.
 	var tr *progTrace
-	if c.cfg.TraceCache && quantum > 1 {
+	if quantum > 1 {
 		tr = c.cur
 		if tr == nil || tr.prog != c.prog {
 			tr = c.traceFor(c.prog)
 			c.cur = tr
 		}
 	}
-	spinFF := c.cfg.SpinFastForward && c.spinMem != nil
 	batched := 0
 	for {
 		// Hardware interrupts dispatch at instruction boundaries, outside
@@ -401,7 +386,7 @@ func (c *CPU) step() {
 		var blk *sblock
 		if tr != nil {
 			blk = c.block(tr, c.eip)
-			if blk.spin && spinFF {
+			if blk.spin && c.spinMem != nil {
 				c.spinTick(blk)
 			}
 			// Pure-run dispatch: the whole run fits inside the quantum

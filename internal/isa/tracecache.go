@@ -7,9 +7,11 @@ import (
 
 // Superblock trace cache.
 //
-// The batched interpreter (cpu.go) still pays a full decode-dispatch
-// per instruction: operand kind switches, effective-address composition
-// and size defaulting on every retirement. This file caches that work.
+// The literal interpreter (exec.go) pays a full decode-dispatch per
+// instruction: operand kind switches, effective-address composition
+// and size defaulting on every retirement. On the shipping path
+// (Config.MaxBatch > 1) this file caches that work; per-instruction
+// stepping never touches it.
 // Each program position gets a lazily built superblock: the longest
 // run of "pure" instructions starting there (register/immediate-only
 // operations that touch no memory, raise no fault, and cannot halt,

@@ -7,21 +7,16 @@ import (
 	"repro/internal/sim"
 )
 
-// traceModes are the execution modes every differential test compares:
-// per-instruction stepping (the reference), batched without the trace
-// cache, batched with superblock dispatch, and superblock dispatch with
-// spin fast-forward.
-var traceModes = []struct {
-	name  string
-	batch int
-	trace bool
-	spin  bool
-}{
-	{"per-instr", 1, false, false},
-	{"batched", 64, false, false},
-	{"trace", 64, true, false},
-	{"trace+spin", 64, true, true},
-}
+// traceBatches are the MaxBatch settings every differential test
+// compares: per-instruction stepping (the reference), and the shipping
+// path — batching, superblock dispatch, fused terminators and spin
+// fast-forward — at a quantum of 3 (frequent quantum breaks mid-run)
+// and at the default 64.
+var traceBatches = []int{1, 3, 64}
+
+// traceDrainBudget bounds every differential run: a run that fires more
+// events than this without halting counts as not halting.
+const traceDrainBudget = 10_000_000
 
 // traceRun captures everything a mode must reproduce bit-identically.
 type traceRun struct {
@@ -34,16 +29,15 @@ type traceRun struct {
 	Stores   int
 }
 
-// runTraceMode executes src to halt under one mode. events schedules
-// external memory writes (the only way a spin loop can exit).
-func runTraceMode(t *testing.T, src string, batch int, trace, spin bool,
-	setup func(*CPU, *flatMem), events func(*sim.Engine, *flatMem)) traceRun {
+// runTraceMode executes src at one batch quantum. events schedules
+// external memory writes (the only way a spin loop can exit). halted is
+// false when the run did not halt within traceDrainBudget events.
+func runTraceMode(t *testing.T, src string, batch int,
+	setup func(*CPU, *flatMem), events func(*sim.Engine, *flatMem)) (run traceRun, halted bool) {
 	t.Helper()
 	eng := sim.NewEngine()
 	cfg := DefaultConfig()
 	cfg.MaxBatch = batch
-	cfg.TraceCache = trace
-	cfg.SpinFastForward = spin
 	mem := newFlatMem()
 	c := NewCPU(eng, cfg, mem)
 	c.SetName("trace-test")
@@ -58,17 +52,18 @@ func runTraceMode(t *testing.T, src string, batch int, trace, spin bool,
 	if err := c.Start("main"); err != nil {
 		t.Fatal(err)
 	}
-	eng.Drain(10_000_000)
+	// A run the budget cuts short reports as not halted.
+	_ = eng.DrainBudget(traceDrainBudget)
 	if !c.Halted() {
-		t.Fatalf("mode batch=%d trace=%v spin=%v: did not halt (eip=%d)", batch, trace, spin, c.EIP())
+		return traceRun{}, false
 	}
 	if c.Err() != nil {
-		t.Fatalf("mode batch=%d trace=%v spin=%v: %v", batch, trace, spin, c.Err())
+		t.Fatalf("batch=%d: %v", batch, c.Err())
 	}
 	return traceRun{
 		R: c.R, Flags: c.packFlags(), Counters: c.Counters(), End: eng.Now(),
 		Mem: mem.buf, Loads: mem.loads, Stores: mem.stores,
-	}
+	}, true
 }
 
 // diffTraceModes runs src under every mode and requires bit-identical
@@ -76,24 +71,31 @@ func runTraceMode(t *testing.T, src string, batch int, trace, spin bool,
 func diffTraceModes(t *testing.T, src string,
 	setup func(*CPU, *flatMem), events func(*sim.Engine, *flatMem)) {
 	t.Helper()
-	ref := runTraceMode(t, src, traceModes[0].batch, traceModes[0].trace, traceModes[0].spin, setup, events)
-	for _, m := range traceModes[1:] {
-		got := runTraceMode(t, src, m.batch, m.trace, m.spin, setup, events)
+	var ref traceRun
+	for i, batch := range traceBatches {
+		got, halted := runTraceMode(t, src, batch, setup, events)
+		if !halted {
+			t.Fatalf("batch=%d: did not halt within %d events", batch, traceDrainBudget)
+		}
+		if i == 0 {
+			ref = got
+			continue
+		}
 		if got.R != ref.R || got.Flags != ref.Flags {
-			t.Errorf("%s: registers/flags diverge: got %v/%#x want %v/%#x", m.name, got.R, got.Flags, ref.R, ref.Flags)
+			t.Errorf("batch=%d: registers/flags diverge: got %v/%#x want %v/%#x", batch, got.R, got.Flags, ref.R, ref.Flags)
 		}
 		if got.Counters != ref.Counters {
-			t.Errorf("%s: counters diverge: got %+v want %+v", m.name, got.Counters, ref.Counters)
+			t.Errorf("batch=%d: counters diverge: got %+v want %+v", batch, got.Counters, ref.Counters)
 		}
 		if got.End != ref.End {
-			t.Errorf("%s: final time diverges: got %v want %v", m.name, got.End, ref.End)
+			t.Errorf("batch=%d: final time diverges: got %v want %v", batch, got.End, ref.End)
 		}
 		if !bytes.Equal(got.Mem, ref.Mem) {
-			t.Errorf("%s: memory diverges", m.name)
+			t.Errorf("batch=%d: memory diverges", batch)
 		}
 		if got.Loads != ref.Loads || got.Stores != ref.Stores {
-			t.Errorf("%s: access counts diverge: got %d/%d want %d/%d",
-				m.name, got.Loads, got.Stores, ref.Loads, ref.Stores)
+			t.Errorf("batch=%d: access counts diverge: got %d/%d want %d/%d",
+				batch, got.Loads, got.Stores, ref.Loads, ref.Stores)
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/isa"
-	"repro/internal/nic"
 	"repro/internal/nipt"
 	"repro/internal/phys"
 	"repro/internal/vm"
@@ -716,15 +715,9 @@ type BaselinePair struct {
 
 // NewBaselinePair builds the baseline: kernel data pages, the kernel
 // transport ring (blocked-write mapping), arrival and credit doorbells,
-// and the interrupt plumbing.
-func NewBaselinePair(gen nic.Generation) *BaselinePair {
-	return NewBaselinePairCfg(core.ConfigFor(2, 1, gen))
-}
-
-// NewBaselinePairCfg is NewBaselinePair on a pair built from the given
-// config.
-func NewBaselinePairCfg(cfg core.Config) *BaselinePair {
-	p := NewPairOn(cfg, 0, 1)
+// and the interrupt plumbing — on nodes 0 and 1 of a post-boot machine.
+func NewBaselinePair(m *core.Machine) *BaselinePair {
+	p := NewPair(m, 0, 1)
 	baseConsts(p.SSyms)
 	baseConsts(p.RSyms)
 	b := &BaselinePair{Pair: p}
@@ -914,16 +907,11 @@ func (c BaselineComparison) Ratio() float64 {
 	return base / float64(c.Shrimp.Total())
 }
 
-// MeasureBaseline runs both implementations and verifies the baseline
-// actually delivers the message.
-func MeasureBaseline(gen nic.Generation) BaselineComparison {
-	return MeasureBaselineCfg(core.ConfigFor(2, 1, gen))
-}
-
-// MeasureBaselineCfg is MeasureBaseline on a pair built from the given
-// config.
-func MeasureBaselineCfg(cfg core.Config) BaselineComparison {
-	b := NewBaselinePairCfg(cfg)
+// MeasureBaseline runs both implementations, each on a fresh machine
+// booted from cfg, and verifies the baseline actually delivers the
+// message.
+func MeasureBaseline(cfg core.Config) BaselineComparison {
+	b := NewBaselinePair(core.New(cfg))
 	payload := []byte("baseline NX/2 message through the kernel")
 	sc := b.Csend(9, payload)
 	b.Drain()
@@ -933,7 +921,7 @@ func MeasureBaselineCfg(cfg core.Config) BaselineComparison {
 		panic(fmt.Sprintf("msg: baseline corrupted message: %q", got))
 	}
 	return BaselineComparison{
-		Shrimp:        MeasureNX2Cfg(cfg),
+		Shrimp:        MeasureNX2(core.New(cfg)),
 		BaseCsend:     sc,
 		BaseCrecv:     rc,
 		PaperBaseSend: 222,

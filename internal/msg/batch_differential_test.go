@@ -28,6 +28,10 @@ func batchCfg(maxBatch int) core.Config {
 	return cfg
 }
 
+// newEISA boots a fresh 2-node EISA-prototype machine at the default
+// CPU config.
+func newEISA() *core.Machine { return core.New(core.ConfigFor(2, 1, nic.GenEISAPrototype)) }
+
 // batchVariants: 0 and 1 both select per-instruction stepping, 3 forces
 // frequent quantum breaks mid-run, 64 is the default shipping quantum.
 var batchVariants = []int{0, 1, 3, 64}
@@ -35,15 +39,15 @@ var batchVariants = []int{0, 1, 3, 64}
 // TestBatchDifferentialTable1 pins every Table 1 row (including the NX/2
 // csend/crecv pair) across batch quanta, and with metrics on top.
 func TestBatchDifferentialTable1(t *testing.T) {
-	want := MeasureTable1Cfg(batchCfg(1))
+	want := MeasureTable1(batchCfg(1))
 	for _, mb := range batchVariants {
-		if got := MeasureTable1Cfg(batchCfg(mb)); !reflect.DeepEqual(got, want) {
+		if got := MeasureTable1(batchCfg(mb)); !reflect.DeepEqual(got, want) {
 			t.Fatalf("MaxBatch=%d changed Table 1:\n got  %+v\n want %+v", mb, got, want)
 		}
 	}
 	instr := batchCfg(64)
 	instr.Metrics = true
-	if got := MeasureTable1Cfg(instr); !reflect.DeepEqual(got, want) {
+	if got := MeasureTable1(instr); !reflect.DeepEqual(got, want) {
 		t.Fatalf("batching with metrics on changed Table 1:\n got  %+v\n want %+v", got, want)
 	}
 }
@@ -52,9 +56,9 @@ func TestBatchDifferentialTable1(t *testing.T) {
 // the heaviest ISA workload in the package: traps, IRQs, context between
 // user and kernel mode, and the transport ring all in one run.
 func TestBatchDifferentialBaseline(t *testing.T) {
-	want := MeasureBaselineCfg(batchCfg(1))
+	want := MeasureBaseline(batchCfg(1))
 	for _, mb := range []int{3, 64} {
-		if got := MeasureBaselineCfg(batchCfg(mb)); got != want {
+		if got := MeasureBaseline(batchCfg(mb)); got != want {
 			t.Fatalf("MaxBatch=%d changed baseline:\n got  %+v\n want %+v", mb, got, want)
 		}
 	}
@@ -77,7 +81,7 @@ type pairRun struct {
 func runConcurrentLoop(t *testing.T, cfg core.Config) pairRun {
 	t.Helper()
 	const iters = 40
-	p := NewPairOn(cfg, 0, 1)
+	p := NewPair(core.New(cfg), 0, 1)
 	sbuf, rbuf := p.MapBuf("BUF", 2, 2, nipt.SingleWriteAU)
 	p.MapBack(sbuf, rbuf, 2, nipt.SingleWriteAU)
 	for _, syms := range []map[string]int64{p.SSyms, p.RSyms} {

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/isa"
-	"repro/internal/nic"
 	"repro/internal/nipt"
 )
 
@@ -30,7 +29,7 @@ floop:
 // fused store dispatch: each loop iteration is one fastStore terminator
 // plus a pure-uop run, end to end through NIC, mesh and remote deposit.
 func BenchmarkFusedStore(b *testing.B) {
-	p := NewPair(nic.GenEISAPrototype)
+	p := NewPair(newEISA(), 0, 1)
 	sbuf, _ := p.MapBuf("OUT", 1, 1, nipt.SingleWriteAU)
 	p.SSyms["WORDS"] = 512
 	p.Drain()

@@ -18,7 +18,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/kernel"
-	"repro/internal/nic"
 	"repro/internal/nipt"
 	"repro/internal/phys"
 	"repro/internal/vm"
@@ -43,23 +42,11 @@ type Pair struct {
 	SSyms, RSyms map[string]int64
 }
 
-// NewPair boots a 2-node machine of the given generation and prepares
-// one process per node.
-func NewPair(gen nic.Generation) *Pair {
-	return NewPairOn(core.ConfigFor(2, 1, gen), 0, 1)
-}
-
-// NewPairOn prepares a pair on two chosen nodes of an existing-config
-// machine (used by experiments that care about hop distance).
-func NewPairOn(cfg core.Config, snode, rnode int) *Pair {
-	return PairOn(core.New(cfg), snode, rnode)
-}
-
-// PairOn prepares a pair on a caller-provided machine — typically one
-// being reused across measurements via Machine.Reset (the page allocator
-// is deterministic, so a pair rebuilt after Reset sees the same
-// addresses a fresh machine would).
-func PairOn(m *core.Machine, snode, rnode int) *Pair {
+// NewPair prepares a pair on two nodes of a post-boot machine — fresh
+// from core.New, or reused via Machine.Reset (the page allocator is
+// deterministic, so a pair rebuilt after Reset sees the same addresses a
+// fresh machine would).
+func NewPair(m *core.Machine, snode, rnode int) *Pair {
 	p := &Pair{
 		M: m, S: m.Node(snode), R: m.Node(rnode),
 		SSyms: map[string]int64{"CMDDELTA": CmdDelta},

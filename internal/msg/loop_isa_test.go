@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/isa"
-	"repro/internal/nic"
 	"repro/internal/nipt"
 	"repro/internal/vm"
 )
@@ -69,7 +68,7 @@ fail:
 
 func TestISADoubleBufferLoopConcurrent(t *testing.T) {
 	const iters = 40
-	p := NewPair(nic.GenEISAPrototype)
+	p := NewPair(newEISA(), 0, 1)
 	sbuf, rbuf := p.MapBuf("BUF", 2, 2, nipt.SingleWriteAU)
 	p.MapBack(sbuf, rbuf, 2, nipt.SingleWriteAU)
 	for _, syms := range []map[string]int64{p.SSyms, p.RSyms} {
@@ -120,7 +119,7 @@ func TestISADoubleBufferLoopConcurrent(t *testing.T) {
 // remaining<<1|match, so user code can watch the count fall and the
 // address-match bit distinguish its own transfer.
 func TestISADMABackoffPolling(t *testing.T) {
-	p := NewPair(nic.GenEISAPrototype)
+	p := NewPair(newEISA(), 0, 1)
 	sbuf, _ := p.MapBuf("DBUF", 1, 1, nipt.DeliberateUpdate)
 	p.GrantCmd(sbuf, 1)
 	p.Drain()

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/isa"
-	"repro/internal/nic"
 	"repro/internal/nipt"
 	"repro/internal/phys"
 	"repro/internal/vm"
@@ -336,14 +335,10 @@ type NX2Pair struct {
 
 // NewNX2Pair builds the channel: ring page sender→receiver, produced
 // counter sender→receiver, consumed counter receiver→sender, channel
-// structs and hash tables in private memory on both sides.
-func NewNX2Pair(gen nic.Generation, msgType uint32) *NX2Pair {
-	return NewNX2PairCfg(core.ConfigFor(2, 1, gen), msgType)
-}
-
-// NewNX2PairCfg is NewNX2Pair on a pair built from the given config.
-func NewNX2PairCfg(cfg core.Config, msgType uint32) *NX2Pair {
-	p := NewPairOn(cfg, 0, 1)
+// structs and hash tables in private memory on both sides — on nodes 0
+// and 1 of a post-boot machine.
+func NewNX2Pair(m *core.Machine, msgType uint32) *NX2Pair {
+	p := NewPair(m, 0, 1)
 	nx2Consts(p.SSyms)
 	nx2Consts(p.RSyms)
 	n := &NX2Pair{Pair: p, Type: msgType}
@@ -462,15 +457,10 @@ func (n *NX2Pair) Crecv(maxBytes int) (Counts, []byte) {
 	return c, n.ReadReceiver(n.rPriv, int(got))
 }
 
-// MeasureNX2 produces the csend/crecv Table 1 row, verifying the
-// message round trip.
-func MeasureNX2(gen nic.Generation) Overhead {
-	return MeasureNX2Cfg(core.ConfigFor(2, 1, gen))
-}
-
-// MeasureNX2Cfg is MeasureNX2 on a pair built from the given config.
-func MeasureNX2Cfg(cfg core.Config) Overhead {
-	n := NewNX2PairCfg(cfg, 7)
+// MeasureNX2 produces the csend/crecv Table 1 row on a post-boot
+// machine, verifying the message round trip.
+func MeasureNX2(m *core.Machine) Overhead {
+	n := NewNX2Pair(m, 7)
 	payload := []byte("an NX/2 message with FIFO type dispatch")
 	sc := n.Csend(payload)
 	n.Drain()

@@ -4,14 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
-
-	"repro/internal/nic"
 )
 
 func TestNX2MultipleMessages(t *testing.T) {
 	// Several messages back to back: ring cursors, sequence numbers and
 	// flow-control counters all advance; FIFO order holds.
-	n := NewNX2Pair(nic.GenEISAPrototype, 3)
+	n := NewNX2Pair(newEISA(), 3)
 	var sent [][]byte
 	for i := 0; i < 6; i++ {
 		payload := []byte(fmt.Sprintf("message number %d with body length variation %s",
@@ -30,7 +28,7 @@ func TestNX2MultipleMessages(t *testing.T) {
 }
 
 func TestNX2InterleavedSendRecv(t *testing.T) {
-	n := NewNX2Pair(nic.GenEISAPrototype, 5)
+	n := NewNX2Pair(newEISA(), 5)
 	for i := 0; i < 12; i++ {
 		want := []byte(fmt.Sprintf("interleaved %02d", i))
 		n.Csend(want)
@@ -46,7 +44,7 @@ func TestNX2InterleavedSendRecv(t *testing.T) {
 func TestNX2RingWrap(t *testing.T) {
 	// Push enough bytes through the one-page ring that both sides take
 	// the wrap path (each record is 12+payload, ring is 4096).
-	n := NewNX2Pair(nic.GenEISAPrototype, 7)
+	n := NewNX2Pair(newEISA(), 7)
 	payload := make([]byte, 700)
 	for i := range payload {
 		payload[i] = byte(i * 11)
@@ -66,7 +64,7 @@ func TestNX2RingWrap(t *testing.T) {
 func TestNX2CountsStableAcrossMessages(t *testing.T) {
 	// The fast path costs the same for every message (73+78), message
 	// after message — no hidden state growth.
-	n := NewNX2Pair(nic.GenEISAPrototype, 9)
+	n := NewNX2Pair(newEISA(), 9)
 	payload := []byte("steady state cost probe")
 	for i := 0; i < 5; i++ {
 		sc := n.Csend(payload)
@@ -82,7 +80,7 @@ func TestNX2CountsStableAcrossMessages(t *testing.T) {
 func TestBaselineSecondMessage(t *testing.T) {
 	// The kernel-mediated baseline's buffer pool, queues and ring
 	// cursors survive reuse.
-	b := NewBaselinePair(nic.GenEISAPrototype)
+	b := NewBaselinePair(newEISA())
 	for i := 0; i < 4; i++ {
 		want := []byte(fmt.Sprintf("baseline message %d", i))
 		b.Csend(9, want)
@@ -98,7 +96,7 @@ func TestBaselineSecondMessage(t *testing.T) {
 func TestDeliberateMultiPageMacro(t *testing.T) {
 	// The page-crossing branch of the §4.3 send macro.
 	for _, size := range []int{4096, 5000, 8192, 12288} {
-		counts, ok := MeasureMultiPageDeliberate(nic.GenEISAPrototype, size)
+		counts, ok := MeasureMultiPageDeliberate(newEISA(), size)
 		if !ok {
 			t.Fatalf("size %d: data corrupted", size)
 		}

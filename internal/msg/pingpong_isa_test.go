@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/isa"
-	"repro/internal/nic"
 	"repro/internal/nipt"
 	"repro/internal/sim"
 )
@@ -47,7 +46,7 @@ qwait:
 
 func TestConcurrentISAPingPong(t *testing.T) {
 	const rounds = 25
-	p := NewPair(nic.GenEISAPrototype)
+	p := NewPair(newEISA(), 0, 1)
 	// Forward: sender's POUT page -> receiver's QIN page.
 	pout, _ := p.MapBuf("IGNORED1", 1, 1, nipt.SingleWriteAU)
 	// Reverse: receiver's QOUT page -> sender's PECHO page.

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/isa"
-	"repro/internal/nic"
 	"repro/internal/nipt"
 	"repro/internal/phys"
 	"repro/internal/vm"
@@ -104,17 +103,10 @@ recv:
 `
 
 // MeasureSingleBuffering runs the single-buffering primitive end to end
-// and returns its Table 1 row. withCopy selects the copying receiver.
-func MeasureSingleBuffering(gen nic.Generation, withCopy bool) Overhead {
-	return MeasureSingleBufferingCfg(core.ConfigFor(2, 1, gen), withCopy)
-}
-
-// MeasureSingleBufferingCfg is MeasureSingleBuffering on a pair built
-// from the given config — the config-injection twin that lets the batch
-// differential tests (and ablations) vary simulator knobs like
-// Config.CPU.MaxBatch without touching the measured workload.
-func MeasureSingleBufferingCfg(cfg core.Config, withCopy bool) Overhead {
-	p := NewPairOn(cfg, 0, 1)
+// on nodes 0 and 1 of a post-boot machine and returns its Table 1 row.
+// withCopy selects the copying receiver.
+func MeasureSingleBuffering(m *core.Machine, withCopy bool) Overhead {
+	p := NewPair(m, 0, 1)
 	_, rbuf := p.MapBuf("RBUF", 1, 1, nipt.SingleWriteAU)
 	sflag, rflag := p.MapBuf("FLAG", 1, 1, nipt.SingleWriteAU)
 	p.MapBack(sflag, rflag, 1, nipt.SingleWriteAU)
@@ -237,15 +229,10 @@ recv:
 	hlt
 `
 
-// MeasureDoubleBuffering measures loop case 1, 2 or 3.
-func MeasureDoubleBuffering(gen nic.Generation, loopCase int) Overhead {
-	return MeasureDoubleBufferingCfg(core.ConfigFor(2, 1, gen), loopCase)
-}
-
-// MeasureDoubleBufferingCfg is MeasureDoubleBuffering on a pair built
-// from the given config.
-func MeasureDoubleBufferingCfg(cfg core.Config, loopCase int) Overhead {
-	p := NewPairOn(cfg, 0, 1)
+// MeasureDoubleBuffering measures loop case 1, 2 or 3 on nodes 0 and 1
+// of a post-boot machine.
+func MeasureDoubleBuffering(m *core.Machine, loopCase int) Overhead {
+	p := NewPair(m, 0, 1)
 	sbuf, rbuf := p.MapBuf("BUF", 2, 2, nipt.SingleWriteAU)
 	if loopCase == 3 {
 		// Complementary mapping so the consumed signal propagates back.
@@ -376,15 +363,10 @@ dcheck:
 `
 
 // MeasureDeliberateUpdate measures the single-page deliberate-update
-// send (13 instructions) plus the completion check (2).
-func MeasureDeliberateUpdate(gen nic.Generation) Overhead {
-	return MeasureDeliberateUpdateCfg(core.ConfigFor(2, 1, gen))
-}
-
-// MeasureDeliberateUpdateCfg is MeasureDeliberateUpdate on a pair built
-// from the given config.
-func MeasureDeliberateUpdateCfg(cfg core.Config) Overhead {
-	p := NewPairOn(cfg, 0, 1)
+// send (13 instructions) plus the completion check (2) on nodes 0 and 1
+// of a post-boot machine.
+func MeasureDeliberateUpdate(m *core.Machine) Overhead {
+	p := NewPair(m, 0, 1)
 	sbuf, rbuf := p.MapBuf("DBUF", 1, 1, nipt.DeliberateUpdate)
 	p.GrantCmd(sbuf, 1)
 	p.Drain()
@@ -422,16 +404,10 @@ func MeasureDeliberateUpdateCfg(cfg core.Config) Overhead {
 }
 
 // MeasureMultiPageDeliberate exercises the page-crossing path of the
-// send macro (not a Table 1 row; used by tests and the ablation bench).
-// It returns the sender instruction count.
-func MeasureMultiPageDeliberate(gen nic.Generation, bytes int) (Counts, bool) {
-	return MeasureMultiPageDeliberateCfg(core.ConfigFor(2, 1, gen), bytes)
-}
-
-// MeasureMultiPageDeliberateCfg is MeasureMultiPageDeliberate on a pair
-// built from the given config.
-func MeasureMultiPageDeliberateCfg(cfg core.Config, bytes int) (Counts, bool) {
-	p := NewPairOn(cfg, 0, 1)
+// send macro on nodes 0 and 1 of a post-boot machine (not a Table 1
+// row; used by tests). It returns the sender instruction count.
+func MeasureMultiPageDeliberate(m *core.Machine, bytes int) (Counts, bool) {
+	p := NewPair(m, 0, 1)
 	pages := (bytes + phys.PageSize - 1) / phys.PageSize
 	sbuf, rbuf := p.MapBuf("DBUF", pages, 1, nipt.DeliberateUpdate)
 	p.GrantCmd(sbuf, pages)
@@ -462,22 +438,15 @@ func MeasureMultiPageDeliberateCfg(cfg core.Config, bytes int) (Counts, bool) {
 }
 
 // MeasureTable1 produces every row of Table 1 (csend/crecv rows come
-// from the nx2 files).
-func MeasureTable1(gen nic.Generation) []Overhead {
-	return MeasureTable1Cfg(core.ConfigFor(2, 1, gen))
-}
-
-// MeasureTable1Cfg is MeasureTable1 with every harness built from the
-// given config.
-func MeasureTable1Cfg(cfg core.Config) []Overhead {
-	rows := []Overhead{
-		MeasureSingleBufferingCfg(cfg, false),
-		MeasureSingleBufferingCfg(cfg, true),
-		MeasureDoubleBufferingCfg(cfg, 1),
-		MeasureDoubleBufferingCfg(cfg, 2),
-		MeasureDoubleBufferingCfg(cfg, 3),
-		MeasureDeliberateUpdateCfg(cfg),
+// from the nx2 files), each on a fresh machine booted from cfg.
+func MeasureTable1(cfg core.Config) []Overhead {
+	return []Overhead{
+		MeasureSingleBuffering(core.New(cfg), false),
+		MeasureSingleBuffering(core.New(cfg), true),
+		MeasureDoubleBuffering(core.New(cfg), 1),
+		MeasureDoubleBuffering(core.New(cfg), 2),
+		MeasureDoubleBuffering(core.New(cfg), 3),
+		MeasureDeliberateUpdate(core.New(cfg)),
+		MeasureNX2(core.New(cfg)),
 	}
-	rows = append(rows, MeasureNX2Cfg(cfg))
-	return rows
 }

@@ -3,11 +3,12 @@ package msg
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/nic"
 )
 
 func TestTable1Counts(t *testing.T) {
-	rows := MeasureTable1(nic.GenEISAPrototype)
+	rows := MeasureTable1(core.ConfigFor(2, 1, nic.GenEISAPrototype))
 	for _, r := range rows {
 		t.Logf("%s", r)
 	}
@@ -33,7 +34,7 @@ func TestTable1Counts(t *testing.T) {
 }
 
 func TestBaselineComparison(t *testing.T) {
-	c := MeasureBaseline(nic.GenEISAPrototype)
+	c := MeasureBaseline(core.ConfigFor(2, 1, nic.GenEISAPrototype))
 	t.Logf("SHRIMP csend+crecv: %d (%d+%d)", c.Shrimp.Total(), c.Shrimp.Source, c.Shrimp.Dest)
 	t.Logf("baseline csend: user=%d kernel=%d traps=%d", c.BaseCsend.User, c.BaseCsend.Kernel, c.BaseCsend.Traps)
 	t.Logf("baseline crecv: user=%d kernel=%d traps=%d", c.BaseCrecv.User, c.BaseCrecv.Kernel, c.BaseCrecv.Traps)
@@ -47,7 +48,7 @@ func TestTable1CountsGenerationInvariant(t *testing.T) {
 	// Instruction counts are a property of the software, not of the
 	// NIC's deposit path: the next-generation machine measures the same
 	// Table 1.
-	for _, r := range MeasureTable1(nic.GenXpress) {
+	for _, r := range MeasureTable1(core.ConfigFor(2, 1, nic.GenXpress)) {
 		if r.Source != r.PaperSource || r.Dest != r.PaperDest {
 			t.Errorf("%s on xpress: %d+%d, want %d+%d",
 				r.Name, r.Source, r.Dest, r.PaperSource, r.PaperDest)

@@ -14,46 +14,29 @@ import (
 	"repro/internal/vm"
 )
 
-// Differential tests for the superblock trace cache and spin fast-forward
-// (Config.CPU.TraceCache / SpinFastForward): like batching, both are pure
-// simulator optimizations, so every simulated result must be bit-identical
-// to per-instruction stepping. The reference for each suite is
-// batchCfg(1) — MaxBatch=1 disables batching, trace dispatch, and
-// fast-forward all at once, leaving the pristine interpreter.
+// Differential tests for the superblock trace cache and spin
+// fast-forward, which the shipping CPU path (Config.CPU.MaxBatch > 1)
+// always uses: like batching, both are pure simulator optimizations, so
+// every simulated result must be bit-identical to per-instruction
+// stepping. The reference for each suite is batchCfg(1) — MaxBatch=1
+// disables batching, trace dispatch, and fast-forward all at once,
+// leaving the pristine interpreter — and the shipping path is
+// batchCfg(64), the default quantum.
 
-type traceMode struct {
-	name        string
-	trace, spin bool
-}
+// fastPath names the shipping path in subtest names.
+const fastPath = "trace+spin"
 
-var traceVariants = []traceMode{
-	{"trace-off", false, false},
-	{"trace-on", true, false},
-	{"trace+spin", true, true},
-}
-
-// traceCfg returns the 2-node batched config with the given trace/spin
-// settings.
-func traceCfg(tm traceMode) core.Config {
-	cfg := batchCfg(64)
-	cfg.CPU.TraceCache = tm.trace
-	cfg.CPU.SpinFastForward = tm.spin
-	return cfg
-}
-
-// TestTraceDifferentialTable1 pins every Table 1 row across trace modes,
-// with metrics layered on top of the fastest mode.
+// TestTraceDifferentialTable1 pins every Table 1 row on the shipping
+// path, with and without metrics.
 func TestTraceDifferentialTable1(t *testing.T) {
-	want := MeasureTable1Cfg(batchCfg(1))
-	for _, tm := range traceVariants {
-		if got := MeasureTable1Cfg(traceCfg(tm)); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s changed Table 1:\n got  %+v\n want %+v", tm.name, got, want)
-		}
+	want := MeasureTable1(batchCfg(1))
+	if got := MeasureTable1(batchCfg(64)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s changed Table 1:\n got  %+v\n want %+v", fastPath, got, want)
 	}
-	instr := traceCfg(traceVariants[2])
+	instr := batchCfg(64)
 	instr.Metrics = true
-	if got := MeasureTable1Cfg(instr); !reflect.DeepEqual(got, want) {
-		t.Fatalf("trace+spin with metrics on changed Table 1:\n got  %+v\n want %+v", got, want)
+	if got := MeasureTable1(instr); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s with metrics on changed Table 1:\n got  %+v\n want %+v", fastPath, got, want)
 	}
 }
 
@@ -61,27 +44,21 @@ func TestTraceDifferentialTable1(t *testing.T) {
 // traps, IRQs, kernel/user mode switches, and the kcrecv_spin receive
 // wait — the §5 idiom spin fast-forward targets.
 func TestTraceDifferentialBaseline(t *testing.T) {
-	want := MeasureBaselineCfg(batchCfg(1))
-	for _, tm := range traceVariants {
-		if got := MeasureBaselineCfg(traceCfg(tm)); got != want {
-			t.Fatalf("%s changed baseline:\n got  %+v\n want %+v", tm.name, got, want)
-		}
+	want := MeasureBaseline(batchCfg(1))
+	if got := MeasureBaseline(batchCfg(64)); got != want {
+		t.Fatalf("%s changed baseline:\n got  %+v\n want %+v", fastPath, got, want)
 	}
 }
 
 // TestTraceDifferentialConcurrentLoop compares the complete observable
-// machine state of the two-CPU Figure 6 pipeline across trace modes, as
-// parallel subtests so -race observes concurrent machines.
+// machine state of the two-CPU Figure 6 pipeline on the shipping path.
 func TestTraceDifferentialConcurrentLoop(t *testing.T) {
 	want := runConcurrentLoop(t, batchCfg(1))
-	for _, tm := range traceVariants {
-		t.Run(tm.name, func(t *testing.T) {
-			t.Parallel()
-			if got := runConcurrentLoop(t, traceCfg(tm)); got != want {
-				t.Fatalf("%s diverged:\n got  %+v\n want %+v", tm.name, got, want)
-			}
-		})
-	}
+	t.Run(fastPath, func(t *testing.T) {
+		if got := runConcurrentLoop(t, batchCfg(64)); got != want {
+			t.Fatalf("diverged:\n got  %+v\n want %+v", got, want)
+		}
+	})
 }
 
 // runPingPongPair drives the concurrent ping-pong (both CPUs spinning on
@@ -149,7 +126,7 @@ func runPingPongPair(t *testing.T, p *Pair) pairRun {
 
 func runPingPong(t *testing.T, cfg core.Config) pairRun {
 	t.Helper()
-	return runPingPongPair(t, NewPairOn(cfg, 0, 1))
+	return runPingPongPair(t, NewPair(core.New(cfg), 0, 1))
 }
 
 // TestTraceDifferentialPingPong pins spin fast-forward == literal
@@ -157,21 +134,18 @@ func runPingPong(t *testing.T, cfg core.Config) pairRun {
 // on AU-propagated flags for 25 round trips.
 func TestTraceDifferentialPingPong(t *testing.T) {
 	want := runPingPong(t, batchCfg(1))
-	for _, tm := range traceVariants {
-		t.Run(tm.name, func(t *testing.T) {
-			t.Parallel()
-			if got := runPingPong(t, traceCfg(tm)); got != want {
-				t.Fatalf("%s diverged:\n got  %+v\n want %+v", tm.name, got, want)
-			}
-		})
-	}
+	t.Run(fastPath, func(t *testing.T) {
+		if got := runPingPong(t, batchCfg(64)); got != want {
+			t.Fatalf("diverged:\n got  %+v\n want %+v", got, want)
+		}
+	})
 }
 
 // TestTraceMetricsOnChangesNothing is the explicit observability
-// contract: attaching the metrics registry to the fastest configuration
-// (trace + spin fast-forward) changes no simulated result.
+// contract: attaching the metrics registry to the shipping path (trace
+// dispatch + spin fast-forward) changes no simulated result.
 func TestTraceMetricsOnChangesNothing(t *testing.T) {
-	plain := traceCfg(traceVariants[2])
+	plain := batchCfg(64)
 	want := runPingPong(t, plain)
 	metered := plain
 	metered.Metrics = true
@@ -185,7 +159,7 @@ func TestTraceMetricsOnChangesNothing(t *testing.T) {
 // fixed cadence — and running progress checks that never trip — over the
 // ISA-level ping-pong changes no simulated result.
 func TestTraceRecorderOnChangesNothing(t *testing.T) {
-	plain := traceCfg(traceVariants[2])
+	plain := batchCfg(64)
 	plain.Metrics = true
 	want := runPingPong(t, plain)
 	armed := plain
@@ -208,7 +182,7 @@ type dmaPollRun struct {
 
 func runDMAPoll(t *testing.T, cfg core.Config) dmaPollRun {
 	t.Helper()
-	p := NewPairOn(cfg, 0, 1)
+	p := NewPair(core.New(cfg), 0, 1)
 	sbuf, _ := p.MapBuf("DBUF", 1, 1, nipt.DeliberateUpdate)
 	p.GrantCmd(sbuf, 1)
 	p.Drain()
@@ -238,65 +212,58 @@ spin:
 }
 
 // TestTraceDifferentialDMAPoll: the command-space spin loop reads
-// uncacheable DMA status, so every mode must retire the same literal
-// poll sequence.
+// uncacheable DMA status, so the shipping path must retire the same
+// literal poll sequence.
 func TestTraceDifferentialDMAPoll(t *testing.T) {
 	want := runDMAPoll(t, batchCfg(1))
-	for _, tm := range traceVariants {
-		if got := runDMAPoll(t, traceCfg(tm)); got != want {
-			t.Fatalf("%s diverged:\n got  %+v\n want %+v", tm.name, got, want)
-		}
+	if got := runDMAPoll(t, batchCfg(64)); got != want {
+		t.Fatalf("%s diverged:\n got  %+v\n want %+v", fastPath, got, want)
 	}
 }
 
-// TestTraceDifferentialFaultsArmed runs trace modes under the fault
-// injector: NIC stalls perturb event timing around the ping-pong spins,
-// and drop/corrupt with the reliable layer exercises retransmission in
-// the kernel-ring baseline. Both must stay bit-identical per config.
+// TestTraceDifferentialFaultsArmed runs the shipping path under the
+// fault injector: NIC stalls perturb event timing around the ping-pong
+// spins, and drop/corrupt with the reliable layer exercises
+// retransmission in the kernel-ring baseline. Both must stay
+// bit-identical per config.
 func TestTraceDifferentialFaultsArmed(t *testing.T) {
 	t.Run("stalls-pingpong", func(t *testing.T) {
-		stall := func(tm traceMode, batch int) core.Config {
-			cfg := traceCfg(tm)
-			cfg.CPU.MaxBatch = batch
+		stall := func(batch int) core.Config {
+			cfg := batchCfg(batch)
 			cfg.Faults = fault.Config{Seed: 7, StallPPM: 100_000}
 			return cfg
 		}
-		want := runPingPong(t, stall(traceVariants[0], 1))
-		for _, tm := range traceVariants {
-			if got := runPingPong(t, stall(tm, 64)); got != want {
-				t.Fatalf("%s diverged under stalls:\n got  %+v\n want %+v", tm.name, got, want)
-			}
+		want := runPingPong(t, stall(1))
+		if got := runPingPong(t, stall(64)); got != want {
+			t.Fatalf("%s diverged under stalls:\n got  %+v\n want %+v", fastPath, got, want)
 		}
 	})
 	t.Run("drops-baseline", func(t *testing.T) {
-		lossy := func(tm traceMode, batch int) core.Config {
-			cfg := traceCfg(tm)
-			cfg.CPU.MaxBatch = batch
+		lossy := func(batch int) core.Config {
+			cfg := batchCfg(batch)
 			cfg.Faults = fault.Config{Seed: 11, DropPPM: 50_000, CorruptPPM: 20_000, Reliable: true}
 			return cfg
 		}
-		want := MeasureBaselineCfg(lossy(traceVariants[0], 1))
-		for _, tm := range traceVariants {
-			if got := MeasureBaselineCfg(lossy(tm, 64)); got != want {
-				t.Fatalf("%s diverged under drops:\n got  %+v\n want %+v", tm.name, got, want)
-			}
+		want := MeasureBaseline(lossy(1))
+		if got := MeasureBaseline(lossy(64)); got != want {
+			t.Fatalf("%s diverged under drops:\n got  %+v\n want %+v", fastPath, got, want)
 		}
 	})
 }
 
 // TestTraceDifferentialResetReuse: a machine reused via Reset must
-// replay the trace+spin run bit-identically — superblocks and the spin
-// watcher must not leak across Reset.
+// replay the shipping-path run bit-identically — superblocks and the
+// spin watcher must not leak across Reset.
 func TestTraceDifferentialResetReuse(t *testing.T) {
-	cfg := traceCfg(traceVariants[2])
+	cfg := batchCfg(64)
 	fresh := runPingPong(t, cfg)
 	m := core.New(cfg)
-	first := runPingPongPair(t, PairOn(m, 0, 1))
+	first := runPingPongPair(t, NewPair(m, 0, 1))
 	if first != fresh {
 		t.Fatalf("first run on reused machine diverged:\n got  %+v\n want %+v", first, fresh)
 	}
 	m.Reset()
-	again := runPingPongPair(t, PairOn(m, 0, 1))
+	again := runPingPongPair(t, NewPair(m, 0, 1))
 	// The engine clock restarts at zero after Reset, so the runs must
 	// match in full — including End.
 	if again != fresh {
@@ -309,10 +276,10 @@ func TestTraceDifferentialResetReuse(t *testing.T) {
 // concurrent producer/consumer pipeline, nearly every dispatch must hit
 // a built superblock.
 func TestTraceCacheHitRateFloor(t *testing.T) {
-	cfg := traceCfg(traceVariants[2])
+	cfg := batchCfg(64)
 	cfg.Metrics = true
 	const iters = 40
-	p := NewPairOn(cfg, 0, 1)
+	p := NewPair(core.New(cfg), 0, 1)
 	sbuf, rbuf := p.MapBuf("BUF", 2, 2, nipt.SingleWriteAU)
 	p.MapBack(sbuf, rbuf, 2, nipt.SingleWriteAU)
 	for _, syms := range []map[string]int64{p.SSyms, p.RSyms} {
@@ -366,7 +333,7 @@ func TestTraceCacheHitRateFloor(t *testing.T) {
 // them, and a protection change or unmap must still fault even though
 // the page's translation is cached.
 func TestRemapInvalidatesStaleTranslation(t *testing.T) {
-	p := NewPair(nic.GenEISAPrototype)
+	p := NewPair(newEISA(), 0, 1)
 	va, err := p.PS.AllocPages(1)
 	if err != nil {
 		t.Fatal(err)

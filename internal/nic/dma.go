@@ -64,27 +64,18 @@ type dmaState struct {
 	pendingFinished bool
 }
 
-// dmaChunkEvent fires when the chunk's Xpress read completes: the data is
-// packetized and the engine moves to the next chunk. At most one is in
-// flight per NIC (dma.chunking).
+// dmaChunkEvent fires when the chunk's Xpress read completes: the chunk
+// (at most MaxPayload bytes, one bus read) goes out as one packet and
+// the engine moves to the next chunk. At most one is in flight per NIC
+// (dma.chunking).
 type dmaChunkEvent struct{ n *NIC }
 
 func (ev *dmaChunkEvent) Fire() {
 	n := ev.n
 	d := &n.dma
 	n.flushMerge()
-	// Packetize the window MaxPayload bytes at a time. With DMAWindow=1
-	// this is exactly one packet per bus read, as before; larger windows
-	// carry several packets' worth of data per read, framed identically.
-	buf := d.chunkBuf[:d.pendingLen]
-	for off := 0; off < len(buf); off += n.cfg.MaxPayload {
-		end := off + n.cfg.MaxPayload
-		if end > len(buf) {
-			end = len(buf)
-		}
-		n.emit(d.pendingMap, d.pendingRemote+phys.PAddr(off), buf[off:end], d.pendingSrcPage,
-			d.pendingStart, obs.SpanDeliberate)
-	}
+	n.emit(d.pendingMap, d.pendingRemote, d.chunkBuf[:d.pendingLen], d.pendingSrcPage,
+		d.pendingStart, obs.SpanDeliberate)
 	d.chunking = false
 	if d.pendingFinished {
 		d.busy = false
@@ -185,16 +176,9 @@ func (d *dmaState) kick(n *NIC) {
 		d.busy = false
 		return
 	}
-	window := n.cfg.MaxPayload
-	if n.cfg.DMAWindow > 1 {
-		// Batched mode: one scatter read covers a window of chunks. A
-		// transfer never crosses a page (CmdWrite enforces it), so one
-		// Resolve covers the whole window.
-		window *= n.cfg.DMAWindow
-	}
 	chunk := int(d.remaining) * 4
-	if chunk > window {
-		chunk = window
+	if chunk > n.cfg.MaxPayload {
+		chunk = n.cfg.MaxPayload
 	}
 	d.chunking = true
 	if cap(d.chunkBuf) < chunk {

@@ -71,14 +71,6 @@ type Config struct {
 	// MaxPayload bounds a packet's payload; blocked-write merging and
 	// the deliberate-update DMA engine emit packets up to this size.
 	MaxPayload int
-	// DMAWindow is how many MaxPayload-sized chunks one deliberate-
-	// update bus read covers. 1 (and 0) reproduces per-chunk bus
-	// arbitration exactly; larger windows issue one scatter read per
-	// window and packetize it into MaxPayload packets at completion,
-	// trading fine-grained arbitration interleaving with concurrent CPU
-	// stores for fewer bus tenures and engine events (see dma.go).
-	// Delivered data and packet framing are identical at any setting.
-	DMAWindow int
 	// MergeWindow is the blocked-write programmable time limit: writes
 	// farther apart than this close the open packet (§4.1).
 	MergeWindow sim.Time
@@ -102,7 +94,6 @@ func DefaultConfig() Config {
 		InFIFOBytes:        32 * 1024,
 		InThreshold:        24 * 1024,
 		MaxPayload:         512,
-		DMAWindow:          1,
 		MergeWindow:        500 * sim.Nanosecond,
 		XpressDepositSetup: 80 * sim.Nanosecond,
 		XpressDepositRate:  70_000_000,

@@ -254,45 +254,47 @@ type (
 )
 
 // MeasureTable1 reproduces every row of Table 1 (instruction counts).
-func MeasureTable1(gen Generation) []Overhead { return msg.MeasureTable1(gen) }
+func MeasureTable1(gen Generation) []Overhead { return msg.MeasureTable1(ConfigFor(2, 1, gen)) }
 
 // MeasureBaseline runs the kernel-mediated NX/2 baseline comparison.
-func MeasureBaseline(gen Generation) BaselineComparison { return msg.MeasureBaseline(gen) }
+func MeasureBaseline(gen Generation) BaselineComparison {
+	return msg.MeasureBaseline(ConfigFor(2, 1, gen))
+}
 
 // MeasureStoreLatency measures one automatic-update store end to end.
 func MeasureStoreLatency(cfg Config, src, dst int) LatencyResult {
-	return core.MeasureStoreLatency(cfg, src, dst)
+	return core.MeasureStoreLatency(New(cfg), src, dst)
 }
 
 // LatencySweep measures store latency from node 0 to every other node.
-func LatencySweep(cfg Config) []LatencyResult { return core.LatencySweep(cfg) }
+func LatencySweep(cfg Config) []LatencyResult { return core.LatencySweep(cfg, 1) }
 
 // LatencySweepParallel is LatencySweep fanned across a deterministic
 // worker pool (one machine per worker, results in input order — output
 // is bit-identical to LatencySweep). workers <= 0 selects GOMAXPROCS
 // workers.
 func LatencySweepParallel(cfg Config, workers int) []LatencyResult {
-	return core.LatencySweepParallel(cfg, workers)
+	return core.LatencySweep(cfg, workers)
 }
 
 // MaxLatency measures the corner-to-corner store latency.
-func MaxLatency(cfg Config) LatencyResult { return core.MaxLatency(cfg) }
+func MaxLatency(cfg Config) LatencyResult { return core.MaxLatency(New(cfg)) }
 
 // MeasureDeliberateBandwidth measures sustained deliberate-update
 // bandwidth at one transfer size.
 func MeasureDeliberateBandwidth(cfg Config, src, dst, transferBytes, totalBytes int) BandwidthResult {
-	return core.MeasureDeliberateBandwidth(cfg, src, dst, transferBytes, totalBytes)
+	return core.MeasureDeliberateBandwidth(New(cfg), src, dst, transferBytes, totalBytes)
 }
 
 // BandwidthSweep sweeps deliberate-update bandwidth over transfer sizes.
 func BandwidthSweep(cfg Config, sizes []int, totalBytes int) []BandwidthResult {
-	return core.BandwidthSweep(cfg, sizes, totalBytes)
+	return core.BandwidthSweep(cfg, sizes, totalBytes, 1)
 }
 
 // BandwidthSweepParallel is BandwidthSweep on the deterministic worker
 // pool; output is bit-identical to BandwidthSweep.
 func BandwidthSweepParallel(cfg Config, sizes []int, totalBytes, workers int) []BandwidthResult {
-	return core.BandwidthSweepParallel(cfg, sizes, totalBytes, workers)
+	return core.BandwidthSweep(cfg, sizes, totalBytes, workers)
 }
 
 // AUBandwidthSweep runs the automatic-update ablation per mode on the
@@ -316,20 +318,21 @@ func OverlapSweep(cfg Config, modes []Mode, iters, workers int) []OverlapResult 
 // MeasureAUBandwidth measures automatic-update store streaming (the
 // single-write versus blocked-write ablation).
 func MeasureAUBandwidth(cfg Config, mode Mode, stores int) AUBandwidthResult {
-	return core.MeasureAUBandwidth(cfg, mode, stores)
+	return core.MeasureAUBandwidth(New(cfg), mode, stores)
 }
 
 // MeasureOverlap compares CPU-visible completion time of one compute
 // loop with and without an automatic-update mapping on its output
 // buffer (the §4.1 overlap claim).
 func MeasureOverlap(cfg Config, mode Mode, iters int) OverlapResult {
-	return core.MeasureOverlap(cfg, mode, iters)
+	return core.MeasureOverlap(New(cfg), mode, iters)
 }
 
 // MeasureMergeWindow sweeps the §4.1 blocked-write programmable time
 // limit against a fixed inter-store gap.
 func MeasureMergeWindow(cfg Config, window, storeGap Time, stores int) MergeWindowResult {
-	return core.MeasureMergeWindow(cfg, window, storeGap, stores)
+	cfg.NIC.MergeWindow = window
+	return core.MeasureMergeWindow(New(cfg), storeGap, stores)
 }
 
 // Fault injection and reliable delivery (Config.Faults; DESIGN.md §9).
@@ -379,7 +382,7 @@ const (
 // ends in a machine check comes back with FaultPoint.Err set rather
 // than panicking.
 func MeasureFaultyTransfer(cfg Config, src, dst, transferBytes, totalBytes int) FaultPoint {
-	return core.MeasureFaultyTransfer(cfg, src, dst, transferBytes, totalBytes)
+	return core.MeasureFaultyTransfer(New(cfg), src, dst, transferBytes, totalBytes)
 }
 
 // FaultSweep measures goodput across drop rates (ppm) with reliable
@@ -399,7 +402,7 @@ func CrashPlan(n, k int, base, stagger Time) [2]NodeFault {
 // config's fault plan (Survivable mode) and reports survivor goodput
 // and teardown accounting.
 func MeasureAvailability(cfg Config, rounds, wordsPerRound int) AvailabilityPoint {
-	return core.MeasureAvailability(cfg, rounds, wordsPerRound)
+	return core.MeasureAvailability(New(cfg), rounds, wordsPerRound)
 }
 
 // AvailabilitySweep measures availability across crash counts with
