@@ -1,11 +1,13 @@
 #!/bin/sh
 # ci.sh — the repo's gate: static checks, full build, race-enabled tests,
 # exact event-count pins, zero-allocation checks on the hot paths,
-# byte-identity checks on the CLIs, and a short fuzzing run. Every gate
-# but the fuzzing run is deterministic; that step explores new inputs on
-# each run, and a failure is a real divergence between the CPU's fast
-# path and per-instruction stepping — fix it, then commit the failing
-# input as a seed under internal/isa/testdata/fuzz/. Wall time is
+# byte-identity checks on the CLIs, and two short fuzzing runs. Every
+# gate but the fuzzing runs is deterministic; those explore new inputs on
+# each run, and a failure is a real divergence between a fast path and
+# its reference — the CPU's against per-instruction stepping, or
+# UserWriteBytes' store runs against one store per word — so fix it,
+# then commit the failing input as a seed under the package's
+# testdata/fuzz/. Wall time is
 # measured by the benchmark in bench/ (bash bench/run.sh, protocol in
 # bench/README.md) and gated by nothing in this script.
 set -eux
@@ -65,10 +67,16 @@ go test -run TestTraceCacheHitRateFloor -count 1 ./internal/msg
 # fast path at quanta 3 and 64 against per-instruction stepping (the
 # committed seed corpus already ran with the unit tests above).
 go test -run '^$' -fuzz '^FuzzFastPathMatchesReference$' -fuzztime 15s ./internal/isa
-# Harness copy-out guard: Node.UserReadBytes (micro-TLB translation,
-# line-granular cache reads; the Go-level Channel.Recv path) must stay
-# allocation-free.
+# Random harness writes on twin machines, one through UserWriteBytes'
+# store runs and one through the per-word reference: page kinds,
+# offsets, lengths, background traffic, FIFO stalls and telemetry.
+go test -run '^$' -fuzz '^FuzzUserWriteBytesMatchesPerWord$' -fuzztime 10s ./internal/core
+# Harness copy guards: Node.UserReadBytes (micro-TLB translation,
+# line-granular cache reads; the Go-level Channel.Recv path) and
+# Node.UserWriteBytes (store runs through cache, bus and NIC; the
+# Channel.Send path) must stay allocation-free.
 zero_alloc ./internal/core BenchmarkUserReadBytes 1000x
+zero_alloc ./internal/core BenchmarkUserWriteBytes 1000x
 # Fault-injection guards. The deterministic fault sweep must be
 # race-free with parallel workers and byte-stable run to run, and the
 # steady-state store datapath must stay allocation-free both without an

@@ -56,6 +56,23 @@ type Snooper interface {
 	SnoopWrite(init Initiator, a phys.PAddr, data []byte)
 }
 
+// RunSnooper is an optional Snooper capability that lets a run of
+// consecutive CPU word writes land in one pass (Xpress.WriteRun). A
+// snooper that lacks it leaves every run empty, so CPU writes keep going
+// through Write one at a time.
+type RunSnooper interface {
+	Snooper
+	// SnoopRoom returns how many of up to words consecutive 4-byte CPU
+	// writes from a (DRAM, within a's page), issued back to back before
+	// the next pending engine event, the snooper would take exactly as
+	// one SnoopWrite each without scheduling an event.
+	SnoopRoom(a phys.PAddr, words int) int
+	// SnoopRun has the effect of one SnoopWrite per 4-byte word of data,
+	// in address order, the last issued at last. The run lies within
+	// the room SnoopRoom reported.
+	SnoopRun(a phys.PAddr, data []byte, last sim.Time)
+}
+
 // CommandTarget decodes accesses to the NIC command address space
 // (paper §4.2). Command reads and writes are bus transactions that no
 // RAM responds to; the network interface claims them.
@@ -110,6 +127,7 @@ type Xpress struct {
 	cfg      XpressConfig
 	mem      *phys.Memory
 	snoopers []Snooper
+	runners  []RunSnooper // snoopers[i]'s run capability, nil if it has none
 	cmd      CommandTarget
 	filter   SnoopFilter
 	busyTill sim.Time
@@ -125,7 +143,11 @@ func NewXpress(eng *sim.Engine, cfg XpressConfig, mem *phys.Memory) *Xpress {
 
 // AddSnooper registers a bus snooper (the NIC, the cache's invalidation
 // port). Registration order is the notification order.
-func (x *Xpress) AddSnooper(s Snooper) { x.snoopers = append(x.snoopers, s) }
+func (x *Xpress) AddSnooper(s Snooper) {
+	x.snoopers = append(x.snoopers, s)
+	r, _ := s.(RunSnooper)
+	x.runners = append(x.runners, r)
+}
 
 // SetCommandTarget registers the decoder for the command address space.
 func (x *Xpress) SetCommandTarget(t CommandTarget) { x.cmd = t }
@@ -179,6 +201,56 @@ func (x *Xpress) acquire(n int) sim.Time {
 	x.busyTill = start + d
 	x.stats.BusyTime += d
 	return x.busyTill
+}
+
+// WordTenure returns how long one 4-byte write holds the bus.
+func (x *Xpress) WordTenure() sim.Time { return x.cost(4) }
+
+// RunRoom returns how many of up to words consecutive 4-byte CPU writes
+// from a (DRAM, 4-byte aligned, within a's page), issued back to back
+// before the next pending engine event, can land through WriteRun:
+// every word when the snoop filter passes over a's page, and otherwise
+// the least room any snooper reports, none when one of them is not a
+// RunSnooper. The filter is page-granular, so one check covers the run.
+func (x *Xpress) RunRoom(a phys.PAddr, words int) int {
+	if x.filter != nil && !x.filter(a) {
+		return words
+	}
+	for _, r := range x.runners {
+		if r == nil {
+			return 0
+		}
+		words = min(words, r.SnoopRoom(a, words))
+	}
+	return words
+}
+
+// WriteRun has exactly the effect of one Write(InitCPU, ...) per 4-byte
+// word of data, in address order, for a run within RunRoom whose timing
+// the caller worked out word by word: the last word issued
+// at last, the words waited wait for the bus in total, and the last one
+// holds it until busyTill. Statistics and obs counters land in bulk,
+// DRAM takes one copy, and the snoopers one SnoopRun each.
+func (x *Xpress) WriteRun(a phys.PAddr, data []byte, last, wait, busyTill sim.Time) {
+	n := uint64(len(data) / 4)
+	x.scope.Add(obs.CtrBusTxns, n)
+	if wait > 0 {
+		x.stats.ContentionWait += wait
+		x.scope.Add(obs.CtrBusWaitPs, uint64(wait))
+	}
+	x.busyTill = busyTill
+	x.stats.BusyTime += sim.Time(n) * x.cost(4)
+	x.stats.Writes += n
+	x.stats.BytesWritten += uint64(len(data))
+	x.mem.Write(a, data)
+	if x.filter != nil && !x.filter(a) {
+		x.stats.SnoopsFiltered += n
+		x.scope.Add(obs.CtrSnoopsFiltered, n)
+		return
+	}
+	for _, r := range x.runners {
+		r.SnoopRun(a, data, last)
+	}
 }
 
 // Write performs a write transaction: DRAM is updated and all snoopers

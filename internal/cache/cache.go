@@ -116,6 +116,26 @@ func New(eng *sim.Engine, cfg Config, xbus *bus.Xpress) *Cache {
 // Stats returns a snapshot of cache statistics.
 func (c *Cache) Stats() Stats { return c.stats }
 
+// Line is a copy of one cache line's state.
+type Line struct {
+	Valid, Dirty bool
+	Tag          uint32
+	Age          uint64 // LRU stamp
+	Data         []byte
+}
+
+// Lines returns a copy of every line, set by set and way by way, and the
+// LRU clock. Differential tests compare two caches through it.
+func (c *Cache) Lines() ([]Line, uint64) {
+	var out []Line
+	for _, ways := range c.sets {
+		for _, l := range ways {
+			out = append(out, Line{l.valid, l.dirty, l.tag, l.lru, append([]byte(nil), l.data...)})
+		}
+	}
+	return out, c.clock
+}
+
 // Reset invalidates every line and zeroes the LRU clock and statistics,
 // returning the cache to its just-built state. Line data arrays are
 // retained (an invalid line's contents are unobservable), so a reset
@@ -317,6 +337,75 @@ func (c *Cache) Store(a phys.PAddr, v uint32, size int, writeThrough bool) sim.T
 	return c.cfg.HitTime + stall
 }
 
+// StoreRun stores the 4-byte words of data at a, a 4-byte-aligned DRAM
+// address, with exactly the effect of one Store per word in address
+// order, each issued the moment the one before it completes. It commits
+// words for as long as that needs no engine event: the bus's snoopers
+// must take the word without scheduling one (Xpress.RunRoom), and the
+// word before it must complete strictly before the next pending event
+// and inside the run bound, the hazard rule of the batched CPU. It
+// advances the clock to the last committed word's issue time and
+// returns the number committed and that word's latency, which the
+// caller must still run. Words past a's page are left alone, and so is
+// everything when the page is not write-through: n == 0 means the first
+// word must take Store.
+//
+// A plain loop works out each word's issue time, write-buffer stall,
+// bus contention wait and the bus's busy-until mark; the effects then
+// land in aggregate. Nothing a run does changes a line's validity (the
+// cache ignores CPU writes on the bus, and write-through stores do not
+// allocate), so one lookup per line decides all its words, charged as
+// Store's hits or misses down to the LRU clock, as ReadBytes charges
+// loads.
+func (c *Cache) StoreRun(a phys.PAddr, data []byte, writeThrough bool) (n int, lat sim.Time) {
+	if !writeThrough || a&3 != 0 || c.cfg.LineBytes < 4 || c.xbus.Memory().IsCmd(a) {
+		return 0, 0
+	}
+	words := c.xbus.RunRoom(a, min(len(data), phys.PageSize-int(a.Offset()))/4)
+	if words <= 0 {
+		return 0, 0
+	}
+	next, bound := c.eng.NextEventAt(), c.eng.RunBound()
+	tenure, busy := c.xbus.WordTenure(), c.xbus.BusyUntil()
+	t := c.eng.Now() // the current word's issue time
+	var stalls, waits sim.Time
+	for {
+		var stall sim.Time
+		if ahead := busy - t; ahead > c.cfg.WriteBufferWindow {
+			stall = ahead - c.cfg.WriteBufferWindow
+		}
+		start := max(t, busy)
+		stalls += stall
+		waits += start - t
+		busy = start + tenure
+		lat = c.cfg.HitTime + stall
+		if n++; n == words || t+lat >= next || t+lat > bound {
+			break
+		}
+		t += lat
+	}
+	c.eng.AdvanceTo(t)
+	data = data[:4*n]
+	for off := 0; off < len(data); {
+		la := a + phys.PAddr(off)
+		k := min(len(data)-off, c.cfg.LineBytes-int(uint32(la)&c.lineMask))
+		w := uint64(k / 4)
+		if l := c.lookup(la); l != nil {
+			c.stats.StoreHits += w
+			copy(l.data[uint32(la)&c.lineMask:], data[off:off+k])
+			c.clock += w - 1
+			l.lru = c.clock
+		} else {
+			c.stats.StoreMisses += w
+		}
+		off += k
+	}
+	c.allAcc += uint64(n)
+	c.stats.WriteBufferStall += stalls
+	c.xbus.WriteRun(a, data, t, waits, busy)
+	return n, lat
+}
+
 // LockedCmpxchg forwards the §4.3 locked read-modify-write to the bus,
 // bypassing the cache (LOCK-prefixed operations and command space are
 // uncacheable).
@@ -410,6 +499,13 @@ func (p snoopPort) SnoopWrite(init bus.Initiator, a phys.PAddr, data []byte) {
 		c.stats.SnoopInvalidations++
 	}
 }
+
+// SnoopRoom implements bus.RunSnooper: the invalidation port ignores CPU
+// writes, so it never bounds a run.
+func (p snoopPort) SnoopRoom(_ phys.PAddr, words int) int { return words }
+
+// SnoopRun implements bus.RunSnooper; CPU writes leave the lines alone.
+func (p snoopPort) SnoopRun(phys.PAddr, []byte, sim.Time) {}
 
 func read32(b []byte, off uint32) uint32 {
 	if int(off)+4 <= len(b) {

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 
@@ -357,4 +358,52 @@ func TestReadBytesMatchesPerByteLoads(t *testing.T) {
 			sameState(t, "after conflicting miss", a, b)
 		})
 	}
+}
+
+// StoreRun must have exactly the effect of one write-through Store per
+// word, each issued when the one before it completes, and stop at the
+// last word that completes at or after the next pending event. With
+// the cache's own snoop port the only one on the bus, only the clock
+// bounds the run: it starts on two warm lines (hits) among cold ones
+// (misses) and runs into write-buffer stalls before the event cuts it.
+func TestStoreRunMatchesStores(t *testing.T) {
+	const a0, event = 0x104, sim.Microsecond
+	data := make([]byte, 256)
+	for i := range data {
+		data[i] = byte(i*13 + 1)
+	}
+	run, ref := newTwinCache(), newTwinCache()
+	for _, tc := range []*twinCache{run, ref} {
+		tc.c.Load(0x120, 4)
+		tc.c.Load(0x160, 4)
+		tc.c.eng.At(event, func() {})
+	}
+	if n, _ := run.c.StoreRun(a0, data, false); n != 0 {
+		t.Fatalf("write-back run stored %d words", n)
+	}
+	if n, _ := run.c.StoreRun(a0+2, data, true); n != 0 {
+		t.Fatalf("unaligned run stored %d words", n)
+	}
+	n, lat := run.c.StoreRun(a0, data, true)
+	if n < 2 || n >= len(data)/4 {
+		t.Fatalf("run stored %d of %d words", n, len(data)/4)
+	}
+	if run.c.eng.Now()+lat < event {
+		t.Fatalf("run stopped at %v + %v, before the event at %v", run.c.eng.Now(), lat, event)
+	}
+	var want sim.Time
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			ref.c.eng.AdvanceTo(ref.c.eng.Now() + want)
+		}
+		want = ref.c.Store(a0+phys.PAddr(4*i), binary.LittleEndian.Uint32(data[4*i:]), 4, true)
+	}
+	if run.c.eng.Now() != ref.c.eng.Now() || lat != want {
+		t.Fatalf("run ends at %v with latency %v; per-word stores at %v with %v",
+			run.c.eng.Now(), lat, ref.c.eng.Now(), want)
+	}
+	if run.c.Stats().WriteBufferStall == 0 {
+		t.Fatal("the run never stalled on the write buffer")
+	}
+	sameState(t, "after the run", run, ref)
 }

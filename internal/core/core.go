@@ -6,6 +6,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -408,31 +409,35 @@ func (n *Node) enter() sim.Domain {
 }
 
 func (n *Node) userStore(p *kernel.Process, va vm.VAddr, v uint32, size int) error {
+	n.awaitOutFIFO()
+	prev := n.enter()
+	lat, f := n.Box.StoreAS(p.AS, va, v, size)
+	n.Eng.EnterDomain(prev)
+	if f != nil {
+		return f
+	}
+	n.m.RunFor(lat)
+	return nil
+}
+
+// awaitOutFIFO holds a harness store while the Outgoing FIFO is above
+// its threshold, as the NIC's interrupt holds the CPU.
+func (n *Node) awaitOutFIFO() {
 	for n.NIC.OutStalled() {
 		if !n.m.Step() {
 			break
 		}
 	}
-	tr, f := n.Box.Translate(p.AS, va, true)
-	if f != nil {
-		return f
-	}
-	prev := n.enter()
-	lat := n.Cache.Store(tr.PA, v, size, tr.WriteThrough)
-	n.Eng.EnterDomain(prev)
-	n.m.RunFor(lat)
-	return nil
 }
 
 // UserRead32 is the load counterpart of UserWrite32.
 func (n *Node) UserRead32(p *kernel.Process, va vm.VAddr) (uint32, error) {
-	tr, f := n.Box.Translate(p.AS, va, false)
+	prev := n.enter()
+	v, _, f := n.Box.LoadAS(p.AS, va, 4)
+	n.Eng.EnterDomain(prev)
 	if f != nil {
 		return 0, f
 	}
-	prev := n.enter()
-	v, _ := n.Cache.Load(tr.PA, 4)
-	n.Eng.EnterDomain(prev)
 	return v, nil
 }
 
@@ -460,21 +465,55 @@ func (n *Node) LockedCmpxchg(pa phys.PAddr, expect, repl uint32) (uint32, bool, 
 	return read, swapped, lat
 }
 
-// UserWriteBytes stores a byte slice word by word (tail bytes singly).
+// UserWriteBytes stores b at va with exactly the effect of one
+// UserWrite32 per whole 4-byte word and then one one-byte store per tail
+// byte, in address order. A returned fault means every earlier word
+// landed. Runs of aligned words go to the cache as store runs
+// (storeRun); a word a run cannot take, and every word of an unaligned
+// b, goes through userStore.
 func (n *Node) UserWriteBytes(p *kernel.Process, va vm.VAddr, b []byte) error {
-	i := 0
-	for ; i+4 <= len(b); i += 4 {
-		v := uint32(b[i]) | uint32(b[i+1])<<8 | uint32(b[i+2])<<16 | uint32(b[i+3])<<24
-		if err := n.UserWrite32(p, va+vm.VAddr(i), v); err != nil {
+	words := len(b) &^ 3
+	for i := 0; i < words; {
+		k, err := n.storeRun(p, va+vm.VAddr(i), b[i:words])
+		if err != nil {
 			return err
 		}
+		if k == 0 {
+			if err := n.userStore(p, va+vm.VAddr(i), binary.LittleEndian.Uint32(b[i:]), 4); err != nil {
+				return err
+			}
+			k = 1
+		}
+		i += 4 * k
 	}
-	for ; i < len(b); i++ {
+	for i := words; i < len(b); i++ {
 		if err := n.userStore(p, va+vm.VAddr(i), uint32(b[i]), 1); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// storeRun stores the longest run of b's leading words that
+// cache.StoreRun commits without an engine event, then runs the last
+// word's latency, and returns the number of words stored. 0 leaves the
+// first word to userStore. Like userStore it first waits out an
+// Outgoing-FIFO stall; nothing changes that while the run lasts, since
+// no event fires inside it, and nothing touches the page table either,
+// so one translation serves the whole run.
+func (n *Node) storeRun(p *kernel.Process, va vm.VAddr, b []byte) (int, error) {
+	n.awaitOutFIFO()
+	tr, f := n.Box.Translate(p.AS, va, true)
+	if f != nil {
+		return 0, f
+	}
+	prev := n.enter()
+	k, lat := n.Cache.StoreRun(tr.PA, b, tr.WriteThrough)
+	n.Eng.EnterDomain(prev)
+	if k > 0 {
+		n.m.RunFor(lat)
+	}
+	return k, nil
 }
 
 // UserReadBytes loads len(out) bytes from p's virtual memory with the

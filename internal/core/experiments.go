@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/kernel"
@@ -160,10 +161,12 @@ func setupDeliberate(m *Machine, src, dst, transferBytes, totalBytes int, phase 
 	if err := s.src.K.GrantCommandPages(s.ps, s.sendVA, s.sendVA+0x4000_0000, 1); err != nil {
 		panic(err)
 	}
+	fill := make([]byte, phys.PageSize) // each word holds its own offset
 	for off := 0; off < phys.PageSize; off += 4 {
-		if err := s.src.UserWrite32(s.ps, s.sendVA+vm.VAddr(off), uint32(off)); err != nil {
-			panic(err)
-		}
+		binary.LittleEndian.PutUint32(fill[off:], uint32(off))
+	}
+	if err := s.src.UserWriteBytes(s.ps, s.sendVA, fill); err != nil {
+		panic(err)
 	}
 	mustSettle(m, phase)
 	tr, f := s.ps.AS.Translate(s.sendVA+0x4000_0000, true)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -149,6 +150,7 @@ func MeasureAvailability(m *Machine, rounds, wordsPerRound int) AvailabilityPoin
 		latBefore = m.Obs.StageHist(obs.HistStageTotal)
 	}
 	start := m.Now()
+	round := make([]byte, 4*wordsPerRound)
 
 	// The write rounds. Crash events fire on the simulated timeline as
 	// stores advance it; a flow is skipped the moment its source is dead
@@ -168,13 +170,13 @@ rounds:
 				continue
 			}
 			for j := 0; j < wordsPerRound; j++ {
-				if err := f.src.UserWrite32(f.ps, f.sendVA+vm.VAddr(4*j), availPattern(i, r, j)); err != nil {
-					if crashed[int(f.dst.ID)] {
-						break // quarantine landed mid-round
-					}
-					res.Err = fmt.Sprintf("flow %d round %d: %v", i, r, err)
-					break rounds
-				}
+				binary.LittleEndian.PutUint32(round[4*j:], availPattern(i, r, j))
+			}
+			// An error means the words before the failing one landed;
+			// a quarantine landing mid-round ends only this flow's round.
+			if err := f.src.UserWriteBytes(f.ps, f.sendVA, round); err != nil && !crashed[int(f.dst.ID)] {
+				res.Err = fmt.Sprintf("flow %d round %d: %v", i, r, err)
+				break rounds
 			}
 		}
 	}

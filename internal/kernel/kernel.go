@@ -411,28 +411,74 @@ func (b *MemBox) fill(as *vm.AddressSpace, a vm.VAddr, write bool) (vm.Translati
 
 // Load implements isa.MemPort.
 func (b *MemBox) Load(a vm.VAddr, size int) (uint32, sim.Time, *vm.Fault) {
-	if e := b.hit(b.CurrentAS, a, false); e != nil {
+	if e := b.hit(b.CurrentAS, a, false); e != nil && inPage(a, size) {
 		v, t := b.Cache.Load(e.base+phys.PAddr(a.Offset()), size)
 		return v, t, nil
 	}
-	tr, f := b.fill(b.CurrentAS, a, false)
-	if f != nil {
-		return 0, 0, f
-	}
-	v, t := b.Cache.Load(tr.PA, size)
-	return v, t, nil
+	return b.LoadAS(b.CurrentAS, a, size)
 }
 
 // Store implements isa.MemPort.
 func (b *MemBox) Store(a vm.VAddr, v uint32, size int) (sim.Time, *vm.Fault) {
-	if e := b.hit(b.CurrentAS, a, true); e != nil {
+	if e := b.hit(b.CurrentAS, a, true); e != nil && inPage(a, size) {
 		return b.Cache.Store(e.base+phys.PAddr(a.Offset()), v, size, e.wt), nil
 	}
-	tr, f := b.fill(b.CurrentAS, a, true)
+	return b.StoreAS(b.CurrentAS, a, v, size)
+}
+
+// inPage reports whether a size-byte access at a stays within a's page.
+func inPage(a vm.VAddr, size int) bool { return int(a.Offset())+size <= phys.PageSize }
+
+// LoadAS loads size (1, 2 or 4) bytes at a in as through the micro-TLB
+// and the cache: the harness accessors' load path, and the ISA port's
+// whenever its inlined TLB hit does not apply. An access that crosses
+// into the next virtual page
+// translates both pages before it touches either, so a fault on either
+// page returns with no byte read; it then loads each page's part, and
+// its latency is the sum of the two, as cache.Load splits an access
+// that straddles a line.
+func (b *MemBox) LoadAS(as *vm.AddressSpace, a vm.VAddr, size int) (uint32, sim.Time, *vm.Fault) {
+	lo, hi, first, f := b.translate2(as, a, size, false)
+	if f != nil {
+		return 0, 0, f
+	}
+	if first == size {
+		v, t := b.Cache.Load(lo.PA, size)
+		return v, t, nil
+	}
+	v1, t1 := b.Cache.Load(lo.PA, first)
+	v2, t2 := b.Cache.Load(hi.PA, size-first)
+	return v1 | v2<<(8*uint(first)), t1 + t2, nil
+}
+
+// StoreAS is the store counterpart of LoadAS: a store that crosses into
+// the next virtual page writes nothing unless both pages translate,
+// then stores each page's part under that page's caching policy.
+func (b *MemBox) StoreAS(as *vm.AddressSpace, a vm.VAddr, v uint32, size int) (sim.Time, *vm.Fault) {
+	lo, hi, first, f := b.translate2(as, a, size, true)
 	if f != nil {
 		return 0, f
 	}
-	return b.Cache.Store(tr.PA, v, size, tr.WriteThrough), nil
+	if first == size {
+		return b.Cache.Store(lo.PA, v, size, lo.WriteThrough), nil
+	}
+	t1 := b.Cache.Store(lo.PA, v, first, lo.WriteThrough)
+	t2 := b.Cache.Store(hi.PA, v>>(8*uint(first)), size-first, hi.WriteThrough)
+	return t1 + t2, nil
+}
+
+// translate2 translates the size-byte access at a: lo covers its first
+// first bytes, and hi, when first < size, the rest, which lie at the
+// start of the next virtual page.
+func (b *MemBox) translate2(as *vm.AddressSpace, a vm.VAddr, size int, write bool) (lo, hi vm.Translation, first int, f *vm.Fault) {
+	if lo, f = b.Translate(as, a, write); f != nil {
+		return lo, hi, 0, f
+	}
+	first = min(size, phys.PageSize-int(a.Offset()))
+	if first < size {
+		hi, f = b.Translate(as, a+vm.VAddr(first), write)
+	}
+	return lo, hi, first, f
 }
 
 // SpinProbe implements isa.SpinMemPort by exposing the cache's

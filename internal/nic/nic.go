@@ -495,6 +495,46 @@ func (n *NIC) SnoopWrite(init bus.Initiator, a phys.PAddr, data []byte) {
 	}
 }
 
+// SnoopRoom implements bus.RunSnooper. A run stays in one NIPT page
+// half and inside one remote page, so one resolution covers it.
+// Deliberate-update words only update memory. Blocked-write words must
+// merge into the open packet, which bounds the run by the packet's
+// room. The merge window needs no bound of its own: the merge timer is
+// armed and due by lastWrite+MergeWindow+1ps, and the run's words all
+// issue before it fires, so none comes more than MergeWindow after the
+// write before it. Every other write gets no room: single-write stores,
+// packet opens and flushes, and unresolved writes go through SnoopWrite.
+func (n *NIC) SnoopRoom(a phys.PAddr, words int) int {
+	m, remote, words := n.table.ResolveRun(a, words)
+	switch {
+	case m == nil:
+	case m.Mode == nipt.DeliberateUpdate:
+		return words
+	case m.Mode == nipt.BlockedWriteAU:
+		if o := n.merge.open; o != nil && n.merge.timerArmed && o.m == m && o.startRemote+phys.PAddr(len(o.buf)) == remote {
+			return min(words, (n.cfg.MaxPayload-len(o.buf))/4)
+		}
+	}
+	return 0
+}
+
+// SnoopRun implements bus.RunSnooper: the effect of one SnoopWrite per
+// word of data. Blocked-write words append to the open packet in one
+// copy; the merge timer is already armed, so none reschedules it.
+func (n *NIC) SnoopRun(a phys.PAddr, data []byte, last sim.Time) {
+	k := uint64(len(data) / 4)
+	n.stats.SnoopedWrites += k
+	n.scope.Add(obs.CtrSnoopedWrites, k)
+	n.table.CountLookups(k)
+	if n.table.Entry(a.Page()).Out(a.Offset()).Mode == nipt.BlockedWriteAU {
+		o := n.merge.open
+		o.buf = append(o.buf, data...)
+		o.lastWrite = last
+		n.stats.MergedWrites += k
+		n.scope.Add(obs.CtrMergedWrites, k)
+	}
+}
+
 // emit packetizes payload destined for the given remote address and
 // queues it on the Outgoing FIFO after the packetize latency. The
 // payload bytes are copied into a pooled packet, so the caller's buffer

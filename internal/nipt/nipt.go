@@ -170,3 +170,29 @@ func (t *Table) Resolve(a phys.PAddr) (m *OutMapping, remote phys.PAddr, ok bool
 	}
 	return m, m.DstPage.Addr(uint32(off)), true
 }
+
+// ResolveRun is Resolve for a run of up to words consecutive 4-byte
+// writes from a, one resolution standing for all of them: it reports
+// a's mapping and remote address, and how many of the words (from the
+// first) Resolve would send through that same mapping into the same
+// remote page. m is nil when a itself does not resolve. It counts
+// nothing; the caller charges the lookups it uses with CountLookups.
+func (t *Table) ResolveRun(a phys.PAddr, words int) (m *OutMapping, remote phys.PAddr, n int) {
+	e := t.Entry(a.Page())
+	off := a.Offset()
+	m = e.Out(off)
+	roff := int64(off) + int64(m.DstShift)
+	if m.Mode == Unmapped || roff < 0 || roff >= phys.PageSize {
+		return nil, 0, 0
+	}
+	end := uint32(phys.PageSize) // first offset past this half
+	if e.Split != 0 && off < e.Split {
+		end = e.Split
+	}
+	n = min(words, int(end-off+3)/4, int(phys.PageSize-roff+3)/4)
+	return m, m.DstPage.Addr(uint32(roff)), n
+}
+
+// CountLookups charges n resolved Resolve lookups to the obs counters:
+// the count a run of writes ResolveRun covered would have made.
+func (t *Table) CountLookups(n uint64) { t.scope.Add(obs.CtrNIPTLookups, n) }
