@@ -1,15 +1,15 @@
 #!/bin/sh
 # ci.sh — the repo's gate: static checks, full build, race-enabled tests,
-# exact event-count pins, zero-allocation checks on the hot paths,
-# byte-identity checks on the CLIs, and two short fuzzing runs. Every
-# gate but the fuzzing runs is deterministic; those explore new inputs on
-# each run, and a failure is a real divergence between a fast path and
-# its reference — the CPU's against per-instruction stepping, or
-# UserWriteBytes' store runs against one store per word — so fix it,
-# then commit the failing input as a seed under the package's
-# testdata/fuzz/. Wall time is
-# measured by the benchmark in bench/ (bash bench/run.sh, protocol in
-# bench/README.md) and gated by nothing in this script.
+# exact event-count pins, a boot-footprint pin, zero-allocation checks on
+# the hot paths, byte-identity checks on the CLIs, and two short fuzzing
+# runs. Every gate but the fuzzing runs is deterministic; those explore
+# new inputs on each run, and a failure is a real divergence between a
+# fast path and its reference — the CPU's against per-instruction
+# stepping, or UserWriteBytes' store runs against one store per word — so
+# fix it, then commit the failing input as a seed under the package's
+# testdata/fuzz/. Wall time is measured by the benchmark in bench/ (bash
+# bench/run.sh, protocol in bench/README.md) and gated by nothing in this
+# script.
 set -eux
 
 scratch=$(mktemp -d)
@@ -41,6 +41,12 @@ go -C bench test ./...
 # The counts are exact, so instrumentation that schedules events, a
 # change to the reliable protocol or a batching regression fails here.
 go test -count 1 -run TestEventCountPins ./internal/core
+# Boot-footprint pin: NIPT entries of at most 24 bytes, a 16x16 machine
+# at the allreduce benchmark's 1,534 pages/node built in under 32 MB and
+# 24,000 heap objects, and no kernel ring state after New or Reset.
+# Allocation counts are deterministic, so a wider table or eagerly built
+# per-peer state fails here.
+go test -count 1 -run TestBootFootprint ./internal/core
 # Event-queue guard: scheduling and firing, on the Handler path and the
 # closure path, at every benchmarked heap depth, must stay
 # allocation-free (TestScheduleZeroAlloc, run by the race tests above,

@@ -131,9 +131,7 @@ type Machine struct {
 }
 
 // CoordOf maps a node id to its mesh coordinates (row-major).
-func (c Config) CoordOf(id packet.NodeID) packet.Coord {
-	return packet.Coord{X: int(id) % c.MeshWidth, Y: int(id) / c.MeshWidth}
-}
+func (c Config) CoordOf(id packet.NodeID) packet.Coord { return packet.CoordOf(id, c.MeshWidth) }
 
 // NodeCount returns the number of nodes in the machine.
 func (c Config) NodeCount() int { return c.MeshWidth * c.MeshHeight }
@@ -176,7 +174,7 @@ func New(cfg Config) *Machine {
 		cpu := isa.NewCPU(eng, cfg.CPU, box)
 		cpu.SetName(fmt.Sprintf("cpu%d", id))
 		cpu.SetDom(sim.DomNode(id))
-		k := kernel.New(eng, cfg.Kernel, packet.NodeID(id), coord, mem, xbus, nicDev, cpu, box)
+		k := kernel.New(eng, cfg.Kernel, packet.NodeID(id), cfg.NodeCount(), mem, xbus, nicDev, cpu, box)
 		nicDev.Tracer = m.Tracer
 		k.Tracer = m.Tracer
 		scope := m.Obs.Node(id) // nil when metrics are disabled
@@ -254,72 +252,13 @@ func (p *machinePacer) Pace(deadline, head sim.Time) {
 	}
 }
 
-// installKernelRings reserves the boot pages for kernel↔kernel rings,
-// installs their NIPT mappings directly (the hardware-install substitute
-// for firmware), and seeds each kernel's page allocator with the rest.
+// installKernelRings runs every kernel's boot step, which installs the
+// kernel↔kernel rings' NIPT entries directly (the hardware-install
+// substitute for firmware) and seeds its page allocator with the rest.
 func (m *Machine) installKernelRings() {
-	n := len(m.Nodes)
-	// Page layout per node: outbox to each peer, then inbox from each
-	// peer, then general allocation.
-	ringPages := 2 * (n - 1)
-	if ringPages >= m.Cfg.MemPagesPerNode {
-		panic("core: not enough memory pages for kernel rings")
-	}
-	outFrame := func(a, b int) phys.PageNum { // outbox on a toward b
-		return phys.PageNum(peerIndex(a, b))
-	}
-	inFrame := func(a, b int) phys.PageNum { // inbox on a from b
-		return phys.PageNum(n - 1 + peerIndex(a, b))
-	}
-	for a := 0; a < n; a++ {
-		for b := 0; b < n; b++ {
-			if a == b {
-				continue
-			}
-			na, nb := m.Nodes[a], m.Nodes[b]
-			out, in := outFrame(a, b), inFrame(b, a)
-			// Sender side: the outbox page maps to the peer's inbox
-			// frame, blocked-write (ring records merge nicely), tagged
-			// as a kernel ring so arrivals raise the kernel IRQ.
-			na.NIC.Table().MapOut(out, nipt.OutMapping{
-				Mode:    nipt.BlockedWriteAU,
-				Dst:     nb.Coord,
-				DstNode: nb.ID,
-				DstPage: in,
-			})
-			na.NIC.Table().Entry(out).KernelRing = true
-			// Receiver side.
-			e := nb.NIC.Table().Entry(in)
-			e.MappedIn = true
-			e.KernelRing = true
-		}
-	}
-	for a := 0; a < n; a++ {
-		for b := 0; b < n; b++ {
-			if a == b {
-				continue
-			}
-			m.Nodes[a].K.AddPeer(m.Nodes[b].ID, m.Nodes[b].Coord,
-				outFrame(a, b), inFrame(a, b))
-		}
-	}
 	for _, node := range m.Nodes {
-		free := make([]phys.PageNum, 0, m.Cfg.MemPagesPerNode-ringPages)
-		// Descending so that the allocator (which pops the tail) hands
-		// out ascending frame numbers — friendlier diagnostics.
-		for p := m.Cfg.MemPagesPerNode - 1; p >= ringPages; p-- {
-			free = append(free, phys.PageNum(p))
-		}
-		node.K.SetFreePages(free)
+		node.K.Boot()
 	}
-}
-
-// peerIndex numbers a's peers 0..n-2 in node order, skipping a itself.
-func peerIndex(a, b int) int {
-	if b < a {
-		return b
-	}
-	return b - 1
 }
 
 // Node returns node i.

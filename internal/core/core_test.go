@@ -293,6 +293,11 @@ func TestConfigValidation(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
 	}
+	largest := good
+	largest.MemPagesPerNode = phys.MaxPages
+	if err := largest.Validate(); err != nil {
+		t.Fatalf("largest memory rejected: %v", err)
+	}
 	mutations := []struct {
 		name string
 		mut  func(*Config)
@@ -300,6 +305,10 @@ func TestConfigValidation(t *testing.T) {
 		{"zero mesh", func(c *Config) { c.MeshWidth = 0 }},
 		{"mesh disagreement", func(c *Config) { c.Mesh.Width = 7 }},
 		{"too few pages", func(c *Config) { c.MemPagesPerNode = 4 }},
+		// Command space [size, 2·size) wraps the 32-bit PAddr: at 2^19
+		// pages no command page is reachable, at 2^20 the size is 0.
+		{"command space wraps", func(c *Config) { c.MemPagesPerNode = 1 << 19 }},
+		{"memory size wraps", func(c *Config) { c.MemPagesPerNode = 1 << 20 }},
 		{"payload over page", func(c *Config) { c.NIC.MaxPayload = phys.PageSize + 1 }},
 		{"out threshold at capacity", func(c *Config) { c.NIC.OutThreshold = c.NIC.OutFIFOBytes }},
 		{"no out headroom", func(c *Config) { c.NIC.OutThreshold = c.NIC.OutFIFOBytes - 1 }},

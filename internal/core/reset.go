@@ -6,14 +6,14 @@ package core
 // pool, the engine's event queue, and the kernels' map buckets. Sweep
 // harnesses that measure many points on the same configuration reuse one
 // machine per worker instead of paying the full construction cost per
-// point (~1,500 allocations / 2.8 MB for a 16-node machine).
+// point (about 1,030 allocations / 1.4 MB for a 16-node machine).
 //
 // The engine is reset first, discarding any pending events, so Reset is
 // safe even when the previous measurement stopped mid-flight (e.g. a
 // latency probe that returns the instant the data lands, with deposit
 // pipeline events still queued). Component resets then clear all state
-// those events referenced, and the boot "firmware" step re-installs the
-// kernel ring mappings exactly as New does.
+// those events referenced, and the kernels' boot "firmware" step
+// re-installs the kernel ring mappings exactly as New does.
 func (m *Machine) Reset() {
 	m.Eng.Reset()
 	m.Net.Reset()

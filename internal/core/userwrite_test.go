@@ -198,7 +198,7 @@ func newWriteRig(t testing.TB, c writeCase) *writeRig {
 			r.NIC.Table().Entry(lo).MappedIn = true
 			r.NIC.Table().Entry(hi).MappedIn = true
 			half := func(dst phys.PageNum, shift int32) nipt.OutMapping {
-				return nipt.OutMapping{Mode: nipt.BlockedWriteAU, Dst: r.Coord, DstNode: r.ID, DstPage: dst, DstShift: shift}
+				return nipt.OutMapping{Mode: nipt.BlockedWriteAU, DstNode: r.ID, DstPage: dst, DstShift: shift}
 			}
 			w.NIC.Table().MapOutSplit(frame(p, pva), 1026, half(lo, 2000), half(hi, 1500))
 		case pageReadOnly:

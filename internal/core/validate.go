@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/fault"
+	"repro/internal/kernel"
 	"repro/internal/packet"
 	"repro/internal/phys"
 )
@@ -38,9 +39,15 @@ func (c Config) Validate() error {
 	if c.Watchdog.Windows < 0 || c.Watchdog.StallBytes < 0 || c.Watchdog.Deadline < 0 {
 		return fmt.Errorf("core: watchdog tunables must be non-negative")
 	}
-	if ring := 2 * (n - 1); ring+8 > c.MemPagesPerNode {
+	if ring := kernel.RingPages(n); ring+8 > c.MemPagesPerNode {
 		return fmt.Errorf("core: %d pages/node cannot hold %d kernel ring pages plus working memory",
 			c.MemPagesPerNode, ring)
+	}
+	if c.MemPagesPerNode > phys.MaxPages {
+		// The command space sits directly above DRAM and is as large;
+		// past MaxPages it wraps the 32-bit physical address.
+		return fmt.Errorf("core: %d pages/node leave no room for the command space (at most %d)",
+			c.MemPagesPerNode, phys.MaxPages)
 	}
 	if c.NIC.MaxPayload <= 0 || c.NIC.MaxPayload > phys.PageSize {
 		return fmt.Errorf("core: NIC max payload %d outside (0,%d]", c.NIC.MaxPayload, phys.PageSize)

@@ -23,14 +23,6 @@ import (
 func (k *Kernel) CheckInvariants() error {
 	table := k.nic.Table()
 
-	// Ring pages are exempt from the record accounting.
-	ringOut := make(map[phys.PageNum]bool)
-	ringIn := make(map[phys.PageNum]bool)
-	for _, p := range k.peers {
-		ringOut[p.outFrame] = true
-		ringIn[p.inFrame] = true
-	}
-
 	// Index live export records by frame+segment-start.
 	type segKey struct {
 		frame phys.PageNum
@@ -54,8 +46,7 @@ func (k *Kernel) CheckInvariants() error {
 			}
 			owned[sk] = rec
 			// Invariant 1: the segment really is installed.
-			e := table.Entry(frame)
-			seg := e.Out(rec.SegmentOffset)
+			seg := table.Out(frame, rec.SegmentOffset)
 			if seg.Mode != rec.Seg.Mode || seg.DstPage != rec.Seg.DstPage ||
 				seg.DstNode != rec.Seg.DstNode {
 				return fmt.Errorf("kernel%d: record for frame %d seg %d not installed (have %v->%d, want %v->%d)",
@@ -68,10 +59,12 @@ func (k *Kernel) CheckInvariants() error {
 		}
 	}
 
-	// Invariant 2: walk the whole NIPT.
+	// Invariant 2: walk the whole NIPT. Ring pages are exempt from the
+	// record accounting; the layout fixes their frames, whether or not
+	// this kernel has used the ring.
 	for f := phys.PageNum(0); int(f) < table.Pages(); f++ {
 		e := table.Entry(f)
-		if ringOut[f] {
+		if int(f) < k.nodes-1 { // a ring outbox
 			continue
 		}
 		check := func(m *nipt.OutMapping, start uint32) error {
@@ -87,13 +80,13 @@ func (k *Kernel) CheckInvariants() error {
 		if err := check(&e.Lo, 0); err != nil {
 			return err
 		}
-		if e.Split != 0 {
-			if err := check(&e.Hi, e.Split); err != nil {
+		if s := e.Split(); s != 0 {
+			if err := check(table.Out(f, s), s); err != nil {
 				return err
 			}
 		}
 		// Invariant 3.
-		if e.MappedIn && !ringIn[f] && len(k.imports[f]) == 0 {
+		if _, ring := k.inboxOwner(f); e.MappedIn && !ring && len(k.imports[f]) == 0 {
 			return fmt.Errorf("kernel%d: frame %d mapped in with no importer bookkeeping", k.id, f)
 		}
 		if !e.MappedIn && len(k.imports[f]) > 0 {
@@ -114,8 +107,7 @@ func (k *Kernel) CheckInvariants() error {
 		if pid, inUse := used[f]; inUse {
 			return fmt.Errorf("kernel%d: free frame %d backs a page of pid %d", k.id, f, pid)
 		}
-		e := table.Entry(f)
-		if e.MappedOut() || e.MappedIn {
+		if table.MappedOut(f) || table.Entry(f).MappedIn {
 			return fmt.Errorf("kernel%d: free frame %d has NIPT state", k.id, f)
 		}
 	}

@@ -94,7 +94,7 @@ type Kernel struct {
 	dom   sim.Domain // the node's event domain; tags harness-entered syscalls
 	cfg   Config
 	id    packet.NodeID
-	coord packet.Coord
+	nodes int // machine's node count: fixes the ring layout (ring.go)
 	mem   *phys.Memory
 	xbus  *bus.Xpress
 	nic   *nic.NIC
@@ -106,10 +106,10 @@ type Kernel struct {
 	free    []phys.PageNum
 	swap    map[swapKey][]byte
 
-	peers     map[packet.NodeID]*peer
-	peerOrder []packet.NodeID                // AddPeer order (ascending at boot): deterministic sweeps
-	ringOwner map[phys.PageNum]packet.NodeID // inbox frame -> peer
-	pending   map[uint32]*Future
+	// peers holds ring state for the nodes this kernel has sent to or
+	// heard from, built on first use (peerOf).
+	peers   map[packet.NodeID]*peer
+	pending map[uint32]*Future
 	// pendingDst records each pending RPC's destination so a peer-down
 	// declaration can resolve exactly the futures that will never be
 	// acknowledged (HandlePeerDown).
@@ -158,19 +158,19 @@ type exportKey struct {
 	page phys.PageNum
 }
 
-// New builds a kernel over the node's hardware. cpu may be nil for
+// New builds node id's kernel over the node's hardware; nodes is the
+// machine's node count, which fixes the ring layout. cpu may be nil for
 // pure-Go harness tests. The kernel claims the NIC's interrupt line and,
 // if a CPU is present, its fault handler.
-func New(eng *sim.Engine, cfg Config, id packet.NodeID, coord packet.Coord,
+func New(eng *sim.Engine, cfg Config, id packet.NodeID, nodes int,
 	mem *phys.Memory, xbus *bus.Xpress, n *nic.NIC, cpu *isa.CPU, box *MemBox) *Kernel {
 	k := &Kernel{
-		eng: eng, dom: sim.DomNode(int(id)), cfg: cfg, id: id, coord: coord,
+		eng: eng, dom: sim.DomNode(int(id)), cfg: cfg, id: id, nodes: nodes,
 		mem: mem, xbus: xbus, nic: n, cpu: cpu, box: box,
 		procs:      make(map[int]*Process),
 		nextPID:    1,
 		swap:       make(map[swapKey][]byte),
 		peers:      make(map[packet.NodeID]*peer),
-		ringOwner:  make(map[phys.PageNum]packet.NodeID),
 		pending:    make(map[uint32]*Future),
 		pendingDst: make(map[uint32]packet.NodeID),
 		down:       make(map[packet.NodeID]*fault.PeerDown),
@@ -187,18 +187,16 @@ func New(eng *sim.Engine, cfg Config, id packet.NodeID, coord packet.Coord,
 }
 
 // Reset returns the kernel to its just-constructed state: no processes,
-// no peers or rings, no pending RPCs, no mapping records, scheduler
+// no peer ring state, no pending RPCs, no mapping records, scheduler
 // idle, zeroed statistics. Maps are cleared in place so their buckets
-// are reused. The machine constructor's boot steps (AddPeer,
-// SetFreePages) must be re-run afterwards, exactly as after New.
+// are reused. The machine constructor's boot step (Boot) must be re-run
+// afterwards, exactly as after New.
 func (k *Kernel) Reset() {
 	clear(k.procs)
 	k.nextPID = 1
 	k.free = nil
 	clear(k.swap)
 	clear(k.peers)
-	k.peerOrder = k.peerOrder[:0]
-	clear(k.ringOwner)
 	clear(k.pending)
 	clear(k.pendingDst)
 	clear(k.down)
@@ -222,9 +220,6 @@ func (k *Kernel) ID() packet.NodeID { return k.id }
 // previous domain.
 func (k *Kernel) enter() sim.Domain { return k.eng.EnterDomain(k.dom) }
 
-// Coord returns the node's mesh coordinates.
-func (k *Kernel) Coord() packet.Coord { return k.coord }
-
 // Stats returns a snapshot of kernel statistics.
 func (k *Kernel) Stats() Stats { return k.stats }
 
@@ -234,8 +229,8 @@ func (k *Kernel) NIC() *nic.NIC { return k.nic }
 // CPU returns the node's processor (may be nil in harness tests).
 func (k *Kernel) CPU() *isa.CPU { return k.cpu }
 
-// SetFreePages seeds the physical page allocator; the machine
-// constructor calls it after reserving boot pages.
+// SetFreePages replaces the physical page allocator's free list, which
+// Boot seeds with every frame above the ring pages.
 func (k *Kernel) SetFreePages(pages []phys.PageNum) { k.free = pages }
 
 // FreePageCount returns the number of unallocated physical pages.

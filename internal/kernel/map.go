@@ -202,10 +202,10 @@ func (k *Kernel) Map(p *Process, sendVA vm.VAddr, bytes int, dst packet.NodeID, 
 
 // checkSegmentFree verifies the NIPT can hold the planned segment.
 func (k *Kernel) checkSegmentFree(frame phys.PageNum, sg pageSeg) error {
-	e := k.nic.Table().Entry(frame)
+	t := k.nic.Table()
 	// Any overlap with an existing mapped segment is a conflict.
 	for off := sg.segStart; off < sg.segEnd; off += 4 {
-		if e.Out(off).Mode != nipt.Unmapped {
+		if t.Out(frame, off).Mode != nipt.Unmapped {
 			return fmt.Errorf("kernel: page %#x offset %d already mapped out", uint32(frame), off)
 		}
 	}
@@ -215,12 +215,10 @@ func (k *Kernel) checkSegmentFree(frame phys.PageNum, sg pageSeg) error {
 // installMapping writes the planned segments into the NIPT and the
 // process page table.
 func (k *Kernel) installMapping(m *Mapping, segs []pageSeg) {
-	coord := k.peerOf(m.Dst).coord
 	for _, sg := range segs {
 		frame, _ := m.Proc.AS.FrameOf(sg.vpn)
 		out := nipt.OutMapping{
 			Mode:     m.Mode,
-			Dst:      coord,
 			DstNode:  m.Dst,
 			DstPage:  m.remoteFrames[sg.remoteIdx],
 			DstShift: sg.dstShift,
@@ -261,34 +259,39 @@ func (k *Kernel) installMapping(m *Mapping, segs []pageSeg) {
 // installSegment writes one planned segment into a NIPT entry,
 // preserving any existing other-half mapping.
 func (k *Kernel) installSegment(frame phys.PageNum, sg pageSeg, out nipt.OutMapping) {
-	e := k.nic.Table().Entry(frame)
-	switch {
-	case sg.segStart == 0 && sg.segEnd == phys.PageSize:
-		e.Lo, e.Split = out, 0
-	case sg.segStart == 0:
-		// Keep an existing high half if there is one.
-		if e.Split == 0 || e.Split == sg.segEnd {
-			e.Split = sg.segEnd
-		} else if e.Hi.Mode != nipt.Unmapped || e.Split != sg.segEnd {
-			panic("kernel: conflicting split points (checkSegmentFree missed)")
-		}
-		e.Lo = out
-	default:
-		if e.Split != 0 && e.Split != sg.segStart {
-			panic("kernel: conflicting split points (checkSegmentFree missed)")
-		}
-		e.Split = sg.segStart
-		e.Hi = out
+	t := k.nic.Table()
+	if sg.segStart == 0 && sg.segEnd == phys.PageSize {
+		t.MapOut(frame, out)
+		return
 	}
+	split := sg.segStart // the high half starts the segment...
+	if split == 0 {
+		split = sg.segEnd // ...or the low half ends it
+	}
+	e := t.Entry(frame)
+	lo, hi := e.Lo, nipt.OutMapping{}
+	switch e.Split() {
+	case 0:
+	case split:
+		hi = *t.Out(frame, split)
+	default:
+		panic("kernel: conflicting split points (checkSegmentFree missed)")
+	}
+	if sg.segStart == 0 {
+		lo = out
+	} else {
+		hi = out
+	}
+	t.MapOutSplit(frame, split, lo, hi)
 }
 
-// removeSegment clears one installed segment from a NIPT entry.
+// removeSegment clears one installed segment from a NIPT entry; a page
+// left with no mapped half becomes unsplit.
 func (k *Kernel) removeSegment(frame phys.PageNum, rec *OutMapping) {
-	e := k.nic.Table().Entry(frame)
-	seg := e.Out(rec.SegmentOffset)
-	*seg = nipt.OutMapping{}
-	if e.Lo.Mode == nipt.Unmapped && (e.Split == 0 || e.Hi.Mode == nipt.Unmapped) {
-		e.Split = 0
+	t := k.nic.Table()
+	*t.Out(frame, rec.SegmentOffset) = nipt.OutMapping{}
+	if !t.MappedOut(frame) {
+		t.UnmapOut(frame)
 	}
 }
 

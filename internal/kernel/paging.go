@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/isa"
-	"repro/internal/nipt"
 	"repro/internal/obs"
 	"repro/internal/phys"
 	"repro/internal/trace"
@@ -84,7 +83,7 @@ func (k *Kernel) finishEvict(p *Process, vpn vm.VPN, frame phys.PageNum) {
 		k.box.Cache.FlushPage(frame)
 	}
 	k.swap[swapKey{pid: p.PID, vpn: vpn}] = k.mem.Read(frame.Addr(0), phys.PageSize)
-	*k.nic.Table().Entry(frame) = nipt.Entry{}
+	k.nic.Table().Clear(frame)
 	pte, _ := p.AS.Lookup(vpn)
 	pte.Present = false
 	p.AS.Map(vpn, pte)

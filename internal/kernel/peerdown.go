@@ -137,11 +137,11 @@ func (k *Kernel) HandlePeerDown(pd *fault.PeerDown) {
 // node. Peers with backlogged records are skipped; their queued traffic
 // already exercises the detector.
 func (k *Kernel) Heartbeat() {
-	for _, node := range k.peerOrder {
-		if k.down[node] != nil {
+	for node := packet.NodeID(0); int(node) < k.nodes; node++ {
+		if node == k.id || k.down[node] != nil {
 			continue
 		}
-		p := k.peers[node]
+		p := k.peerOf(node)
 		if len(p.backlog) > 0 {
 			continue
 		}

@@ -3,9 +3,11 @@ package kernel
 import (
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"repro/internal/fault"
 	"repro/internal/nic"
+	"repro/internal/nipt"
 	"repro/internal/packet"
 	"repro/internal/phys"
 )
@@ -62,9 +64,83 @@ func (k *Kernel) ringHeader() uint32 {
 	return ringHeaderBytes
 }
 
+// Ring layout. On an n-node machine each node reserves RingPages(n)
+// boot frames: its outbox toward peer b is frame peerIndex(a, b) and its
+// inbox from b is frame n-1+peerIndex(a, b). General allocation starts
+// above them. Frame numbers are a pure function of the pair, so boot
+// installs every ring's NIPT entries (Boot) while a kernel builds a
+// peer's Go-side ring state only when it first sends to that peer or
+// drains its inbox (peerOf).
+
+// RingPages returns the number of boot frames each node of an n-node
+// machine reserves for kernel rings.
+func RingPages(nodes int) int { return 2 * (nodes - 1) }
+
+// peerIndex numbers a's peers 0..n-2 in node order, skipping a itself.
+func peerIndex(a, b packet.NodeID) int {
+	if b < a {
+		return int(b)
+	}
+	return int(b) - 1
+}
+
+// outbox returns node a's outbox frame toward b.
+func outbox(a, b packet.NodeID) phys.PageNum { return phys.PageNum(peerIndex(a, b)) }
+
+// inbox returns node a's inbox frame from b on an n-node machine.
+func inbox(n int, a, b packet.NodeID) phys.PageNum { return phys.PageNum(n - 1 + peerIndex(a, b)) }
+
+// inboxOwner inverts inbox: the peer whose ring lands in frame f, or
+// false when f is not one of this node's inboxes.
+func (k *Kernel) inboxOwner(f phys.PageNum) (packet.NodeID, bool) {
+	i := int(f) - (k.nodes - 1)
+	if i < 0 || i >= k.nodes-1 {
+		return 0, false
+	}
+	if b := packet.NodeID(i); b < k.id {
+		return b, true
+	}
+	return packet.NodeID(i + 1), true
+}
+
+// Boot is the firmware step for this node, the only mappings not
+// established through map(): it installs the NIPT entries of this
+// node's side of every ring, each outbox mapped out to the peer's inbox
+// and each inbox mapped in, and seeds the page allocator with the
+// frames above the rings. The machine constructor calls it on every
+// node.
+func (k *Kernel) Boot() {
+	ring := RingPages(k.nodes)
+	if ring >= k.mem.Pages() {
+		panic(fmt.Sprintf("kernel%d: %d pages cannot hold %d kernel ring pages", k.id, k.mem.Pages(), ring))
+	}
+	t := k.nic.Table()
+	for b := packet.NodeID(0); int(b) < k.nodes; b++ {
+		if b == k.id {
+			continue
+		}
+		// Sender side: the outbox maps to the peer's inbox frame,
+		// blocked-write (ring records merge nicely), tagged as a kernel
+		// ring so arrivals raise the kernel IRQ.
+		out := outbox(k.id, b)
+		t.MapOut(out, nipt.OutMapping{Mode: nipt.BlockedWriteAU, DstNode: b, DstPage: inbox(k.nodes, b, k.id)})
+		t.Entry(out).KernelRing = true
+		// Receiver side.
+		in := t.Entry(inbox(k.nodes, k.id, b))
+		in.MappedIn = true
+		in.KernelRing = true
+	}
+	free := make([]phys.PageNum, 0, k.mem.Pages()-ring)
+	// Descending so that the allocator (which pops the tail) hands out
+	// ascending frame numbers — friendlier diagnostics.
+	for p := k.mem.Pages() - 1; p >= ring; p-- {
+		free = append(free, phys.PageNum(p))
+	}
+	k.free = free
+}
+
 type peer struct {
-	node  packet.NodeID
-	coord packet.Coord
+	node packet.NodeID
 
 	outFrame phys.PageNum
 	wcursor  uint32
@@ -80,26 +156,28 @@ type peer struct {
 	lastCredit uint64
 }
 
-// AddPeer wires up the ring pair with another node. The machine
-// constructor calls it at boot after installing the NIPT entries for
-// outFrame (mapped out to the peer's inbox) and inFrame (mapped in,
-// kernel-ring, interrupt-on-arrival).
-func (k *Kernel) AddPeer(node packet.NodeID, coord packet.Coord, outFrame, inFrame phys.PageNum) {
-	if _, dup := k.peers[node]; dup {
-		panic(fmt.Sprintf("kernel%d: duplicate peer %d", k.id, node))
+// peerOf returns the ring state for node, building it the first time
+// this kernel sends to node or drains its inbox.
+func (k *Kernel) peerOf(node packet.NodeID) *peer {
+	if p := k.peers[node]; p != nil {
+		return p
 	}
-	p := &peer{node: node, coord: coord, outFrame: outFrame, inFrame: inFrame, wseq: 1, rseq: 1}
+	if node == k.id || node < 0 || int(node) >= k.nodes {
+		panic(fmt.Sprintf("kernel%d: no ring to node %d", k.id, node))
+	}
+	p := &peer{node: node, outFrame: outbox(k.id, node), inFrame: inbox(k.nodes, k.id, node), wseq: 1, rseq: 1}
 	k.peers[node] = p
-	k.peerOrder = append(k.peerOrder, node)
-	k.ringOwner[inFrame] = node
+	return p
 }
 
-// Peers returns the node ids this kernel has rings with.
+// Peers returns, in ascending order, the nodes this kernel has built
+// ring state for: those it has sent to or heard from.
 func (k *Kernel) Peers() []packet.NodeID {
 	out := make([]packet.NodeID, 0, len(k.peers))
 	for id := range k.peers {
 		out = append(out, id)
 	}
+	slices.Sort(out)
 	return out
 }
 
@@ -195,11 +273,11 @@ func (k *Kernel) ringAck(p *peer, cumulative uint64) {
 func (k *Kernel) handleNICIRQ(cause nic.IRQCause, page phys.PageNum) {
 	switch cause {
 	case nic.IRQKernelRing:
-		node, ok := k.ringOwner[page]
+		node, ok := k.inboxOwner(page)
 		if !ok {
 			panic(fmt.Sprintf("kernel%d: ring IRQ for unknown page %d", k.id, page))
 		}
-		k.drainRing(k.peers[node])
+		k.drainRing(k.peerOf(node))
 	case nic.IRQRecv:
 		if k.OnUserRecvIRQ != nil {
 			k.OnUserRecvIRQ(page)

@@ -1,12 +1,17 @@
 package kernel_test
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fault"
+	"repro/internal/kernel"
 	"repro/internal/nic"
 	"repro/internal/nipt"
+	"repro/internal/packet"
 	"repro/internal/phys"
+	"repro/internal/trace"
 	"repro/internal/vm"
 )
 
@@ -78,6 +83,88 @@ func TestRingsAcrossAllPairs(t *testing.T) {
 	}
 }
 
+// TestRingStateBuiltOnFirstUse: boot installs every ring's NIPT entries
+// but no kernel's ring state. One map() from node 0 to node 5 builds it
+// on those two nodes only, each for the other. The audit still exempts
+// every ring page, used or not.
+func TestRingStateBuiltOnFirstUse(t *testing.T) {
+	m := core.New(core.ConfigFor(4, 4, nic.GenEISAPrototype))
+	src, dst := m.Node(0), m.Node(5)
+	ps, pd := src.K.CreateProcess(), dst.K.CreateProcess()
+	sendVA, _ := ps.AllocPages(1)
+	recvVA, _ := pd.AllocPages(1)
+	m.MustMap(ps, sendVA, phys.PageSize, dst.ID, pd.PID, recvVA, nipt.SingleWriteAU)
+	if err := src.UserWrite32(ps, sendVA, 42); err != nil {
+		t.Fatal(err)
+	}
+	m.RunUntilIdle(10_000_000)
+	if v, _ := dst.UserRead32(pd, recvVA); v != 42 {
+		t.Fatalf("mapped store delivered %d, want 42", v)
+	}
+	for _, n := range m.Nodes {
+		var want []packet.NodeID
+		switch n.ID {
+		case src.ID:
+			want = []packet.NodeID{dst.ID}
+		case dst.ID:
+			want = []packet.NodeID{src.ID}
+		}
+		if got := n.K.Peers(); !slices.Equal(got, want) {
+			t.Errorf("node %d holds ring state for %v, want %v", n.ID, got, want)
+		}
+		if err := n.K.CheckInvariants(); err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// TestHeartbeatBuildsPeersInOrder: one Survivable-mode heartbeat builds
+// ring state for every peer and pings each once, in ascending node order.
+func TestHeartbeatBuildsPeersInOrder(t *testing.T) {
+	cfg := core.ConfigFor(4, 4, nic.GenXpress)
+	cfg.TraceCapacity = 4096
+	cfg.Faults = fault.Config{Seed: 1, Reliable: true, Survivable: true}
+	m := core.New(cfg)
+	k := m.Node(5).K
+	k.Heartbeat()
+	var want []packet.NodeID
+	for id := packet.NodeID(0); int(id) < len(m.Nodes); id++ {
+		if id != k.ID() {
+			want = append(want, id)
+		}
+	}
+	if got := k.Peers(); !slices.Equal(got, want) {
+		t.Fatalf("heartbeat built ring state for %v, want %v", got, want)
+	}
+	if got := k.Stats().PingsSent; got != uint64(len(want)) {
+		t.Fatalf("heartbeat sent %d pings, want %d", got, len(want))
+	}
+	if err := m.RunUntilIdle(10_000_000); err != nil {
+		t.Fatal(err)
+	}
+	// Each ping leaves as a few packets to its peer; the packets leave
+	// in ping order.
+	var order []packet.NodeID
+	for _, ev := range m.Tracer.Events() {
+		if ev.Node != int(k.ID()) || ev.Kind != trace.PacketOut {
+			continue
+		}
+		c := packet.Coord{X: int(ev.B >> 8), Y: int(ev.B & 0xff)}
+		id := packet.NodeID(c.Y*cfg.MeshWidth + c.X)
+		if len(order) == 0 || order[len(order)-1] != id {
+			order = append(order, id)
+		}
+	}
+	if !slices.Equal(order, want) {
+		t.Fatalf("pings left for %v, want %v", order, want)
+	}
+	for _, n := range m.Nodes {
+		if n.ID != k.ID() && n.K.Stats().RingRecordsRcvd != 1 {
+			t.Errorf("node %d received %d ring records, want the one ping", n.ID, n.K.Stats().RingRecordsRcvd)
+		}
+	}
+}
+
 // TestConcurrentBidirectionalMaps issues map() calls in both directions
 // at once; the kernels serve each other's requests while waiting for
 // their own responses (no control-plane deadlock).
@@ -139,6 +226,50 @@ func TestSplitPageMappingThroughKernel(t *testing.T) {
 		m.RunUntilIdle(10_000_000)
 		if v, _ := b.UserRead32(pb, target+off); v != want {
 			t.Fatalf("offset %d: got %#x want %#x", off, v, want)
+		}
+	}
+}
+
+// TestTwoMappingsShareASplitPage maps a page's high half, then its low
+// half, as two mappings to different nodes: the second keeps the first's
+// half. Unmapping both in turn leaves the page split until the last
+// half goes, then unsplit with no outgoing mapping.
+func TestTwoMappingsShareASplitPage(t *testing.T) {
+	m := core.New(core.ConfigFor(3, 1, nic.GenEISAPrototype))
+	a, b, c := m.Node(0), m.Node(1), m.Node(2)
+	pa, pb, pc := a.K.CreateProcess(), b.K.CreateProcess(), c.K.CreateProcess()
+	page, _ := pa.AllocPages(1)
+	rb, _ := pb.AllocPages(1)
+	rc, _ := pc.AllocPages(1)
+	const half = phys.PageSize / 2
+	hi := m.MustMap(pa, page+half, half, b.ID, pb.PID, rb+half, nipt.SingleWriteAU)
+	lo := m.MustMap(pa, page, half, c.ID, pc.PID, rc, nipt.SingleWriteAU)
+	for _, w := range []struct {
+		off  vm.VAddr
+		node *core.Node
+		proc *kernel.Process
+		recv vm.VAddr
+	}{{half + 4, b, pb, rb + half + 4}, {4, c, pc, rc + 4}} {
+		if err := a.UserWrite32(pa, page+w.off, uint32(w.off)); err != nil {
+			t.Fatal(err)
+		}
+		m.RunUntilIdle(10_000_000)
+		if v, _ := w.node.UserRead32(w.proc, w.recv); v != uint32(w.off) {
+			t.Fatalf("store at offset %d delivered %d", w.off, v)
+		}
+	}
+	frame, _ := pa.FrameOf(page)
+	table := a.NIC.Table()
+	for i, mp := range []*kernel.Mapping{hi, lo} {
+		if err := m.Await(a.K.Unmap(mp)); err != nil {
+			t.Fatal(err)
+		}
+		split, mapped := table.Entry(frame).Split(), table.MappedOut(frame)
+		if last := i == 1; (split == 0) != last || mapped == last {
+			t.Fatalf("after unmap %d: split %d, mapped out %v", i, split, mapped)
+		}
+		if err := a.K.CheckInvariants(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -118,14 +118,6 @@ func (k *Kernel) deadRequest(dst packet.NodeID) *Future {
 	return f
 }
 
-func (k *Kernel) peerOf(node packet.NodeID) *peer {
-	p, ok := k.peers[node]
-	if !ok {
-		panic(fmt.Sprintf("kernel%d: no ring to node %d", k.id, node))
-	}
-	return p
-}
-
 // --- wire helpers ---
 
 type wire struct{ b []byte }
@@ -360,9 +352,7 @@ func (k *Kernel) invalidateOutMapping(m *OutMapping) {
 	if ok {
 		k.Obs.Inc(obs.CtrKernelUnmaps)
 		k.Tracer.Record(int(k.id), trace.MapTorn, uint64(frame), 0)
-		e := k.nic.Table().Entry(frame)
-		seg := e.Out(m.SegmentOffset)
-		*seg = nipt.OutMapping{}
+		*k.nic.Table().Out(frame, m.SegmentOffset) = nipt.OutMapping{}
 	}
 	m.Proc.AS.SetWritable(m.VPN, false)
 }

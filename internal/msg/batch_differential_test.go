@@ -20,6 +20,14 @@ import (
 // any batch quantum. Engine event counts (Fired, MaxPending) legitimately
 // differ between modes — fewer, longer events is the whole point — and are
 // deliberately not compared.
+//
+// A quantum above 1 is also the shipping path: it turns on the
+// superblock trace cache and spin fast-forward, and MaxBatch=1 turns
+// off all three at once. These suites therefore pin those too, at the
+// default quantum 64, on Table 1, on the NX/2 baseline (whose
+// kcrecv_spin receive wait is the §5 idiom spin fast-forward targets)
+// and on the two-CPU concurrent loop; trace_differential_test.go covers
+// the spin-heavy and fault-armed workloads.
 
 // batchCfg returns the 2-node pair config with the given batch quantum.
 func batchCfg(maxBatch int) core.Config {
@@ -54,7 +62,8 @@ func TestBatchDifferentialTable1(t *testing.T) {
 
 // TestBatchDifferentialBaseline pins the kernel-mediated NX/2 baseline,
 // the heaviest ISA workload in the package: traps, IRQs, context between
-// user and kernel mode, and the transport ring all in one run.
+// user and kernel mode, the transport ring and the kcrecv_spin receive
+// wait all in one run.
 func TestBatchDifferentialBaseline(t *testing.T) {
 	want := MeasureBaseline(batchCfg(1))
 	for _, mb := range []int{3, 64} {

@@ -1,7 +1,6 @@
 package msg
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -21,45 +20,12 @@ import (
 // stepping. The reference for each suite is batchCfg(1) — MaxBatch=1
 // disables batching, trace dispatch, and fast-forward all at once,
 // leaving the pristine interpreter — and the shipping path is
-// batchCfg(64), the default quantum.
+// batchCfg(64), the default quantum. Table 1, the NX/2 baseline and the
+// two-CPU concurrent loop are pinned on the shipping path by the batch
+// suites (batch_differential_test.go), which run quantum 64 too.
 
 // fastPath names the shipping path in subtest names.
 const fastPath = "trace+spin"
-
-// TestTraceDifferentialTable1 pins every Table 1 row on the shipping
-// path, with and without metrics.
-func TestTraceDifferentialTable1(t *testing.T) {
-	want := MeasureTable1(batchCfg(1))
-	if got := MeasureTable1(batchCfg(64)); !reflect.DeepEqual(got, want) {
-		t.Fatalf("%s changed Table 1:\n got  %+v\n want %+v", fastPath, got, want)
-	}
-	instr := batchCfg(64)
-	instr.Metrics = true
-	if got := MeasureTable1(instr); !reflect.DeepEqual(got, want) {
-		t.Fatalf("%s with metrics on changed Table 1:\n got  %+v\n want %+v", fastPath, got, want)
-	}
-}
-
-// TestTraceDifferentialBaseline pins the kernel-mediated NX/2 baseline:
-// traps, IRQs, kernel/user mode switches, and the kcrecv_spin receive
-// wait — the §5 idiom spin fast-forward targets.
-func TestTraceDifferentialBaseline(t *testing.T) {
-	want := MeasureBaseline(batchCfg(1))
-	if got := MeasureBaseline(batchCfg(64)); got != want {
-		t.Fatalf("%s changed baseline:\n got  %+v\n want %+v", fastPath, got, want)
-	}
-}
-
-// TestTraceDifferentialConcurrentLoop compares the complete observable
-// machine state of the two-CPU Figure 6 pipeline on the shipping path.
-func TestTraceDifferentialConcurrentLoop(t *testing.T) {
-	want := runConcurrentLoop(t, batchCfg(1))
-	t.Run(fastPath, func(t *testing.T) {
-		if got := runConcurrentLoop(t, batchCfg(64)); got != want {
-			t.Fatalf("diverged:\n got  %+v\n want %+v", got, want)
-		}
-	})
-}
 
 // runPingPongPair drives the concurrent ping-pong (both CPUs spinning on
 // AU-mapped flags) on a prepared pair and snapshots the machine state.

@@ -118,7 +118,7 @@ func (n *NIC) CmdWrite(a phys.PAddr, v uint32) bool {
 		entry.RecvInterrupt = true
 		return true
 	case CmdModeSingleWrite, CmdModeBlockedWrite:
-		m := entry.Out(da.Offset())
+		m := n.table.Out(page, da.Offset())
 		if !m.Mode.Automatic() {
 			return false
 		}
@@ -144,7 +144,7 @@ func (n *NIC) CmdWrite(a phys.PAddr, v uint32) bool {
 		// span a page boundary must be broken up by software (§4.3).
 		return false
 	}
-	if m := entry.Out(da.Offset()); m.Mode != nipt.DeliberateUpdate {
+	if m := n.table.Out(page, da.Offset()); m.Mode != nipt.DeliberateUpdate {
 		return false
 	}
 	n.dma.busy = true

@@ -153,6 +153,7 @@ type NIC struct {
 	xbus  *bus.Xpress
 	eisa  *bus.EISA
 	net   *mesh.Network
+	width int // mesh width: with a node id, it gives the node's coordinate
 	// dom is this node's event domain. Every event the NIC schedules is
 	// tagged with it explicitly: NIC pipelines can be kicked from event
 	// chains carrying another node's domain (e.g. a deposit chain that
@@ -299,7 +300,7 @@ func New(eng *sim.Engine, cfg Config, node packet.NodeID, coord packet.Coord,
 	n := &NIC{
 		eng: eng, cfg: cfg, node: node, coord: coord,
 		dom:   sim.DomNode(int(node)),
-		table: table, xbus: xbus, eisa: eisa, net: net,
+		table: table, xbus: xbus, eisa: eisa, net: net, width: net.Config().Width,
 	}
 	n.injectEv.n = n
 	n.depositEv.n = n
@@ -467,7 +468,7 @@ func (n *NIC) Reset() {
 // is consulted live on every write, so direct entry mutations (MapOut,
 // UnmapOut, eviction) need no filter maintenance.
 func (n *NIC) snoopNeeded(a phys.PAddr) bool {
-	return n.table.Entry(a.Page()).MappedOut()
+	return n.table.MappedOut(a.Page())
 }
 
 // SnoopWrite implements bus.Snooper: the outgoing half of Figure 4.
@@ -526,7 +527,7 @@ func (n *NIC) SnoopRun(a phys.PAddr, data []byte, last sim.Time) {
 	n.stats.SnoopedWrites += k
 	n.scope.Add(obs.CtrSnoopedWrites, k)
 	n.table.CountLookups(k)
-	if n.table.Entry(a.Page()).Out(a.Offset()).Mode == nipt.BlockedWriteAU {
+	if n.table.Out(a.Page(), a.Offset()).Mode == nipt.BlockedWriteAU {
 		o := n.merge.open
 		o.buf = append(o.buf, data...)
 		o.lastWrite = last
@@ -547,7 +548,8 @@ func (n *NIC) emit(m *nipt.OutMapping, remote phys.PAddr, payload []byte, srcPag
 	if n.dead {
 		return // a crashed node sends nothing further
 	}
-	if n.downCount != 0 && n.downPeers[m.Dst] != nil {
+	dst := packet.CoordOf(m.DstNode, n.width)
+	if n.downCount != 0 && n.downPeers[dst] != nil {
 		// The destination was declared dead: suppress the packet before
 		// it costs a pool allocation or FIFO space. Reached only by
 		// traffic whose mapping record predates the teardown (a DMA
@@ -562,7 +564,7 @@ func (n *NIC) emit(m *nipt.OutMapping, remote phys.PAddr, payload []byte, srcPag
 	e := n.table.Entry(srcPage)
 	p := packet.Get()
 	p.Src = n.coord
-	p.Dst = m.Dst
+	p.Dst = dst
 	p.DstAddr = remote
 	p.Payload = append(p.Payload, payload...)
 	if e.KernelRing {

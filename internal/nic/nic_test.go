@@ -41,7 +41,7 @@ func newRig(t testing.TB, cfg Config) *rig {
 // mapOut installs a whole-page single-direction mapping 0 -> 1.
 func (r *rig) mapOut(srcPage, dstPage phys.PageNum, mode nipt.Mode) {
 	r.nics[0].Table().MapOut(srcPage, nipt.OutMapping{
-		Mode: mode, Dst: packet.Coord{X: 1, Y: 0}, DstNode: 1, DstPage: dstPage,
+		Mode: mode, DstNode: 1, DstPage: dstPage,
 	})
 	r.nics[1].Table().Entry(dstPage).MappedIn = true
 }
@@ -176,7 +176,7 @@ func TestSingleWriteFlushesOpenMergeInOrder(t *testing.T) {
 	r := newRig(t, DefaultConfig())
 	r.mapOut(4, 8, nipt.BlockedWriteAU)
 	r.nics[0].Table().MapOut(5, nipt.OutMapping{
-		Mode: nipt.SingleWriteAU, Dst: packet.Coord{X: 1, Y: 0}, DstNode: 1, DstPage: 9,
+		Mode: nipt.SingleWriteAU, DstNode: 1, DstPage: 9,
 	})
 	r.nics[1].Table().Entry(9).MappedIn = true
 
@@ -196,7 +196,7 @@ func TestNotMappedInDropped(t *testing.T) {
 	// Outgoing mapping but the receiver NEVER marked the page mapped in:
 	// protection drops the packet.
 	r.nics[0].Table().MapOut(4, nipt.OutMapping{
-		Mode: nipt.SingleWriteAU, Dst: packet.Coord{X: 1, Y: 0}, DstNode: 1, DstPage: 8,
+		Mode: nipt.SingleWriteAU, DstNode: 1, DstPage: 8,
 	})
 	r.cpuWrite32(0, phys.PageNum(4).Addr(0), 0xbad)
 	r.drain()
@@ -253,8 +253,8 @@ func anyEndpoint(n *NIC) mesh.Endpoint { return (*endpoint)(n) }
 func TestSplitPageThroughFullPath(t *testing.T) {
 	// §3.2: one local page split between two destinations at offset 2048.
 	r := newRig(t, DefaultConfig())
-	lo := nipt.OutMapping{Mode: nipt.SingleWriteAU, Dst: packet.Coord{X: 1, Y: 0}, DstNode: 1, DstPage: 8}
-	hi := nipt.OutMapping{Mode: nipt.SingleWriteAU, Dst: packet.Coord{X: 1, Y: 0}, DstNode: 1, DstPage: 9, DstShift: -2048}
+	lo := nipt.OutMapping{Mode: nipt.SingleWriteAU, DstNode: 1, DstPage: 8}
+	hi := nipt.OutMapping{Mode: nipt.SingleWriteAU, DstNode: 1, DstPage: 9, DstShift: -2048}
 	r.nics[0].Table().MapOutSplit(4, 2048, lo, hi)
 	r.nics[1].Table().Entry(8).MappedIn = true
 	r.nics[1].Table().Entry(9).MappedIn = true
@@ -321,7 +321,7 @@ func TestModeSwitchCommand(t *testing.T) {
 	}
 	// Mode switch on a deliberate-update page is refused.
 	r.nics[0].Table().MapOut(5, nipt.OutMapping{
-		Mode: nipt.DeliberateUpdate, Dst: packet.Coord{X: 1, Y: 0}, DstNode: 1, DstPage: 9,
+		Mode: nipt.DeliberateUpdate, DstNode: 1, DstPage: 9,
 	})
 	if r.nics[0].CmdWrite(r.mem[0].CmdPageFor(5), CmdModeBlockedWrite) {
 		t.Fatal("mode switch on deliberate page accepted")

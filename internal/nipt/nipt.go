@@ -6,7 +6,8 @@
 // page on another node, and whether the page is mapped in as a receive
 // destination. Per §3.2, a page may be split between two outgoing
 // mappings at a configurable offset, so an entry holds up to two
-// outgoing halves.
+// outgoing halves. Few pages are split, so an entry stores its low half
+// and the table keeps high halves aside.
 package nipt
 
 import (
@@ -51,11 +52,12 @@ func (m Mode) String() string {
 func (m Mode) Automatic() bool { return m == SingleWriteAU || m == BlockedWriteAU }
 
 // OutMapping is one outgoing mapping half: local offsets covered by this
-// half send to DstPage on the node at DstCoord, preserving the offset
-// (shifted for non-page-aligned split mappings by DstShift).
+// half send to DstPage on node DstNode, preserving the offset (shifted
+// for non-page-aligned split mappings by DstShift). The destination's
+// mesh coordinate is not stored: it follows from DstNode
+// (packet.CoordOf).
 type OutMapping struct {
 	Mode     Mode
-	Dst      packet.Coord
 	DstNode  packet.NodeID
 	DstPage  phys.PageNum
 	DstShift int32 // added to the local offset to form the remote offset
@@ -63,13 +65,13 @@ type OutMapping struct {
 
 // Entry is one NIPT entry: the state of one local physical page.
 //
-// Split is the byte offset at which the page divides between the Lo and
-// Hi outgoing halves; Split == 0 means the Lo half covers the whole page
-// (the common, unsplit case) and Hi must be Unmapped.
+// Split is the byte offset at which the page divides between the low
+// half (Lo) and a high half the table keeps out of line; Split == 0
+// means Lo covers the whole page (the common, unsplit case) and there
+// is no high half. Table.Out finds the half governing an offset.
 type Entry struct {
 	Lo    OutMapping
-	Hi    OutMapping
-	Split uint32
+	split uint32
 
 	// MappedIn marks the page as a receive destination referenced by a
 	// remote NIPT. The kernel consults it for the paging policy (§4.4).
@@ -81,23 +83,19 @@ type Entry struct {
 	KernelRing bool
 }
 
-// Out returns the outgoing mapping governing the given page offset.
-func (e *Entry) Out(off uint32) *OutMapping {
-	if e.Split != 0 && off >= e.Split {
-		return &e.Hi
-	}
-	return &e.Lo
-}
-
-// MappedOut reports whether any part of the page has an outgoing mapping.
-func (e *Entry) MappedOut() bool {
-	return e.Lo.Mode != Unmapped || (e.Split != 0 && e.Hi.Mode != Unmapped)
-}
+// Split returns the offset at which the page divides between its low
+// and high halves, or 0 when the page is unsplit.
+func (e *Entry) Split() uint32 { return e.split }
 
 // Table is the page table of one network interface.
 type Table struct {
 	entries []Entry
-	scope   *obs.NodeScope // nil when metrics are disabled
+	// hi holds the high half of every split page, and of no other: an
+	// entry with Split() != 0 has one, so unsplit pages never hash. The
+	// pointers stay valid while the page stays split. Built on the
+	// first split.
+	hi    map[phys.PageNum]*OutMapping
+	scope *obs.NodeScope // nil when metrics are disabled
 }
 
 // New returns a table covering the given number of physical pages.
@@ -118,34 +116,70 @@ func (t *Table) Entry(p phys.PageNum) *Entry {
 	return &t.entries[p]
 }
 
+// Out returns the outgoing mapping of page p governing offset off.
+// Callers may mutate the mapping through it.
+func (t *Table) Out(p phys.PageNum, off uint32) *OutMapping {
+	e := &t.entries[p]
+	if e.split != 0 && off >= e.split {
+		return t.hi[p]
+	}
+	return &e.Lo
+}
+
+// MappedOut reports whether any part of page p has an outgoing mapping.
+func (t *Table) MappedOut(p phys.PageNum) bool {
+	e := &t.entries[p]
+	return e.Lo.Mode != Unmapped || (e.split != 0 && t.hi[p].Mode != Unmapped)
+}
+
 // Reset clears every entry, returning the table to its just-built
 // state. The entry array is reused in place.
 func (t *Table) Reset() {
 	clear(t.entries)
+	clear(t.hi)
 }
 
 // MapOut installs an outgoing mapping covering the whole page.
 func (t *Table) MapOut(p phys.PageNum, m OutMapping) {
-	e := t.Entry(p)
-	e.Lo = m
-	e.Hi = OutMapping{}
-	e.Split = 0
+	t.UnmapOut(p)
+	t.entries[p].Lo = m
 }
 
 // MapOutSplit installs a split mapping: offsets < split use lo and
-// offsets >= split use hi. split must lie inside the page.
+// offsets >= split use hi. split must lie inside the page. A page
+// already split keeps its high half's storage, so pointers Out returned
+// for it see the new mapping.
 func (t *Table) MapOutSplit(p phys.PageNum, split uint32, lo, hi OutMapping) {
 	if split == 0 || split >= phys.PageSize {
 		panic(fmt.Sprintf("nipt: split offset %d outside page", split))
 	}
-	e := t.Entry(p)
-	e.Lo, e.Hi, e.Split = lo, hi, split
+	e := &t.entries[p]
+	h := t.hi[p]
+	if h == nil {
+		if t.hi == nil {
+			t.hi = make(map[phys.PageNum]*OutMapping)
+		}
+		h = new(OutMapping)
+		t.hi[p] = h
+	}
+	e.Lo, e.split, *h = lo, split, hi
 }
 
 // UnmapOut removes all outgoing mappings from page p.
 func (t *Table) UnmapOut(p phys.PageNum) {
-	e := t.Entry(p)
-	e.Lo, e.Hi, e.Split = OutMapping{}, OutMapping{}, 0
+	e := &t.entries[p]
+	if e.split != 0 {
+		*t.hi[p] = OutMapping{}
+		delete(t.hi, p)
+	}
+	e.Lo, e.split = OutMapping{}, 0
+}
+
+// Clear returns page p's entry to its just-built state: no outgoing
+// mappings and no flags.
+func (t *Table) Clear(p phys.PageNum) {
+	t.UnmapOut(p)
+	t.entries[p] = Entry{}
 }
 
 // Resolve translates a local physical address through the table. It
@@ -154,8 +188,7 @@ func (t *Table) UnmapOut(p phys.PageNum) {
 // is not mapped out.
 func (t *Table) Resolve(a phys.PAddr) (m *OutMapping, remote phys.PAddr, ok bool) {
 	t.scope.Inc(obs.CtrNIPTLookups)
-	e := t.Entry(a.Page())
-	m = e.Out(a.Offset())
+	m = t.Out(a.Page(), a.Offset())
 	if m.Mode == Unmapped {
 		t.scope.Inc(obs.CtrNIPTMisses)
 		return nil, 0, false
@@ -178,16 +211,15 @@ func (t *Table) Resolve(a phys.PAddr) (m *OutMapping, remote phys.PAddr, ok bool
 // remote page. m is nil when a itself does not resolve. It counts
 // nothing; the caller charges the lookups it uses with CountLookups.
 func (t *Table) ResolveRun(a phys.PAddr, words int) (m *OutMapping, remote phys.PAddr, n int) {
-	e := t.Entry(a.Page())
-	off := a.Offset()
-	m = e.Out(off)
+	p, off := a.Page(), a.Offset()
+	m = t.Out(p, off)
 	roff := int64(off) + int64(m.DstShift)
 	if m.Mode == Unmapped || roff < 0 || roff >= phys.PageSize {
 		return nil, 0, 0
 	}
 	end := uint32(phys.PageSize) // first offset past this half
-	if e.Split != 0 && off < e.Split {
-		end = e.Split
+	if s := t.entries[p].split; off < s {
+		end = s
 	}
 	n = min(words, int(end-off+3)/4, int(phys.PageSize-roff+3)/4)
 	return m, m.DstPage.Addr(uint32(roff)), n

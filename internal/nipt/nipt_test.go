@@ -4,7 +4,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/packet"
 	"repro/internal/phys"
 )
 
@@ -33,7 +32,7 @@ func TestWholePageMapping(t *testing.T) {
 	if tb.Pages() != 8 {
 		t.Fatal("pages")
 	}
-	out := OutMapping{Mode: SingleWriteAU, Dst: packet.Coord{X: 1, Y: 0}, DstNode: 1, DstPage: 42}
+	out := OutMapping{Mode: SingleWriteAU, DstNode: 1, DstPage: 42}
 	tb.MapOut(3, out)
 
 	for _, off := range []uint32{0, 100, phys.PageSize - 4} {
@@ -49,7 +48,7 @@ func TestWholePageMapping(t *testing.T) {
 	if _, _, ok := tb.Resolve(phys.PageNum(2).Addr(0)); ok {
 		t.Fatal("unmapped page resolved")
 	}
-	if !tb.Entry(3).MappedOut() || tb.Entry(2).MappedOut() {
+	if !tb.MappedOut(3) || tb.MappedOut(2) {
 		t.Fatal("MappedOut flags wrong")
 	}
 	tb.UnmapOut(3)
@@ -93,7 +92,7 @@ func TestSplitWithUnmappedHalf(t *testing.T) {
 	if _, remote, ok := tb.Resolve(phys.PageNum(0).Addr(2052)); !ok || remote != phys.PageNum(5).Addr(4) {
 		t.Fatal("hi half resolution")
 	}
-	if !tb.Entry(0).MappedOut() {
+	if !tb.MappedOut(0) {
 		t.Fatal("half-mapped page should report MappedOut")
 	}
 }
@@ -125,7 +124,7 @@ func TestBadSplitPanics(t *testing.T) {
 }
 
 func TestResolveConsistentWithOut(t *testing.T) {
-	// Property: Resolve agrees with Entry().Out() on which half governs
+	// Property: Resolve agrees with Out on which half governs
 	// any offset, for arbitrary split points.
 	f := func(split uint16, off uint16) bool {
 		s := uint32(split)%(phys.PageSize-1) + 1
@@ -143,5 +142,19 @@ func TestResolveConsistentWithOut(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Clear returns an entry to its boot state: unsplit, nothing mapped
+// out, no flags.
+func TestClearResetsEntry(t *testing.T) {
+	tb := New(2)
+	hi := OutMapping{Mode: SingleWriteAU, DstNode: 1, DstPage: 5}
+	tb.MapOutSplit(1, 2048, OutMapping{Mode: BlockedWriteAU, DstNode: 2}, hi)
+	e := tb.Entry(1)
+	e.MappedIn, e.RecvInterrupt, e.KernelRing = true, true, true
+	tb.Clear(1)
+	if *e != (Entry{}) || tb.MappedOut(1) {
+		t.Fatalf("cleared entry %+v, mapped out %v", *e, tb.MappedOut(1))
 	}
 }

@@ -17,11 +17,18 @@ import (
 )
 
 // NodeID identifies a node by its linear index in the machine.
-type NodeID int
+type NodeID int32
 
 // Coord is an absolute position in the 2-D routing backplane mesh.
 type Coord struct {
 	X, Y int
+}
+
+// CoordOf maps a node id to its mesh coordinates in a mesh width nodes
+// wide: node ids run row-major, so the coordinate is computed, never
+// stored.
+func CoordOf(id NodeID, width int) Coord {
+	return Coord{X: int(id) % width, Y: int(id) / width}
 }
 
 func (c Coord) String() string { return fmt.Sprintf("(%d,%d)", c.X, c.Y) }

@@ -16,6 +16,10 @@ const PageSize = 4096
 // PageShift is log2(PageSize).
 const PageShift = 12
 
+// MaxPages is the largest memory a node can have: its command space,
+// [size, 2·size), must fit below 2^32 in a 32-bit PAddr too.
+const MaxPages = 1<<(31-PageShift) - 1
+
 // PAddr is a physical byte address on one node. Addresses below the
 // memory size address DRAM; addresses in [CmdBase, CmdBase+size) address
 // the NIC command space and never touch RAM.
@@ -36,18 +40,19 @@ func (p PageNum) Addr(off uint32) PAddr { return PAddr(uint32(p)<<PageShift | of
 // Memory is the DRAM of a single node. Page frames are materialized
 // lazily: a nil frame reads as zeros and is allocated on first write, so
 // building a machine with many nodes does not pay for zeroing DRAM that
-// the workload never touches.
+// the workload never touches. A frame slot is one pointer, 8 bytes per
+// page until the page is written.
 type Memory struct {
-	frames [][]byte
+	frames []*[PageSize]byte
 	size   uint32
 }
 
 // NewMemory allocates DRAM with the given number of page frames.
 func NewMemory(pages int) *Memory {
-	if pages <= 0 {
-		panic("phys: memory must have at least one page")
+	if pages <= 0 || pages > MaxPages {
+		panic(fmt.Sprintf("phys: memory of %d pages outside [1,%d]", pages, MaxPages))
 	}
-	return &Memory{frames: make([][]byte, pages), size: uint32(pages) * PageSize}
+	return &Memory{frames: make([]*[PageSize]byte, pages), size: uint32(pages) * PageSize}
 }
 
 // Pages returns the number of page frames.
@@ -83,10 +88,10 @@ func (m *Memory) check(a PAddr, n int) {
 }
 
 // frame returns the backing store for page p, allocating it on first use.
-func (m *Memory) frame(p int) []byte {
+func (m *Memory) frame(p int) *[PageSize]byte {
 	f := m.frames[p]
 	if f == nil {
-		f = make([]byte, PageSize)
+		f = new([PageSize]byte)
 		m.frames[p] = f
 	}
 	return f
@@ -185,7 +190,7 @@ func (m *Memory) Write8(a PAddr, v byte) {
 func (m *Memory) Reset() {
 	for _, f := range m.frames {
 		if f != nil {
-			clear(f)
+			clear(f[:])
 		}
 	}
 }
@@ -199,6 +204,6 @@ func (m *Memory) ZeroPage(p PageNum) {
 	a := p.Addr(0)
 	m.check(a, PageSize)
 	if f := m.frames[p]; f != nil {
-		clear(f)
+		clear(f[:])
 	}
 }

@@ -132,3 +132,20 @@ func TestCommandSpace(t *testing.T) {
 		m.PageForCmd(50)
 	}()
 }
+
+// The largest memory still reaches every command page: the command
+// space above it ends at 2^32 - 2·PageSize, inside the 32-bit PAddr.
+// One page more and the space wraps.
+func TestLargestMemoryCommandSpace(t *testing.T) {
+	m := NewMemory(MaxPages)
+	last := m.CmdPageFor(MaxPages-1) + PageSize - 1
+	if !m.IsCmd(m.CmdBase()) || !m.IsCmd(last) || m.PageForCmd(last) != MaxPages-1 {
+		t.Fatal("command space of the largest memory not reachable")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewMemory accepted a memory whose command space wraps PAddr")
+		}
+	}()
+	NewMemory(MaxPages + 1)
+}
