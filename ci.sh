@@ -1,12 +1,13 @@
 #!/bin/sh
 # ci.sh — the repo's gate: static checks, full build, race-enabled tests,
 # exact event-count pins, a boot-footprint pin, zero-allocation checks on
-# the hot paths, byte-identity checks on the CLIs, and two short fuzzing
-# runs. Every gate but the fuzzing runs is deterministic; those explore
-# new inputs on each run, and a failure is a real divergence between a
-# fast path and its reference — the CPU's against per-instruction
-# stepping, or UserWriteBytes' store runs against one store per word — so
-# fix it, then commit the failing input as a seed under the package's
+# the hot paths, byte-identity checks on the CLIs, and three short
+# fuzzing runs. Every gate but the fuzzing runs is deterministic; those
+# explore new inputs on each run, and a failure is a real divergence
+# between a fast path and its reference — the CPU's against
+# per-instruction stepping, UserWriteBytes' store runs against one store
+# per word, or the cache against a flat shadow of memory — so fix it,
+# then commit the failing input as a seed under the package's
 # testdata/fuzz/. Wall time is measured by the benchmark in bench/ (bash
 # bench/run.sh, protocol in bench/README.md) and gated by nothing in this
 # script.
@@ -42,10 +43,11 @@ go -C bench test ./...
 # change to the reliable protocol or a batching regression fails here.
 go test -count 1 -run TestEventCountPins ./internal/core
 # Boot-footprint pin: NIPT entries of at most 24 bytes, a 16x16 machine
-# at the allreduce benchmark's 1,534 pages/node built in under 32 MB and
+# at the allreduce benchmark's 1,534 pages/node built in under 20 MB and
 # 24,000 heap objects, and no kernel ring state after New or Reset.
-# Allocation counts are deterministic, so a wider table or eagerly built
-# per-peer state fails here.
+# Allocation counts are deterministic, so a wider table, eagerly built
+# per-peer state or cache line storage built before the first fill fails
+# here.
 go test -count 1 -run TestBootFootprint ./internal/core
 # Event-queue guard: scheduling and firing, on the Handler path and the
 # closure path, at every benchmarked heap depth, must stay
@@ -77,12 +79,19 @@ go test -run '^$' -fuzz '^FuzzFastPathMatchesReference$' -fuzztime 15s ./interna
 # store runs and one through the per-word reference: page kinds,
 # offsets, lengths, background traffic, FIFO stalls and telemetry.
 go test -run '^$' -fuzz '^FuzzUserWriteBytesMatchesPerWord$' -fuzztime 10s ./internal/core
+# Random cache geometries and access sequences against a flat shadow of
+# memory: loads, stores, store runs, byte reads and locked RMWs on
+# write-through and write-back pages, DMA writes, flushes and resets.
+go test -run '^$' -fuzz '^FuzzCacheCoherence$' -fuzztime 10s ./internal/cache
 # Harness copy guards: Node.UserReadBytes (micro-TLB translation,
 # line-granular cache reads; the Go-level Channel.Recv path) and
 # Node.UserWriteBytes (store runs through cache, bus and NIC; the
 # Channel.Send path) must stay allocation-free.
 zero_alloc ./internal/core BenchmarkUserReadBytes 1000x
 zero_alloc ./internal/core BenchmarkUserWriteBytes 1000x
+# Machine reuse guard: a sweep worker's Machine.Reset (a 4x4 machine of
+# each generation, dirtied by a latency probe) reuses every allocation.
+zero_alloc ./internal/core BenchmarkMachineReset 1000x
 # Fault-injection guards. The deterministic fault sweep must be
 # race-free with parallel workers and byte-stable run to run, and the
 # steady-state store datapath must stay allocation-free both without an

@@ -27,7 +27,7 @@ import (
 type Config struct {
 	Sets      int      // number of sets (power of two)
 	Ways      int      // associativity
-	LineBytes int      // line size (power of two)
+	LineBytes int      // line size (power of two, 4 to phys.PageSize)
 	HitTime   sim.Time // CPU-visible latency of a hit / buffered store
 	// WriteBufferWindow bounds how far the posted-write stream may run
 	// ahead of the bus; beyond it the CPU stalls until the bus drains.
@@ -55,21 +55,28 @@ type Stats struct {
 	WriteBufferStall       sim.Time
 }
 
+// line is one cache line's state, 16 bytes. Its data lives apart, in
+// Cache.data.
 type line struct {
+	lru   uint64
+	tag   uint32
 	valid bool
 	dirty bool
-	tag   uint32
-	data  []byte
-	lru   uint64
 }
 
 // Cache is one CPU's cache attached to an Xpress bus. It registers
 // itself as a bus snooper for DMA invalidations.
+//
+// Line i is way i%Ways of set i/Ways. Its state is lines[i] and its data
+// is data[i*LineBytes:][:LineBytes]. Both are built on the first fill, so
+// a cache that never fills costs nothing: most nodes of a sweep point
+// never run a load.
 type Cache struct {
 	eng   *sim.Engine
 	cfg   Config
 	xbus  *bus.Xpress
-	sets  [][]line
+	lines []line // nil until the first fill, like data
+	data  []byte
 	clock uint64
 	stats Stats
 
@@ -91,20 +98,12 @@ func New(eng *sim.Engine, cfg Config, xbus *bus.Xpress) *Cache {
 	if cfg.Sets&(cfg.Sets-1) != 0 || cfg.LineBytes&(cfg.LineBytes-1) != 0 {
 		panic("cache: sets and line size must be powers of two")
 	}
-	c := &Cache{eng: eng, cfg: cfg, xbus: xbus}
-	// One backing array for all lines and one for all line data: three
-	// allocations per cache instead of Sets*(Ways+1).
-	c.sets = make([][]line, cfg.Sets)
-	lines := make([]line, cfg.Sets*cfg.Ways)
-	data := make([]byte, cfg.Sets*cfg.Ways*cfg.LineBytes)
-	for i := range c.sets {
-		ways := lines[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
-		for w := range ways {
-			base := (i*cfg.Ways + w) * cfg.LineBytes
-			ways[w].data = data[base : base+cfg.LineBytes : base+cfg.LineBytes]
-		}
-		c.sets[i] = ways
+	// A line holds any aligned word, so an access splits over at most
+	// two lines, and lies within one page, so FlushPage finds it.
+	if cfg.LineBytes < 4 || cfg.LineBytes > phys.PageSize {
+		panic(fmt.Sprintf("cache: line size %d outside [4,%d]", cfg.LineBytes, phys.PageSize))
 	}
+	c := &Cache{eng: eng, cfg: cfg, xbus: xbus}
 	c.lineMask = uint32(cfg.LineBytes - 1)
 	c.setShift = uint32(bits.TrailingZeros32(uint32(cfg.LineBytes)))
 	c.tagShift = c.setShift + uint32(bits.TrailingZeros32(uint32(cfg.Sets)))
@@ -125,30 +124,28 @@ type Line struct {
 }
 
 // Lines returns a copy of every line, set by set and way by way, and the
-// LRU clock. Differential tests compare two caches through it.
+// LRU clock. Differential tests compare two caches through it. A cache
+// that has never filled reports zero data.
 func (c *Cache) Lines() ([]Line, uint64) {
-	var out []Line
-	for _, ways := range c.sets {
-		for _, l := range ways {
-			out = append(out, Line{l.valid, l.dirty, l.tag, l.lru, append([]byte(nil), l.data...)})
+	out := make([]Line, c.cfg.Sets*c.cfg.Ways)
+	for i := range out {
+		var l line
+		data := make([]byte, c.cfg.LineBytes)
+		if c.lines != nil {
+			l = c.lines[i]
+			copy(data, c.lineData(i))
 		}
+		out[i] = Line{l.valid, l.dirty, l.tag, l.lru, data}
 	}
 	return out, c.clock
 }
 
 // Reset invalidates every line and zeroes the LRU clock and statistics,
-// returning the cache to its just-built state. Line data arrays are
-// retained (an invalid line's contents are unobservable), so a reset
-// cache allocates nothing.
+// returning the cache to its just-built state. Line data storage, if
+// built, is retained (an invalid line's contents are unobservable), so
+// a reset cache allocates nothing.
 func (c *Cache) Reset() {
-	for _, ways := range c.sets {
-		for w := range ways {
-			ways[w].valid = false
-			ways[w].dirty = false
-			ways[w].tag = 0
-			ways[w].lru = 0
-		}
-	}
+	clear(c.lines)
 	c.clock = 0
 	c.stats = Stats{}
 	c.pureAcc = 0
@@ -180,39 +177,55 @@ func (c *Cache) decompose(a phys.PAddr) (set, tag, off uint32) {
 	return (u >> c.setShift) & c.setMask, u >> c.tagShift, u & c.lineMask
 }
 
-func (c *Cache) lookup(a phys.PAddr) *line {
-	set, tag, _ := c.decompose(a)
-	for i := range c.sets[set] {
-		l := &c.sets[set][i]
-		if l.valid && l.tag == tag {
-			c.clock++
-			l.lru = c.clock
-			return l
-		}
-	}
-	return nil
+// lineData returns line i's data; the storage must exist.
+func (c *Cache) lineData(i int) []byte {
+	return c.data[i<<c.setShift:][:c.cfg.LineBytes]
 }
 
-// victim picks the LRU way of a's set, writing it back if dirty.
-func (c *Cache) victim(a phys.PAddr) *line {
-	set, _, _ := c.decompose(a)
-	v := &c.sets[set][0]
-	for i := range c.sets[set] {
-		l := &c.sets[set][i]
-		if !l.valid {
-			v = l
+// lookup returns the index of the valid line holding a, stamping it most
+// recently used, or -1 on a miss.
+func (c *Cache) lookup(a phys.PAddr) int {
+	if c.lines == nil {
+		return -1
+	}
+	set, tag, _ := c.decompose(a)
+	base := int(set) * c.cfg.Ways
+	ways := c.lines[base : base+c.cfg.Ways]
+	for i := range ways {
+		if l := &ways[i]; l.valid && l.tag == tag {
+			c.clock++
+			l.lru = c.clock
+			return base + i
+		}
+	}
+	return -1
+}
+
+// victim picks the LRU way of set, writing it back if dirty, and returns
+// its index. The first call builds the cache's line storage.
+func (c *Cache) victim(set uint32) int {
+	if c.lines == nil {
+		c.lines = make([]line, c.cfg.Sets*c.cfg.Ways)
+		c.data = make([]byte, len(c.lines)*c.cfg.LineBytes)
+	}
+	base := int(set) * c.cfg.Ways
+	ways := c.lines[base : base+c.cfg.Ways]
+	v := 0
+	for i := range ways {
+		if !ways[i].valid {
+			v = i
 			break
 		}
-		if l.lru < v.lru {
-			v = l
+		if ways[i].lru < ways[v].lru {
+			v = i
 		}
 	}
-	if v.valid && v.dirty {
+	if l := &ways[v]; l.valid && l.dirty {
 		c.stats.WriteBacks++
-		c.xbus.Write(bus.InitCPU, c.lineBase(set, v.tag), v.data)
-		v.dirty = false
+		c.xbus.Write(bus.InitCPU, c.lineBase(set, l.tag), c.lineData(base+v))
+		l.dirty = false
 	}
-	return v
+	return base + v
 }
 
 func (c *Cache) lineBase(set, tag uint32) phys.PAddr {
@@ -237,28 +250,30 @@ func (c *Cache) load(a phys.PAddr, size int) (uint32, sim.Time) {
 		v, done := c.xbus.Read32(bus.InitCPU, a)
 		return truncate(v, size), done - c.eng.Now()
 	}
-	l, lat := c.fetch(a)
-	return truncate(read32(l.data, uint32(a)&c.lineMask), size), lat
+	i, lat := c.fetch(a)
+	return truncate(read32(c.lineData(i), uint32(a)&c.lineMask), size), lat
 }
 
-// fetch returns the line holding DRAM address a and the load latency,
-// counting a hit or taking the miss path (victim write-back, then fill).
-func (c *Cache) fetch(a phys.PAddr) (*line, sim.Time) {
-	if l := c.lookup(a); l != nil {
+// fetch returns the index of the line holding DRAM address a and the
+// load latency, counting a hit or taking the miss path (victim
+// write-back, then fill).
+func (c *Cache) fetch(a phys.PAddr) (int, sim.Time) {
+	if i := c.lookup(a); i >= 0 {
 		c.stats.LoadHits++
 		c.pureAcc++
 		c.allAcc++
-		return l, c.cfg.HitTime
+		return i, c.cfg.HitTime
 	}
 	c.stats.LoadMisses++
 	c.allAcc++
-	l := c.victim(a)
 	set, tag, _ := c.decompose(a)
-	done := c.xbus.ReadInto(bus.InitCPU, c.lineBase(set, tag), l.data)
+	i := c.victim(set)
+	done := c.xbus.ReadInto(bus.InitCPU, c.lineBase(set, tag), c.lineData(i))
+	l := &c.lines[i]
 	l.valid, l.dirty, l.tag = true, false, tag
 	c.clock++
 	l.lru = c.clock
-	return l, done - c.eng.Now()
+	return i, done - c.eng.Now()
 }
 
 // ReadBytes fills out from a onward with exactly the effect of len(out)
@@ -276,14 +291,14 @@ func (c *Cache) ReadBytes(a phys.PAddr, out []byte) {
 			a, out = a+1, out[1:]
 			continue
 		}
-		l, _ := c.fetch(a)
-		n := copy(out, l.data[uint32(a)&c.lineMask:])
+		i, _ := c.fetch(a)
+		n := copy(out, c.lineData(i)[uint32(a)&c.lineMask:])
 		k := uint64(n - 1)
 		c.stats.LoadHits += k
 		c.pureAcc += k
 		c.allAcc += k
 		c.clock += k
-		l.lru = c.clock
+		c.lines[i].lru = c.clock
 		a, out = a+phys.PAddr(n), out[n:]
 	}
 }
@@ -303,24 +318,24 @@ func (c *Cache) Store(a phys.PAddr, v uint32, size int, writeThrough bool) sim.T
 		t2 := c.Store(a+phys.PAddr(first), v>>(8*uint(first)), size-first, writeThrough)
 		return t1 + t2
 	}
-	_, _, off := c.decompose(a)
-	if l := c.lookup(a); l != nil {
+	set, tag, off := c.decompose(a)
+	if i := c.lookup(a); i >= 0 {
 		c.stats.StoreHits++
-		write32(l.data, off, v, size)
+		write32(c.lineData(i), off, v, size)
 		if !writeThrough {
-			l.dirty = true
+			c.lines[i].dirty = true
 			return c.cfg.HitTime
 		}
 	} else if !writeThrough {
-		// Write-back pages write-allocate.
+		// Write-back pages write-allocate. The filled line keeps its
+		// victim's LRU stamp.
 		c.stats.StoreMisses++
-		l = c.victim(a)
-		set, tag, _ := c.decompose(a)
-		base := c.lineBase(set, tag)
-		c.xbus.ReadInto(bus.InitCPU, base, l.data)
-		l.valid, l.tag = true, tag
-		write32(l.data, off, v, size)
-		l.dirty = true
+		i = c.victim(set)
+		data := c.lineData(i)
+		c.xbus.ReadInto(bus.InitCPU, c.lineBase(set, tag), data)
+		write32(data, off, v, size)
+		l := &c.lines[i]
+		l.valid, l.dirty, l.tag = true, true, tag
 		return c.cfg.HitTime
 	} else {
 		// Write-through without allocate: the store just goes to the bus.
@@ -358,7 +373,7 @@ func (c *Cache) Store(a phys.PAddr, v uint32, size int, writeThrough bool) sim.T
 // Store's hits or misses down to the LRU clock, as ReadBytes charges
 // loads.
 func (c *Cache) StoreRun(a phys.PAddr, data []byte, writeThrough bool) (n int, lat sim.Time) {
-	if !writeThrough || a&3 != 0 || c.cfg.LineBytes < 4 || c.xbus.Memory().IsCmd(a) {
+	if !writeThrough || a&3 != 0 || c.xbus.Memory().IsCmd(a) {
 		return 0, 0
 	}
 	words := c.xbus.RunRoom(a, min(len(data), phys.PageSize-int(a.Offset()))/4)
@@ -390,11 +405,11 @@ func (c *Cache) StoreRun(a phys.PAddr, data []byte, writeThrough bool) (n int, l
 		la := a + phys.PAddr(off)
 		k := min(len(data)-off, c.cfg.LineBytes-int(uint32(la)&c.lineMask))
 		w := uint64(k / 4)
-		if l := c.lookup(la); l != nil {
+		if i := c.lookup(la); i >= 0 {
 			c.stats.StoreHits += w
-			copy(l.data[uint32(la)&c.lineMask:], data[off:off+k])
+			copy(c.lineData(i)[uint32(la)&c.lineMask:], data[off:off+k])
 			c.clock += w - 1
-			l.lru = c.clock
+			c.lines[i].lru = c.clock
 		} else {
 			c.stats.StoreMisses += w
 		}
@@ -412,11 +427,19 @@ func (c *Cache) StoreRun(a phys.PAddr, data []byte, writeThrough bool) (n int, l
 func (c *Cache) LockedCmpxchg(a phys.PAddr, expect, repl uint32) (read uint32, swapped bool, lat sim.Time) {
 	c.allAcc++ // locked RMWs go to the bus: never pure
 	if !c.xbus.Memory().IsCmd(a) {
-		// Keep the cache coherent with a locked RMW on DRAM.
-		if l := c.lookup(a); l != nil {
-			cur := read32(l.data, uint32(a)&c.lineMask)
-			if cur == expect {
-				write32(l.data, uint32(a)&c.lineMask, repl, 4)
+		// Keep the cache coherent with a locked RMW on DRAM: the locked
+		// cycle reads memory, so a dirty line is written back first, and
+		// a cached copy takes the swap.
+		if i := c.lookup(a); i >= 0 {
+			set, tag, off := c.decompose(a)
+			data := c.lineData(i)
+			if l := &c.lines[i]; l.dirty {
+				c.stats.WriteBacks++
+				c.xbus.Write(bus.InitCPU, c.lineBase(set, tag), data)
+				l.dirty = false
+			}
+			if read32(data, off) == expect {
+				write32(data, off, repl, 4)
 			}
 		}
 	}
@@ -429,36 +452,32 @@ func (c *Cache) LockedCmpxchg(a phys.PAddr, expect, repl uint32) (read uint32, s
 // changes (map to write-through) and around page replacement.
 func (c *Cache) FlushPage(page phys.PageNum) {
 	lo, hi := uint32(page.Addr(0)), uint32(page.Addr(0))+phys.PageSize
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			l := &c.sets[s][w]
-			if !l.valid {
-				continue
-			}
-			base := uint32(c.lineBase(uint32(s), l.tag))
-			if base < lo || base >= hi {
-				continue
-			}
-			if l.dirty {
-				c.stats.WriteBacks++
-				c.xbus.Write(bus.InitCPU, phys.PAddr(base), l.data)
-			}
-			l.valid, l.dirty = false, false
+	for i := range c.lines {
+		l := &c.lines[i]
+		if !l.valid {
+			continue
 		}
+		base := uint32(c.lineBase(uint32(i/c.cfg.Ways), l.tag))
+		if base < lo || base >= hi {
+			continue
+		}
+		if l.dirty {
+			c.stats.WriteBacks++
+			c.xbus.Write(bus.InitCPU, phys.PAddr(base), c.lineData(i))
+		}
+		l.valid, l.dirty = false, false
 	}
 }
 
 // Flush writes back all dirty lines and invalidates the cache.
 func (c *Cache) Flush() {
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			l := &c.sets[s][w]
-			if l.valid && l.dirty {
-				c.stats.WriteBacks++
-				c.xbus.Write(bus.InitCPU, c.lineBase(uint32(s), l.tag), l.data)
-			}
-			l.valid, l.dirty = false, false
+	for i := range c.lines {
+		l := &c.lines[i]
+		if l.valid && l.dirty {
+			c.stats.WriteBacks++
+			c.xbus.Write(bus.InitCPU, c.lineBase(uint32(i/c.cfg.Ways), l.tag), c.lineData(i))
 		}
+		l.valid, l.dirty = false, false
 	}
 }
 
@@ -478,13 +497,14 @@ func (p snoopPort) SnoopWrite(init bus.Initiator, a phys.PAddr, data []byte) {
 	first := uint32(a) &^ c.lineMask
 	last := (uint32(a) + uint32(len(data)) - 1) &^ c.lineMask
 	for base := first; base <= last; base += uint32(c.cfg.LineBytes) {
-		l := c.lookup(phys.PAddr(base))
-		if l == nil {
+		i := c.lookup(phys.PAddr(base))
+		if i < 0 {
 			continue
 		}
+		l := &c.lines[i]
 		if l.dirty {
 			// Merge: dirty line data underneath, DMA bytes on top.
-			c.xbus.Memory().Write(phys.PAddr(base), l.data)
+			c.xbus.Memory().Write(phys.PAddr(base), c.lineData(i))
 			lo, hi := uint32(a), uint32(a)+uint32(len(data))
 			if lo < base {
 				lo = base

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/bus"
@@ -289,13 +290,11 @@ func sameState(t *testing.T, what string, a, b *twinCache) {
 	if ap != bp || aa != ba || a.c.clock != b.c.clock {
 		t.Fatalf("%s: probe (%d,%d) clock %d vs probe (%d,%d) clock %d", what, ap, aa, a.c.clock, bp, ba, b.c.clock)
 	}
-	for s := range a.c.sets {
-		for w := range a.c.sets[s] {
-			la, lb := a.c.sets[s][w], b.c.sets[s][w]
-			if la.valid != lb.valid || la.dirty != lb.dirty || la.tag != lb.tag || la.lru != lb.lru ||
-				!bytes.Equal(la.data, lb.data) {
-				t.Fatalf("%s: set %d way %d differs: %+v vs %+v", what, s, w, la, lb)
-			}
+	la, _ := a.c.Lines()
+	lb, _ := b.c.Lines()
+	for i := range la {
+		if !reflect.DeepEqual(la[i], lb[i]) {
+			t.Fatalf("%s: line %d differs: %+v vs %+v", what, i, la[i], lb[i])
 		}
 	}
 	if !bytes.Equal(a.x.Memory().Read(0, int(a.x.Memory().Size())), b.x.Memory().Read(0, int(b.x.Memory().Size()))) {
@@ -406,4 +405,116 @@ func TestStoreRunMatchesStores(t *testing.T) {
 		t.Fatal("the run never stalled on the write buffer")
 	}
 	sameState(t, "after the run", run, ref)
+}
+
+// newGeometry builds a cache of the given shape over 16 pages of DRAM.
+func newGeometry(sets, ways, lineBytes int) (*bus.Xpress, *Cache) {
+	eng := sim.NewEngine()
+	x := bus.NewXpress(eng, bus.DefaultXpressConfig(), phys.NewMemory(16))
+	cfg := DefaultConfig()
+	cfg.Sets, cfg.Ways, cfg.LineBytes = sets, ways, lineBytes
+	return x, New(eng, cfg, x)
+}
+
+// New accepts lines of 4 bytes to one page. Below 4, a word splits over
+// more than two lines; above a page, a line spans pages and FlushPage
+// misses it.
+func TestLineSizeBounds(t *testing.T) {
+	for _, lb := range []int{1, 2, 2 * phys.PageSize} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New accepted %d-byte lines", lb)
+				}
+			}()
+			newGeometry(4, 2, lb)
+		}()
+	}
+
+	// 4-byte lines: every unaligned word spans two lines.
+	x, c := newGeometry(4, 2, 4)
+	x.Memory().Write32(64, 0xddccbbaa)
+	x.Memory().Write32(68, 0x44332211)
+	if v, _ := c.Load(64, 4); v != 0xddccbbaa {
+		t.Fatalf("aligned load %#x", v)
+	}
+	if v, _ := c.Load(66, 4); v != 0x2211ddcc {
+		t.Fatalf("split load %#x", v)
+	}
+	c.Store(67, 0x55667788, 4, false)
+	if v, _ := c.Load(66, 4); v != 0x667788cc {
+		t.Fatalf("load after split write-back store %#x", v)
+	}
+	c.Flush()
+	if lo, hi := x.Memory().Read32(64), x.Memory().Read32(68); lo != 0x88ccbbaa || hi != 0x44556677 {
+		t.Fatalf("memory after flush %#x %#x", lo, hi)
+	}
+
+	// Page-sized lines: FlushPage writes back and invalidates the
+	// page's one line, and no other.
+	x, c = newGeometry(4, 1, phys.PageSize)
+	c.Store(phys.PageNum(1).Addr(8), 7, 4, false)
+	c.Store(phys.PageNum(2).Addr(8), 9, 4, false)
+	c.FlushPage(1)
+	if v := x.Memory().Read32(phys.PageNum(1).Addr(8)); v != 7 {
+		t.Fatalf("FlushPage(1) left memory at %d", v)
+	}
+	if v := x.Memory().Read32(phys.PageNum(2).Addr(8)); v != 0 {
+		t.Fatal("FlushPage(1) wrote back page 2")
+	}
+	x.Write32(bus.InitBridge, phys.PageNum(1).Addr(8), 42)
+	if v, _ := c.Load(phys.PageNum(1).Addr(8), 4); v != 42 {
+		t.Fatalf("stale line survived FlushPage: %d", v)
+	}
+}
+
+// A cache builds its line storage on the first fill. Until then it holds
+// none, yet reports the lines a filled-then-Reset cache does; after a
+// Reset it keeps the storage and refills without allocating.
+func TestLineStorageBuiltOnFirstFill(t *testing.T) {
+	_, x, fresh := newCache()
+	if fresh.lines != nil || fresh.data != nil {
+		t.Fatalf("a new cache holds %d line states and %d bytes of line data", len(fresh.lines), len(fresh.data))
+	}
+	// Write-through misses and locked RMWs do not allocate.
+	fresh.Store(0x300, 1, 4, true)
+	fresh.StoreRun(0x400, make([]byte, 64), true)
+	fresh.LockedCmpxchg(0x300, 1, 2)
+	fresh.FlushPage(0)
+	fresh.Flush()
+	fresh.Reset()
+	x.Write32(bus.InitBridge, 0x300, 2)
+	if fresh.lines != nil || fresh.data != nil {
+		t.Fatal("accesses that fill no line built line storage")
+	}
+
+	_, _, used := newCache()
+	used.Load(0x100, 4)
+	used.Store(0x2100, 3, 4, false)
+	used.Reset()
+	if used.lines == nil || used.data == nil {
+		t.Fatal("Reset dropped the line storage")
+	}
+	freshLines, freshClock := fresh.Lines()
+	usedLines, usedClock := used.Lines()
+	if freshClock != usedClock {
+		t.Fatalf("clock %d, after Reset %d", freshClock, usedClock)
+	}
+	for i, l := range freshLines {
+		u := usedLines[i]
+		if l.Valid != u.Valid || l.Dirty != u.Dirty || l.Tag != u.Tag || l.Age != u.Age {
+			t.Fatalf("line %d: never filled %+v, after Reset %+v", i, l, u)
+		}
+		if len(l.Data) != DefaultConfig().LineBytes || !bytes.Equal(l.Data, make([]byte, len(l.Data))) {
+			t.Fatalf("line %d of a cache never filled reports data %x", i, l.Data)
+		}
+	}
+
+	if n := testing.AllocsPerRun(10, func() {
+		used.Reset()
+		used.Load(0x100, 4)
+		used.Store(0x2100, 3, 4, false)
+	}); n != 0 {
+		t.Fatalf("a refill after Reset allocated %v times", n)
+	}
 }

@@ -314,6 +314,10 @@ func TestConfigValidation(t *testing.T) {
 		{"no out headroom", func(c *Config) { c.NIC.OutThreshold = c.NIC.OutFIFOBytes - 1 }},
 		{"no in headroom", func(c *Config) { c.NIC.InThreshold = c.NIC.InFIFOBytes - 1 }},
 		{"cache sets not pow2", func(c *Config) { c.Cache.Sets = 3 }},
+		// A 1-byte line drops the bytes of a word split over more than
+		// two lines; an 8 KB line spans pages and survives FlushPage.
+		{"cache line under a word", func(c *Config) { c.Cache.LineBytes = 1 }},
+		{"cache line over a page", func(c *Config) { c.Cache.LineBytes = 2 * phys.PageSize }},
 		{"zero cpu clock", func(c *Config) { c.CPU.CycleTime = 0 }},
 		{"zero flit", func(c *Config) { c.Mesh.FlitBytes = 0 }},
 	}

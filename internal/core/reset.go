@@ -1,12 +1,16 @@
 package core
 
 // Reset tears the machine back down to its post-boot state in place —
-// observationally equivalent to New(m.Cfg) — while reusing every large
-// allocation: DRAM frames, cache arrays, the NIPT, the mesh and its worm
-// pool, the engine's event queue, and the kernels' map buckets. Sweep
-// harnesses that measure many points on the same configuration reuse one
-// machine per worker instead of paying the full construction cost per
-// point (about 1,030 allocations / 1.4 MB for a 16-node machine).
+// observationally equivalent to New(m.Cfg) — while reusing every
+// allocation the machine has made: DRAM frames, cache line storage, the
+// NIPT, the mesh and its worm pool, the engine's event queue, and the
+// kernels' free-frame stacks and map buckets. It allocates nothing
+// (BenchmarkMachineReset), and its cost follows what the last run
+// touched: only written DRAM frames are cleared, and a cache that never
+// filled has no lines to invalidate. Sweep harnesses that measure many
+// points on the same configuration reuse one machine per worker instead
+// of paying the construction cost per point (about 960 allocations /
+// 0.65 MB for a 16-node machine).
 //
 // The engine is reset first, discarding any pending events, so Reset is
 // safe even when the previous measurement stopped mid-flight (e.g. a

@@ -51,6 +51,26 @@ func TestResetEquivalence(t *testing.T) {
 	}
 }
 
+// BenchmarkMachineReset times the Reset a sweep worker does between
+// points: a 4x4 machine of each generation, dirtied by a corner-to-corner
+// latency probe before every Reset (untimed). Reset reuses every
+// allocation the machine made, so it must not allocate.
+func BenchmarkMachineReset(b *testing.B) {
+	for _, gen := range []nic.Generation{nic.GenEISAPrototype, nic.GenXpress} {
+		b.Run(gen.String(), func(b *testing.B) {
+			m := New(ConfigFor(4, 4, gen))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				MeasureStoreLatency(m, 0, 15)
+				b.StartTimer()
+				m.Reset()
+			}
+		})
+	}
+}
+
 // Every parallel sweep must be byte-identical to its sequential path.
 // Run with -race (ci.sh does) this doubles as the data-race proof for
 // the worker pool under more points than workers.

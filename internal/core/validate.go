@@ -83,6 +83,11 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: cache sets (%d) and line size (%d) must be powers of two",
 			c.Cache.Sets, c.Cache.LineBytes)
 	}
+	// A shorter line splits a word over more than two lines; a longer
+	// one spans pages, so FlushPage misses it.
+	if c.Cache.LineBytes < 4 || c.Cache.LineBytes > phys.PageSize {
+		return fmt.Errorf("core: cache line size %d outside [4,%d]", c.Cache.LineBytes, phys.PageSize)
+	}
 	if c.CPU.CycleTime <= 0 {
 		return fmt.Errorf("core: CPU cycle time must be positive")
 	}

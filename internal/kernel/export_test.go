@@ -1,0 +1,15 @@
+package kernel
+
+import (
+	"repro/internal/packet"
+	"repro/internal/phys"
+)
+
+// MarkImported leaves frame f in the state a completed map-in from node
+// does, importer bookkeeping and the NIPT MappedIn bit, without the
+// allocator handing f out. Tests use it to plant NIPT state on a frame
+// the allocator counts as free.
+func (k *Kernel) MarkImported(f phys.PageNum, node packet.NodeID) {
+	k.imports[f] = map[packet.NodeID]int{node: 1}
+	k.nic.Table().Entry(f).MappedIn = true
+}

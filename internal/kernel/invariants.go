@@ -19,7 +19,8 @@ import (
 //     record, or is a boot kernel-ring outbox.
 //  3. Every frame marked MappedIn has importer bookkeeping, or is a
 //     boot kernel-ring inbox.
-//  4. No free-list frame has NIPT state or backs any process page.
+//  4. No free frame, returned or never handed out, has NIPT state or
+//     backs any process page.
 func (k *Kernel) CheckInvariants() error {
 	table := k.nic.Table()
 
@@ -94,7 +95,7 @@ func (k *Kernel) CheckInvariants() error {
 		}
 	}
 
-	// Invariant 4: the free list is really free.
+	// Invariant 4: free frames are really free.
 	used := make(map[phys.PageNum]int)
 	for pid, proc := range k.procs {
 		for _, vpn := range proc.AS.Pages() {
@@ -103,12 +104,23 @@ func (k *Kernel) CheckInvariants() error {
 			}
 		}
 	}
-	for _, f := range k.free {
+	isFree := func(f phys.PageNum) error {
 		if pid, inUse := used[f]; inUse {
 			return fmt.Errorf("kernel%d: free frame %d backs a page of pid %d", k.id, f, pid)
 		}
 		if table.MappedOut(f) || table.Entry(f).MappedIn {
 			return fmt.Errorf("kernel%d: free frame %d has NIPT state", k.id, f)
+		}
+		return nil
+	}
+	for _, f := range k.free {
+		if err := isFree(f); err != nil {
+			return err
+		}
+	}
+	for f := k.fresh; int(f) < k.mem.Pages(); f++ {
+		if err := isFree(f); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -103,8 +103,12 @@ type Kernel struct {
 
 	procs   map[int]*Process
 	nextPID int
-	free    []phys.PageNum
-	swap    map[swapKey][]byte
+	// The frame allocator: frames [fresh, mem.Pages()) have never been
+	// handed out, and free stacks returned frames, reused last in first
+	// out before any fresh one.
+	free  []phys.PageNum
+	fresh phys.PageNum
+	swap  map[swapKey][]byte
 
 	// peers holds ring state for the nodes this kernel has sent to or
 	// heard from, built on first use (peerOf).
@@ -169,6 +173,7 @@ func New(eng *sim.Engine, cfg Config, id packet.NodeID, nodes int,
 		mem: mem, xbus: xbus, nic: n, cpu: cpu, box: box,
 		procs:      make(map[int]*Process),
 		nextPID:    1,
+		fresh:      phys.PageNum(mem.Pages()), // no frames until Boot
 		swap:       make(map[swapKey][]byte),
 		peers:      make(map[packet.NodeID]*peer),
 		pending:    make(map[uint32]*Future),
@@ -194,7 +199,7 @@ func New(eng *sim.Engine, cfg Config, id packet.NodeID, nodes int,
 func (k *Kernel) Reset() {
 	clear(k.procs)
 	k.nextPID = 1
-	k.free = nil
+	k.free, k.fresh = k.free[:0], phys.PageNum(k.mem.Pages())
 	clear(k.swap)
 	clear(k.peers)
 	clear(k.pending)
@@ -229,19 +234,29 @@ func (k *Kernel) NIC() *nic.NIC { return k.nic }
 // CPU returns the node's processor (may be nil in harness tests).
 func (k *Kernel) CPU() *isa.CPU { return k.cpu }
 
-// SetFreePages replaces the physical page allocator's free list, which
-// Boot seeds with every frame above the ring pages.
-func (k *Kernel) SetFreePages(pages []phys.PageNum) { k.free = pages }
+// SetFreePages replaces the physical page allocator's free frames, which
+// Boot sets to every frame above the ring pages, with pages alone. The
+// allocator takes them from the end of the slice.
+func (k *Kernel) SetFreePages(pages []phys.PageNum) {
+	k.free, k.fresh = pages, phys.PageNum(k.mem.Pages())
+}
 
 // FreePageCount returns the number of unallocated physical pages.
-func (k *Kernel) FreePageCount() int { return len(k.free) }
+func (k *Kernel) FreePageCount() int { return len(k.free) + k.mem.Pages() - int(k.fresh) }
 
+// allocFrame hands out the most recently freed frame, or else the lowest
+// frame never handed out, so frames come out ascending until some are
+// returned.
 func (k *Kernel) allocFrame() (phys.PageNum, error) {
-	if len(k.free) == 0 {
+	var f phys.PageNum
+	if n := len(k.free); n > 0 {
+		f, k.free = k.free[n-1], k.free[:n-1]
+	} else if int(k.fresh) < k.mem.Pages() {
+		f = k.fresh
+		k.fresh++
+	} else {
 		return 0, fmt.Errorf("kernel%d: out of physical pages", k.id)
 	}
-	f := k.free[len(k.free)-1]
-	k.free = k.free[:len(k.free)-1]
 	k.mem.ZeroPage(f)
 	return f, nil
 }

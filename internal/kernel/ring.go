@@ -106,9 +106,8 @@ func (k *Kernel) inboxOwner(f phys.PageNum) (packet.NodeID, bool) {
 // Boot is the firmware step for this node, the only mappings not
 // established through map(): it installs the NIPT entries of this
 // node's side of every ring, each outbox mapped out to the peer's inbox
-// and each inbox mapped in, and seeds the page allocator with the
-// frames above the rings. The machine constructor calls it on every
-// node.
+// and each inbox mapped in, and hands the page allocator the frames
+// above the rings. The machine constructor calls it on every node.
 func (k *Kernel) Boot() {
 	ring := RingPages(k.nodes)
 	if ring >= k.mem.Pages() {
@@ -130,13 +129,7 @@ func (k *Kernel) Boot() {
 		in.MappedIn = true
 		in.KernelRing = true
 	}
-	free := make([]phys.PageNum, 0, k.mem.Pages()-ring)
-	// Descending so that the allocator (which pops the tail) hands out
-	// ascending frame numbers — friendlier diagnostics.
-	for p := k.mem.Pages() - 1; p >= ring; p-- {
-		free = append(free, phys.PageNum(p))
-	}
-	k.free = free
+	k.free, k.fresh = k.free[:0], phys.PageNum(ring)
 }
 
 type peer struct {

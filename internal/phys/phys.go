@@ -44,7 +44,10 @@ func (p PageNum) Addr(off uint32) PAddr { return PAddr(uint32(p)<<PageShift | of
 // page until the page is written.
 type Memory struct {
 	frames []*[PageSize]byte
-	size   uint32
+	// made lists the materialized frames, so Reset clears only those.
+	// Frames are never dropped, so the list stays valid.
+	made []*[PageSize]byte
+	size uint32
 }
 
 // NewMemory allocates DRAM with the given number of page frames.
@@ -93,6 +96,7 @@ func (m *Memory) frame(p int) *[PageSize]byte {
 	if f == nil {
 		f = new([PageSize]byte)
 		m.frames[p] = f
+		m.made = append(m.made, f)
 	}
 	return f
 }
@@ -186,12 +190,11 @@ func (m *Memory) Write8(a PAddr, v byte) {
 // dropped: a reset machine is about to run another workload that will
 // likely touch the same pages, so reusing the backing arrays avoids
 // re-paying the allocation. A cleared frame is observationally identical
-// to a nil one (both read as zeros).
+// to a nil one (both read as zeros). Reset costs the frames ever written,
+// not the size of memory.
 func (m *Memory) Reset() {
-	for _, f := range m.frames {
-		if f != nil {
-			clear(f[:])
-		}
+	for _, f := range m.made {
+		clear(f[:])
 	}
 }
 
