@@ -1,8 +1,8 @@
 #!/bin/sh
 # ci.sh — the repo's gate: static checks, full build, race-enabled tests,
 # exact event-count pins, a boot-footprint pin, zero-allocation checks on
-# the hot paths, byte-identity checks on the CLIs, and three short
-# fuzzing runs. Every gate but the fuzzing runs is deterministic; those
+# the hot paths, byte-identity checks on the CLIs, exit-status checks on
+# bad CLI flags, and three short fuzzing runs. Every gate but the fuzzing runs is deterministic; those
 # explore new inputs on each run, and a failure is a real divergence
 # between a fast path and its reference — the CPU's against
 # per-instruction stepping, UserWriteBytes' store runs against one store
@@ -126,6 +126,26 @@ go test -race -count 1 -run 'TestWatchdog' ./internal/core
 go run ./cmd/shrimp-top -mesh 2x2 -rounds 2 > "$scratch/top-a.prom"
 go run ./cmd/shrimp-top -mesh 2x2 -rounds 2 > "$scratch/top-b.prom"
 cmp "$scratch/top-a.prom" "$scratch/top-b.prom"
-# Timeline smoke: a 16-node run must export valid Chrome trace JSON,
-# with recorder counter tracks riding along.
-go run ./cmd/shrimp-trace -rounds 1 -interval 10us -o /dev/null
+# Timeline determinism: two 16-node shrimp-trace runs with recorder
+# counter tracks must write byte-identical Chrome trace JSON (its
+# validity is asserted by TestTraceJSONSixteenNodes and
+# TestWriteChromeTraceRecorderTracks).
+go run ./cmd/shrimp-trace -rounds 1 -interval 10us -o "$scratch/trace-a.json"
+go run ./cmd/shrimp-trace -rounds 1 -interval 10us -o "$scratch/trace-b.json"
+cmp "$scratch/trace-a.json" "$scratch/trace-b.json"
+# Bad flags: each CLI must reject a bad value with one line on stderr
+# and exit status exactly 1 — not run anyway (0) or panic (2). The
+# binaries run directly, because go run reports a panic's exit 2 as 1.
+go build -o "$scratch/bin/" ./cmd/...
+rejects() {
+	cli=$1
+	shift
+	status=0
+	"$scratch/bin/$cli" "$@" > /dev/null 2> "$scratch/stderr.txt" || status=$?
+	test "$status" -eq 1 && test "$(wc -l < "$scratch/stderr.txt")" -eq 1
+}
+rejects shrimp-sim -gen foo
+rejects shrimp-trace -bytes -5
+rejects shrimp-top -rounds 0
+rejects shrimp-table1 -gen foo
+rejects shrimp-faults -gen EISA

@@ -46,9 +46,15 @@ func main() {
 	stagger := flag.Int("stagger", 120, "availability mode: gap between crashes in microseconds")
 	flag.Parse()
 
-	g := shrimp.GenXpress
-	if *gen == "eisa" {
+	var g shrimp.Generation
+	switch *gen {
+	case "eisa":
 		g = shrimp.GenEISAPrototype
+	case "xpress":
+		g = shrimp.GenXpress
+	default:
+		fmt.Fprintf(os.Stderr, "shrimp-faults: unknown -gen %q; want eisa or xpress\n", *gen)
+		os.Exit(1)
 	}
 	if *avail != "" {
 		availMode(*w, *h, g, *seed, *avail, *rounds, *words, *workers,

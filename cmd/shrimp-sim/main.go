@@ -1,6 +1,8 @@
 // shrimp-sim runs configurable workloads on a simulated SHRIMP machine
 // and reports machine-wide statistics: message patterns across the mesh,
-// NIC and backplane counters, and flow-control behavior.
+// NIC and backplane counters, and flow-control behavior. With -trace N
+// it also turns the metrics registry on and prints the last N completed
+// packet spans followed by the registry's summary table.
 package main
 
 import (
@@ -10,6 +12,7 @@ import (
 	"strings"
 
 	shrimp "repro"
+	"repro/internal/obs"
 )
 
 func main() {
@@ -18,7 +21,7 @@ func main() {
 	workload := flag.String("workload", "neighbors", "workload: neighbors, hotspot or ring")
 	msgBytes := flag.Int("bytes", 1024, "message size")
 	rounds := flag.Int("rounds", 8, "workload rounds")
-	traceN := flag.Int("trace", 0, "retain and dump the last N datapath events")
+	traceN := flag.Int("trace", 0, "print the last N completed packet spans and the metrics summary")
 	flag.Parse()
 
 	var w, h int
@@ -36,12 +39,23 @@ func main() {
 	if *rounds < 1 {
 		fatal("shrimp-sim: bad -rounds %d; want at least 1", *rounds)
 	}
-	g := shrimp.GenEISAPrototype
-	if *gen == "xpress" {
+	if *traceN < 0 {
+		fatal("shrimp-sim: bad -trace %d; want at least 0", *traceN)
+	}
+	var g shrimp.Generation
+	switch *gen {
+	case "eisa":
+		g = shrimp.GenEISAPrototype
+	case "xpress":
 		g = shrimp.GenXpress
+	default:
+		fatal("shrimp-sim: unknown -gen %q; want eisa or xpress", *gen)
 	}
 	cfg := shrimp.ConfigFor(w, h, g)
-	cfg.TraceCapacity = *traceN
+	if *traceN > 0 {
+		cfg.Metrics = true
+		cfg.SpanCapacity = max(*traceN, obs.DefaultSpanCapacity)
+	}
 	m := shrimp.New(cfg)
 	n := w * h
 
@@ -132,9 +146,20 @@ func main() {
 		out, in, drops, stalls)
 
 	if *traceN > 0 {
-		fmt.Printf("\n--- last %d datapath events ---\n", *traceN)
-		if err := m.Tracer.Dump(os.Stdout); err != nil {
-			fmt.Println("trace dump:", err)
+		spans := m.Obs.CompletedSpans()
+		spans = spans[max(0, len(spans)-*traceN):]
+		fmt.Printf("\n--- last %d completed packet spans ---\n", len(spans))
+		for _, s := range spans {
+			end := "deposit"
+			if s.Dropped {
+				end = "drop"
+			}
+			fmt.Printf("%12v node%-2d -> node%-2d %-13s %5dB %-7s latency %v\n",
+				s.Deposited, s.Src, s.Dst, s.Kind, s.Bytes, end, s.Deposited-s.Start)
+		}
+		fmt.Println()
+		if err := m.Obs.WriteTable(os.Stdout); err != nil {
+			fatal("shrimp-sim: metrics table: %v", err)
 		}
 	}
 }

@@ -7,6 +7,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 
 	shrimp "repro"
 )
@@ -16,9 +17,15 @@ func main() {
 	baseline := flag.Bool("baseline", true, "also run the kernel-mediated NX/2 baseline comparison")
 	flag.Parse()
 
-	g := shrimp.GenEISAPrototype
-	if *gen == "xpress" {
+	var g shrimp.Generation
+	switch *gen {
+	case "eisa":
+		g = shrimp.GenEISAPrototype
+	case "xpress":
 		g = shrimp.GenXpress
+	default:
+		fmt.Fprintf(os.Stderr, "shrimp-table1: unknown -gen %q; want eisa or xpress\n", *gen)
+		os.Exit(1)
 	}
 
 	fmt.Println("Table 1: software overhead of message passing primitives")

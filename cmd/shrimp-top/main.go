@@ -44,11 +44,25 @@ func main() {
 
 	var w, h int
 	if _, err := fmt.Sscanf(strings.ToLower(*mesh), "%dx%d", &w, &h); err != nil || w < 1 || h < 1 {
-		fatal("bad -mesh; want e.g. 4x4")
+		fatal("shrimp-top: bad -mesh %q; want e.g. 4x4", *mesh)
 	}
-	g := shrimp.GenEISAPrototype
-	if *gen == "xpress" {
+	if *msgBytes < 1 {
+		fatal("shrimp-top: bad -bytes %d; want at least 1", *msgBytes)
+	}
+	if *rounds < 1 {
+		fatal("shrimp-top: bad -rounds %d; want at least 1", *rounds)
+	}
+	if *serve != "" && *interval <= 0 {
+		fatal("shrimp-top: -serve needs -interval above 0, got %v", *interval)
+	}
+	var g shrimp.Generation
+	switch *gen {
+	case "eisa":
+		g = shrimp.GenEISAPrototype
+	case "xpress":
 		g = shrimp.GenXpress
+	default:
+		fatal("shrimp-top: unknown -gen %q; want eisa or xpress", *gen)
 	}
 	cfg := shrimp.ConfigFor(w, h, g)
 	cfg.Metrics = true
@@ -57,7 +71,7 @@ func main() {
 		Capacity: *capacity,
 	}
 	if err := cfg.Validate(); err != nil {
-		fatal(err)
+		fatal("shrimp-top: %v", err)
 	}
 	m := shrimp.New(cfg)
 
@@ -68,7 +82,7 @@ func main() {
 	publish := func() {
 		var b bytes.Buffer
 		if err := m.WriteOpenMetrics(&b); err != nil {
-			fatal(err)
+			fatal("shrimp-top: %v", err)
 		}
 		bs := b.Bytes()
 		latest.Store(&bs)
@@ -85,7 +99,7 @@ func main() {
 		mux.HandleFunc("/", handler)
 		go func() {
 			if err := http.ListenAndServe(*serve, mux); err != nil {
-				fatal(err)
+				fatal("shrimp-top: %v", err)
 			}
 		}()
 		fmt.Fprintf(os.Stderr, "serving OpenMetrics on %s/metrics\n", *serve)
@@ -104,13 +118,13 @@ func main() {
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			fatal(err)
+			fatal("shrimp-top: %v", err)
 		}
 		defer f.Close()
 		dst = f
 	}
 	if err := m.WriteOpenMetrics(dst); err != nil {
-		fatal(err)
+		fatal("shrimp-top: %v", err)
 	}
 }
 
@@ -142,14 +156,14 @@ func runWorkload(m *shrimp.Machine, w, h int, workload string, msgBytes, rounds 
 			links = append(links, link{i, (i + 1) % n})
 		}
 	default:
-		fatal("unknown workload; want neighbors, hotspot or ring")
+		fatal("shrimp-top: unknown -workload %q; want neighbors, hotspot or ring", workload)
 	}
 	channels := make([]*shrimp.Channel, len(links))
 	pages := (msgBytes+shrimp.PageSize-1)/shrimp.PageSize + 1
 	for i, l := range links {
 		ch, err := shrimp.NewChannel(m, eps[l.src], eps[l.dst], pages)
 		if err != nil {
-			fatal(fmt.Sprintf("map %d->%d: %v", l.src, l.dst, err))
+			fatal("shrimp-top: map %d->%d: %v", l.src, l.dst, err)
 		}
 		channels[i] = ch
 	}
@@ -160,19 +174,20 @@ func runWorkload(m *shrimp.Machine, w, h int, workload string, msgBytes, rounds 
 	for r := 0; r < rounds; r++ {
 		for _, ch := range channels {
 			if err := ch.Send(payload); err != nil {
-				fatal(fmt.Sprint("send: ", err))
+				fatal("shrimp-top: send: %v", err)
 			}
 		}
 		for _, ch := range channels {
 			if _, err := ch.Recv(); err != nil {
-				fatal(fmt.Sprint("recv: ", err))
+				fatal("shrimp-top: recv: %v", err)
 			}
 		}
 	}
 	m.RunUntilIdle(1_000_000_000)
 }
 
-func fatal(v any) {
-	fmt.Fprintln(os.Stderr, v)
+// fatal reports a bad flag or a failed run on stderr and exits 1.
+func fatal(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, format+"\n", args...)
 	os.Exit(1)
 }

@@ -1,8 +1,9 @@
 // shrimp-trace runs a workload on a simulated SHRIMP machine with the
 // metrics registry enabled and exports the timeline as Chrome
 // trace-event JSON: one process track per node, each completed causal
-// span rendered as nested async slices (snoop, out-fifo, mesh, deposit)
-// plus datapath tracer events as instants. Load the output in Perfetto
+// span rendered as nested async slices (snoop, out-fifo, mesh, deposit),
+// plus per-node counter totals and, with -interval, the flight
+// recorder's counter tracks. Load the output in Perfetto
 // (ui.perfetto.dev) or chrome://tracing.
 //
 //	go run ./cmd/shrimp-trace -mesh 4x4 -workload neighbors -o trace.json
@@ -29,24 +30,32 @@ func main() {
 	msgBytes := flag.Int("bytes", 1024, "message size")
 	rounds := flag.Int("rounds", 4, "workload rounds")
 	spans := flag.Int("spans", 0, "retain up to N completed spans (0 = default)")
-	traceN := flag.Int("trace", 4096, "retain the last N datapath events as instants")
 	interval := flag.Duration("interval", 0, "arm the flight recorder at this simulated cadence, e.g. 10us (0 = off); samples render as counter tracks")
 	out := flag.String("o", "", "write the timeline to this file (default stdout)")
 	flag.Parse()
 
 	var w, h int
 	if _, err := fmt.Sscanf(strings.ToLower(*mesh), "%dx%d", &w, &h); err != nil || w < 1 || h < 1 {
-		fmt.Fprintln(os.Stderr, "bad -mesh; want e.g. 4x4")
-		os.Exit(1)
+		fatal("shrimp-trace: bad -mesh %q; want e.g. 4x4", *mesh)
 	}
-	g := shrimp.GenEISAPrototype
-	if *gen == "xpress" {
+	if *msgBytes < 1 {
+		fatal("shrimp-trace: bad -bytes %d; want at least 1", *msgBytes)
+	}
+	if *rounds < 1 {
+		fatal("shrimp-trace: bad -rounds %d; want at least 1", *rounds)
+	}
+	var g shrimp.Generation
+	switch *gen {
+	case "eisa":
+		g = shrimp.GenEISAPrototype
+	case "xpress":
 		g = shrimp.GenXpress
+	default:
+		fatal("shrimp-trace: unknown -gen %q; want eisa or xpress", *gen)
 	}
 	cfg := shrimp.ConfigFor(w, h, g)
 	cfg.Metrics = true
 	cfg.SpanCapacity = *spans
-	cfg.TraceCapacity = *traceN
 	if *interval > 0 {
 		cfg.Recorder = shrimp.RecorderConfig{Interval: shrimp.Time(interval.Nanoseconds()) * shrimp.Nanosecond}
 	}
@@ -78,8 +87,7 @@ func main() {
 			links = append(links, link{i, (i + 1) % n})
 		}
 	default:
-		fmt.Fprintln(os.Stderr, "unknown workload; want neighbors, hotspot or ring")
-		os.Exit(1)
+		fatal("shrimp-trace: unknown -workload %q; want neighbors, hotspot or ring", *workload)
 	}
 
 	channels := make([]*shrimp.Channel, len(links))
@@ -87,8 +95,7 @@ func main() {
 	for i, l := range links {
 		ch, err := shrimp.NewChannel(m, eps[l.src], eps[l.dst], pages)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "map %d->%d: %v\n", l.src, l.dst, err)
-			os.Exit(1)
+			fatal("shrimp-trace: map %d->%d: %v", l.src, l.dst, err)
 		}
 		channels[i] = ch
 	}
@@ -100,14 +107,12 @@ func main() {
 	for r := 0; r < *rounds; r++ {
 		for _, ch := range channels {
 			if err := ch.Send(payload); err != nil {
-				fmt.Fprintln(os.Stderr, "send:", err)
-				os.Exit(1)
+				fatal("shrimp-trace: send: %v", err)
 			}
 		}
 		for _, ch := range channels {
 			if _, err := ch.Recv(); err != nil {
-				fmt.Fprintln(os.Stderr, "recv:", err)
-				os.Exit(1)
+				fatal("shrimp-trace: recv: %v", err)
 			}
 		}
 	}
@@ -117,25 +122,21 @@ func main() {
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fatal("shrimp-trace: %v", err)
 		}
 		defer f.Close()
 		w2 = f
 	}
 	bw := bufio.NewWriter(w2)
 	if err := m.TraceJSON(bw); err != nil {
-		fmt.Fprintln(os.Stderr, "trace:", err)
-		os.Exit(1)
+		fatal("shrimp-trace: trace: %v", err)
 	}
 	if err := bw.Flush(); err != nil {
-		fmt.Fprintln(os.Stderr, "trace:", err)
-		os.Exit(1)
+		fatal("shrimp-trace: trace: %v", err)
 	}
 
-	spansDone := len(m.Obs.CompletedSpans())
-	fmt.Fprintf(os.Stderr, "workload %q on %dx%d %s mesh: %d spans, %d tracer events\n",
-		*workload, w, h, g, spansDone, len(m.Tracer.Events()))
+	fmt.Fprintf(os.Stderr, "workload %q on %dx%d %s mesh: %d spans\n",
+		*workload, w, h, g, len(m.Obs.CompletedSpans()))
 	if m.Rec != nil {
 		fmt.Fprintf(os.Stderr, "flight recorder: %d samples every %v (%d retained)\n",
 			m.Rec.Taken(), m.Rec.Interval(), m.Rec.Len())
@@ -146,4 +147,10 @@ func main() {
 	if *out != "" {
 		fmt.Fprintf(os.Stderr, "timeline written to %s — open in ui.perfetto.dev\n", *out)
 	}
+}
+
+// fatal reports a bad flag or a failed run on stderr and exits 1.
+func fatal(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, format+"\n", args...)
+	os.Exit(1)
 }

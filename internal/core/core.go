@@ -22,7 +22,6 @@ import (
 	"repro/internal/packet"
 	"repro/internal/phys"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/vm"
 )
 
@@ -31,9 +30,6 @@ type Config struct {
 	MeshWidth, MeshHeight int
 	MemPagesPerNode       int
 	Generation            nic.Generation
-	// TraceCapacity, when positive, attaches an event tracer retaining
-	// that many events across the whole machine.
-	TraceCapacity int
 	// Metrics attaches the machine-wide observability registry
 	// (internal/obs): per-node counters and histograms, per-link mesh
 	// stats, and causal packet spans. Off by default; enabling it never
@@ -122,7 +118,6 @@ type Machine struct {
 	Cfg    Config
 	Net    *mesh.Network
 	Nodes  []*Node
-	Tracer *trace.Tracer   // nil unless Config.TraceCapacity > 0
 	Obs    *obs.Registry   // nil unless Config.Metrics
 	Rec    *obs.Recorder   // nil unless Config.Recorder armed
 	Faults *fault.Injector // nil unless Config.Faults.Enabled()
@@ -146,10 +141,6 @@ func New(cfg Config) *Machine {
 	eng := sim.NewEngine()
 	net := mesh.New(eng, cfg.Mesh)
 	m := &Machine{Eng: eng, Cfg: cfg, Net: net}
-	if cfg.TraceCapacity > 0 {
-		m.Tracer = trace.New(eng, cfg.TraceCapacity)
-		net.Tracer = m.Tracer
-	}
 	if cfg.Metrics {
 		m.Obs = obs.New(cfg.NodeCount(), cfg.SpanCapacity)
 		net.SetObs(m.Obs)
@@ -175,8 +166,6 @@ func New(cfg Config) *Machine {
 		cpu.SetName(fmt.Sprintf("cpu%d", id))
 		cpu.SetDom(sim.DomNode(id))
 		k := kernel.New(eng, cfg.Kernel, packet.NodeID(id), cfg.NodeCount(), mem, xbus, nicDev, cpu, box)
-		nicDev.Tracer = m.Tracer
-		k.Tracer = m.Tracer
 		scope := m.Obs.Node(id) // nil when metrics are disabled
 		nicDev.SetObs(m.Obs)
 		xbus.SetObs(scope)

@@ -7,7 +7,6 @@ import (
 	"repro/internal/nic"
 	"repro/internal/nipt"
 	"repro/internal/phys"
-	"repro/internal/trace"
 	"repro/internal/vm"
 )
 
@@ -247,44 +246,6 @@ func TestDeliberateUpdateGoLevel(t *testing.T) {
 	// Status read returns 0 when complete.
 	if v, _ := a.Cache.Load(tr.PA, 4); v != 0 {
 		t.Fatalf("status read = %#x, want 0", v)
-	}
-}
-
-func TestMachineTracing(t *testing.T) {
-	cfg := ConfigFor(2, 1, nic.GenEISAPrototype)
-	cfg.TraceCapacity = 4096
-	m := New(cfg)
-	a, b := m.Node(0), m.Node(1)
-	pa := a.K.CreateProcess()
-	pb := b.K.CreateProcess()
-	sendVA, _ := pa.AllocPages(1)
-	recvVA, _ := pb.AllocPages(1)
-	m.MustMap(pa, sendVA, phys.PageSize, b.ID, pb.PID, recvVA, nipt.SingleWriteAU)
-	if err := a.UserWrite32(pa, sendVA, 1); err != nil {
-		t.Fatal(err)
-	}
-	drain(t, m)
-
-	tr := m.Tracer
-	if tr == nil {
-		t.Fatal("tracer not attached")
-	}
-	if tr.CountOf(trace.PacketOut) == 0 || tr.CountOf(trace.PacketIn) == 0 {
-		t.Fatalf("packet events missing: out=%d in=%d",
-			tr.CountOf(trace.PacketOut), tr.CountOf(trace.PacketIn))
-	}
-	if tr.CountOf(trace.MapEstablished) == 0 {
-		t.Fatal("map event missing")
-	}
-	if tr.CountOf(trace.IRQ) == 0 {
-		t.Fatal("kernel ring IRQ events missing")
-	}
-	var sb strings.Builder
-	if err := tr.Dump(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "packet-out") {
-		t.Fatal("dump content")
 	}
 }
 

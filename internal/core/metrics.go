@@ -4,7 +4,6 @@ import (
 	"io"
 
 	"repro/internal/obs"
-	"repro/internal/trace"
 )
 
 // Metrics returns a point-in-time snapshot of the machine's metrics
@@ -12,19 +11,15 @@ import (
 func (m *Machine) Metrics() obs.Snapshot { return m.Obs.Snapshot() }
 
 // TraceJSON renders the machine's observability state — completed
-// causal spans as per-node async tracks, any trace.Tracer events as
-// instants, and per-node counter totals (batching, trace cache, spin
-// fast-forward, NIC) as counter tracks — in Chrome trace-event JSON,
-// loadable in Perfetto (ui.perfetto.dev) or chrome://tracing. Spans and
-// counters require Config.Metrics; instants require
-// Config.TraceCapacity; with neither, the output is a valid but empty
-// timeline.
+// causal spans as per-node async tracks, per-node counter totals
+// (batching, trace cache, spin fast-forward, NIC, kernel) as counter
+// tracks, and the flight recorder's samples and marks when one is
+// armed — in Chrome trace-event JSON, loadable in Perfetto
+// (ui.perfetto.dev) or chrome://tracing. Spans and counters require
+// Config.Metrics; without it the output is a valid timeline holding
+// only the per-node process tracks.
 func (m *Machine) TraceJSON(w io.Writer) error {
-	var events []trace.Event
-	if m.Tracer != nil {
-		events = m.Tracer.Events()
-	}
-	return obs.WriteChromeTrace(w, m.Cfg.NodeCount(), m.Obs.CompletedSpans(), events,
+	return obs.WriteChromeTrace(w, m.Cfg.NodeCount(), m.Obs.CompletedSpans(),
 		m.Obs.Snapshot().Nodes, m.Rec)
 }
 

@@ -33,7 +33,6 @@ func (m *Machine) Reset() {
 		n.CPU.Reset()
 		n.K.Reset()
 	}
-	m.Tracer.Reset()
 	m.Obs.Reset()
 	m.Rec.Reset()
 	m.wd.reset()

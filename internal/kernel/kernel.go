@@ -22,7 +22,6 @@ import (
 	"repro/internal/packet"
 	"repro/internal/phys"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/vm"
 )
 
@@ -142,8 +141,6 @@ type Kernel struct {
 	// OnPeerDown, when set, fires after HandlePeerDown finishes tearing
 	// down a dead peer's mappings (core uses it for recorder marks).
 	OnPeerDown func(pd *fault.PeerDown)
-	// Tracer, when set, records kernel events (nil-safe).
-	Tracer *trace.Tracer
 	// Obs, when set, is this node's metrics scope for kernel page
 	// operations (nil-safe).
 	Obs *obs.NodeScope

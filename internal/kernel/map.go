@@ -9,7 +9,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/packet"
 	"repro/internal/phys"
-	"repro/internal/trace"
 	"repro/internal/vm"
 )
 
@@ -225,7 +224,6 @@ func (k *Kernel) installMapping(m *Mapping, segs []pageSeg) {
 		}
 		k.installSegment(frame, sg, out)
 		k.Obs.Inc(obs.CtrKernelMaps)
-		k.Tracer.Record(int(k.id), trace.MapEstablished, uint64(frame), uint64(out.DstPage))
 		rec := &OutMapping{
 			Proc:          m.Proc,
 			VPN:           sg.vpn,
@@ -310,7 +308,6 @@ func (k *Kernel) Unmap(m *Mapping) *Future {
 		if frame, ok := rec.Proc.AS.FrameOf(rec.VPN); ok && !rec.Invalidated {
 			k.removeSegment(frame, rec)
 			k.Obs.Inc(obs.CtrKernelUnmaps)
-			k.Tracer.Record(int(k.id), trace.MapTorn, uint64(frame), 0)
 		}
 		k.dropExportRecord(rec)
 		// Remove from the process's per-page list.

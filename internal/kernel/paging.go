@@ -8,7 +8,6 @@ import (
 	"repro/internal/isa"
 	"repro/internal/obs"
 	"repro/internal/phys"
-	"repro/internal/trace"
 	"repro/internal/vm"
 )
 
@@ -90,7 +89,6 @@ func (k *Kernel) finishEvict(p *Process, vpn vm.VPN, frame phys.PageNum) {
 	k.freeFrame(frame)
 	k.stats.Evictions++
 	k.Obs.Inc(obs.CtrKernelEvictions)
-	k.Tracer.Record(int(k.id), trace.PageEvicted, uint64(frame), 0)
 }
 
 // pageIn restores an evicted page into a fresh frame and reinstalls the
@@ -119,7 +117,6 @@ func (k *Kernel) pageIn(p *Process, vpn vm.VPN) error {
 	}
 	k.stats.PageIns++
 	k.Obs.Inc(obs.CtrKernelPageIns)
-	k.Tracer.Record(int(k.id), trace.PageIn, uint64(frame), 0)
 	return nil
 }
 

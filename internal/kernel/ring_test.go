@@ -1,6 +1,7 @@
 package kernel_test
 
 import (
+	"cmp"
 	"slices"
 	"testing"
 
@@ -9,9 +10,9 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/nic"
 	"repro/internal/nipt"
+	"repro/internal/obs"
 	"repro/internal/packet"
 	"repro/internal/phys"
-	"repro/internal/trace"
 	"repro/internal/vm"
 )
 
@@ -122,7 +123,7 @@ func TestRingStateBuiltOnFirstUse(t *testing.T) {
 // ring state for every peer and pings each once, in ascending node order.
 func TestHeartbeatBuildsPeersInOrder(t *testing.T) {
 	cfg := core.ConfigFor(4, 4, nic.GenXpress)
-	cfg.TraceCapacity = 4096
+	cfg.Metrics = true
 	cfg.Faults = fault.Config{Seed: 1, Reliable: true, Survivable: true}
 	m := core.New(cfg)
 	k := m.Node(5).K
@@ -143,15 +144,18 @@ func TestHeartbeatBuildsPeersInOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Each ping leaves as a few packets to its peer; the packets leave
-	// in ping order.
-	var order []packet.NodeID
-	for _, ev := range m.Tracer.Events() {
-		if ev.Node != int(k.ID()) || ev.Kind != trace.PacketOut {
-			continue
+	// in ping order. Spans complete in arrival order, so order this
+	// node's by when each entered the backplane.
+	var sent []obs.Span
+	for _, s := range m.Obs.CompletedSpans() {
+		if s.Src == int(k.ID()) {
+			sent = append(sent, s)
 		}
-		c := packet.Coord{X: int(ev.B >> 8), Y: int(ev.B & 0xff)}
-		id := packet.NodeID(c.Y*cfg.MeshWidth + c.X)
-		if len(order) == 0 || order[len(order)-1] != id {
+	}
+	slices.SortStableFunc(sent, func(a, b obs.Span) int { return cmp.Compare(a.Injected, b.Injected) })
+	var order []packet.NodeID
+	for _, s := range sent {
+		if id := packet.NodeID(s.Dst); len(order) == 0 || order[len(order)-1] != id {
 			order = append(order, id)
 		}
 	}

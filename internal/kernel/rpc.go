@@ -8,7 +8,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/packet"
 	"repro/internal/phys"
-	"repro/internal/trace"
 	"repro/internal/vm"
 )
 
@@ -351,7 +350,6 @@ func (k *Kernel) invalidateOutMapping(m *OutMapping) {
 	frame, ok := m.Proc.AS.FrameOf(m.VPN)
 	if ok {
 		k.Obs.Inc(obs.CtrKernelUnmaps)
-		k.Tracer.Record(int(k.id), trace.MapTorn, uint64(frame), 0)
 		*k.nic.Table().Out(frame, m.SegmentOffset) = nipt.OutMapping{}
 	}
 	m.Proc.AS.SetWritable(m.VPN, false)

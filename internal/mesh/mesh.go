@@ -32,7 +32,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/packet"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // Config holds the backplane's physical parameters.
@@ -181,8 +180,6 @@ type Network struct {
 	// injFree is called when a node's injection port frees up with no
 	// waiters; the NIC uses it to pace its outgoing FIFO drain.
 	injFree []func()
-	// Tracer, when set, records flow-control events (nil-safe).
-	Tracer *trace.Tracer
 
 	// corruptEvery, when positive, marks every Nth injected packet as
 	// having suffered a transmission error (fault injection: the
@@ -475,7 +472,6 @@ func (n *Network) rollFaults(w *worm, src packet.Coord) {
 		w.lost = true
 		n.stats.FaultDropped++
 		scope.Inc(obs.CtrFaultDrops)
-		n.Tracer.Record(node, trace.Drop, trace.DropFault, 0)
 	}
 	if n.faults.CorruptPacket(node, now) {
 		w.pkt.Corrupt = true
@@ -565,7 +561,6 @@ func (n *Network) arrive(w *worm) {
 		w.parked = true
 		n.park[i] = w
 		n.stats.Parked++
-		n.Tracer.Record(i, trace.Park, 0, uint64(i))
 		return
 	}
 	// Accepted: the body-flit train streams into the endpoint as one

@@ -6,7 +6,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/phys"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // This file implements VM-mapped commands (§4.2) and the deliberate-
@@ -80,7 +79,6 @@ func (ev *dmaChunkEvent) Fire() {
 	if d.pendingFinished {
 		d.busy = false
 		n.stats.DMATransfers++
-		n.Tracer.Record(int(n.node), trace.DMADone, 0, 0)
 		return
 	}
 	d.kick(n)
@@ -152,7 +150,6 @@ func (n *NIC) CmdWrite(a phys.PAddr, v uint32) bool {
 	n.dma.cur = da
 	n.dma.remaining = v
 	n.scope.Inc(obs.CtrDMACommands)
-	n.Tracer.Record(int(n.node), trace.DMAStart, uint64(v), uint64(da))
 	n.dma.kick(n)
 	return true
 }

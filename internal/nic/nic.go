@@ -30,7 +30,6 @@ import (
 	"repro/internal/packet"
 	"repro/internal/phys"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // Generation selects the incoming deposit path (paper §3, §5.1).
@@ -170,8 +169,6 @@ type NIC struct {
 	// OnOutDrained fires when the Outgoing FIFO falls back below the
 	// threshold.
 	OnOutDrained func()
-	// Tracer, when set, records datapath events (nil-safe).
-	Tracer *trace.Tracer
 
 	// obs is the machine-wide metrics registry (spans) and scope this
 	// node's counters land in; both nil when metrics are disabled.
@@ -367,7 +364,6 @@ func (n *NIC) declarePeerDown(dstNode int, dst packet.Coord, cause string) {
 	n.downCount++
 	n.stats.PeerDowns++
 	n.scope.Inc(obs.CtrPeerDowns)
-	n.Tracer.Record(int(n.node), trace.Drop, trace.DropPeerDown, uint64(dstNode))
 	n.rel.quarantine(dst)
 	if n.OnPeerDown != nil {
 		n.OnPeerDown(pd)
@@ -558,7 +554,6 @@ func (n *NIC) emit(m *nipt.OutMapping, remote phys.PAddr, payload []byte, srcPag
 		// no-peers-down path to one integer compare.
 		n.stats.PeerDownDrops++
 		n.scope.Inc(obs.CtrPeerDownDrops)
-		n.Tracer.Record(int(n.node), trace.Drop, trace.DropPeerDown, uint64(srcPage))
 		return
 	}
 	e := n.table.Entry(srcPage)
@@ -612,7 +607,6 @@ func (n *NIC) enqueueOut(p *packet.Packet, wire int) {
 		n.out.stallFrom = n.eng.Now()
 		n.stats.OutFullEvents++
 		n.scope.Inc(obs.CtrOutStalls)
-		n.Tracer.Record(int(n.node), trace.OutStall, uint64(n.out.bytes), 0)
 		if n.OnOutFull != nil {
 			n.OnOutFull()
 		}
@@ -654,12 +648,9 @@ func (n *NIC) injectorFree() {
 	n.scope.Inc(obs.CtrPacketsOut)
 	n.scope.Add(obs.CtrBytesOut, uint64(len(head.pkt.Payload)))
 	n.scope.Set(obs.GaugeOutFIFOBytes, int64(n.out.bytes))
-	n.Tracer.Record(int(n.node), trace.PacketOut, uint64(len(head.pkt.Payload)),
-		uint64(head.pkt.Dst.X)<<8|uint64(head.pkt.Dst.Y)&0xff)
 	if n.out.stalled && n.out.bytes <= n.cfg.OutThreshold {
 		n.out.stalled = false
 		n.stats.OutStallTime += n.eng.Now() - n.out.stallFrom
-		n.Tracer.Record(int(n.node), trace.OutResume, uint64(n.out.bytes), 0)
 		if n.OnOutDrained != nil {
 			n.OnOutDrained()
 		}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/packet"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // endpoint adapts the NIC to the backplane's processor port. It is a
@@ -61,7 +60,6 @@ func (e *endpoint) Deliver(p *packet.Packet, wire int) {
 		// The fabric bit-bucketed this worm without claiming FIFO space
 		// (see mesh.Network.SetDead), so there is nothing to Credit back.
 		n.stats.DropDead++
-		n.Tracer.Record(int(n.node), trace.Drop, trace.DropNodeDead, uint64(p.DstAddr.Page()))
 		n.net.DropSpan(p.Span)
 		n.scope.Inc(obs.CtrDrops)
 		packet.Put(p)
@@ -118,12 +116,10 @@ func (n *NIC) depositPacket(q queuedPacket) {
 	switch {
 	case p.Dst != n.coord:
 		n.stats.DropWrongDest++
-		n.Tracer.Record(int(n.node), trace.Drop, trace.DropWrongDest, uint64(p.DstAddr.Page()))
 		n.finishDeposit(q, false)
 		return
 	case p.Corrupt:
 		n.stats.DropCRC++
-		n.Tracer.Record(int(n.node), trace.Drop, trace.DropCRC, uint64(p.DstAddr.Page()))
 		n.finishDeposit(q, false)
 		return
 	}
@@ -140,7 +136,6 @@ func (n *NIC) depositPacket(q queuedPacket) {
 	entry := n.table.Entry(p.DstAddr.Page())
 	if !entry.MappedIn {
 		n.stats.DropNotMappedIn++
-		n.Tracer.Record(int(n.node), trace.Drop, trace.DropNotMappedIn, uint64(p.DstAddr.Page()))
 		n.finishDeposit(q, false)
 		return
 	}
@@ -170,20 +165,17 @@ func (n *NIC) finishDeposit(q queuedPacket, delivered bool) {
 		n.scope.Add(obs.CtrBytesIn, uint64(len(q.pkt.Payload)))
 		n.scope.Observe(obs.HistPayload, uint64(len(q.pkt.Payload)))
 		page := q.pkt.DstAddr.Page()
-		n.Tracer.Record(int(n.node), trace.PacketIn, uint64(len(q.pkt.Payload)), uint64(page))
 		entry := n.table.Entry(page)
 		switch {
 		case entry.KernelRing:
 			n.stats.RecvIRQs++
 			n.scope.Inc(obs.CtrIRQs)
-			n.Tracer.Record(int(n.node), trace.IRQ, uint64(IRQKernelRing), uint64(page))
 			if n.OnIRQ != nil {
 				n.OnIRQ(IRQKernelRing, page)
 			}
 		case entry.RecvInterrupt || q.pkt.Interrupt:
 			n.stats.RecvIRQs++
 			n.scope.Inc(obs.CtrIRQs)
-			n.Tracer.Record(int(n.node), trace.IRQ, uint64(IRQRecv), uint64(page))
 			if n.OnIRQ != nil {
 				n.OnIRQ(IRQRecv, page)
 			}

@@ -37,7 +37,6 @@ import (
 	"repro/internal/packet"
 	"repro/internal/phys"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // pageKey identifies a per-page automatic-update tag stream: the peer
@@ -251,14 +250,12 @@ func (rs *relState) onRecv(q queuedPacket) bool {
 			// re-acknowledge so the sender makes progress.
 			n.stats.RelDupDrops++
 			n.scope.Inc(obs.CtrRelDups)
-			n.Tracer.Record(int(n.node), trace.Drop, trace.DropRelDup, uint64(p.DstAddr.Page()))
 			rc.bumpAck()
 			n.finishDeposit(q, false)
 			return false
 		case p.Seq > rc.expect:
 			// Gap: something before this packet was lost. Report it once
 			// per expected value and discard (go-back-N redelivers).
-			n.Tracer.Record(int(n.node), trace.Drop, trace.DropRelGap, uint64(p.DstAddr.Page()))
 			rc.nack()
 			n.finishDeposit(q, false)
 			return false

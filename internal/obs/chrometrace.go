@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-
-	"repro/internal/trace"
 )
 
 // Chrome trace-event JSON export (the format Perfetto and
@@ -14,7 +12,7 @@ import (
 // track; completed causal spans render as nestable async slices — one
 // sequence of snoop → out-fifo → mesh stages under the source node and
 // a deposit stage under the destination node, tied together by the span
-// ID — and trace.Tracer events render as instants on a per-node thread.
+// ID.
 //
 // Timestamps are microseconds (the format's unit); durations below 1 us
 // survive because ts is fractional and displayTimeUnit is ns.
@@ -43,16 +41,16 @@ type spanStage struct {
 	pid        int
 }
 
-// WriteChromeTrace renders spans, tracer events, per-node counter
-// totals, and the flight recorder's timeline for a machine of the given
-// node count as Chrome trace-event JSON. Any slice and rec may be nil or
+// WriteChromeTrace renders spans, per-node counter totals, and the
+// flight recorder's timeline for a machine of the given node count as
+// Chrome trace-event JSON. Any slice and rec may be nil or
 // empty (the output stays valid JSON — an empty trace renders an empty
 // traceEvents array); counters (one NodeSnapshot per node, e.g.
 // Snapshot().Nodes) render as "C" counter tracks — one series per
 // counter name — sampled at the end of the timeline, and recorder
 // samples render as machine-total counter tracks over time on a
 // synthetic "machine" process.
-func WriteChromeTrace(w io.Writer, nodes int, spans []Span, events []trace.Event, counters []NodeSnapshot, rec *Recorder) error {
+func WriteChromeTrace(w io.Writer, nodes int, spans []Span, counters []NodeSnapshot, rec *Recorder) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(`{"displayTimeUnit":"ns","traceEvents":[` + "\n"); err != nil {
 		return err
@@ -124,16 +122,6 @@ func WriteChromeTrace(w io.Writer, nodes int, spans []Span, events []trace.Event
 		}
 	}
 
-	for _, e := range events {
-		if err := emit(chromeEvent{
-			Name: e.Kind.String(), Cat: "trace", Ph: "i", Scope: "t",
-			Pid: e.Node, Tid: 0, Ts: float64(e.At) * usPerPs,
-			Args: map[string]any{"a": e.A, "b": e.B},
-		}); err != nil {
-			return err
-		}
-	}
-
 	// Counter totals, stamped at the last timestamp on the timeline so
 	// the tracks span the whole trace (json.Marshal sorts map keys, so
 	// the series order is deterministic).
@@ -141,11 +129,6 @@ func WriteChromeTrace(w io.Writer, nodes int, spans []Span, events []trace.Event
 	for i := range spans {
 		if d := int64(spans[i].Deposited); d > last {
 			last = d
-		}
-	}
-	for _, e := range events {
-		if at := int64(e.At); at > last {
-			last = at
 		}
 	}
 	for _, ns := range counters {

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 func TestNilSafety(t *testing.T) {
@@ -265,9 +264,8 @@ func TestWriteChromeTrace(t *testing.T) {
 
 	r.Node(0).Inc(CtrTraceHits)
 	r.Node(0).Add(CtrSpinSkippedPs, 12345)
-	events := []trace.Event{{At: 42 * sim.Nanosecond, Node: 1, Kind: trace.IRQ, A: 0, B: 7}}
 	var b strings.Builder
-	if err := WriteChromeTrace(&b, 2, r.CompletedSpans(), events, r.Snapshot().Nodes, nil); err != nil {
+	if err := WriteChromeTrace(&b, 2, r.CompletedSpans(), r.Snapshot().Nodes, nil); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -283,16 +281,19 @@ func TestWriteChromeTrace(t *testing.T) {
 	var names []string
 	for _, ev := range doc.TraceEvents {
 		names = append(names, ev["name"].(string))
+		if ev["ph"] == "i" {
+			t.Fatalf("instant %v without a recorder", ev)
+		}
 	}
 	joined := strings.Join(names, ",")
-	for _, want := range []string{"process_name", "snoop", "out-fifo", "mesh", "deposit", "irq", "counters"} {
+	for _, want := range []string{"process_name", "snoop", "out-fifo", "mesh", "deposit", "counters"} {
 		if !strings.Contains(joined, want) {
 			t.Fatalf("missing %q in %s", want, joined)
 		}
 	}
-	// 2 nodes x 2 metadata + 4 stages x b/e + 1 instant + 1 counter track
-	// (only node 0 has non-zero counters).
-	if len(doc.TraceEvents) != 4+8+1+1 {
+	// 2 nodes x 2 metadata + 4 stages x b/e + 1 counter track (only
+	// node 0 has non-zero counters).
+	if len(doc.TraceEvents) != 4+8+1 {
 		t.Fatalf("event count %d", len(doc.TraceEvents))
 	}
 	// The counter event carries the trace-cache series by name.

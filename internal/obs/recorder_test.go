@@ -311,7 +311,7 @@ func TestRecorderWriteOpenMetrics(t *testing.T) {
 // input nil or zero must still be a loadable JSON document.
 func TestWriteChromeTraceEmpty(t *testing.T) {
 	var b strings.Builder
-	if err := WriteChromeTrace(&b, 0, nil, nil, nil, nil); err != nil {
+	if err := WriteChromeTrace(&b, 0, nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	const golden = "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n\n]}\n"
@@ -329,7 +329,7 @@ func TestWriteChromeTraceRecorderTracks(t *testing.T) {
 	driveRecorder(r, reg, 3)
 	r.MarkAt(25*sim.Microsecond, "watchdog: retry-storm")
 	var b strings.Builder
-	if err := WriteChromeTrace(&b, 2, nil, nil, nil, r); err != nil {
+	if err := WriteChromeTrace(&b, 2, nil, nil, r); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()

@@ -47,7 +47,6 @@ import (
 	"repro/internal/packet"
 	"repro/internal/phys"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/vm"
 )
 
@@ -114,10 +113,6 @@ const (
 
 // PageSize is the system page size (4 KB).
 const PageSize = phys.PageSize
-
-// Tracer is the machine-wide datapath event tracer (see
-// Config.TraceCapacity).
-type Tracer = trace.Tracer
 
 // Observability (see Config.Metrics). The registry lives on
 // Machine.Obs; Machine.Metrics() snapshots it and Machine.TraceJSON
