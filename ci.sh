@@ -2,11 +2,12 @@
 # ci.sh — the repo's gate: static checks, full build, race-enabled tests,
 # exact event-count pins, a boot-footprint pin, zero-allocation checks on
 # the hot paths, byte-identity checks on the CLIs, exit-status checks on
-# bad CLI flags, and three short fuzzing runs. Every gate but the fuzzing runs is deterministic; those
+# bad CLI flags, and four short fuzzing runs. Every gate but the fuzzing runs is deterministic; those
 # explore new inputs on each run, and a failure is a real divergence
 # between a fast path and its reference — the CPU's against
 # per-instruction stepping, UserWriteBytes' store runs against one store
-# per word, or the cache against a flat shadow of memory — so fix it,
+# per word, the cache against a flat shadow of memory, or the chunked
+# NIPT against a flat table of one entry per page — so fix it,
 # then commit the failing input as a seed under the package's
 # testdata/fuzz/. Wall time is measured by the benchmark in bench/ (bash
 # bench/run.sh, protocol in bench/README.md) and gated by nothing in this
@@ -43,11 +44,11 @@ go -C bench test ./...
 # change to the reliable protocol or a batching regression fails here.
 go test -count 1 -run TestEventCountPins ./internal/core
 # Boot-footprint pin: NIPT entries of at most 24 bytes, a 16x16 machine
-# at the allreduce benchmark's 1,534 pages/node built in under 20 MB and
+# at the allreduce benchmark's 1,534 pages/node built in under 8 MB and
 # 24,000 heap objects, and no kernel ring state after New or Reset.
-# Allocation counts are deterministic, so a wider table, eagerly built
-# per-peer state or cache line storage built before the first fill fails
-# here.
+# Allocation counts are deterministic, so a wider table, NIPT entries or
+# frame slots built for pages never written, eagerly built per-peer state
+# or cache line storage built before the first fill fails here.
 go test -count 1 -run TestBootFootprint ./internal/core
 # Event-queue guard: scheduling and firing, on the Handler path and the
 # closure path, at every benchmarked heap depth, must stay
@@ -83,6 +84,11 @@ go test -run '^$' -fuzz '^FuzzUserWriteBytesMatchesPerWord$' -fuzztime 10s ./int
 # memory: loads, stores, store runs, byte reads and locked RMWs on
 # write-through and write-back pages, DMA writes, flushes and resets.
 go test -run '^$' -fuzz '^FuzzCacheCoherence$' -fuzztime 10s ./internal/cache
+# Random NIPT writes, resets, reads and out-of-range pages on the
+# chunked table against the flat table it replaced: every page must read
+# the same, reads must build no chunk, and Entry pointers must outlive
+# resets.
+go test -run '^$' -fuzz '^FuzzTableMatchesFlat$' -fuzztime 10s ./internal/nipt
 # Harness copy guards: Node.UserReadBytes (micro-TLB translation,
 # line-granular cache reads; the Go-level Channel.Recv path) and
 # Node.UserWriteBytes (store runs through cache, bus and NIC; the
@@ -146,6 +152,8 @@ rejects() {
 }
 rejects shrimp-sim -gen foo
 rejects shrimp-trace -bytes -5
+rejects shrimp-trace -interval -5us
+rejects shrimp-trace -spans -5
 rejects shrimp-top -rounds 0
 rejects shrimp-table1 -gen foo
 rejects shrimp-faults -gen EISA

@@ -44,6 +44,12 @@ func main() {
 	if *rounds < 1 {
 		fatal("shrimp-trace: bad -rounds %d; want at least 1", *rounds)
 	}
+	if *spans < 0 {
+		fatal("shrimp-trace: bad -spans %d; want 0 or more", *spans)
+	}
+	if *interval < 0 {
+		fatal("shrimp-trace: bad -interval %v; want 0 or more", *interval)
+	}
 	var g shrimp.Generation
 	switch *gen {
 	case "eisa":

@@ -36,7 +36,7 @@ type Config struct {
 	// changes simulated results, only records them.
 	Metrics bool
 	// SpanCapacity bounds concurrently-active and retained-completed
-	// causal spans when Metrics is on (<= 0 selects
+	// causal spans when Metrics is on (0 selects
 	// obs.DefaultSpanCapacity).
 	SpanCapacity int
 	// Recorder arms the flight recorder (obs.Recorder): the registry is

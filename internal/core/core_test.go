@@ -281,6 +281,7 @@ func TestConfigValidation(t *testing.T) {
 		{"cache line over a page", func(c *Config) { c.Cache.LineBytes = 2 * phys.PageSize }},
 		{"zero cpu clock", func(c *Config) { c.CPU.CycleTime = 0 }},
 		{"zero flit", func(c *Config) { c.Mesh.FlitBytes = 0 }},
+		{"negative span capacity", func(c *Config) { c.SpanCapacity = -5 }},
 	}
 	for _, m := range mutations {
 		cfg := ConfigFor(2, 2, nic.GenEISAPrototype)

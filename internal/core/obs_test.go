@@ -231,9 +231,10 @@ func TestMetricsReportTables(t *testing.T) {
 // faulting store that re-establishes the mapping, a deliberate-update
 // stream that fills the Outgoing FIFO, and a reliable transfer under
 // drops, corruption and duplication. Each scenario must move the
-// counters it names, so a counter that stops counting fails here.
-// (kernel-unmaps and drops are left out: each counts more than any one
-// Stats field — invalidation teardowns, go-back-N gap drops.)
+// counters it names, so a counter that stops counting fails here. drops
+// must equal the sum of the NIC's six drop fields, and the reliable
+// transfer must drop past a sequence gap. (kernel-unmaps is left out:
+// it counts more than any one Stats field, invalidation teardowns too.)
 func TestCountersMatchStats(t *testing.T) {
 	pairs := []struct {
 		ctr  obs.Counter
@@ -248,6 +249,10 @@ func TestCountersMatchStats(t *testing.T) {
 		{obs.CtrPacketsIn, func(n *Node) uint64 { return n.NIC.Stats().PacketsIn }},
 		{obs.CtrDMACommands, func(n *Node) uint64 { return n.NIC.Stats().DMATransfers }},
 		{obs.CtrRelDups, func(n *Node) uint64 { return n.NIC.Stats().RelDupDrops }},
+		{obs.CtrDrops, func(n *Node) uint64 {
+			s := n.NIC.Stats()
+			return s.DropWrongDest + s.DropCRC + s.DropNotMappedIn + s.DropDead + s.RelDupDrops + s.RelGapDrops
+		}},
 	}
 	check := func(t *testing.T, m *Machine, moved ...obs.Counter) {
 		t.Helper()
@@ -313,6 +318,13 @@ poke:
 		if res := MeasureFaultyTransfer(m, 0, 1, 1024, 64*1024); res.Err != "" {
 			t.Fatal(res.Err)
 		}
-		check(t, m, obs.CtrRelDups, obs.CtrDMACommands, obs.CtrPacketsOut, obs.CtrPacketsIn)
+		check(t, m, obs.CtrRelDups, obs.CtrDrops, obs.CtrDMACommands, obs.CtrPacketsOut, obs.CtrPacketsIn)
+		var gaps uint64
+		for _, n := range m.Nodes {
+			gaps += n.NIC.Stats().RelGapDrops
+		}
+		if gaps == 0 {
+			t.Error("no reliable data packet was dropped past a sequence gap")
+		}
 	})
 }

@@ -21,6 +21,9 @@ func (c Config) Validate() error {
 			c.Mesh.Width, c.Mesh.Height, c.MeshWidth, c.MeshHeight)
 	}
 	n := c.NodeCount()
+	if c.SpanCapacity < 0 {
+		return fmt.Errorf("core: span capacity %d negative", c.SpanCapacity)
+	}
 	if c.Recorder.Interval < 0 {
 		return fmt.Errorf("core: recorder interval %v negative", c.Recorder.Interval)
 	}

@@ -13,3 +13,9 @@ func (k *Kernel) MarkImported(f phys.PageNum, node packet.NodeID) {
 	k.imports[f] = map[packet.NodeID]int{node: 1}
 	k.nic.Table().Entry(f).MappedIn = true
 }
+
+// CheckSegmentFree runs Map's NIPT conflict check for the segment
+// [start, end) of frame.
+func (k *Kernel) CheckSegmentFree(frame phys.PageNum, start, end uint32) error {
+	return k.checkSegmentFree(frame, pageSeg{segStart: start, segEnd: end})
+}

@@ -64,7 +64,7 @@ func (k *Kernel) CheckInvariants() error {
 	// record accounting; the layout fixes their frames, whether or not
 	// this kernel has used the ring.
 	for f := phys.PageNum(0); int(f) < table.Pages(); f++ {
-		e := table.Entry(f)
+		e := table.At(f)
 		if int(f) < k.nodes-1 { // a ring outbox
 			continue
 		}
@@ -108,7 +108,7 @@ func (k *Kernel) CheckInvariants() error {
 		if pid, inUse := used[f]; inUse {
 			return fmt.Errorf("kernel%d: free frame %d backs a page of pid %d", k.id, f, pid)
 		}
-		if table.MappedOut(f) || table.Entry(f).MappedIn {
+		if table.MappedOut(f) || table.At(f).MappedIn {
 			return fmt.Errorf("kernel%d: free frame %d has NIPT state", k.id, f)
 		}
 		return nil

@@ -199,14 +199,23 @@ func (k *Kernel) Map(p *Process, sendVA vm.VAddr, bytes int, dst packet.NodeID, 
 	return m, fut
 }
 
-// checkSegmentFree verifies the NIPT can hold the planned segment.
+// checkSegmentFree verifies the NIPT can hold the planned segment: none
+// of its words, taken from segStart in steps of 4, may lie in a mapped
+// half of the page. It reads only the one or two halves the segment
+// touches, and reports the first conflicting word.
 func (k *Kernel) checkSegmentFree(frame phys.PageNum, sg pageSeg) error {
 	t := k.nic.Table()
-	// Any overlap with an existing mapped segment is a conflict.
-	for off := sg.segStart; off < sg.segEnd; off += 4 {
-		if t.Out(frame, off).Mode != nipt.Unmapped {
-			return fmt.Errorf("kernel: page %#x offset %d already mapped out", uint32(frame), off)
+	e := t.At(frame)
+	split, off, mode := e.Split(), sg.segStart, e.Lo.Mode
+	if split != 0 && (off >= split || mode == nipt.Unmapped) {
+		// The high half holds the first word that can conflict.
+		if off < split {
+			off += (split - off + 3) &^ 3
 		}
+		mode = t.Out(frame, split).Mode
+	}
+	if off < sg.segEnd && mode != nipt.Unmapped {
+		return fmt.Errorf("kernel: page %#x offset %d already mapped out", uint32(frame), off)
 	}
 	return nil
 }

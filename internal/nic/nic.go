@@ -127,6 +127,7 @@ type Stats struct {
 	RelAcksSent    uint64 // cumulative ACK control packets sent
 	RelNacksSent   uint64 // gap-report NACK control packets sent
 	RelDupDrops    uint64 // duplicate reliable data packets discarded
+	RelGapDrops    uint64 // reliable data packets discarded past a sequence gap
 	AUSeqGaps      uint64 // automatic-update sequence gaps observed
 	PeerDowns      uint64 // peers this node's failure detector declared dead
 	PeerDownDrops  uint64 // outbound packets suppressed against a dead peer
@@ -556,13 +557,12 @@ func (n *NIC) emit(m *nipt.OutMapping, remote phys.PAddr, payload []byte, srcPag
 		n.scope.Inc(obs.CtrPeerDownDrops)
 		return
 	}
-	e := n.table.Entry(srcPage)
 	p := packet.Get()
 	p.Src = n.coord
 	p.Dst = dst
 	p.DstAddr = remote
 	p.Payload = append(p.Payload, payload...)
-	if e.KernelRing {
+	if n.table.At(srcPage).KernelRing {
 		p.Kind = packet.KernelRing
 		kind = obs.SpanKernelRing
 	}

@@ -133,8 +133,7 @@ func (n *NIC) depositPacket(q queuedPacket) {
 	// The page number indexes the NIPT to determine whether the page has
 	// been mapped in; unsolicited data is dropped, which is what keeps
 	// user-level communication protected.
-	entry := n.table.Entry(p.DstAddr.Page())
-	if !entry.MappedIn {
+	if !n.table.At(p.DstAddr.Page()).MappedIn {
 		n.stats.DropNotMappedIn++
 		n.finishDeposit(q, false)
 		return
@@ -165,7 +164,7 @@ func (n *NIC) finishDeposit(q queuedPacket, delivered bool) {
 		n.scope.Add(obs.CtrBytesIn, uint64(len(q.pkt.Payload)))
 		n.scope.Observe(obs.HistPayload, uint64(len(q.pkt.Payload)))
 		page := q.pkt.DstAddr.Page()
-		entry := n.table.Entry(page)
+		entry := n.table.At(page)
 		switch {
 		case entry.KernelRing:
 			n.stats.RecvIRQs++

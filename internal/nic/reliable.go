@@ -256,6 +256,7 @@ func (rs *relState) onRecv(q queuedPacket) bool {
 		case p.Seq > rc.expect:
 			// Gap: something before this packet was lost. Report it once
 			// per expected value and discard (go-back-N redelivers).
+			n.stats.RelGapDrops++
 			rc.nack()
 			n.finishDeposit(q, false)
 			return false

@@ -7,7 +7,9 @@
 // destination. Per §3.2, a page may be split between two outgoing
 // mappings at a configurable offset, so an entry holds up to two
 // outgoing halves. Few pages are split, so an entry stores its low half
-// and the table keeps high halves aside.
+// and the table keeps high halves aside. Few pages are ever mapped at
+// all, so the table builds its entries in chunks of 64 pages, on the
+// first write to any page of a chunk.
 package nipt
 
 import (
@@ -87,9 +89,28 @@ type Entry struct {
 // and high halves, or 0 when the page is unsplit.
 func (e *Entry) Split() uint32 { return e.split }
 
+// The table builds the entries of chunkPages consecutive pages at once,
+// on the first write to any of them.
+const (
+	chunkShift = 6
+	chunkPages = 1 << chunkShift
+)
+
+// chunk holds the entries of chunkPages consecutive pages.
+type chunk [chunkPages]Entry
+
+// unbuilt stands in for every chunk no writer has touched. Readers index
+// it like a built chunk and see zero entries; writers build a chunk of
+// their own first, so it stays zero.
+var unbuilt chunk
+
 // Table is the page table of one network interface.
 type Table struct {
-	entries []Entry
+	// dir holds one chunk per chunkPages pages: &unbuilt until a
+	// writer touches one of its pages. A built chunk never moves, so
+	// Entry and Out pointers stay valid for the table's lifetime.
+	dir   []*chunk
+	pages int
 	// hi holds the high half of every split page, and of no other: an
 	// entry with Split() != 0 has one, so unsplit pages never hash. The
 	// pointers stay valid while the page stays split. Built on the
@@ -99,27 +120,63 @@ type Table struct {
 }
 
 // New returns a table covering the given number of physical pages.
-func New(pages int) *Table { return &Table{entries: make([]Entry, pages)} }
+func New(pages int) *Table {
+	dir := make([]*chunk, (pages+chunkPages-1)>>chunkShift)
+	for i := range dir {
+		dir[i] = &unbuilt
+	}
+	return &Table{dir: dir, pages: pages}
+}
 
 // Pages returns the number of entries.
-func (t *Table) Pages() int { return len(t.entries) }
+func (t *Table) Pages() int { return t.pages }
 
 // SetObs attaches the node's metrics scope (nil detaches). Resolve
 // counts lookups and misses through it.
 func (t *Table) SetObs(s *obs.NodeScope) { t.scope = s }
 
+// read returns page p's entry for reading; it builds nothing, so the
+// entry of an untouched page lies in unbuilt and must not be written.
+func (t *Table) read(p phys.PageNum) *Entry {
+	if uint(p) >= uint(t.pages) {
+		panic("nipt: page beyond the table")
+	}
+	return &t.dir[p>>chunkShift][p%chunkPages]
+}
+
+// write returns page p's entry for writing, building its chunk first
+// if no writer has touched it yet.
+func (t *Table) write(p phys.PageNum) *Entry {
+	if uint(p) >= uint(t.pages) {
+		panic("nipt: page beyond the table")
+	}
+	c := t.dir[p>>chunkShift]
+	if c == &unbuilt {
+		c = new(chunk)
+		t.dir[p>>chunkShift] = c
+	}
+	return &c[p%chunkPages]
+}
+
+// At returns a copy of page p's entry: the zero Entry when no writer
+// has touched the page. Unlike Entry, it builds nothing, so audits and
+// datapath checks that only read the table cost no memory.
+func (t *Table) At(p phys.PageNum) Entry { return *t.read(p) }
+
 // Entry returns the entry for page p. The pointer stays valid for the
 // table's lifetime; callers mutate entries through it (the hardware
 // analogue is the kernel writing NIPT entries through the NIC's
 // configuration port).
-func (t *Table) Entry(p phys.PageNum) *Entry {
-	return &t.entries[p]
-}
+func (t *Table) Entry(p phys.PageNum) *Entry { return t.write(p) }
 
 // Out returns the outgoing mapping of page p governing offset off.
 // Callers may mutate the mapping through it.
 func (t *Table) Out(p phys.PageNum, off uint32) *OutMapping {
-	e := &t.entries[p]
+	return t.half(t.write(p), p, off)
+}
+
+// half returns the half of page p's entry e governing offset off.
+func (t *Table) half(e *Entry, p phys.PageNum, off uint32) *OutMapping {
 	if e.split != 0 && off >= e.split {
 		return t.hi[p]
 	}
@@ -128,21 +185,26 @@ func (t *Table) Out(p phys.PageNum, off uint32) *OutMapping {
 
 // MappedOut reports whether any part of page p has an outgoing mapping.
 func (t *Table) MappedOut(p phys.PageNum) bool {
-	e := &t.entries[p]
+	e := t.read(p)
 	return e.Lo.Mode != Unmapped || (e.split != 0 && t.hi[p].Mode != Unmapped)
 }
 
 // Reset clears every entry, returning the table to its just-built
-// state. The entry array is reused in place.
+// state. Built chunks are cleared in place and stay built, so Entry and
+// Out pointers stay valid and a reset costs the chunks ever written.
 func (t *Table) Reset() {
-	clear(t.entries)
+	for _, c := range t.dir {
+		if c != &unbuilt {
+			*c = chunk{}
+		}
+	}
 	clear(t.hi)
 }
 
 // MapOut installs an outgoing mapping covering the whole page.
 func (t *Table) MapOut(p phys.PageNum, m OutMapping) {
 	t.UnmapOut(p)
-	t.entries[p].Lo = m
+	t.write(p).Lo = m
 }
 
 // MapOutSplit installs a split mapping: offsets < split use lo and
@@ -153,7 +215,7 @@ func (t *Table) MapOutSplit(p phys.PageNum, split uint32, lo, hi OutMapping) {
 	if split == 0 || split >= phys.PageSize {
 		panic(fmt.Sprintf("nipt: split offset %d outside page", split))
 	}
-	e := &t.entries[p]
+	e := t.write(p)
 	h := t.hi[p]
 	if h == nil {
 		if t.hi == nil {
@@ -167,7 +229,7 @@ func (t *Table) MapOutSplit(p phys.PageNum, split uint32, lo, hi OutMapping) {
 
 // UnmapOut removes all outgoing mappings from page p.
 func (t *Table) UnmapOut(p phys.PageNum) {
-	e := &t.entries[p]
+	e := t.write(p)
 	if e.split != 0 {
 		*t.hi[p] = OutMapping{}
 		delete(t.hi, p)
@@ -179,7 +241,7 @@ func (t *Table) UnmapOut(p phys.PageNum) {
 // mappings and no flags.
 func (t *Table) Clear(p phys.PageNum) {
 	t.UnmapOut(p)
-	t.entries[p] = Entry{}
+	*t.write(p) = Entry{}
 }
 
 // Resolve translates a local physical address through the table. It
@@ -188,7 +250,8 @@ func (t *Table) Clear(p phys.PageNum) {
 // is not mapped out.
 func (t *Table) Resolve(a phys.PAddr) (m *OutMapping, remote phys.PAddr, ok bool) {
 	t.scope.Inc(obs.CtrNIPTLookups)
-	m = t.Out(a.Page(), a.Offset())
+	p := a.Page()
+	m = t.half(t.read(p), p, a.Offset())
 	if m.Mode == Unmapped {
 		t.scope.Inc(obs.CtrNIPTMisses)
 		return nil, 0, false
@@ -212,13 +275,14 @@ func (t *Table) Resolve(a phys.PAddr) (m *OutMapping, remote phys.PAddr, ok bool
 // nothing; the caller charges the lookups it uses with CountLookups.
 func (t *Table) ResolveRun(a phys.PAddr, words int) (m *OutMapping, remote phys.PAddr, n int) {
 	p, off := a.Page(), a.Offset()
-	m = t.Out(p, off)
+	e := t.read(p)
+	m = t.half(e, p, off)
 	roff := int64(off) + int64(m.DstShift)
 	if m.Mode == Unmapped || roff < 0 || roff >= phys.PageSize {
 		return nil, 0, 0
 	}
 	end := uint32(phys.PageSize) // first offset past this half
-	if s := t.entries[p].split; off < s {
+	if s := e.split; off < s {
 		end = s
 	}
 	n = min(words, int(end-off+3)/4, int(phys.PageSize-roff+3)/4)

@@ -40,26 +40,49 @@ func (p PageNum) Addr(off uint32) PAddr { return PAddr(uint32(p)<<PageShift | of
 // Memory is the DRAM of a single node. Page frames are materialized
 // lazily: a nil frame reads as zeros and is allocated on first write, so
 // building a machine with many nodes does not pay for zeroing DRAM that
-// the workload never touches. A frame slot is one pointer, 8 bytes per
-// page until the page is written.
+// the workload never touches. So are the frame slots: a directory holds
+// them in chunks of chunkPages pages, each built on the first write to
+// one of its pages, so memory never written costs one directory word
+// per chunkPages pages.
 type Memory struct {
-	frames []*[PageSize]byte
+	// dir holds one chunk of frame slots per chunkPages pages: &noFrames
+	// until a page of the chunk is written.
+	dir []*frameChunk
 	// made lists the materialized frames, so Reset clears only those.
 	// Frames are never dropped, so the list stays valid.
 	made []*[PageSize]byte
 	size uint32
 }
 
+// The directory builds the frame slots of chunkPages consecutive pages
+// at once, on the first write to any of them.
+const (
+	chunkShift = 6
+	chunkPages = 1 << chunkShift
+)
+
+// frameChunk holds the frame slots of chunkPages consecutive pages.
+type frameChunk [chunkPages]*[PageSize]byte
+
+// noFrames stands in for every chunk of pages never written. Readers
+// index it like a built chunk and find no frames; writers build a chunk
+// of their own first, so it stays empty.
+var noFrames frameChunk
+
 // NewMemory allocates DRAM with the given number of page frames.
 func NewMemory(pages int) *Memory {
 	if pages <= 0 || pages > MaxPages {
 		panic(fmt.Sprintf("phys: memory of %d pages outside [1,%d]", pages, MaxPages))
 	}
-	return &Memory{frames: make([]*[PageSize]byte, pages), size: uint32(pages) * PageSize}
+	dir := make([]*frameChunk, (pages+chunkPages-1)>>chunkShift)
+	for i := range dir {
+		dir[i] = &noFrames
+	}
+	return &Memory{dir: dir, size: uint32(pages) * PageSize}
 }
 
 // Pages returns the number of page frames.
-func (m *Memory) Pages() int { return len(m.frames) }
+func (m *Memory) Pages() int { return int(m.size >> PageShift) }
 
 // Size returns the DRAM size in bytes.
 func (m *Memory) Size() uint32 { return m.size }
@@ -90,12 +113,26 @@ func (m *Memory) check(a PAddr, n int) {
 	}
 }
 
-// frame returns the backing store for page p, allocating it on first use.
-func (m *Memory) frame(p int) *[PageSize]byte {
-	f := m.frames[p]
+// peek returns the frame of the page containing a, nil when the page
+// was never written. It builds nothing.
+func (m *Memory) peek(a PAddr) *[PageSize]byte {
+	p := a >> PageShift
+	return m.dir[p>>chunkShift][p%chunkPages]
+}
+
+// frame returns the frame of the page containing a, allocating it (and
+// its chunk of slots) on first use.
+func (m *Memory) frame(a PAddr) *[PageSize]byte {
+	p := a >> PageShift
+	c := m.dir[p>>chunkShift]
+	if c == &noFrames {
+		c = new(frameChunk)
+		m.dir[p>>chunkShift] = c
+	}
+	f := c[p%chunkPages]
 	if f == nil {
 		f = new([PageSize]byte)
-		m.frames[p] = f
+		c[p%chunkPages] = f
 		m.made = append(m.made, f)
 	}
 	return f
@@ -117,7 +154,7 @@ func (m *Memory) ReadInto(a PAddr, dst []byte) {
 		if n > len(dst) {
 			n = len(dst)
 		}
-		if f := m.frames[a>>PageShift]; f != nil {
+		if f := m.peek(a); f != nil {
 			copy(dst[:n], f[off:])
 		} else {
 			clear(dst[:n])
@@ -136,7 +173,7 @@ func (m *Memory) Write(a PAddr, b []byte) {
 		if n > len(b) {
 			n = len(b)
 		}
-		copy(m.frame(int(a >> PageShift))[off:], b[:n])
+		copy(m.frame(a)[off:], b[:n])
 		b = b[n:]
 		a += PAddr(n)
 	}
@@ -146,7 +183,7 @@ func (m *Memory) Write(a PAddr, b []byte) {
 func (m *Memory) Read32(a PAddr) uint32 {
 	m.check(a, 4)
 	if off := a.Offset(); off <= PageSize-4 {
-		f := m.frames[a>>PageShift]
+		f := m.peek(a)
 		if f == nil {
 			return 0
 		}
@@ -161,7 +198,7 @@ func (m *Memory) Read32(a PAddr) uint32 {
 func (m *Memory) Write32(a PAddr, v uint32) {
 	m.check(a, 4)
 	if off := a.Offset(); off <= PageSize-4 {
-		binary.LittleEndian.PutUint32(m.frame(int(a >> PageShift))[off:], v)
+		binary.LittleEndian.PutUint32(m.frame(a)[off:], v)
 		return
 	}
 	var b [4]byte
@@ -172,7 +209,7 @@ func (m *Memory) Write32(a PAddr, v uint32) {
 // Read8 reads the byte at a.
 func (m *Memory) Read8(a PAddr) byte {
 	m.check(a, 1)
-	f := m.frames[a>>PageShift]
+	f := m.peek(a)
 	if f == nil {
 		return 0
 	}
@@ -182,7 +219,7 @@ func (m *Memory) Read8(a PAddr) byte {
 // Write8 writes the byte at a.
 func (m *Memory) Write8(a PAddr, v byte) {
 	m.check(a, 1)
-	m.frame(int(a >> PageShift))[a.Offset()] = v
+	m.frame(a)[a.Offset()] = v
 }
 
 // Reset zeroes all of memory, returning it to its just-built state.
@@ -206,7 +243,7 @@ func (m *Memory) Reset() {
 func (m *Memory) ZeroPage(p PageNum) {
 	a := p.Addr(0)
 	m.check(a, PageSize)
-	if f := m.frames[p]; f != nil {
+	if f := m.peek(a); f != nil {
 		clear(f[:])
 	}
 }

@@ -149,3 +149,55 @@ func TestLargestMemoryCommandSpace(t *testing.T) {
 	}()
 	NewMemory(MaxPages + 1)
 }
+
+// Reads of pages never written return zeros and build nothing: no chunk
+// of frame slots and no frame, in an unbuilt chunk or beside a written
+// page in a built one. ZeroPage of such a page builds nothing either.
+func TestUnwrittenPagesReadZeroAndBuildNothing(t *testing.T) {
+	m := NewMemory(3*chunkPages + 5)
+	written := PageNum(chunkPages + 1)
+	m.Write32(written.Addr(8), 7) // builds chunk 1 and one frame
+	zeros := make([]byte, 2*PageSize)
+	dst := make([]byte, 2*PageSize)
+	for _, p := range []PageNum{0, chunkPages - 1, chunkPages, chunkPages + 2, 3*chunkPages + 4} {
+		if b := m.Read(p.Addr(0), PageSize); !bytes.Equal(b, zeros[:PageSize]) {
+			t.Fatalf("Read of page %d: not zeros", p)
+		}
+		m.ReadInto(p.Addr(100), dst[:300])
+		if !bytes.Equal(dst[:300], zeros[:300]) {
+			t.Fatalf("ReadInto of page %d: not zeros", p)
+		}
+		if v := m.Read32(p.Addr(PageSize - 4)); v != 0 {
+			t.Fatalf("Read32 of page %d = %#x", p, v)
+		}
+		if v := m.Read8(p.Addr(5)); v != 0 {
+			t.Fatalf("Read8 of page %d = %#x", p, v)
+		}
+		m.ZeroPage(p)
+	}
+	// A word and a read straddling two unwritten pages of two chunks.
+	if v := m.Read32(PageNum(chunkPages - 1).Addr(PageSize - 2)); v != 0 {
+		t.Fatalf("straddling Read32 = %#x", v)
+	}
+	m.ReadInto(PageNum(chunkPages-1).Addr(PageSize/2), dst[:PageSize])
+	if !bytes.Equal(dst[:PageSize], zeros[:PageSize]) {
+		t.Fatal("straddling ReadInto: not zeros")
+	}
+	for i, c := range m.dir {
+		if built := c != &noFrames; built != (i == int(written)>>chunkShift) {
+			t.Errorf("chunk %d built %v", i, built)
+		}
+	}
+	if len(m.made) != 1 || noFrames != (frameChunk{}) {
+		t.Errorf("%d frames made, shared empty chunk zero %v", len(m.made), noFrames == (frameChunk{}))
+	}
+	if m.Read32(written.Addr(8)) != 7 {
+		t.Fatal("written word lost")
+	}
+	// A write straddling two chunks builds the one still unbuilt.
+	blob := []byte{1, 2, 3, 4, 5, 6}
+	m.Write(PageNum(2*chunkPages).Addr(0)-3, blob)
+	if !bytes.Equal(m.Read(PageNum(2*chunkPages).Addr(0)-3, len(blob)), blob) || len(m.made) != 3 {
+		t.Fatalf("write across chunks: read back %v, %d frames made", m.Read(PageNum(2*chunkPages).Addr(0)-3, len(blob)), len(m.made))
+	}
+}
