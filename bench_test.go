@@ -24,6 +24,7 @@ import (
 	"testing"
 
 	shrimp "repro"
+	"repro/internal/msg"
 )
 
 func BenchmarkTable1(b *testing.B) {
@@ -274,71 +275,23 @@ func BenchmarkKernelRingRPC(b *testing.B) {
 // BenchmarkMeshWorkload measures machine-wide delivered bandwidth for
 // the shrimp-sim traffic patterns on the 16-node prototype.
 func BenchmarkMeshWorkload(b *testing.B) {
-	patterns := []struct {
-		name  string
-		links func(w, h int) [][2]int
-	}{
-		{"Neighbors", func(w, h int) [][2]int {
-			var out [][2]int
-			for i := 0; i < w*h; i++ {
-				x, y := i%w, i/w
-				j := y*w + (x+1)%w
-				if j != i {
-					out = append(out, [2]int{i, j})
-				}
-			}
-			return out
-		}},
-		{"Hotspot", func(w, h int) [][2]int {
-			var out [][2]int
-			for i := 1; i < w*h; i++ {
-				out = append(out, [2]int{i, 0})
-			}
-			return out
-		}},
-	}
-	for _, p := range patterns {
+	for _, p := range []struct{ name, pattern string }{{"Neighbors", "neighbors"}, {"Hotspot", "hotspot"}} {
 		b.Run(p.name, func(b *testing.B) {
 			b.ReportAllocs()
+			wl, err := msg.ParseMeshWorkload("4x4", "eisa", p.pattern, 2048, 4)
+			if err != nil {
+				b.Fatal(err)
+			}
 			var mbps float64
 			for i := 0; i < b.N; i++ {
-				mbps = runWorkload(p.links(4, 4))
+				m := shrimp.New(shrimp.ConfigFor(wl.W, wl.H, wl.Gen))
+				run, err := wl.Run(m)
+				if err != nil {
+					b.Fatal(err)
+				}
+				mbps = float64(wl.Rounds*run.Links*wl.Bytes) / 1e6 / (m.Now() - run.Start).Seconds()
 			}
 			b.ReportMetric(mbps, "machine-MB/s")
 		})
 	}
-}
-
-func runWorkload(links [][2]int) float64 {
-	m := shrimp.New(shrimp.ConfigFor(4, 4, shrimp.GenEISAPrototype))
-	eps := make([]shrimp.Endpoint, 16)
-	for i := range eps {
-		eps[i] = shrimp.NewEndpoint(m.Node(i))
-	}
-	chans := make([]*shrimp.Channel, len(links))
-	for i, l := range links {
-		ch, err := shrimp.NewChannel(m, eps[l[0]], eps[l[1]], 2)
-		if err != nil {
-			panic(err)
-		}
-		chans[i] = ch
-	}
-	const rounds, size = 4, 2048
-	payload := make([]byte, size)
-	start := m.Eng.Now()
-	for r := 0; r < rounds; r++ {
-		for _, ch := range chans {
-			if err := ch.Send(payload); err != nil {
-				panic(err)
-			}
-		}
-		for _, ch := range chans {
-			if _, err := ch.Recv(); err != nil {
-				panic(err)
-			}
-		}
-	}
-	m.RunUntilIdle(2_000_000_000)
-	elapsed := m.Eng.Now() - start
-	return float64(rounds*len(links)*size) / 1e6 / elapsed.Seconds()
 }

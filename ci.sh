@@ -62,8 +62,8 @@ zero_alloc ./internal/sim '^BenchmarkEngine$' 100x
 go test -run TestInstrumentationZeroAlloc -count 1 ./internal/obs
 zero_alloc ./internal/obs BenchmarkEngineMetrics 100x
 # CPU guards: the differential suites (the fast path — batching,
-# superblock dispatch, fused terminators and spin fast-forward — must be
-# bit-identical to per-instruction stepping) run under -race above;
+# superblock dispatch and fused terminators — must be bit-identical to
+# per-instruction stepping) run under -race above;
 # here the zero-alloc contract — both CPU paths, the fused store path
 # and the bus Write32/Read32/command-read paths must not touch the heap
 # — and the trace cache must actually serve the §5 loop workload
@@ -157,3 +157,5 @@ rejects shrimp-trace -spans -5
 rejects shrimp-top -rounds 0
 rejects shrimp-table1 -gen foo
 rejects shrimp-faults -gen EISA
+rejects shrimp-report -total 100
+rejects shrimp-hwperf -exp nope

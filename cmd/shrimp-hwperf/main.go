@@ -24,6 +24,11 @@ func main() {
 	parallel := flag.Int("parallel", 0, "sweep worker-pool size (0 = GOMAXPROCS, 1 = sequential)")
 	flag.Parse()
 
+	switch *exp {
+	case "latency", "bandwidth", "au", "overlap", "mergewindow", "all":
+	default:
+		fatal("shrimp-hwperf: unknown -exp %q; want latency, bandwidth, au, overlap, mergewindow or all", *exp)
+	}
 	sizes := []int{64, 128, 256, 512, 1024, 2048, 4096}
 	var w, h int
 	if _, err := fmt.Sscanf(strings.ToLower(*mesh), "%dx%d", &w, &h); err != nil || w < 1 || h < 1 {

@@ -9,9 +9,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	shrimp "repro"
+	"repro/internal/msg"
 	"repro/internal/obs"
 )
 
@@ -24,108 +24,28 @@ func main() {
 	traceN := flag.Int("trace", 0, "print the last N completed packet spans and the metrics summary")
 	flag.Parse()
 
-	var w, h int
-	if _, err := fmt.Sscanf(strings.ToLower(*mesh), "%dx%d", &w, &h); err != nil || w < 1 || h < 1 {
-		fatal("shrimp-sim: bad -mesh %q; want e.g. 4x4", *mesh)
-	}
-	switch *workload {
-	case "neighbors", "hotspot", "ring":
-	default:
-		fatal("shrimp-sim: unknown -workload %q; want neighbors, hotspot or ring", *workload)
-	}
-	if *msgBytes < 1 {
-		fatal("shrimp-sim: bad -bytes %d; want at least 1", *msgBytes)
-	}
-	if *rounds < 1 {
-		fatal("shrimp-sim: bad -rounds %d; want at least 1", *rounds)
+	wl, err := msg.ParseMeshWorkload(*mesh, *gen, *workload, *msgBytes, *rounds)
+	if err != nil {
+		fatal("shrimp-sim: %v", err)
 	}
 	if *traceN < 0 {
 		fatal("shrimp-sim: bad -trace %d; want at least 0", *traceN)
 	}
-	var g shrimp.Generation
-	switch *gen {
-	case "eisa":
-		g = shrimp.GenEISAPrototype
-	case "xpress":
-		g = shrimp.GenXpress
-	default:
-		fatal("shrimp-sim: unknown -gen %q; want eisa or xpress", *gen)
-	}
-	cfg := shrimp.ConfigFor(w, h, g)
+	cfg := shrimp.ConfigFor(wl.W, wl.H, wl.Gen)
 	if *traceN > 0 {
 		cfg.Metrics = true
 		cfg.SpanCapacity = max(*traceN, obs.DefaultSpanCapacity)
 	}
 	m := shrimp.New(cfg)
-	n := w * h
-
-	// One endpoint per node.
-	eps := make([]shrimp.Endpoint, n)
-	for i := range eps {
-		eps[i] = shrimp.NewEndpoint(m.Node(i))
+	run, err := wl.Run(m)
+	if err != nil {
+		fatal("shrimp-sim: %v", err)
 	}
+	elapsed := m.Now() - run.Start
 
-	// Build the channel set for the chosen pattern.
-	type link struct{ src, dst int }
-	var links []link
-	switch *workload {
-	case "neighbors":
-		// Every node sends to its east neighbor (wrapping by row).
-		for i := 0; i < n; i++ {
-			x, y := i%w, i/w
-			j := y*w + (x+1)%w
-			if j != i {
-				links = append(links, link{i, j})
-			}
-		}
-	case "hotspot":
-		// Everyone sends to node 0.
-		for i := 1; i < n; i++ {
-			links = append(links, link{i, 0})
-		}
-	case "ring":
-		for i := 0; i < n; i++ {
-			links = append(links, link{i, (i + 1) % n})
-		}
-	}
-
-	channels := make([]*shrimp.Channel, len(links))
-	pages := (*msgBytes+shrimp.PageSize-1)/shrimp.PageSize + 1
-	for i, l := range links {
-		ch, err := shrimp.NewChannel(m, eps[l.src], eps[l.dst], pages)
-		if err != nil {
-			fatal("shrimp-sim: map %d->%d: %v", l.src, l.dst, err)
-		}
-		channels[i] = ch
-	}
-
-	payload := make([]byte, *msgBytes)
-	for i := range payload {
-		payload[i] = byte(i * 17)
-	}
-	start := m.Now()
-	for r := 0; r < *rounds; r++ {
-		for _, ch := range channels {
-			if err := ch.Send(payload); err != nil {
-				fatal("shrimp-sim: send: %v", err)
-			}
-		}
-		for i, ch := range channels {
-			got, err := ch.Recv()
-			if err != nil {
-				fatal("shrimp-sim: recv: %v", err)
-			}
-			if len(got) != *msgBytes {
-				fatal("shrimp-sim: link %d: short message %d", i, len(got))
-			}
-		}
-	}
-	m.RunUntilIdle(1_000_000_000)
-	elapsed := m.Now() - start
-
-	moved := *rounds * len(links) * *msgBytes
+	moved := wl.Rounds * run.Links * wl.Bytes
 	fmt.Printf("workload %q on %dx%d %s mesh: %d links x %d rounds x %d B\n",
-		*workload, w, h, g, len(links), *rounds, *msgBytes)
+		wl.Pattern, wl.W, wl.H, wl.Gen, run.Links, wl.Rounds, wl.Bytes)
 	fmt.Printf("simulated time: %v   aggregate payload: %.2f MB   %.2f MB/s machine-wide\n",
 		elapsed, float64(moved)/1e6, float64(moved)/1e6/elapsed.Seconds())
 
@@ -133,13 +53,12 @@ func main() {
 	fmt.Printf("\nbackplane: %d packets delivered, %d wire bytes, avg latency %v, max %v, %d flow-control parks\n",
 		ns.Delivered, ns.TotalWireByte, ns.TotalLatency/shrimp.Time(max(1, int(ns.Delivered))), ns.MaxLatency, ns.Parked)
 
-	var out, in, drops uint64
-	var stalls uint64
-	for i := 0; i < n; i++ {
-		s := m.Node(i).NIC.Stats()
+	var out, in, drops, stalls uint64
+	for _, node := range m.Nodes {
+		s := node.NIC.Stats()
 		out += s.PacketsOut
 		in += s.PacketsIn
-		drops += s.DropNotMappedIn + s.DropWrongDest + s.DropCRC
+		drops += s.Drops()
 		stalls += s.OutFullEvents
 	}
 	fmt.Printf("NICs: %d packets out, %d in, %d drops, %d outgoing-FIFO stall events\n",

@@ -23,11 +23,11 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"strings"
 	"sync/atomic"
 	"time"
 
 	shrimp "repro"
+	"repro/internal/msg"
 )
 
 func main() {
@@ -42,29 +42,14 @@ func main() {
 	out := flag.String("o", "", "write the one-shot exposition to this file (default stdout)")
 	flag.Parse()
 
-	var w, h int
-	if _, err := fmt.Sscanf(strings.ToLower(*mesh), "%dx%d", &w, &h); err != nil || w < 1 || h < 1 {
-		fatal("shrimp-top: bad -mesh %q; want e.g. 4x4", *mesh)
-	}
-	if *msgBytes < 1 {
-		fatal("shrimp-top: bad -bytes %d; want at least 1", *msgBytes)
-	}
-	if *rounds < 1 {
-		fatal("shrimp-top: bad -rounds %d; want at least 1", *rounds)
+	wl, err := msg.ParseMeshWorkload(*mesh, *gen, *workload, *msgBytes, *rounds)
+	if err != nil {
+		fatal("shrimp-top: %v", err)
 	}
 	if *serve != "" && *interval <= 0 {
 		fatal("shrimp-top: -serve needs -interval above 0, got %v", *interval)
 	}
-	var g shrimp.Generation
-	switch *gen {
-	case "eisa":
-		g = shrimp.GenEISAPrototype
-	case "xpress":
-		g = shrimp.GenXpress
-	default:
-		fatal("shrimp-top: unknown -gen %q; want eisa or xpress", *gen)
-	}
-	cfg := shrimp.ConfigFor(w, h, g)
+	cfg := shrimp.ConfigFor(wl.W, wl.H, wl.Gen)
 	cfg.Metrics = true
 	cfg.Recorder = shrimp.RecorderConfig{
 		Interval: shrimp.Time(interval.Nanoseconds()) * shrimp.Nanosecond,
@@ -105,7 +90,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "serving OpenMetrics on %s/metrics\n", *serve)
 	}
 
-	runWorkload(m, w, h, *workload, *msgBytes, *rounds)
+	if _, err := wl.Run(m); err != nil {
+		fatal("shrimp-top: %v", err)
+	}
 
 	if *serve != "" {
 		publish()
@@ -126,64 +113,6 @@ func main() {
 	if err := m.WriteOpenMetrics(dst); err != nil {
 		fatal("shrimp-top: %v", err)
 	}
-}
-
-// runWorkload maps the channel topology and drives it to quiescence —
-// the same Go-level workload shapes shrimp-trace uses.
-func runWorkload(m *shrimp.Machine, w, h int, workload string, msgBytes, rounds int) {
-	n := w * h
-	eps := make([]shrimp.Endpoint, n)
-	for i := range eps {
-		eps[i] = shrimp.NewEndpoint(m.Node(i))
-	}
-	type link struct{ src, dst int }
-	var links []link
-	switch workload {
-	case "neighbors":
-		for i := 0; i < n; i++ {
-			x, y := i%w, i/w
-			j := y*w + (x+1)%w
-			if j != i {
-				links = append(links, link{i, j})
-			}
-		}
-	case "hotspot":
-		for i := 1; i < n; i++ {
-			links = append(links, link{i, 0})
-		}
-	case "ring":
-		for i := 0; i < n; i++ {
-			links = append(links, link{i, (i + 1) % n})
-		}
-	default:
-		fatal("shrimp-top: unknown -workload %q; want neighbors, hotspot or ring", workload)
-	}
-	channels := make([]*shrimp.Channel, len(links))
-	pages := (msgBytes+shrimp.PageSize-1)/shrimp.PageSize + 1
-	for i, l := range links {
-		ch, err := shrimp.NewChannel(m, eps[l.src], eps[l.dst], pages)
-		if err != nil {
-			fatal("shrimp-top: map %d->%d: %v", l.src, l.dst, err)
-		}
-		channels[i] = ch
-	}
-	payload := make([]byte, msgBytes)
-	for i := range payload {
-		payload[i] = byte(i * 17)
-	}
-	for r := 0; r < rounds; r++ {
-		for _, ch := range channels {
-			if err := ch.Send(payload); err != nil {
-				fatal("shrimp-top: send: %v", err)
-			}
-		}
-		for _, ch := range channels {
-			if _, err := ch.Recv(); err != nil {
-				fatal("shrimp-top: recv: %v", err)
-			}
-		}
-	}
-	m.RunUntilIdle(1_000_000_000)
 }
 
 // fatal reports a bad flag or a failed run on stderr and exits 1.

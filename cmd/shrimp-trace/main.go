@@ -18,9 +18,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	shrimp "repro"
+	"repro/internal/msg"
 )
 
 func main() {
@@ -34,15 +34,9 @@ func main() {
 	out := flag.String("o", "", "write the timeline to this file (default stdout)")
 	flag.Parse()
 
-	var w, h int
-	if _, err := fmt.Sscanf(strings.ToLower(*mesh), "%dx%d", &w, &h); err != nil || w < 1 || h < 1 {
-		fatal("shrimp-trace: bad -mesh %q; want e.g. 4x4", *mesh)
-	}
-	if *msgBytes < 1 {
-		fatal("shrimp-trace: bad -bytes %d; want at least 1", *msgBytes)
-	}
-	if *rounds < 1 {
-		fatal("shrimp-trace: bad -rounds %d; want at least 1", *rounds)
+	wl, err := msg.ParseMeshWorkload(*mesh, *gen, *workload, *msgBytes, *rounds)
+	if err != nil {
+		fatal("shrimp-trace: %v", err)
 	}
 	if *spans < 0 {
 		fatal("shrimp-trace: bad -spans %d; want 0 or more", *spans)
@@ -50,90 +44,27 @@ func main() {
 	if *interval < 0 {
 		fatal("shrimp-trace: bad -interval %v; want 0 or more", *interval)
 	}
-	var g shrimp.Generation
-	switch *gen {
-	case "eisa":
-		g = shrimp.GenEISAPrototype
-	case "xpress":
-		g = shrimp.GenXpress
-	default:
-		fatal("shrimp-trace: unknown -gen %q; want eisa or xpress", *gen)
-	}
-	cfg := shrimp.ConfigFor(w, h, g)
+	cfg := shrimp.ConfigFor(wl.W, wl.H, wl.Gen)
 	cfg.Metrics = true
 	cfg.SpanCapacity = *spans
 	if *interval > 0 {
 		cfg.Recorder = shrimp.RecorderConfig{Interval: shrimp.Time(interval.Nanoseconds()) * shrimp.Nanosecond}
 	}
 	m := shrimp.New(cfg)
-	n := w * h
-
-	eps := make([]shrimp.Endpoint, n)
-	for i := range eps {
-		eps[i] = shrimp.NewEndpoint(m.Node(i))
+	if _, err := wl.Run(m); err != nil {
+		fatal("shrimp-trace: %v", err)
 	}
 
-	type link struct{ src, dst int }
-	var links []link
-	switch *workload {
-	case "neighbors":
-		for i := 0; i < n; i++ {
-			x, y := i%w, i/w
-			j := y*w + (x+1)%w
-			if j != i {
-				links = append(links, link{i, j})
-			}
-		}
-	case "hotspot":
-		for i := 1; i < n; i++ {
-			links = append(links, link{i, 0})
-		}
-	case "ring":
-		for i := 0; i < n; i++ {
-			links = append(links, link{i, (i + 1) % n})
-		}
-	default:
-		fatal("shrimp-trace: unknown -workload %q; want neighbors, hotspot or ring", *workload)
-	}
-
-	channels := make([]*shrimp.Channel, len(links))
-	pages := (*msgBytes+shrimp.PageSize-1)/shrimp.PageSize + 1
-	for i, l := range links {
-		ch, err := shrimp.NewChannel(m, eps[l.src], eps[l.dst], pages)
-		if err != nil {
-			fatal("shrimp-trace: map %d->%d: %v", l.src, l.dst, err)
-		}
-		channels[i] = ch
-	}
-
-	payload := make([]byte, *msgBytes)
-	for i := range payload {
-		payload[i] = byte(i * 17)
-	}
-	for r := 0; r < *rounds; r++ {
-		for _, ch := range channels {
-			if err := ch.Send(payload); err != nil {
-				fatal("shrimp-trace: send: %v", err)
-			}
-		}
-		for _, ch := range channels {
-			if _, err := ch.Recv(); err != nil {
-				fatal("shrimp-trace: recv: %v", err)
-			}
-		}
-	}
-	m.RunUntilIdle(1_000_000_000)
-
-	w2 := os.Stdout
+	dst := os.Stdout
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
 			fatal("shrimp-trace: %v", err)
 		}
 		defer f.Close()
-		w2 = f
+		dst = f
 	}
-	bw := bufio.NewWriter(w2)
+	bw := bufio.NewWriter(dst)
 	if err := m.TraceJSON(bw); err != nil {
 		fatal("shrimp-trace: trace: %v", err)
 	}
@@ -142,7 +73,7 @@ func main() {
 	}
 
 	fmt.Fprintf(os.Stderr, "workload %q on %dx%d %s mesh: %d spans\n",
-		*workload, w, h, g, len(m.Obs.CompletedSpans()))
+		wl.Pattern, wl.W, wl.H, wl.Gen, len(m.Obs.CompletedSpans()))
 	if m.Rec != nil {
 		fmt.Fprintf(os.Stderr, "flight recorder: %d samples every %v (%d retained)\n",
 			m.Rec.Taken(), m.Rec.Interval(), m.Rec.Len())

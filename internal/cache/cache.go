@@ -85,12 +85,6 @@ type Cache struct {
 	setShift uint32 // log2(LineBytes): address bits below the set index
 	tagShift uint32 // setShift + log2(Sets): address bits below the tag
 	scratch  [4]byte
-
-	// Spin-probe access counters (see SpinProbe). pureAcc counts only
-	// load hits — accesses with a fixed, state-independent latency that
-	// touch nothing outside this cache. allAcc counts every access.
-	pureAcc uint64
-	allAcc  uint64
 }
 
 // New builds a cache over the given bus and registers its snoop port.
@@ -148,28 +142,6 @@ func (c *Cache) Reset() {
 	clear(c.lines)
 	c.clock = 0
 	c.stats = Stats{}
-	c.pureAcc = 0
-	c.allAcc = 0
-}
-
-// SpinProbe returns the pure-access and total-access counters the CPU's
-// spin fast-forward uses to verify that a candidate wait loop touched
-// nothing but cache load hits: a loop iteration is memory-pure iff the
-// two counters advanced by the same (nonzero) amount across it. Load
-// hits have a fixed HitTime latency and perturb no state outside the
-// cache, so a pure iteration is exactly repeatable until some engine
-// event intervenes.
-func (c *Cache) SpinProbe() (pure, all uint64) { return c.pureAcc, c.allAcc }
-
-// SpinAccount charges iters skipped spin iterations, each performing
-// loads pure load hits, to the statistics — keeping cache.Stats
-// bit-identical with literally retiring the same iterations. (The LRU
-// clock is deliberately not advanced: only the relative order of clock
-// values matters, and repeated hits to the same lines preserve it.)
-func (c *Cache) SpinAccount(iters, loads uint64) {
-	c.stats.LoadHits += iters * loads
-	c.pureAcc += iters * loads
-	c.allAcc += iters * loads
 }
 
 func (c *Cache) decompose(a phys.PAddr) (set, tag, off uint32) {
@@ -246,7 +218,6 @@ func (c *Cache) Load(a phys.PAddr, size int) (uint32, sim.Time) {
 
 func (c *Cache) load(a phys.PAddr, size int) (uint32, sim.Time) {
 	if c.xbus.Memory().IsCmd(a) {
-		c.allAcc++ // command reads hit the bus: never pure
 		v, done := c.xbus.Read32(bus.InitCPU, a)
 		return truncate(v, size), done - c.eng.Now()
 	}
@@ -260,12 +231,9 @@ func (c *Cache) load(a phys.PAddr, size int) (uint32, sim.Time) {
 func (c *Cache) fetch(a phys.PAddr) (int, sim.Time) {
 	if i := c.lookup(a); i >= 0 {
 		c.stats.LoadHits++
-		c.pureAcc++
-		c.allAcc++
 		return i, c.cfg.HitTime
 	}
 	c.stats.LoadMisses++
-	c.allAcc++
 	set, tag, _ := c.decompose(a)
 	i := c.victim(set)
 	done := c.xbus.ReadInto(bus.InitCPU, c.lineBase(set, tag), c.lineData(i))
@@ -280,9 +248,8 @@ func (c *Cache) fetch(a phys.PAddr) (int, sim.Time) {
 // one-byte Loads in address order, latencies discarded. Each line's
 // first byte takes the full load path (a hit, or a miss with victim
 // write-back and fill); the line's remaining k bytes are copied out and
-// charged as the k hits those loads would have been — to LoadHits, both
-// spin-probe counters and the LRU clock, so even the clock value
-// matches. Command-space addresses keep one load per byte.
+// charged as the k hits those loads would have been — to LoadHits and
+// the LRU clock, so even the clock value matches. Command-space addresses keep one load per byte.
 func (c *Cache) ReadBytes(a phys.PAddr, out []byte) {
 	for len(out) > 0 {
 		if c.xbus.Memory().IsCmd(a) {
@@ -295,8 +262,6 @@ func (c *Cache) ReadBytes(a phys.PAddr, out []byte) {
 		n := copy(out, c.lineData(i)[uint32(a)&c.lineMask:])
 		k := uint64(n - 1)
 		c.stats.LoadHits += k
-		c.pureAcc += k
-		c.allAcc += k
 		c.clock += k
 		c.lines[i].lru = c.clock
 		a, out = a+phys.PAddr(n), out[n:]
@@ -307,7 +272,6 @@ func (c *Cache) ReadBytes(a phys.PAddr, out []byte) {
 // policy for this access, which the caller derives from the page table
 // entry. The returned latency is what the CPU observes.
 func (c *Cache) Store(a phys.PAddr, v uint32, size int, writeThrough bool) sim.Time {
-	c.allAcc++ // stores are never pure
 	if c.xbus.Memory().IsCmd(a) {
 		// Command space writes are uncacheable bus transactions.
 		done := c.xbus.Write(bus.InitCPU, a, c.leBytes(v, size))
@@ -415,7 +379,6 @@ func (c *Cache) StoreRun(a phys.PAddr, data []byte, writeThrough bool) (n int, l
 		}
 		off += k
 	}
-	c.allAcc += uint64(n)
 	c.stats.WriteBufferStall += stalls
 	c.xbus.WriteRun(a, data, t, waits, busy)
 	return n, lat
@@ -425,7 +388,6 @@ func (c *Cache) StoreRun(a phys.PAddr, data []byte, writeThrough bool) (n int, l
 // bypassing the cache (LOCK-prefixed operations and command space are
 // uncacheable).
 func (c *Cache) LockedCmpxchg(a phys.PAddr, expect, repl uint32) (read uint32, swapped bool, lat sim.Time) {
-	c.allAcc++ // locked RMWs go to the bus: never pure
 	if !c.xbus.Memory().IsCmd(a) {
 		// Keep the cache coherent with a locked RMW on DRAM: the locked
 		// cycle reads memory, so a dirty line is written back first, and

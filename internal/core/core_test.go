@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/nic"
@@ -341,29 +340,5 @@ func TestFaultInjectionCRCDrops(t *testing.T) {
 	}
 	if uint64(delivered)+s.DropCRC < 40 {
 		t.Fatalf("conservation: %d delivered + %d dropped < 40", delivered, s.DropCRC)
-	}
-}
-
-func TestMachineReport(t *testing.T) {
-	m := New(ConfigFor(2, 1, nic.GenEISAPrototype))
-	a, b := m.Node(0), m.Node(1)
-	pa := a.K.CreateProcess()
-	pb := b.K.CreateProcess()
-	sendVA, _ := pa.AllocPages(1)
-	recvVA, _ := pb.AllocPages(1)
-	m.MustMap(pa, sendVA, phys.PageSize, b.ID, pb.PID, recvVA, nipt.SingleWriteAU)
-	if err := a.UserWrite32(pa, sendVA, 1); err != nil {
-		t.Fatal(err)
-	}
-	drain(t, m)
-	var sb strings.Builder
-	if err := m.Report(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"backplane:", "node  0:", "node  1:", "totals:", "maps=1"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("report missing %q:\n%s", want, out)
-		}
 	}
 }

@@ -12,9 +12,9 @@ func (m *Machine) Metrics() obs.Snapshot { return m.Obs.Snapshot() }
 
 // TraceJSON renders the machine's observability state — completed
 // causal spans as per-node async tracks, per-node counter totals
-// (batching, trace cache, spin fast-forward, NIC, kernel) as counter
-// tracks, and the flight recorder's samples and marks when one is
-// armed — in Chrome trace-event JSON, loadable in Perfetto
+// (batching, trace cache, NIC, kernel) as counter tracks, and the
+// flight recorder's samples and marks when one is armed — in Chrome
+// trace-event JSON, loadable in Perfetto
 // (ui.perfetto.dev) or chrome://tracing. Spans and counters require
 // Config.Metrics; without it the output is a valid timeline holding
 // only the per-node process tracks.

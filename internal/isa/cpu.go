@@ -21,22 +21,6 @@ type MemPort interface {
 	CmpxchgLocked(a vm.VAddr, expect, repl uint32) (read uint32, swapped bool, lat sim.Time, fault *vm.Fault)
 }
 
-// SpinMemPort is an optional MemPort capability: ports that can report
-// access purity let the CPU fast-forward verified spin loops
-// (tracecache.go). kernel.MemBox implements it over the cache.
-type SpinMemPort interface {
-	// SpinProbe returns two monotonic access counters: pure counts only
-	// accesses with a fixed latency and no effect outside the port
-	// (cache load hits); all counts every access. An interval over
-	// which both advanced equally (and nonzero) touched memory in a
-	// repeatable, side-effect-free way.
-	SpinProbe() (pure, all uint64)
-	// SpinAccount charges iters skipped loop iterations, of loads pure
-	// loads each, to the port's statistics, keeping them bit-identical
-	// with having retired the iterations literally.
-	SpinAccount(iters, loads uint64)
-}
-
 // ReturnSentinel is the return address the harness pushes before starting
 // a routine; RET to it halts the CPU cleanly.
 const ReturnSentinel uint32 = 0xffff_fff0
@@ -72,12 +56,10 @@ type Config struct {
 	// instructions inside one engine event: the CPU runs ahead on the
 	// engine clock between hazard boundaries (pending event, fault,
 	// halt, freeze, quantum), dispatches straight-line runs through the
-	// superblock trace cache and fused terminators, and fast-forwards
-	// verified spin loops when the memory port implements SpinMemPort
-	// (tracecache.go). All of it is a pure simulator optimization:
-	// simulated results are bit-identical at any setting — the
-	// differential tests in internal/isa, internal/core and internal/msg
-	// pin this.
+	// superblock trace cache and fused terminators (tracecache.go). All
+	// of it is a pure simulator optimization: simulated results are
+	// bit-identical at any setting — the differential tests in
+	// internal/isa, internal/core and internal/msg pin this.
 	MaxBatch int
 }
 
@@ -149,17 +131,13 @@ type CPU struct {
 	scope      *obs.NodeScope // nil when metrics are disabled
 
 	// Superblock trace cache (tracecache.go).
-	traces  map[*Program]*progTrace
-	cur     *progTrace  // trace for the loaded program, resolved lazily
-	spinMem SpinMemPort // Mem's spin capability, nil if absent
-	spin    spinState
+	traces map[*Program]*progTrace
+	cur    *progTrace // trace for the loaded program, resolved lazily
 }
 
 // NewCPU builds a CPU over the given memory port.
 func NewCPU(eng *sim.Engine, cfg Config, mem MemPort) *CPU {
-	c := &CPU{Eng: eng, Mem: mem, cfg: cfg, isrs: make(map[int]int), goIRQ: make(map[int]func(*CPU))}
-	c.spinMem, _ = mem.(SpinMemPort)
-	return c
+	return &CPU{Eng: eng, Mem: mem, cfg: cfg, isrs: make(map[int]int), goIRQ: make(map[int]func(*CPU))}
 }
 
 // SetName labels the CPU in diagnostics.
@@ -386,9 +364,6 @@ func (c *CPU) step() {
 		var blk *sblock
 		if tr != nil {
 			blk = c.block(tr, c.eip)
-			if blk.spin && c.spinMem != nil {
-				c.spinTick(blk)
-			}
 			// Pure-run dispatch: the whole run fits inside the quantum
 			// and completes strictly before the next event and the run
 			// bound — the same hazard conditions the literal loop tests
@@ -472,11 +447,8 @@ func (c *CPU) step() {
 }
 
 // endBatch records one batch's telemetry at its yield point; nil-scope
-// safe and allocation-free. Every yield also breaks the spin watcher's
-// arm→verify window: events only fire while the CPU is yielded, so an
-// unbroken window proves memory was untouched (tracecache.go).
+// safe and allocation-free.
 func (c *CPU) endBatch(n int, why obs.Counter) {
-	c.spin.broke = true
 	c.scope.Observe(obs.HistBatchLen, uint64(n))
 	c.scope.Inc(why)
 }

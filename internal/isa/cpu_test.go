@@ -75,17 +75,6 @@ func (m *flatMem) CmpxchgLocked(a vm.VAddr, expect, repl uint32) (uint32, bool, 
 	return m.cmpxRead, false, sim.Nanosecond, nil
 }
 
-// SpinProbe/SpinAccount implement SpinMemPort: flatMem loads have a
-// fixed latency and no side effects, so they all count as pure; stores
-// and locked ops do not.
-func (m *flatMem) SpinProbe() (pure, all uint64) {
-	return uint64(m.loads), uint64(m.loads + m.stores + m.cmpxOps)
-}
-
-func (m *flatMem) SpinAccount(iters, loads uint64) {
-	m.loads += int(iters * loads)
-}
-
 func (m *flatMem) w32(a vm.VAddr, v uint32) {
 	for i := 0; i < 4; i++ {
 		m.buf[int(a)+i] = byte(v >> (8 * i))

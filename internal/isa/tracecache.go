@@ -38,9 +38,6 @@ import (
 // outside the register file, so retiring them back-to-back with a
 // single clock advance is bit-identical to stepping them. Anything not
 // provably pure falls through to the literal interpreter.
-//
-// Spin fast-forward (computed wait-states) also lives here; see the
-// spinState section below.
 
 // maxRun bounds how many instructions a superblock scan considers.
 const maxRun = 48
@@ -124,9 +121,7 @@ type fastJcc struct {
 // sblock is the superblock anchored at one program position.
 type sblock struct {
 	built    bool
-	spin     bool   // position heads a recognized spin idiom
-	spinLen  uint16 // instructions per spin iteration (incl. branch)
-	end      int    // position of the terminator: start + len(pure)
+	end      int // position of the terminator: start + len(pure)
 	pure     []uop
 	pureCost sim.Time
 	fs       fastStore // terminator store, when it is one
@@ -164,20 +159,18 @@ func (c *CPU) block(t *progTrace, pc int) *sblock {
 	return b
 }
 
-// FlushTraces drops every built superblock and disarms the spin
-// watcher. Reset calls it; programs are immutable (AssembleCached), so
-// nothing else needs to.
+// FlushTraces drops every built superblock. Reset calls it; programs
+// are immutable (AssembleCached), so nothing else needs to.
 func (c *CPU) FlushTraces() {
 	if len(c.traces) > 0 {
 		clear(c.traces)
 		c.scope.Inc(obs.CtrTraceFlushes)
 	}
 	c.cur = nil
-	c.spin = spinState{}
 }
 
-// build populates the superblock at pc: the pure prefix, the terminator
-// store if the next instruction is one, and the spin shape.
+// build populates the superblock at pc: the pure prefix and the
+// terminator store or jump if the next instruction is one.
 func (t *progTrace) build(c *CPU, pc int) {
 	b := &t.blocks[pc]
 	b.built = true
@@ -199,7 +192,6 @@ func (t *progTrace) build(c *CPU, pc int) {
 			b.jcc = fastJcc{ok: true, op: in.Op, target: in.Target}
 		}
 	}
-	b.spin, b.spinLen = spinShape(instrs, pc)
 }
 
 // pureUop lowers in to a micro-op if it is pure: registers and
@@ -306,52 +298,6 @@ func fastStoreOf(in *Instr) fastStore {
 	return fs
 }
 
-// spinShape recognizes the canonical poll idiom at pc: a body of pure
-// micro-ops and side-effect-free memory reads (MOV/MOVZX into a
-// register, CMP/TEST against memory), closed by a jump back to pc. At
-// least one memory read is required — a loop that consults only
-// registers is a counting loop, not a wait, and arming the watcher on
-// it would be pure overhead.
-func spinShape(instrs []Instr, pc int) (bool, uint16) {
-	j := pc
-	loads := false
-	for j < len(instrs) && j-pc < maxRun {
-		in := &instrs[j]
-		if _, ok := pureUop(in); ok {
-			j++
-			continue
-		}
-		if spinSafeLoad(in) {
-			loads = true
-			j++
-			continue
-		}
-		break
-	}
-	if !loads || j == pc || j >= len(instrs) {
-		return false, 0
-	}
-	if in := &instrs[j]; in.Op >= JMP && in.Op <= JNS && in.Target == pc {
-		return true, uint16(j - pc + 1)
-	}
-	return false, 0
-}
-
-// spinSafeLoad reports whether in only reads memory: no store, no
-// flag-independent side effect, no flow control.
-func spinSafeLoad(in *Instr) bool {
-	if in.Rep || in.Lock {
-		return false
-	}
-	switch in.Op {
-	case MOV, MOVZX:
-		return in.Dst.Kind == KindReg && in.Src.Kind == KindMem
-	case CMP, TEST:
-		return in.Dst.Kind == KindMem || in.Src.Kind == KindMem
-	}
-	return false
-}
-
 // runPure retires a pure micro-op run. No memory, no faults, no
 // branches: only the register file and arithmetic flags change, through
 // the same helpers the literal interpreter uses.
@@ -443,135 +389,4 @@ func (c *CPU) runPure(uops []uop) {
 			c.R[u.d], c.R[u.s] = c.R[u.s], c.R[u.d]
 		}
 	}
-}
-
-// ---------------------------------------------------------------------
-// Spin fast-forward: computed wait-states.
-//
-// The §5 primitives end in poll loops — kcrecv_spin in msg/baseline.go,
-// the double-buffer flag polls, the NX/2 ring-space check — that burn
-// host time retiring iterations whose only exit is a memory change made
-// by some future engine event. The watcher below proves, at runtime,
-// that a loop iteration is a fixed point, then advances the clock to
-// just short of the next event horizon in one step, charging the
-// iterations it skipped to the instruction and cache counters as if
-// they had retired.
-//
-// The proof is a snapshot-verify protocol, not static analysis:
-//
-//  1. Arm: at a spin head, snapshot registers, flags, the memory port's
-//     purity counters (SpinProbe) and the clock.
-//  2. Verify: at the NEXT arrival at the same head, require that (a) no
-//     batch yield happened in between (endBatch sets spin.broke; events
-//     can only fire when the CPU yields, so an unbroken window means
-//     memory was untouched by anyone); (b) every access the iteration
-//     made was a pure cache load hit (pureΔ == allΔ > 0): fixed
-//     latency, no bus, no visible effect; (c) registers and flags are
-//     back to the snapshot — the iteration is a fixed point.
-//  3. Skip: with memory frozen until the next event and the iteration a
-//     deterministic fixed point of cost iterCost, the literal machine
-//     would replay it exactly every iterCost until the horizon. Advance
-//     k = floor(avail/iterCost)-1 iterations at once — always landing
-//     at a head-arrival instant strictly before the horizon, with at
-//     least one literal iteration left, so the resumed literal
-//     execution (yield points, event interleaving, final timestamps) is
-//     instruction-for-instruction identical to never having skipped.
-//
-// A loop that fails verification spinFailLimit times in a row (a
-// counting loop over memory, a command-space poll whose status read is
-// a bus transaction, a line bouncing between hit and snoop-invalidate)
-// has its spin flag cleared so the watcher stops paying for it.
-// ---------------------------------------------------------------------
-
-// spinFailLimit is how many consecutive failed verifications demote a
-// candidate loop to plain literal execution.
-const spinFailLimit = 4
-
-// spinState is the per-CPU spin watcher.
-type spinState struct {
-	prog     *Program
-	head     int
-	armed    bool
-	broke    bool // a batch yield happened since arming
-	fails    uint8
-	snapF    uint8 // packed flags
-	snapR    [8]uint32
-	snapPure uint64
-	snapAll  uint64
-	snapAt   sim.Time
-}
-
-// packFlags packs the five flags for snapshot comparison.
-func (c *CPU) packFlags() uint8 {
-	var f uint8
-	if c.ZF {
-		f |= 1
-	}
-	if c.SF {
-		f |= 2
-	}
-	if c.CF {
-		f |= 4
-	}
-	if c.OF {
-		f |= 8
-	}
-	if c.DF {
-		f |= 16
-	}
-	return f
-}
-
-// spinArm snapshots the fixed-point candidate state at a loop head.
-func (c *CPU) spinArm() {
-	s := &c.spin
-	s.prog, s.head = c.prog, c.eip
-	s.armed, s.broke = true, false
-	s.snapR = c.R
-	s.snapF = c.packFlags()
-	s.snapPure, s.snapAll = c.spinMem.SpinProbe()
-	s.snapAt = c.Eng.Now()
-}
-
-// spinTick runs at every arrival at a spin head: verify the previous
-// arm and skip ahead if the loop proved to be a pure wait, then re-arm.
-func (c *CPU) spinTick(blk *sblock) {
-	s := &c.spin
-	if !s.armed || s.broke || s.prog != c.prog || s.head != c.eip {
-		c.spinArm()
-		return
-	}
-	pure, all := c.spinMem.SpinProbe()
-	loads := all - s.snapAll
-	iterCost := c.Eng.Now() - s.snapAt
-	if loads == 0 || pure-s.snapPure != loads || iterCost <= 0 ||
-		c.R != s.snapR || c.packFlags() != s.snapF {
-		s.fails++
-		if s.fails >= spinFailLimit {
-			blk.spin = false
-			s.armed = false
-			s.fails = 0
-			return
-		}
-		c.spinArm()
-		return
-	}
-	s.fails = 0
-	if horizon := c.Eng.Horizon(); horizon < sim.Forever {
-		if k := int64((horizon-c.Eng.Now())/iterCost) - 1; k > 0 {
-			skipped := sim.Time(k) * iterCost
-			c.Eng.AdvanceTo(c.Eng.Now() + skipped)
-			n := uint64(k) * uint64(blk.spinLen)
-			if c.kernelMode {
-				c.counters.Kernel += n
-			} else {
-				c.counters.User += n
-			}
-			c.spinMem.SpinAccount(uint64(k), loads)
-			c.scope.Inc(obs.CtrSpinFastForwards)
-			c.scope.Add(obs.CtrSpinSkippedPs, uint64(skipped))
-			c.scope.Observe(obs.HistSpinSkipped, n)
-		}
-	}
-	c.spinArm()
 }

@@ -9,9 +9,8 @@ import (
 
 // traceBatches are the MaxBatch settings every differential test
 // compares: per-instruction stepping (the reference), and the shipping
-// path — batching, superblock dispatch, fused terminators and spin
-// fast-forward — at a quantum of 3 (frequent quantum breaks mid-run)
-// and at the default 64.
+// path — batching, superblock dispatch and fused terminators — at a
+// quantum of 3 (frequent quantum breaks mid-run) and at the default 64.
 var traceBatches = []int{1, 3, 64}
 
 // traceDrainBudget bounds every differential run: a run that fires more
@@ -30,7 +29,7 @@ type traceRun struct {
 }
 
 // runTraceMode executes src at one batch quantum. events schedules
-// external memory writes (the only way a spin loop can exit). halted is
+// external memory writes (the only way a poll loop can exit). halted is
 // false when the run did not halt within traceDrainBudget events.
 func runTraceMode(t *testing.T, src string, batch int,
 	setup func(*CPU, *flatMem), events func(*sim.Engine, *flatMem)) (run traceRun, halted bool) {
@@ -61,9 +60,20 @@ func runTraceMode(t *testing.T, src string, batch int,
 		t.Fatalf("batch=%d: %v", batch, c.Err())
 	}
 	return traceRun{
-		R: c.R, Flags: c.packFlags(), Counters: c.Counters(), End: eng.Now(),
+		R: c.R, Flags: flagBits(c), Counters: c.Counters(), End: eng.Now(),
 		Mem: mem.buf, Loads: mem.loads, Stores: mem.stores,
 	}, true
+}
+
+// flagBits packs the five flags into one comparable value.
+func flagBits(c *CPU) uint8 {
+	var f uint8
+	for i, set := range []bool{c.ZF, c.SF, c.CF, c.OF, c.DF} {
+		if set {
+			f |= 1 << i
+		}
+	}
+	return f
 }
 
 // diffTraceModes runs src under every mode and requires bit-identical
@@ -160,9 +170,9 @@ work:
 `, nil, nil)
 }
 
-// spinSrc polls a flag another agent sets: the canonical §5 receive
+// pollSrc polls a flag another agent sets: the canonical §5 receive
 // wait. The body is one load plus pure ops, closed by a backward jump.
-const spinSrc = `
+const pollSrc = `
 main:
 	xor	ebx, ebx
 pwait:
@@ -173,45 +183,27 @@ pwait:
 	hlt
 `
 
-// TestSpinFastForwardDifferential pins spin fast-forward == literal
-// spinning: an external event releases the poll loop after a long wait,
-// and every mode must agree on registers, instruction counts, load
-// counts and the final timestamp.
-func TestSpinFastForwardDifferential(t *testing.T) {
+// TestPollReleasedByEventDifferential: an external event releases the
+// poll loop after a long wait, and every mode must agree on registers,
+// instruction counts, load counts and the final timestamp.
+func TestPollReleasedByEventDifferential(t *testing.T) {
 	events := func(eng *sim.Engine, mem *flatMem) {
 		eng.At(2*sim.Millisecond, func() { mem.w32(0x3000, 42) })
-		// A mid-wait event that does NOT release the loop: the watcher
-		// must re-verify against it, not skip past it.
+		// A mid-wait event that does NOT release the loop: the fast
+		// path must yield to it and poll on.
 		eng.At(1*sim.Millisecond, func() { mem.w32(0x3800, 9) })
 	}
-	diffTraceModes(t, spinSrc, nil, events)
-
-	// The fast-forward mode must actually skip (not just agree): the
-	// run covers ~2 ms of simulated spinning, which literally retired
-	// would be ~100k+ events.
-	eng := sim.NewEngine()
-	cfg := DefaultConfig()
-	mem := newFlatMem()
-	c := NewCPU(eng, cfg, mem)
-	c.Load(MustAssemble("spin-ff", spinSrc, nil))
-	c.R[ESP] = 0x8000
-	events(eng, mem)
-	if err := c.Start("main"); err != nil {
-		t.Fatal(err)
-	}
-	eng.Drain(10_000_000)
-	if !c.Halted() || c.R[EBX] != 42 {
-		t.Fatalf("halted=%v ebx=%d", c.Halted(), c.R[EBX])
-	}
-	if fired := eng.Fired(); fired > 1000 {
-		t.Fatalf("spin fast-forward did not engage: %d events fired", fired)
+	diffTraceModes(t, pollSrc, nil, events)
+	got, halted := runTraceMode(t, pollSrc, DefaultConfig().MaxBatch, nil, events)
+	if !halted || got.R[EBX] != 42 {
+		t.Fatalf("halted=%v ebx=%d, want the releasing write's 42", halted, got.R[EBX])
 	}
 }
 
-// TestSpinCountingLoopDemoted: a loop whose registers change every
-// iteration is not a fixed point; the watcher must fail verification,
-// demote the block, and results must still match exactly.
-func TestSpinCountingLoopDemoted(t *testing.T) {
+// TestCountingLoadLoopDifferential: a loop that loads memory but counts
+// in a register changes state every iteration; results must match
+// exactly.
+func TestCountingLoadLoopDifferential(t *testing.T) {
 	diffTraceModes(t, `
 main:
 	xor	ebx, ebx
@@ -224,9 +216,9 @@ lp:
 `, nil, nil)
 }
 
-// TestSpinStoreInBodyNotCandidate: a body with a store can never
-// fast-forward (stores are impure); results must match across modes.
-func TestSpinStoreInBodyNotCandidate(t *testing.T) {
+// TestStoreInLoopBodyDifferential: a poll-shaped loop whose body also
+// stores; results must match across modes.
+func TestStoreInLoopBodyDifferential(t *testing.T) {
 	diffTraceModes(t, `
 main:
 	mov	ecx, 300
@@ -239,39 +231,7 @@ lp:
 `, nil, nil)
 }
 
-// TestSpinShapeRecognition pins the classifier on the §5 idioms.
-func TestSpinShapeRecognition(t *testing.T) {
-	p := MustAssemble("shapes", `
-kcrecv_spin:
-	mov	esi, [edx]
-	test	esi, esi
-	jz	kcrecv_spin
-cwait:
-	mov	eax, [esi + 4]
-	cmp	eax, ebx
-	jne	cwait
-count_only:
-	dec	ecx
-	jnz	count_only
-	hlt
-`, nil)
-	head := p.MustEntry("kcrecv_spin")
-	if ok, n := spinShape(p.Instrs, head); !ok || n != 3 {
-		t.Errorf("kcrecv_spin: got ok=%v len=%d, want spin of 3", ok, n)
-	}
-	head = p.MustEntry("cwait")
-	if ok, n := spinShape(p.Instrs, head); !ok || n != 3 {
-		t.Errorf("cwait: got ok=%v len=%d, want spin of 3", ok, n)
-	}
-	// No memory read in the body: a counting loop, not a wait.
-	head = p.MustEntry("count_only")
-	if ok, _ := spinShape(p.Instrs, head); ok {
-		t.Errorf("count_only: recognized as spin; want rejected (no loads)")
-	}
-}
-
-// TestTraceFlushOnReset: Reset must drop all built superblocks and the
-// spin watcher.
+// TestTraceFlushOnReset: Reset must drop all built superblocks.
 func TestTraceFlushOnReset(t *testing.T) {
 	mem := newFlatMem()
 	eng := sim.NewEngine()
@@ -286,8 +246,8 @@ func TestTraceFlushOnReset(t *testing.T) {
 		t.Fatal("no trace built")
 	}
 	c.Reset()
-	if len(c.traces) != 0 || c.cur != nil || c.spin.armed {
-		t.Fatalf("Reset left trace state: %d traces, cur=%v, armed=%v", len(c.traces), c.cur, c.spin.armed)
+	if len(c.traces) != 0 || c.cur != nil {
+		t.Fatalf("Reset left trace state: %d traces, cur=%v", len(c.traces), c.cur)
 	}
 }
 

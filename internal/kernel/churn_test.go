@@ -149,7 +149,7 @@ func TestRandomChurnPreservesInvariants(t *testing.T) {
 	checkAll(401)
 	for i := 0; i < 4; i++ {
 		s := m.Node(i).NIC.Stats()
-		if s.DropNotMappedIn+s.DropWrongDest+s.DropCRC != 0 {
+		if s.Drops() != 0 {
 			t.Fatalf("node %d dropped packets during churn: %+v", i, s)
 		}
 	}

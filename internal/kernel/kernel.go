@@ -488,14 +488,6 @@ func (b *MemBox) translate2(as *vm.AddressSpace, a vm.VAddr, size int, write boo
 	return lo, hi, first, f
 }
 
-// SpinProbe implements isa.SpinMemPort by exposing the cache's
-// access-purity counters.
-func (b *MemBox) SpinProbe() (pure, all uint64) { return b.Cache.SpinProbe() }
-
-// SpinAccount implements isa.SpinMemPort: skipped spin iterations are
-// charged to the cache statistics as the load hits they would have been.
-func (b *MemBox) SpinAccount(iters, loads uint64) { b.Cache.SpinAccount(iters, loads) }
-
 // CmpxchgLocked implements isa.MemPort (§4.3 command protocol).
 func (b *MemBox) CmpxchgLocked(a vm.VAddr, expect, repl uint32) (uint32, bool, sim.Time, *vm.Fault) {
 	tr, f := b.CurrentAS.Translate(a, true)

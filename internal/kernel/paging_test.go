@@ -208,3 +208,26 @@ read:
 		t.Fatalf("store after page-in = %d", v)
 	}
 }
+
+// TestEvictUntouchedPageBuildsNoNIPTChunk: evicting a private page that
+// never had NIPT state clears its entry without building storage for
+// it — the table's built chunks stay as boot left them.
+func TestEvictUntouchedPageBuildsNoNIPTChunk(t *testing.T) {
+	m := core.New(pinConfig())
+	a := m.Node(0)
+	pa := a.K.CreateProcess()
+	table := a.NIC.Table()
+	built := table.BuiltChunks()
+	// Allocate past frame 63, the end of the table's first 64-page
+	// chunk: boot wrote nothing beyond it.
+	va, _ := pa.AllocPages(1)
+	for f, _ := pa.FrameOf(va); f < 64; f, _ = pa.FrameOf(va) {
+		va, _ = pa.AllocPages(1)
+	}
+	if err := m.Await(a.K.EvictPage(pa, va.Page())); err != nil {
+		t.Fatal(err)
+	}
+	if got := table.BuiltChunks(); got != built {
+		t.Fatalf("evicting never-mapped page %#x: built NIPT chunks %d -> %d", uint32(va), built, got)
+	}
+}

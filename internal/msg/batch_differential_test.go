@@ -22,12 +22,11 @@ import (
 // deliberately not compared.
 //
 // A quantum above 1 is also the shipping path: it turns on the
-// superblock trace cache and spin fast-forward, and MaxBatch=1 turns
-// off all three at once. These suites therefore pin those too, at the
-// default quantum 64, on Table 1, on the NX/2 baseline (whose
-// kcrecv_spin receive wait is the §5 idiom spin fast-forward targets)
-// and on the two-CPU concurrent loop; trace_differential_test.go covers
-// the spin-heavy and fault-armed workloads.
+// superblock trace cache, and MaxBatch=1 turns off both at once. These
+// suites therefore pin it too, at the default quantum 64, on Table 1,
+// on the NX/2 baseline (with its kcrecv_spin receive wait) and on the
+// two-CPU concurrent loop; trace_differential_test.go covers the
+// poll-heavy and fault-armed workloads.
 
 // batchCfg returns the 2-node pair config with the given batch quantum.
 func batchCfg(maxBatch int) core.Config {

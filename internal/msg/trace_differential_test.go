@@ -13,19 +13,19 @@ import (
 	"repro/internal/vm"
 )
 
-// Differential tests for the superblock trace cache and spin
-// fast-forward, which the shipping CPU path (Config.CPU.MaxBatch > 1)
-// always uses: like batching, both are pure simulator optimizations, so
-// every simulated result must be bit-identical to per-instruction
-// stepping. The reference for each suite is batchCfg(1) — MaxBatch=1
-// disables batching, trace dispatch, and fast-forward all at once,
-// leaving the pristine interpreter — and the shipping path is
+// Differential tests for the superblock trace cache, which the shipping
+// CPU path (Config.CPU.MaxBatch > 1) always uses: like batching, it is a
+// pure simulator optimization, so every simulated result must be
+// bit-identical to per-instruction stepping. The reference for each
+// suite is batchCfg(1) — MaxBatch=1 disables batching and trace
+// dispatch at once, leaving the pristine interpreter — and the shipping
+// path is
 // batchCfg(64), the default quantum. Table 1, the NX/2 baseline and the
 // two-CPU concurrent loop are pinned on the shipping path by the batch
 // suites (batch_differential_test.go), which run quantum 64 too.
 
 // fastPath names the shipping path in subtest names.
-const fastPath = "trace+spin"
+const fastPath = "fast-path"
 
 // runPingPongPair drives the concurrent ping-pong (both CPUs spinning on
 // AU-mapped flags) on a prepared pair and snapshots the machine state.
@@ -95,9 +95,9 @@ func runPingPong(t *testing.T, cfg core.Config) pairRun {
 	return runPingPongPair(t, NewPair(core.New(cfg), 0, 1))
 }
 
-// TestTraceDifferentialPingPong pins spin fast-forward == literal
-// spinning on the workload that is almost entirely spin: both CPUs wait
-// on AU-propagated flags for 25 round trips.
+// TestTraceDifferentialPingPong pins the shipping path on the workload
+// that is almost entirely polling: both CPUs wait on AU-propagated
+// flags for 25 round trips.
 func TestTraceDifferentialPingPong(t *testing.T) {
 	want := runPingPong(t, batchCfg(1))
 	t.Run(fastPath, func(t *testing.T) {
@@ -108,8 +108,8 @@ func TestTraceDifferentialPingPong(t *testing.T) {
 }
 
 // TestTraceMetricsOnChangesNothing is the explicit observability
-// contract: attaching the metrics registry to the shipping path (trace
-// dispatch + spin fast-forward) changes no simulated result.
+// contract: attaching the metrics registry to the shipping path (batching
+// and trace dispatch) changes no simulated result.
 func TestTraceMetricsOnChangesNothing(t *testing.T) {
 	plain := batchCfg(64)
 	want := runPingPong(t, plain)
@@ -136,9 +136,9 @@ func TestTraceRecorderOnChangesNothing(t *testing.T) {
 	}
 }
 
-// dmaPollRun snapshots the §4.3 status-poll workload: a command-page
-// spin is uncacheable, so fast-forward must decline it and step
-// literally — and still agree exactly.
+// dmaPollRun snapshots the §4.3 status-poll workload: each poll of the
+// command page is an uncacheable bus read, so the batch must yield
+// around it — and still agree exactly.
 type dmaPollRun struct {
 	End    sim.Time
 	Counts Counts
@@ -218,8 +218,8 @@ func TestTraceDifferentialFaultsArmed(t *testing.T) {
 }
 
 // TestTraceDifferentialResetReuse: a machine reused via Reset must
-// replay the shipping-path run bit-identically — superblocks and the
-// spin watcher must not leak across Reset.
+// replay the shipping-path run bit-identically — superblocks must not
+// leak across Reset.
 func TestTraceDifferentialResetReuse(t *testing.T) {
 	cfg := batchCfg(64)
 	fresh := runPingPong(t, cfg)

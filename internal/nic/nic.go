@@ -133,6 +133,14 @@ type Stats struct {
 	PeerDownDrops  uint64 // outbound packets suppressed against a dead peer
 }
 
+// Drops returns every packet the receive path discarded: misrouted,
+// failed CRC, no incoming mapping, arrived at a crashed node, or
+// discarded by the reliable layer as a duplicate or past a sequence
+// gap. It equals the metrics registry's "drops" counter.
+func (s Stats) Drops() uint64 {
+	return s.DropWrongDest + s.DropCRC + s.DropNotMappedIn + s.DropDead + s.RelDupDrops + s.RelGapDrops
+}
+
 // IRQCause identifies why the NIC interrupted the CPU.
 type IRQCause uint8
 

@@ -144,9 +144,9 @@ func panics(f func()) (yes bool) {
 // UnmapOut, Clear, flag writes through Entry, mapping writes through
 // Out), resets, reads and out-of-range accesses. After every operation
 // each page must read the same through At, Out, MappedOut, Resolve and
-// ResolveRun on both; a chunk must be built exactly when a writer has
-// touched one of its pages, and never move; the reads must build
-// nothing; the shared unbuilt chunk must still be zero; and every Entry
+// ResolveRun on both; a chunk must be built exactly when a writer other
+// than Clear has touched one of its pages, and never move; the reads
+// and a Clear of a page in an unbuilt chunk must build nothing; the shared unbuilt chunk must still be zero; and every Entry
 // pointer handed out must still alias its page's live entry.
 func FuzzTableMatchesFlat(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte) {
@@ -268,7 +268,8 @@ func FuzzTableMatchesFlat(f *testing.F) {
 				p := in.page()
 				tb.Clear(p)
 				ref.clear(p)
-				wrote(p)
+				// No wrote(p): on a page of an unbuilt chunk, Clear must
+				// build nothing.
 			case 4:
 				what = "Entry flags"
 				p, flags := in.page(), in.next()

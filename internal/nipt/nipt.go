@@ -131,6 +131,19 @@ func New(pages int) *Table {
 // Pages returns the number of entries.
 func (t *Table) Pages() int { return t.pages }
 
+// BuiltChunks returns how many chunks of chunkPages entries writers
+// have built. Footprint tests read it: a page no writer touched should
+// cost no entry storage.
+func (t *Table) BuiltChunks() int {
+	n := 0
+	for _, c := range t.dir {
+		if c != &unbuilt {
+			n++
+		}
+	}
+	return n
+}
+
 // SetObs attaches the node's metrics scope (nil detaches). Resolve
 // counts lookups and misses through it.
 func (t *Table) SetObs(s *obs.NodeScope) { t.scope = s }
@@ -238,8 +251,12 @@ func (t *Table) UnmapOut(p phys.PageNum) {
 }
 
 // Clear returns page p's entry to its just-built state: no outgoing
-// mappings and no flags.
+// mappings and no flags. A page no writer has touched is in that state
+// already, so Clear builds nothing for it.
 func (t *Table) Clear(p phys.PageNum) {
+	if t.read(p) == &unbuilt[p%chunkPages] {
+		return
+	}
 	t.UnmapOut(p)
 	*t.write(p) = Entry{}
 }

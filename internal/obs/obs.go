@@ -76,11 +76,6 @@ const (
 	CtrTraceHits
 	CtrTraceMisses
 	CtrTraceFlushes
-	// Spin fast-forward: verified wait-state skips and the simulated
-	// picoseconds they covered (iterations skipped are in
-	// HistSpinSkipped).
-	CtrSpinFastForwards
-	CtrSpinSkippedPs
 	// Fault injection (internal/fault): events the injector fired,
 	// charged to the node that injected the packet (or whose FIFO
 	// stalled).
@@ -115,7 +110,6 @@ var counterNames = [...]string{
 	"batch-break-event", "batch-break-quantum", "batch-break-fault",
 	"batch-break-halt", "batch-break-freeze",
 	"trace-hits", "trace-misses", "trace-flushes",
-	"spin-fast-forwards", "spin-skipped-ps",
 	"fault-drops", "fault-corrupts", "fault-dups", "fault-link-drops",
 	"fault-stalls",
 	"rel-retransmits", "rel-acks", "rel-nacks", "rel-dups", "rel-backoffs",
@@ -188,17 +182,13 @@ const (
 	// HistBatchLen observes the number of instructions the CPU retired
 	// per engine event (batched interpretation; see isa.CPU).
 	HistBatchLen
-	// HistSpinSkipped observes the number of spin-loop instructions each
-	// verified fast-forward skipped (computed wait-states; see
-	// isa/tracecache.go).
-	HistSpinSkipped
 	numHists
 )
 
 var histNames = [...]string{
 	"out-fifo-depth", "in-fifo-depth", "payload-bytes",
 	"stage-snoop", "stage-fifo", "stage-mesh", "stage-deposit", "stage-total",
-	"batch-len", "spin-skipped",
+	"batch-len",
 }
 
 const _ = uint(int(numHists) - len(histNames))

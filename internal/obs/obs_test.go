@@ -263,7 +263,7 @@ func TestWriteChromeTrace(t *testing.T) {
 	r.SpanDeposited(ref, eng.Now())
 
 	r.Node(0).Inc(CtrTraceHits)
-	r.Node(0).Add(CtrSpinSkippedPs, 12345)
+	r.Node(0).Add(CtrBusWaitPs, 12345)
 	var b strings.Builder
 	if err := WriteChromeTrace(&b, 2, r.CompletedSpans(), r.Snapshot().Nodes, nil); err != nil {
 		t.Fatal(err)
@@ -296,11 +296,11 @@ func TestWriteChromeTrace(t *testing.T) {
 	if len(doc.TraceEvents) != 4+8+1 {
 		t.Fatalf("event count %d", len(doc.TraceEvents))
 	}
-	// The counter event carries the trace-cache series by name.
+	// The counter event carries each non-zero series by name.
 	for _, ev := range doc.TraceEvents {
 		if ev["name"] == "counters" {
 			args := ev["args"].(map[string]any)
-			if args[CtrTraceHits.String()] != 1.0 || args[CtrSpinSkippedPs.String()] != 12345.0 {
+			if args[CtrTraceHits.String()] != 1.0 || args[CtrBusWaitPs.String()] != 12345.0 {
 				t.Fatalf("counter args wrong: %v", args)
 			}
 		}

@@ -237,19 +237,6 @@ func (e *Engine) RunBound() Time {
 	return e.bound
 }
 
-// Horizon returns the earliest instant a synchronous run-ahead
-// component must yield at: the next pending event or the edge of the
-// active run window, whichever comes first (Forever when neither
-// constrains). Wait-state modeling (isa spin fast-forward) advances the
-// clock toward, but never through, this point.
-func (e *Engine) Horizon() Time {
-	h := e.NextEventAt()
-	if e.bounded && e.bound < h {
-		h = e.bound
-	}
-	return h
-}
-
 // EnterDomain makes d the current scheduling domain and returns the
 // previous one, so callers restore it when done:
 //

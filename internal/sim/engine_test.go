@@ -153,6 +153,25 @@ func TestRunUntilStopsAtBoundary(t *testing.T) {
 	}
 }
 
+// RunBound is the run-ahead limit of the batched CPU and the cache's
+// store runs: the window edge inside RunUntil, Forever outside it.
+func TestRunBoundTracksWindow(t *testing.T) {
+	e := NewEngine()
+	if b := e.RunBound(); b != Forever {
+		t.Fatalf("outside a run: RunBound() = %v, want Forever", b)
+	}
+	var inside Time
+	e.At(1*Microsecond, func() { inside = e.RunBound() })
+	e.At(10*Microsecond, func() {})
+	e.RunUntil(4 * Microsecond)
+	if inside != 4*Microsecond {
+		t.Fatalf("inside RunUntil(4us): RunBound() = %v, want 4us", inside)
+	}
+	if b := e.RunBound(); b != Forever {
+		t.Fatalf("after the run: RunBound() = %v, want Forever", b)
+	}
+}
+
 func TestEventsScheduledDuringRun(t *testing.T) {
 	e := NewEngine()
 	depth := 0
