@@ -2,12 +2,13 @@
 # ci.sh — the repo's gate: static checks, full build, race-enabled tests,
 # exact event-count pins, a boot-footprint pin, zero-allocation checks on
 # the hot paths, byte-identity checks on the CLIs, exit-status checks on
-# bad CLI flags, and four short fuzzing runs. Every gate but the fuzzing runs is deterministic; those
+# bad CLI flags, and five short fuzzing runs. Every gate but the fuzzing runs is deterministic; those
 # explore new inputs on each run, and a failure is a real divergence
 # between a fast path and its reference — the CPU's against
 # per-instruction stepping, UserWriteBytes' store runs against one store
-# per word, the cache against a flat shadow of memory, or the chunked
-# NIPT against a flat table of one entry per page — so fix it,
+# per word, the cache against a flat shadow of memory, the chunked
+# NIPT against a flat table of one entry per page, or DRAM frames that
+# grow to their highest written byte against a flat byte array — so fix it,
 # then commit the failing input as a seed under the package's
 # testdata/fuzz/. Wall time is measured by the benchmark in bench/ (bash
 # bench/run.sh, protocol in bench/README.md) and gated by nothing in this
@@ -43,12 +44,14 @@ go -C bench test ./...
 # The counts are exact, so instrumentation that schedules events, a
 # change to the reliable protocol or a batching regression fails here.
 go test -count 1 -run TestEventCountPins ./internal/core
-# Boot-footprint pin: NIPT entries of at most 24 bytes, a 16x16 machine
-# at the allreduce benchmark's 1,534 pages/node built in under 8 MB and
-# 24,000 heap objects, and no kernel ring state after New or Reset.
-# Allocation counts are deterministic, so a wider table, NIPT entries or
-# frame slots built for pages never written, eagerly built per-peer state
-# or cache line storage built before the first fill fails here.
+# Boot-footprint pin: NIPT entries of at most 24 bytes; a 16x16 machine
+# at the allreduce benchmark's 1,534 pages/node built in under 2.5 MB and
+# 21,000 heap objects, and a 32x32 one at 3,070 pages/node in under
+# 9.5 MB and 85,000; no NIPT chunk after New and no kernel ring state
+# after New or Reset. Allocation counts are deterministic, so a wider
+# table, NIPT entries or frame slots built for pages never written, ring
+# entries installed before a pair talks, eagerly built per-peer state or
+# cache line storage built before the first fill fails here.
 go test -count 1 -run TestBootFootprint ./internal/core
 # Event-queue guard: scheduling and firing, on the Handler path and the
 # closure path, at every benchmarked heap depth, must stay
@@ -89,6 +92,10 @@ go test -run '^$' -fuzz '^FuzzCacheCoherence$' -fuzztime 10s ./internal/cache
 # the same, reads must build no chunk, and Entry pointers must outlive
 # resets.
 go test -run '^$' -fuzz '^FuzzTableMatchesFlat$' -fuzztime 10s ./internal/nipt
+# Random writes, reads, page zeroing and resets on DRAM against a flat
+# byte array: every byte must read the same, each frame must be as long
+# as its page's highest byte written, and reads must build nothing.
+go test -run '^$' -fuzz '^FuzzMemoryMatchesFlat$' -fuzztime 10s ./internal/phys
 # Harness copy guards: Node.UserReadBytes (micro-TLB translation,
 # line-granular cache reads; the Go-level Channel.Recv path) and
 # Node.UserWriteBytes (store runs through cache, bus and NIC; the
@@ -159,3 +166,8 @@ rejects shrimp-table1 -gen foo
 rejects shrimp-faults -gen EISA
 rejects shrimp-report -total 100
 rejects shrimp-hwperf -exp nope
+rejects shrimp-hwperf -exp latency -mesh 1x1
+rejects shrimp-hwperf -mesh 40x40
+rejects shrimp-hwperf -parallel -3
+rejects shrimp-report -parallel -1
+rejects shrimp-faults -workers -1

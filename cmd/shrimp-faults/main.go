@@ -56,6 +56,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "shrimp-faults: unknown -gen %q; want eisa or xpress\n", *gen)
 		os.Exit(1)
 	}
+	if *workers < 0 {
+		fmt.Fprintf(os.Stderr, "shrimp-faults: bad -workers %d; want 0 (GOMAXPROCS), 1 (sequential) or more\n", *workers)
+		os.Exit(1)
+	}
 	if *avail != "" {
 		availMode(*w, *h, g, *seed, *avail, *rounds, *words, *workers,
 			shrimp.Time(*crashAt)*shrimp.Microsecond, shrimp.Time(*stagger)*shrimp.Microsecond)

@@ -37,6 +37,9 @@ func main() {
 	if largest := sizes[len(sizes)-1]; *total < largest {
 		fatal("shrimp-hwperf: bad -total %d; want at least the largest transfer size, %d", *total, largest)
 	}
+	if *parallel < 0 {
+		fatal("shrimp-hwperf: bad -parallel %d; want 0 (GOMAXPROCS), 1 (sequential) or more", *parallel)
+	}
 	workers := *parallel
 
 	gens := []struct {
@@ -46,8 +49,21 @@ func main() {
 		{"EISA prototype", shrimp.GenEISAPrototype},
 		{"next-gen Xpress", shrimp.GenXpress},
 	}
+	// The latency experiment is the only one on the -mesh machine, and it
+	// stores from node 0 to every other node.
+	latency := *exp == "latency" || *exp == "all"
+	if latency {
+		if w*h < 2 {
+			fatal("shrimp-hwperf: bad -mesh %q; the latency experiment needs at least two nodes", *mesh)
+		}
+		for _, g := range gens {
+			if err := shrimp.ConfigFor(w, h, g.gen).Validate(); err != nil {
+				fatal("shrimp-hwperf: bad -mesh %q: %v", *mesh, err)
+			}
+		}
+	}
 
-	if *exp == "latency" || *exp == "all" {
+	if latency {
 		fmt.Printf("=== §5.1 latency: single-write automatic update, %dx%d mesh ===\n", w, h)
 		for _, g := range gens {
 			cfg := shrimp.ConfigFor(w, h, g.gen)

@@ -21,8 +21,10 @@ func main() {
 	workers := *parallel
 	sizes := []int{64, 256, 1024, 4096}
 	if largest := sizes[len(sizes)-1]; *total < largest {
-		fmt.Fprintf(os.Stderr, "shrimp-report: bad -total %d; want at least the largest transfer size, %d\n", *total, largest)
-		os.Exit(1)
+		fatal("shrimp-report: bad -total %d; want at least the largest transfer size, %d", *total, largest)
+	}
+	if workers < 0 {
+		fatal("shrimp-report: bad -parallel %d; want 0 (GOMAXPROCS), 1 (sequential) or more", workers)
 	}
 
 	fmt.Println("# SHRIMP reproduction report (generated by cmd/shrimp-report)")
@@ -87,7 +89,7 @@ func main() {
 	fmt.Println("mesh = injection to Incoming FIFO, deposit = arrival to memory.")
 	fmt.Println()
 	if err := observabilityRun(); err != nil {
-		fmt.Println("observability run:", err)
+		fatal("shrimp-report: observability run: %v", err)
 	}
 
 	fmt.Println("\nBatched interpretation (metrics-on concurrent ISA send/receive):")
@@ -96,8 +98,14 @@ func main() {
 	fmt.Println("short — each CPU yields at the other's next event, by design.")
 	fmt.Println()
 	if err := batchObservabilityRun(); err != nil {
-		fmt.Println("batch observability run:", err)
+		fatal("shrimp-report: batch observability run: %v", err)
 	}
+}
+
+// fatal reports a bad flag or a failed run on stderr and exits 1.
+func fatal(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, format+"\n", args...)
+	os.Exit(1)
 }
 
 // batchObservabilityRun drives an ISA workload — a compute prologue on
@@ -142,7 +150,9 @@ recv:
 	if err := p.R.CPU.Start("recv"); err != nil {
 		return err
 	}
-	p.M.RunUntilIdle(50_000_000)
+	if err := p.M.RunUntilIdle(50_000_000); err != nil {
+		return err
+	}
 
 	snap := p.M.Obs.Snapshot()
 	fmt.Println("| node | batches | mean len | p50 | p90 | p99 | p999 | max | event | quantum | fault | halt | freeze |")
@@ -200,6 +210,8 @@ func observabilityRun() error {
 			return err
 		}
 	}
-	m.RunUntilIdle(1_000_000_000)
+	if err := m.RunUntilIdle(1_000_000_000); err != nil {
+		return err
+	}
 	return m.Obs.WriteTable(os.Stdout)
 }

@@ -39,7 +39,9 @@ func main() {
 	if err := nodeA.UserWrite32(sender, sendVA, 1); err != nil {
 		log.Fatal(err)
 	}
-	m.RunUntilIdle(10_000_000)
+	if err := m.RunUntilIdle(10_000_000); err != nil {
+		log.Fatal(err)
+	}
 	v, _ := nodeB.UserRead32(receiver, recvVA)
 	oldFrame, _ := receiver.FrameOf(recvVA)
 	fmt.Printf("before eviction: receiver sees %d in frame %d\n", v, oldFrame)
@@ -76,7 +78,9 @@ poke:
 	if err := cpu.Start("poke"); err != nil {
 		log.Fatal(err)
 	}
-	m.RunUntilIdle(50_000_000)
+	if err := m.RunUntilIdle(50_000_000); err != nil {
+		log.Fatal(err)
+	}
 	if err := cpu.Err(); err != nil {
 		log.Fatalf("cpu aborted: %v", err)
 	}

@@ -51,7 +51,9 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	m.RunUntilIdle(10_000_000)
+	if err := m.RunUntilIdle(10_000_000); err != nil {
+		log.Fatal(err)
+	}
 
 	// Both processes now see both regions.
 	fmt.Println("process A's view        process B's view")

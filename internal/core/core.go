@@ -1,8 +1,10 @@
 // Package core assembles SHRIMP machines: N nodes — each a CPU, cache,
 // Xpress memory bus, EISA expansion bus, DRAM, network interface and
 // kernel — connected by a Paragon-style wormhole mesh (paper §3,
-// Figure 2). It also wires up the boot-time kernel message rings that
-// the map() system call and the §4.4 consistency protocol ride on.
+// Figure 2). It also hands every kernel the machine's NIPTs, through
+// which a pair of kernels installs the message rings that the map()
+// system call and the §4.4 consistency protocol ride on when it first
+// talks.
 package core
 
 import (
@@ -132,8 +134,8 @@ func (c Config) CoordOf(id packet.NodeID) packet.Coord { return packet.CoordOf(i
 func (c Config) NodeCount() int { return c.MeshWidth * c.MeshHeight }
 
 // New boots a machine: builds every node, attaches them to the mesh, and
-// installs the kernel ring pages (the "firmware" step — the only
-// mappings not established through map()).
+// runs every kernel's boot step. No kernel ring is installed until its
+// pair of kernels first talks (kernel.installRing).
 func New(cfg Config) *Machine {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -150,6 +152,9 @@ func New(cfg Config) *Machine {
 		net.SetFaults(m.Faults)
 	}
 
+	// Every kernel gets every node's NIPT, so that a pair's first contact
+	// installs its rings on both nodes.
+	nipts := make([]*nipt.Table, cfg.NodeCount())
 	for id := 0; id < cfg.NodeCount(); id++ {
 		coord := cfg.CoordOf(packet.NodeID(id))
 		mem := phys.NewMemory(cfg.MemPagesPerNode)
@@ -160,12 +165,13 @@ func New(cfg Config) *Machine {
 		}
 		ch := cache.New(eng, cfg.Cache, xbus)
 		table := nipt.New(cfg.MemPagesPerNode)
+		nipts[id] = table
 		nicDev := nic.New(eng, cfg.NIC, packet.NodeID(id), coord, table, xbus, eisaBus, net)
 		box := &kernel.MemBox{Cache: ch}
 		cpu := isa.NewCPU(eng, cfg.CPU, box)
 		cpu.SetName(fmt.Sprintf("cpu%d", id))
 		cpu.SetDom(sim.DomNode(id))
-		k := kernel.New(eng, cfg.Kernel, packet.NodeID(id), cfg.NodeCount(), mem, xbus, nicDev, cpu, box)
+		k := kernel.New(eng, cfg.Kernel, packet.NodeID(id), nipts, mem, xbus, nicDev, cpu, box)
 		scope := m.Obs.Node(id) // nil when metrics are disabled
 		nicDev.SetObs(m.Obs)
 		xbus.SetObs(scope)
@@ -199,7 +205,7 @@ func New(cfg Config) *Machine {
 	if p := m.pacer(); p != nil {
 		m.Eng.SetPacer(p)
 	}
-	m.installKernelRings()
+	m.bootKernels()
 	m.applyFaults()
 	return m
 }
@@ -241,10 +247,9 @@ func (p *machinePacer) Pace(deadline, head sim.Time) {
 	}
 }
 
-// installKernelRings runs every kernel's boot step, which installs the
-// kernel↔kernel rings' NIPT entries directly (the hardware-install
-// substitute for firmware) and seeds its page allocator with the rest.
-func (m *Machine) installKernelRings() {
+// bootKernels runs every kernel's boot step, which seeds its page
+// allocator with the frames above the kernel ring pages.
+func (m *Machine) bootKernels() {
 	for _, node := range m.Nodes {
 		node.K.Boot()
 	}

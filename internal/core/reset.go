@@ -16,8 +16,9 @@ package core
 // safe even when the previous measurement stopped mid-flight (e.g. a
 // latency probe that returns the instant the data lands, with deposit
 // pipeline events still queued). Component resets then clear all state
-// those events referenced, and the kernels' boot "firmware" step
-// re-installs the kernel ring mappings exactly as New does.
+// those events referenced, the NIPTs' kernel ring entries with the rest,
+// and the kernels' boot step runs exactly as in New: as on a new
+// machine, each ring is installed again when its pair first talks.
 func (m *Machine) Reset() {
 	m.Eng.Reset()
 	m.Net.Reset()
@@ -37,7 +38,7 @@ func (m *Machine) Reset() {
 	m.Rec.Reset()
 	m.wd.reset()
 	m.Faults.Reset()
-	m.installKernelRings()
+	m.bootKernels()
 	// Re-schedule fault-plan events (node crashes, link outages): the
 	// engine reset discarded them along with everything else pending, and
 	// the injector's decision counters just restarted, so the reset

@@ -44,9 +44,11 @@ func (k *Kernel) DestroyProcess(p *Process) *Future {
 
 	// 1. Tear down outgoing mappings: gather live records per
 	//    destination node and release the remote mapped-in state.
+	// Every loop over a map runs in key order, so that the requests go
+	// out in the same order on every run.
 	remote := make(map[packet.NodeID][]phys.PageNum)
-	for _, recs := range p.outMaps {
-		for _, rec := range recs {
+	for _, vpn := range sortedKeys(p.outMaps) {
+		for _, rec := range p.outMaps[vpn] {
 			if frame, ok := p.AS.FrameOf(rec.VPN); ok && !rec.Invalidated {
 				k.removeSegment(frame, rec)
 			}
@@ -59,9 +61,9 @@ func (k *Kernel) DestroyProcess(p *Process) *Future {
 	for vpn := range p.outMaps {
 		delete(p.outMaps, vpn)
 	}
-	for node, frames := range remote {
+	for _, node := range sortedKeys(remote) {
 		outstanding++
-		req := k.sendUnmapInReq(node, frames)
+		req := k.sendUnmapInReq(node, remote[node])
 		req.OnDone(func(r *Future) { done(r.Err()) })
 	}
 
@@ -76,7 +78,7 @@ func (k *Kernel) DestroyProcess(p *Process) *Future {
 		if len(importers) == 0 {
 			continue
 		}
-		for node := range importers {
+		for _, node := range sortedKeys(importers) {
 			outstanding++
 			req := k.sendInvalidateReq(node, frame)
 			req.OnDone(func(r *Future) { done(r.Err()) })

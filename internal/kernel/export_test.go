@@ -19,3 +19,9 @@ func (k *Kernel) MarkImported(f phys.PageNum, node packet.NodeID) {
 func (k *Kernel) CheckSegmentFree(frame phys.PageNum, start, end uint32) error {
 	return k.checkSegmentFree(frame, pageSeg{segStart: start, segEnd: end})
 }
+
+// SetEagerRings selects, for every machine booted from now on, whether
+// Boot installs the node's side of every kernel ring, the layout before
+// rings were installed at first contact. Differential tests run it as
+// the reference; they must set it back to false.
+func SetEagerRings(on bool) { eagerRings = on }

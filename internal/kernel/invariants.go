@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/nipt"
+	"repro/internal/packet"
 	"repro/internal/phys"
 )
 
@@ -16,11 +17,14 @@ import (
 //  1. Every live (non-invalidated) export record's NIPT segment is
 //     installed on the frame currently backing its source page.
 //  2. Every mapped-out NIPT segment is owned by exactly one live export
-//     record, or is a boot kernel-ring outbox.
+//     record, or is a kernel-ring outbox.
 //  3. Every frame marked MappedIn has importer bookkeeping, or is a
-//     boot kernel-ring inbox.
+//     kernel-ring inbox.
 //  4. No free frame, returned or never handed out, has NIPT state or
 //     backs any process page.
+//  5. Each peer's two ring pages hold the ring layout's NIPT entries or
+//     none, and hold them when this kernel has ring state for the peer:
+//     the pair's first contact installs them (installRing).
 func (k *Kernel) CheckInvariants() error {
 	table := k.nic.Table()
 
@@ -61,8 +65,7 @@ func (k *Kernel) CheckInvariants() error {
 	}
 
 	// Invariant 2: walk the whole NIPT. Ring pages are exempt from the
-	// record accounting; the layout fixes their frames, whether or not
-	// this kernel has used the ring.
+	// record accounting; invariant 5 audits them.
 	for f := phys.PageNum(0); int(f) < table.Pages(); f++ {
 		e := table.At(f)
 		if int(f) < k.nodes-1 { // a ring outbox
@@ -121,6 +124,23 @@ func (k *Kernel) CheckInvariants() error {
 	for f := k.fresh; int(f) < k.mem.Pages(); f++ {
 		if err := isFree(f); err != nil {
 			return err
+		}
+	}
+
+	// Invariant 5: rings are installed whole, as the layout says, and
+	// before this kernel uses them.
+	for b := packet.NodeID(0); int(b) < k.nodes; b++ {
+		if b == k.id {
+			continue
+		}
+		out, in := table.At(outbox(k.id, b)), table.At(inbox(k.nodes, k.id, b))
+		installed := out == nipt.Entry{
+			Lo:         nipt.OutMapping{Mode: nipt.BlockedWriteAU, DstNode: b, DstPage: inbox(k.nodes, b, k.id)},
+			KernelRing: true,
+		} && in == nipt.Entry{MappedIn: true, KernelRing: true}
+		if !installed && (out != nipt.Entry{} || in != nipt.Entry{} || k.peers[b] != nil) {
+			return fmt.Errorf("kernel%d: ring pair with node %d not installed as laid out (ring state %v): outbox %+v, inbox %+v",
+				k.id, b, k.peers[b] != nil, out, in)
 		}
 	}
 	return nil

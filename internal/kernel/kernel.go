@@ -5,19 +5,23 @@
 // and a multiprogramming scheduler.
 //
 // Kernels on different nodes communicate only through kernel message
-// rings — pages wired up at boot with ordinary SHRIMP automatic-update
-// mappings and interrupt-on-arrival, so the OS control plane dogfoods
-// the network interface it manages.
+// rings — pages at fixed frames, wired up with ordinary SHRIMP
+// automatic-update mappings and interrupt-on-arrival when a pair of
+// kernels first talks, so the OS control plane dogfoods the network
+// interface it manages.
 package kernel
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/bus"
 	"repro/internal/cache"
 	"repro/internal/fault"
 	"repro/internal/isa"
 	"repro/internal/nic"
+	"repro/internal/nipt"
 	"repro/internal/obs"
 	"repro/internal/packet"
 	"repro/internal/phys"
@@ -94,6 +98,9 @@ type Kernel struct {
 	cfg   Config
 	id    packet.NodeID
 	nodes int // machine's node count: fixes the ring layout (ring.go)
+	// nipts holds every node's NIPT, by node id: installRing writes a
+	// ring pair's entries on both of its nodes.
+	nipts []*nipt.Table
 	mem   *phys.Memory
 	xbus  *bus.Xpress
 	nic   *nic.NIC
@@ -159,14 +166,17 @@ type exportKey struct {
 	page phys.PageNum
 }
 
-// New builds node id's kernel over the node's hardware; nodes is the
-// machine's node count, which fixes the ring layout. cpu may be nil for
-// pure-Go harness tests. The kernel claims the NIC's interrupt line and,
-// if a CPU is present, its fault handler.
-func New(eng *sim.Engine, cfg Config, id packet.NodeID, nodes int,
+// New builds node id's kernel over the node's hardware. nipts holds
+// every node's NIPT by node id, n's own among them; its length, the
+// machine's node count, fixes the ring layout. The kernel reads the
+// other nodes' tables only when it installs a ring (installRing), so
+// the caller may fill them in after New. cpu may be nil for pure-Go
+// harness tests. The kernel claims the NIC's interrupt line and, if a
+// CPU is present, its fault handler.
+func New(eng *sim.Engine, cfg Config, id packet.NodeID, nipts []*nipt.Table,
 	mem *phys.Memory, xbus *bus.Xpress, n *nic.NIC, cpu *isa.CPU, box *MemBox) *Kernel {
 	k := &Kernel{
-		eng: eng, dom: sim.DomNode(int(id)), cfg: cfg, id: id, nodes: nodes,
+		eng: eng, dom: sim.DomNode(int(id)), cfg: cfg, id: id, nodes: len(nipts), nipts: nipts,
 		mem: mem, xbus: xbus, nic: n, cpu: cpu, box: box,
 		procs:      make(map[int]*Process),
 		nextPID:    1,
@@ -516,4 +526,16 @@ func (k *Kernel) handleOutDrained() {
 // the bus so the NIC snoops them like any other store.
 func (k *Kernel) busWrite32(a phys.PAddr, v uint32) {
 	k.xbus.Write32(bus.InitCPU, a, v)
+}
+
+// sortedKeys returns m's keys in ascending order. Loops over a map that
+// send requests or schedule events range over it instead, so that every
+// run does so in the same order.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for key := range m {
+		keys = append(keys, key)
+	}
+	slices.Sort(keys)
+	return keys
 }

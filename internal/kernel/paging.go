@@ -49,10 +49,10 @@ func (k *Kernel) EvictPage(p *Process, vpn vm.VPN) *Future {
 			uint32(vpn), len(importers)), nil)
 		return fut
 	}
-	// Invalidation protocol: shoot down every importer, collect acks,
-	// then replace.
+	// Invalidation protocol: shoot down every importer, in node order so
+	// that the run is reproducible, collect acks, then replace.
 	remaining := len(importers)
-	for node := range importers {
+	for _, node := range sortedKeys(importers) {
 		req := k.sendInvalidateReq(node, frame)
 		req.OnDone(func(r *Future) {
 			// An importer declared dead mid-shootdown acknowledges

@@ -3,7 +3,6 @@ package kernel
 import (
 	"fmt"
 	"hash/crc32"
-	"slices"
 
 	"repro/internal/fault"
 	"repro/internal/nic"
@@ -67,10 +66,11 @@ func (k *Kernel) ringHeader() uint32 {
 // Ring layout. On an n-node machine each node reserves RingPages(n)
 // boot frames: its outbox toward peer b is frame peerIndex(a, b) and its
 // inbox from b is frame n-1+peerIndex(a, b). General allocation starts
-// above them. Frame numbers are a pure function of the pair, so boot
-// installs every ring's NIPT entries (Boot) while a kernel builds a
-// peer's Go-side ring state only when it first sends to that peer or
-// drains its inbox (peerOf).
+// above them. Frame numbers are a pure function of the pair, so no ring
+// costs anything until its pair first talks: when either kernel of a
+// pair first sends to the other or drains its inbox (peerOf), it builds
+// its Go-side ring state for the peer and installs the pair's NIPT
+// entries on both nodes (installRing).
 
 // RingPages returns the number of boot frames each node of an n-node
 // machine reserves for kernel rings.
@@ -103,33 +103,58 @@ func (k *Kernel) inboxOwner(f phys.PageNum) (packet.NodeID, bool) {
 	return packet.NodeID(i + 1), true
 }
 
-// Boot is the firmware step for this node, the only mappings not
-// established through map(): it installs the NIPT entries of this
-// node's side of every ring, each outbox mapped out to the peer's inbox
-// and each inbox mapped in, and hands the page allocator the frames
-// above the rings. The machine constructor calls it on every node.
+// Boot is the firmware step for this node: it hands the page allocator
+// the frames above the ring pages. The machine constructor calls it on
+// every node. Unless a test set eagerRings, it installs no ring
+// entries; installRing does, at a pair's first contact.
 func (k *Kernel) Boot() {
 	ring := RingPages(k.nodes)
 	if ring >= k.mem.Pages() {
 		panic(fmt.Sprintf("kernel%d: %d pages cannot hold %d kernel ring pages", k.id, k.mem.Pages(), ring))
 	}
-	t := k.nic.Table()
-	for b := packet.NodeID(0); int(b) < k.nodes; b++ {
-		if b == k.id {
-			continue
+	if eagerRings {
+		for b := packet.NodeID(0); int(b) < k.nodes; b++ {
+			if b != k.id {
+				installRingSide(k.nipts[k.id], k.nodes, k.id, b)
+			}
 		}
-		// Sender side: the outbox maps to the peer's inbox frame,
-		// blocked-write (ring records merge nicely), tagged as a kernel
-		// ring so arrivals raise the kernel IRQ.
-		out := outbox(k.id, b)
-		t.MapOut(out, nipt.OutMapping{Mode: nipt.BlockedWriteAU, DstNode: b, DstPage: inbox(k.nodes, b, k.id)})
-		t.Entry(out).KernelRing = true
-		// Receiver side.
-		in := t.Entry(inbox(k.nodes, k.id, b))
-		in.MappedIn = true
-		in.KernelRing = true
 	}
 	k.free, k.fresh = k.free[:0], phys.PageNum(ring)
+}
+
+// eagerRings makes Boot install this node's side of every ring, as boot
+// did before rings were installed at first contact. Only tests set it
+// (export_test.go), to run the eager layout as the reference that
+// first-contact install must match on every harness.
+var eagerRings bool
+
+// installRing installs the NIPT entries of the two rings between this
+// node and b on both nodes, the only mappings not established through
+// map() (the hardware-install substitute for firmware). peerOf calls it
+// before this kernel writes its first record to b or drains b's ring, so
+// every reader of a ring entry finds it installed: the sender's snoop
+// filter and packet tagging, the receiver's MappedIn check and arrival
+// IRQ. A pair already installed, from either end, is left alone.
+func (k *Kernel) installRing(b packet.NodeID) {
+	if k.nipts[k.id].At(outbox(k.id, b)).KernelRing {
+		return
+	}
+	installRingSide(k.nipts[k.id], k.nodes, k.id, b)
+	installRingSide(k.nipts[b], k.nodes, b, k.id)
+}
+
+// installRingSide installs node a's side of its rings with b in a's
+// NIPT t: the outbox toward b mapped out to b's inbox from a,
+// blocked-write (ring records merge nicely), and the inbox from b
+// mapped in. Both are tagged as kernel rings, so arrivals raise the
+// kernel IRQ.
+func installRingSide(t *nipt.Table, n int, a, b packet.NodeID) {
+	out := outbox(a, b)
+	t.MapOut(out, nipt.OutMapping{Mode: nipt.BlockedWriteAU, DstNode: b, DstPage: inbox(n, b, a)})
+	t.Entry(out).KernelRing = true
+	in := t.Entry(inbox(n, a, b))
+	in.MappedIn = true
+	in.KernelRing = true
 }
 
 type peer struct {
@@ -149,8 +174,9 @@ type peer struct {
 	lastCredit uint64
 }
 
-// peerOf returns the ring state for node, building it the first time
-// this kernel sends to node or drains its inbox.
+// peerOf returns the ring state for node, building it, and installing
+// the pair's rings, the first time this kernel sends to node or drains
+// its inbox.
 func (k *Kernel) peerOf(node packet.NodeID) *peer {
 	if p := k.peers[node]; p != nil {
 		return p
@@ -158,6 +184,7 @@ func (k *Kernel) peerOf(node packet.NodeID) *peer {
 	if node == k.id || node < 0 || int(node) >= k.nodes {
 		panic(fmt.Sprintf("kernel%d: no ring to node %d", k.id, node))
 	}
+	k.installRing(node)
 	p := &peer{node: node, outFrame: outbox(k.id, node), inFrame: inbox(k.nodes, k.id, node), wseq: 1, rseq: 1}
 	k.peers[node] = p
 	return p
@@ -165,14 +192,7 @@ func (k *Kernel) peerOf(node packet.NodeID) *peer {
 
 // Peers returns, in ascending order, the nodes this kernel has built
 // ring state for: those it has sent to or heard from.
-func (k *Kernel) Peers() []packet.NodeID {
-	out := make([]packet.NodeID, 0, len(k.peers))
-	for id := range k.peers {
-		out = append(out, id)
-	}
-	slices.Sort(out)
-	return out
-}
+func (k *Kernel) Peers() []packet.NodeID { return sortedKeys(k.peers) }
 
 // ringSend queues one record for the peer, respecting the credit window
 // unless bypass is set (credit records only).

@@ -52,7 +52,8 @@ func TestRingWrapsUnderManyRPCs(t *testing.T) {
 }
 
 // TestRingsAcrossAllPairs makes every node pair talk, verifying the
-// boot wiring of N*(N-1) rings on a 3x3 machine.
+// wiring of N*(N-1) rings on a 3x3 machine, each installed when its
+// pair first talks.
 func TestRingsAcrossAllPairs(t *testing.T) {
 	m := core.New(core.ConfigFor(3, 3, nic.GenEISAPrototype))
 	n := len(m.Nodes)
@@ -84,10 +85,12 @@ func TestRingsAcrossAllPairs(t *testing.T) {
 	}
 }
 
-// TestRingStateBuiltOnFirstUse: boot installs every ring's NIPT entries
-// but no kernel's ring state. One map() from node 0 to node 5 builds it
-// on those two nodes only, each for the other. The audit still exempts
-// every ring page, used or not.
+// TestRingStateBuiltOnFirstUse: boot installs no ring's NIPT entries
+// and builds no kernel's ring state. One map() from node 0 to node 5
+// builds ring state on those two nodes only, each for the other, and
+// installs the four NIPT entries of that pair's two rings: on each of
+// the two nodes, the outbox mapped out to the other's inbox and the
+// inbox mapped in. Every other ring page of every node stays unmapped.
 func TestRingStateBuiltOnFirstUse(t *testing.T) {
 	m := core.New(core.ConfigFor(4, 4, nic.GenEISAPrototype))
 	src, dst := m.Node(0), m.Node(5)
@@ -115,6 +118,25 @@ func TestRingStateBuiltOnFirstUse(t *testing.T) {
 		}
 		if err := n.K.CheckInvariants(); err != nil {
 			t.Error(err)
+		}
+	}
+	// The ring layout on 16 nodes: a's outbox toward b is frame
+	// peerIndex(a, b), its inbox from b frame 15 + peerIndex(a, b).
+	ring := map[packet.NodeID]map[phys.PageNum]nipt.Entry{
+		src.ID: {
+			4:  {Lo: nipt.OutMapping{Mode: nipt.BlockedWriteAU, DstNode: dst.ID, DstPage: 15}, KernelRing: true},
+			19: {MappedIn: true, KernelRing: true},
+		},
+		dst.ID: {
+			0:  {Lo: nipt.OutMapping{Mode: nipt.BlockedWriteAU, DstNode: src.ID, DstPage: 19}, KernelRing: true},
+			15: {MappedIn: true, KernelRing: true},
+		},
+	}
+	for _, n := range m.Nodes {
+		for f := phys.PageNum(0); int(f) < kernel.RingPages(len(m.Nodes)); f++ {
+			if got, want := n.NIC.Table().At(f), ring[n.ID][f]; got != want {
+				t.Errorf("node %d ring frame %d: NIPT entry %+v, want %+v", n.ID, f, got, want)
+			}
 		}
 	}
 }

@@ -37,21 +37,27 @@ func (a PAddr) Offset() uint32 { return uint32(a) & (PageSize - 1) }
 // Addr returns the physical address of byte off within page p.
 func (p PageNum) Addr(off uint32) PAddr { return PAddr(uint32(p)<<PageShift | off&(PageSize-1)) }
 
-// Memory is the DRAM of a single node. Page frames are materialized
-// lazily: a nil frame reads as zeros and is allocated on first write, so
-// building a machine with many nodes does not pay for zeroing DRAM that
-// the workload never touches. So are the frame slots: a directory holds
-// them in chunks of chunkPages pages, each built on the first write to
-// one of its pages, so memory never written costs one directory word
-// per chunkPages pages.
+// Memory is the DRAM of a single node. It costs what a run writes:
+//   - a directory holds the frame slots of chunkPages pages per chunk,
+//     and builds a chunk on the first write to one of its pages, so
+//     memory never written costs one directory word per chunkPages pages;
+//   - a page's frame is built on its first write and holds the page only
+//     up to its highest written byte, growing in steps of ×4 from
+//     minFrame bytes to PageSize as writes reach further into the page.
+//
+// Bytes past a frame's end, and every byte of a page never written, read
+// as zero.
 type Memory struct {
 	// dir holds one chunk of frame slots per chunkPages pages: &noFrames
-	// until a page of the chunk is written.
+	// until a page of the chunk is written. A slot holds 0 for a page
+	// never written, else 1 + the index of the page's frame in frames.
 	dir []*frameChunk
-	// made lists the materialized frames, so Reset clears only those.
-	// Frames are never dropped, so the list stays valid.
-	made []*[PageSize]byte
-	size uint32
+	// frames holds every frame built, in the order built. Each frame's
+	// bytes from its length to its capacity are zero, so it grows within
+	// its capacity without clearing. Frames are never dropped, so slots
+	// stay valid, and Reset clears only these.
+	frames [][]byte
+	size   uint32
 }
 
 // The directory builds the frame slots of chunkPages consecutive pages
@@ -61,8 +67,12 @@ const (
 	chunkPages = 1 << chunkShift
 )
 
+// minFrame is the capacity of a frame when first built; it grows ×4 at
+// a time (64, 256, 1,024, 4,096 bytes) to hold the highest byte written.
+const minFrame = 64
+
 // frameChunk holds the frame slots of chunkPages consecutive pages.
-type frameChunk [chunkPages]*[PageSize]byte
+type frameChunk [chunkPages]uint32
 
 // noFrames stands in for every chunk of pages never written. Readers
 // index it like a built chunk and find no frames; writers build a chunk
@@ -113,29 +123,59 @@ func (m *Memory) check(a PAddr, n int) {
 	}
 }
 
-// peek returns the frame of the page containing a, nil when the page
+// peek returns the frame of the page containing a: nil when the page
 // was never written. It builds nothing.
-func (m *Memory) peek(a PAddr) *[PageSize]byte {
+func (m *Memory) peek(a PAddr) []byte {
 	p := a >> PageShift
-	return m.dir[p>>chunkShift][p%chunkPages]
+	if s := m.dir[p>>chunkShift][p%chunkPages]; s != 0 {
+		return m.frames[s-1]
+	}
+	return nil
 }
 
-// frame returns the frame of the page containing a, allocating it (and
-// its chunk of slots) on first use.
-func (m *Memory) frame(a PAddr) *[PageSize]byte {
+// frame returns the frame of the page containing a, at least end bytes
+// long, building its chunk of slots and the frame on first use and
+// growing the frame when end lies past it.
+func (m *Memory) frame(a PAddr, end int) []byte {
 	p := a >> PageShift
 	c := m.dir[p>>chunkShift]
 	if c == &noFrames {
 		c = new(frameChunk)
 		m.dir[p>>chunkShift] = c
 	}
-	f := c[p%chunkPages]
-	if f == nil {
-		f = new([PageSize]byte)
-		c[p%chunkPages] = f
-		m.made = append(m.made, f)
+	s := &c[p%chunkPages]
+	if *s == 0 {
+		m.frames = append(m.frames, nil)
+		*s = uint32(len(m.frames))
 	}
-	return f
+	f := &m.frames[*s-1]
+	if end > len(*f) {
+		*f = grow(*f, end)
+	}
+	return *f
+}
+
+// grow returns f extended to end bytes. Within f's capacity the added
+// bytes are zero already; past it, the frame moves to the smallest step
+// that holds end.
+func grow(f []byte, end int) []byte {
+	if end <= cap(f) {
+		return f[:end]
+	}
+	c := minFrame
+	for c < end {
+		c *= 4
+	}
+	g := make([]byte, end, c)
+	copy(g, f)
+	return g
+}
+
+// truncate clears frame i and cuts it to length zero, keeping its
+// backing array for the next writes to the page.
+func (m *Memory) truncate(i int) {
+	clear(m.frames[i])
+	m.frames[i] = m.frames[i][:0]
 }
 
 // Read copies n bytes starting at a into a fresh slice.
@@ -150,15 +190,12 @@ func (m *Memory) ReadInto(a PAddr, dst []byte) {
 	m.check(a, len(dst))
 	for len(dst) > 0 {
 		off := int(a.Offset())
-		n := PageSize - off
-		if n > len(dst) {
-			n = len(dst)
+		n := min(PageSize-off, len(dst))
+		k := 0
+		if f := m.peek(a); off < len(f) {
+			k = copy(dst[:n], f[off:])
 		}
-		if f := m.peek(a); f != nil {
-			copy(dst[:n], f[off:])
-		} else {
-			clear(dst[:n])
-		}
+		clear(dst[k:n])
 		dst = dst[n:]
 		a += PAddr(n)
 	}
@@ -169,11 +206,8 @@ func (m *Memory) Write(a PAddr, b []byte) {
 	m.check(a, len(b))
 	for len(b) > 0 {
 		off := int(a.Offset())
-		n := PageSize - off
-		if n > len(b) {
-			n = len(b)
-		}
-		copy(m.frame(a)[off:], b[:n])
+		n := min(PageSize-off, len(b))
+		copy(m.frame(a, off+n)[off:], b[:n])
 		b = b[n:]
 		a += PAddr(n)
 	}
@@ -182,12 +216,13 @@ func (m *Memory) Write(a PAddr, b []byte) {
 // Read32 reads a little-endian 32-bit word at a.
 func (m *Memory) Read32(a PAddr) uint32 {
 	m.check(a, 4)
-	if off := a.Offset(); off <= PageSize-4 {
-		f := m.peek(a)
-		if f == nil {
-			return 0
-		}
+	off := int(a.Offset())
+	f := m.peek(a)
+	switch {
+	case off+4 <= len(f):
 		return binary.LittleEndian.Uint32(f[off:])
+	case off >= len(f) && off <= PageSize-4:
+		return 0
 	}
 	var b [4]byte
 	m.ReadInto(a, b[:])
@@ -197,8 +232,8 @@ func (m *Memory) Read32(a PAddr) uint32 {
 // Write32 writes a little-endian 32-bit word at a.
 func (m *Memory) Write32(a PAddr, v uint32) {
 	m.check(a, 4)
-	if off := a.Offset(); off <= PageSize-4 {
-		binary.LittleEndian.PutUint32(m.frame(a)[off:], v)
+	if off := int(a.Offset()); off <= PageSize-4 {
+		binary.LittleEndian.PutUint32(m.frame(a, off+4)[off:], v)
 		return
 	}
 	var b [4]byte
@@ -209,41 +244,40 @@ func (m *Memory) Write32(a PAddr, v uint32) {
 // Read8 reads the byte at a.
 func (m *Memory) Read8(a PAddr) byte {
 	m.check(a, 1)
-	f := m.peek(a)
-	if f == nil {
-		return 0
+	if f, off := m.peek(a), int(a.Offset()); off < len(f) {
+		return f[off]
 	}
-	return f[a.Offset()]
+	return 0
 }
 
 // Write8 writes the byte at a.
 func (m *Memory) Write8(a PAddr, v byte) {
 	m.check(a, 1)
-	m.frame(a)[a.Offset()] = v
+	off := int(a.Offset())
+	m.frame(a, off+1)[off] = v
 }
 
 // Reset zeroes all of memory, returning it to its just-built state.
-// Frames that were materialized are cleared in place rather than
-// dropped: a reset machine is about to run another workload that will
-// likely touch the same pages, so reusing the backing arrays avoids
-// re-paying the allocation. A cleared frame is observationally identical
-// to a nil one (both read as zeros). Reset costs the frames ever written,
-// not the size of memory.
+// Built frames are cleared and cut to length zero rather than dropped:
+// a reset machine is about to run another workload that will likely
+// write the same pages, so keeping the backing arrays avoids re-paying
+// the allocation, and an empty frame reads as zeros like a page never
+// written. Reset costs the frames ever built and the bytes written
+// since the last reset, not the size of memory.
 func (m *Memory) Reset() {
-	for _, f := range m.made {
-		clear(f[:])
+	for i := range m.frames {
+		m.truncate(i)
 	}
 }
 
-// ZeroPage clears page p. A frame that was never materialized stays
-// nil (reads as zeros), so boot remains lazy; a materialized frame is
-// cleared in place so that the common caller — the kernel recycling a
-// frame — reuses the backing array instead of re-allocating it on the
+// ZeroPage clears page p. A page never written stays without a frame
+// (reads as zeros), so boot remains lazy; a built frame is cleared and
+// cut to length zero, so that the common caller — the kernel recycling
+// a frame — reuses the backing array instead of re-allocating it on the
 // next write.
 func (m *Memory) ZeroPage(p PageNum) {
-	a := p.Addr(0)
-	m.check(a, PageSize)
-	if f := m.peek(a); f != nil {
-		clear(f[:])
+	m.check(p.Addr(0), PageSize)
+	if s := m.dir[p>>chunkShift][p%chunkPages]; s != 0 {
+		m.truncate(int(s - 1))
 	}
 }

@@ -188,8 +188,8 @@ func TestUnwrittenPagesReadZeroAndBuildNothing(t *testing.T) {
 			t.Errorf("chunk %d built %v", i, built)
 		}
 	}
-	if len(m.made) != 1 || noFrames != (frameChunk{}) {
-		t.Errorf("%d frames made, shared empty chunk zero %v", len(m.made), noFrames == (frameChunk{}))
+	if len(m.frames) != 1 || noFrames != (frameChunk{}) {
+		t.Errorf("%d frames made, shared empty chunk zero %v", len(m.frames), noFrames == (frameChunk{}))
 	}
 	if m.Read32(written.Addr(8)) != 7 {
 		t.Fatal("written word lost")
@@ -197,7 +197,68 @@ func TestUnwrittenPagesReadZeroAndBuildNothing(t *testing.T) {
 	// A write straddling two chunks builds the one still unbuilt.
 	blob := []byte{1, 2, 3, 4, 5, 6}
 	m.Write(PageNum(2*chunkPages).Addr(0)-3, blob)
-	if !bytes.Equal(m.Read(PageNum(2*chunkPages).Addr(0)-3, len(blob)), blob) || len(m.made) != 3 {
-		t.Fatalf("write across chunks: read back %v, %d frames made", m.Read(PageNum(2*chunkPages).Addr(0)-3, len(blob)), len(m.made))
+	if !bytes.Equal(m.Read(PageNum(2*chunkPages).Addr(0)-3, len(blob)), blob) || len(m.frames) != 3 {
+		t.Fatalf("write across chunks: read back %v, %d frames made", m.Read(PageNum(2*chunkPages).Addr(0)-3, len(blob)), len(m.frames))
+	}
+}
+
+// A frame holds its page up to the highest byte written, in steps of
+// ×4 from minFrame, and reads as zero past that. A write at the last
+// word costs the whole page. ZeroPage and Reset cut a frame to length
+// zero and keep its backing array, so writing the same bytes again
+// allocates nothing.
+func TestFrameGrowsToHighestWrittenByte(t *testing.T) {
+	m := NewMemory(2)
+	frame := func(p PageNum) []byte {
+		t.Helper()
+		f := m.peek(p.Addr(0))
+		if f == nil {
+			t.Fatalf("page %d has no frame", p)
+		}
+		return f
+	}
+	steps := []struct {
+		end, cap int
+	}{{4, 64}, {64, 64}, {65, 256}, {1024, 1024}, {1025, 4096}, {PageSize, PageSize}}
+	for i, w := range steps {
+		m.Write8(PAddr(w.end-1), byte(w.end))
+		if f := frame(0); len(f) != w.end || cap(f) != w.cap {
+			t.Fatalf("after a write ending at %d: frame of %d bytes in %d, want %d in %d", w.end, len(f), cap(f), w.end, w.cap)
+		}
+		for _, old := range steps[:i] { // growing kept every byte
+			if got := m.Read8(PAddr(old.end - 1)); got != byte(old.end) {
+				t.Fatalf("after a write ending at %d: byte %d reads %d, want %d", w.end, old.end-1, got, byte(old.end))
+			}
+		}
+	}
+	m.Write32(PageNum(1).Addr(PageSize-4), 9) // the DoubleChannel flag
+	if f := frame(1); len(f) != PageSize || cap(f) != PageSize {
+		t.Fatalf("a flag in the last word built a frame of %d in %d bytes", len(f), cap(f))
+	}
+	m.ZeroPage(1)
+	if f := frame(1); len(f) != 0 || cap(f) != PageSize || m.Read32(PageNum(1).Addr(PageSize-4)) != 0 {
+		t.Fatalf("ZeroPage left a frame of %d in %d bytes", len(f), cap(f))
+	}
+
+	m.Reset()
+	m.Write32(100, 7)
+	if f := frame(0); len(f) != 104 || cap(f) != PageSize || m.Read32(100) != 7 || m.Read8(1023) != 0 {
+		t.Fatalf("a write past a reset frame's length: frame of %d in %d bytes", len(f), cap(f))
+	}
+	// A word and a read that straddle the frame's end read its bytes,
+	// then zeros.
+	if v := m.Read32(102); v != 0 {
+		t.Fatalf("Read32 across the frame's end = %#x, want 0", v)
+	}
+	m.Write8(104, 0xaa) // grows within capacity: 105 bytes
+	if v := m.Read32(102); v != 0xaa_0000 {
+		t.Fatalf("Read32 across the frame's end = %#x, want 0xaa0000", v)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		m.Reset()
+		m.Write32(PageNum(0).Addr(PageSize-4), 1)
+		m.Write32(PageNum(1).Addr(PageSize-4), 1)
+	}); allocs != 0 {
+		t.Fatalf("rewriting reset frames allocated %.0f times", allocs)
 	}
 }
