@@ -153,13 +153,17 @@ func flowStats() (stalls, maxOut, maxIn float64) {
 	if err := bs.Write(0, payload); err != nil {
 		panic(err)
 	}
-	m.RunUntilIdle(50_000_000)
+	if err := m.RunUntilIdle(50_000_000); err != nil {
+		panic(err)
+	}
 	for i := 0; i < 64; i++ {
 		if err := bs.Send(0, 4*shrimp.PageSize); err != nil {
 			panic(err)
 		}
 	}
-	m.RunUntilIdle(500_000_000)
+	if err := m.RunUntilIdle(500_000_000); err != nil {
+		panic(err)
+	}
 	s0 := m.Node(0).NIC.Stats()
 	s1 := m.Node(1).NIC.Stats()
 	return float64(s0.OutFullEvents), float64(s0.MaxOutFIFOBytes), float64(s1.MaxInFIFOBytes)
@@ -206,7 +210,9 @@ func pagingCost(policy shrimp.PagingPolicy) (evictUS, refused, served float64) {
 		}
 		m.MustMap(ps, sendVA, shrimp.PageSize, rcv.ID, pr.PID, recvVA, shrimp.SingleWriteAU)
 	}
-	m.RunUntilIdle(50_000_000)
+	if err := m.RunUntilIdle(50_000_000); err != nil {
+		panic(err)
+	}
 	start := m.Eng.Now()
 	fut := rcv.K.EvictPage(pr, recvVA.Page())
 	err = m.Await(fut)

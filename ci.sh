@@ -1,18 +1,18 @@
 #!/bin/sh
-# ci.sh — the repo's gate: static checks, full build, race-enabled tests,
-# exact event-count pins, a boot-footprint pin, zero-allocation checks on
-# the hot paths, byte-identity checks on the CLIs, exit-status checks on
-# bad CLI flags, and five short fuzzing runs. Every gate but the fuzzing runs is deterministic; those
-# explore new inputs on each run, and a failure is a real divergence
-# between a fast path and its reference — the CPU's against
-# per-instruction stepping, UserWriteBytes' store runs against one store
-# per word, the cache against a flat shadow of memory, the chunked
-# NIPT against a flat table of one entry per page, or DRAM frames that
-# grow to their highest written byte against a flat byte array — so fix it,
-# then commit the failing input as a seed under the package's
-# testdata/fuzz/. Wall time is measured by the benchmark in bench/ (bash
-# bench/run.sh, protocol in bench/README.md) and gated by nothing in this
-# script.
+# ci.sh — the repo's gate: static checks, full build, race-enabled
+# tests, exact event-count pins, a boot-footprint pin, zero-allocation
+# checks on the hot paths, byte-identity checks on the CLIs, runs of the
+# examples, exit-status checks on bad CLI flags, and five short fuzzing
+# runs. Every gate but the fuzzing runs is deterministic; those explore
+# new inputs on each run, and a failure is a real divergence between a
+# fast path and its reference — the CPU's against per-instruction
+# stepping, UserWriteBytes' store runs against one store per word, the
+# cache against a flat shadow of memory, the chunked NIPT against a flat
+# table of one entry per page, or DRAM frames that grow to their highest
+# written byte against a flat byte array — so fix it, then commit the
+# failing input as a seed under the package's testdata/fuzz/. Wall time
+# is measured by the benchmark in bench/ (bash bench/run.sh, protocol in
+# bench/README.md) and gated by nothing in this script.
 set -eux
 
 scratch=$(mktemp -d)
@@ -146,10 +146,14 @@ cmp "$scratch/top-a.prom" "$scratch/top-b.prom"
 go run ./cmd/shrimp-trace -rounds 1 -interval 10us -o "$scratch/trace-a.json"
 go run ./cmd/shrimp-trace -rounds 1 -interval 10us -o "$scratch/trace-b.json"
 cmp "$scratch/trace-a.json" "$scratch/trace-b.json"
+# Examples: each of the eight must run to completion and exit 0.
+go build -o "$scratch/bin/" ./cmd/... ./examples/...
+for ex in examples/*/; do
+	"$scratch/bin/$(basename "$ex")" > /dev/null
+done
 # Bad flags: each CLI must reject a bad value with one line on stderr
 # and exit status exactly 1 — not run anyway (0) or panic (2). The
 # binaries run directly, because go run reports a panic's exit 2 as 1.
-go build -o "$scratch/bin/" ./cmd/...
 rejects() {
 	cli=$1
 	shift

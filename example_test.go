@@ -43,8 +43,13 @@ func ExampleKernel_Map() {
 	if err := src.UserWrite32(ps, sendVA, 42); err != nil {
 		panic(err)
 	}
-	m.RunUntilIdle(10_000_000)
-	v, _ := dst.UserRead32(pd, recvVA)
+	if err := m.RunUntilIdle(10_000_000); err != nil {
+		panic(err)
+	}
+	v, err := dst.UserRead32(pd, recvVA)
+	if err != nil {
+		panic(err)
+	}
 	fmt.Println(v)
 	// Output: 42
 }

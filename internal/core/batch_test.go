@@ -47,9 +47,9 @@ func TestBatchDifferentialOverlap(t *testing.T) {
 // does) this is also the data-race proof for batched CPUs in the pool.
 func TestBatchDifferentialOverlapSweep(t *testing.T) {
 	modes := []nipt.Mode{nipt.SingleWriteAU, nipt.BlockedWriteAU}
-	want := OverlapSweep(batchedCfg(1), modes, 128, 1)
+	want := overlapSweep(batchedCfg(1), modes, 128, 1)
 	for _, mb := range []int{0, 3, 64} {
-		got := OverlapSweep(batchedCfg(mb), modes, 128, 2)
+		got := overlapSweep(batchedCfg(mb), modes, 128, 2)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("MaxBatch=%d parallel sweep diverged:\n got  %+v\n want %+v", mb, got, want)
 		}

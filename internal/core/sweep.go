@@ -80,12 +80,3 @@ func MergeWindowSweep(cfg Config, windows []sim.Time, storeGap sim.Time, stores,
 			return MeasureMergeWindow(p.get(c), storeGap, stores)
 		})
 }
-
-// OverlapSweep runs the A4 overlap ablation (MeasureOverlap) for each
-// mode, fanned across workers goroutines; results are ordered as modes.
-func OverlapSweep(cfg Config, modes []nipt.Mode, iters, workers int) []OverlapResult {
-	return exp.Map(workers, len(modes), newMachinePool,
-		func(p *machinePool, i int) OverlapResult {
-			return MeasureOverlap(p.get(cfg), modes[i], iters)
-		})
-}

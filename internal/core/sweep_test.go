@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/exp"
 	"repro/internal/nic"
 	"repro/internal/nipt"
 	"repro/internal/sim"
@@ -115,12 +116,21 @@ func TestParallelSweepsMatchSequential(t *testing.T) {
 
 	t.Run("overlap", func(t *testing.T) {
 		modes := []nipt.Mode{nipt.SingleWriteAU, nipt.BlockedWriteAU}
-		seq := OverlapSweep(small, modes, 128, 1)
-		par := OverlapSweep(small, modes, 128, 2)
+		seq := overlapSweep(small, modes, 128, 1)
+		par := overlapSweep(small, modes, 128, 2)
 		if !reflect.DeepEqual(seq, par) {
 			t.Fatalf("overlap sweep diverged:\nseq: %+v\npar: %+v", seq, par)
 		}
 	})
+}
+
+// overlapSweep runs MeasureOverlap for each mode on the sweep worker
+// pool, the way the library's sweeps fan out their points.
+func overlapSweep(cfg Config, modes []nipt.Mode, iters, workers int) []OverlapResult {
+	return exp.Map(workers, len(modes), newMachinePool,
+		func(p *machinePool, i int) OverlapResult {
+			return MeasureOverlap(p.get(cfg), modes[i], iters)
+		})
 }
 
 // The sequential sweeps must also match one fresh machine per point

@@ -154,21 +154,6 @@ func R(r Reg) Operand { return Operand{Kind: KindReg, Reg: r} }
 // I returns an immediate operand.
 func I(v int32) Operand { return Operand{Kind: KindImm, Imm: v} }
 
-// M returns a [base+disp] memory operand.
-func M(base Reg, disp int32) Operand {
-	return Operand{Kind: KindMem, Base: base, Index: NoReg, Scale: 1, Disp: disp}
-}
-
-// MAbs returns an absolute-address memory operand.
-func MAbs(addr int32) Operand {
-	return Operand{Kind: KindMem, Base: NoReg, Index: NoReg, Scale: 1, Disp: addr}
-}
-
-// MIdx returns a [base+index*scale+disp] memory operand.
-func MIdx(base, index Reg, scale uint8, disp int32) Operand {
-	return Operand{Kind: KindMem, Base: base, Index: index, Scale: scale, Disp: disp}
-}
-
 func (o Operand) String() string {
 	switch o.Kind {
 	case KindNone:

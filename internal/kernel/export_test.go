@@ -3,6 +3,7 @@ package kernel
 import (
 	"repro/internal/packet"
 	"repro/internal/phys"
+	"repro/internal/vm"
 )
 
 // MarkImported leaves frame f in the state a completed map-in from node
@@ -25,3 +26,13 @@ func (k *Kernel) CheckSegmentFree(frame phys.PageNum, start, end uint32) error {
 // rings were installed at first contact. Differential tests run it as
 // the reference; they must set it back to false.
 func SetEagerRings(on bool) { eagerRings = on }
+
+// PageInForTest restores an evicted page at once, as a demand page-in
+// from the fault path does.
+func (k *Kernel) PageInForTest(p *Process, vpn vm.VPN) error { return k.pageIn(p, vpn) }
+
+// SwapCopy returns the swap copy kept for p's evicted page vpn, nil when
+// there is none.
+func (k *Kernel) SwapCopy(p *Process, vpn vm.VPN) []byte {
+	return k.swap[swapKey{pid: p.PID, vpn: vpn}]
+}

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -76,12 +77,16 @@ func (k *Kernel) EvictPage(p *Process, vpn vm.VPN) *Future {
 
 // finishEvict performs the actual replacement once the frame is safe to
 // take: write back cache residue, save contents, clear the NIPT entry,
-// mark the PTE non-present, and free the frame.
+// mark the PTE non-present, and free the frame. The swap copy keeps the
+// page's written extent, its bytes up to the last non-zero one, so a
+// page that held one word costs one word of swap.
 func (k *Kernel) finishEvict(p *Process, vpn vm.VPN, frame phys.PageNum) {
 	if k.box != nil {
 		k.box.Cache.FlushPage(frame)
 	}
-	k.swap[swapKey{pid: p.PID, vpn: vpn}] = k.mem.Read(frame.Addr(0), phys.PageSize)
+	var page [phys.PageSize]byte
+	k.mem.ReadInto(frame.Addr(0), page[:])
+	k.swap[swapKey{pid: p.PID, vpn: vpn}] = bytes.Clone(bytes.TrimRight(page[:], "\x00"))
 	k.nic.Table().Clear(frame)
 	pte, _ := p.AS.Lookup(vpn)
 	pte.Present = false
@@ -92,7 +97,8 @@ func (k *Kernel) finishEvict(p *Process, vpn vm.VPN, frame phys.PageNum) {
 }
 
 // pageIn restores an evicted page into a fresh frame and reinstalls the
-// outgoing NIPT segments recorded for it.
+// outgoing NIPT segments recorded for it. allocFrame zeroes the frame, so
+// writing the swap copy's written extent restores the whole page.
 func (k *Kernel) pageIn(p *Process, vpn vm.VPN) error {
 	key := swapKey{pid: p.PID, vpn: vpn}
 	content, ok := k.swap[key]
@@ -119,11 +125,6 @@ func (k *Kernel) pageIn(p *Process, vpn vm.VPN) error {
 	k.Obs.Inc(obs.CtrKernelPageIns)
 	return nil
 }
-
-// PageInForTest restores an evicted page immediately. Tests and
-// experiment harnesses drive paging explicitly; normal operation pages
-// in through the fault path.
-func (k *Kernel) PageInForTest(p *Process, vpn vm.VPN) error { return k.pageIn(p, vpn) }
 
 // HandleFault is the CPU's page-fault entry point. It repairs two kinds
 // of fault: not-present pages with swap records (demand page-in), and

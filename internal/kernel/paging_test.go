@@ -1,6 +1,7 @@
 package kernel_test
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/core"
@@ -229,5 +230,61 @@ func TestEvictUntouchedPageBuildsNoNIPTChunk(t *testing.T) {
 	}
 	if got := table.BuiltChunks(); got != built {
 		t.Fatalf("evicting never-mapped page %#x: built NIPT chunks %d -> %d", uint32(va), built, got)
+	}
+}
+
+// TestSwapCopyKeepsWrittenExtent evicts a private page and pages it back
+// in: the swap copy holds the page's bytes up to its last non-zero one,
+// and the page reads back whole.
+func TestSwapCopyKeepsWrittenExtent(t *testing.T) {
+	oneWord := make([]byte, phys.PageSize)
+	copy(oneWord, []byte{0xef, 0xbe, 0xad, 0xde})
+	full := make([]byte, phys.PageSize)
+	for i := range full {
+		full[i] = byte(i%251 + 1)
+	}
+	for _, c := range []struct {
+		name   string
+		page   []byte // what the page holds after the stores
+		stored int    // leading bytes of page the process stores
+		swap   int    // bytes the swap copy keeps
+	}{
+		{"one word", oneWord, 4, 4},
+		{"last word written", full, phys.PageSize, phys.PageSize},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m := core.New(pinConfig())
+			a := m.Node(0)
+			p := a.K.CreateProcess()
+			va, err := p.AllocPages(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := a.UserWriteBytes(p, va, c.page[:c.stored]); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.RunUntilIdle(5_000_000); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Await(a.K.EvictPage(p, va.Page())); err != nil {
+				t.Fatal(err)
+			}
+			if got := len(a.K.SwapCopy(p, va.Page())); got != c.swap {
+				t.Fatalf("swap copy holds %d bytes, want %d", got, c.swap)
+			}
+			if err := a.K.PageInForTest(p, va.Page()); err != nil {
+				t.Fatal(err)
+			}
+			if a.K.SwapCopy(p, va.Page()) != nil {
+				t.Fatal("swap copy kept after page-in")
+			}
+			got := make([]byte, phys.PageSize)
+			if err := a.UserReadBytes(p, va, got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, c.page) {
+				t.Fatal("page changed across eviction and page-in")
+			}
+		})
 	}
 }

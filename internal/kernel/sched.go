@@ -117,7 +117,3 @@ func (k *Kernel) switchTo(p *Process) {
 // RunnableCount returns the number of queued processes (excluding the
 // current one).
 func (k *Kernel) RunnableCount() int { return len(k.sched.runq) }
-
-// SavedReg returns a register from the process's saved context (valid
-// while the process is switched out).
-func (p *Process) SavedReg(r isa.Reg) uint32 { return p.state.R[r] }

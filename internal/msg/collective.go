@@ -12,9 +12,8 @@ import (
 // Collective operations over mapped memory. The paper's §7 notes the
 // memory-mapped model is connection-oriented: a page maps to exactly one
 // destination, so one-to-many patterns need either multiple buffers or
-// forwarding. Both shapes appear here — the barrier uses per-participant
-// mappings through a root, and the broadcast forwards along a binomial
-// tree of ordinary channels.
+// forwarding. The barrier takes the first shape: per-participant
+// mappings through a root.
 
 // Barrier synchronizes N participants with automatic-update flag words:
 // arrival slots mapped participant→root and a release word mapped
@@ -148,92 +147,3 @@ func (b *Barrier) Sync() error {
 
 // Generation returns the completed barrier round count.
 func (b *Barrier) Generation() uint32 { return b.gen }
-
-// Broadcast distributes buffers from a root to all endpoints along a
-// binomial tree of single-buffered channels: log2(N) store-and-forward
-// hops rather than N root-side buffer copies.
-type Broadcast struct {
-	m     *core.Machine
-	parts []Endpoint
-	// links[i] is the channel from parent(i) to i (nil for the root).
-	links []*Channel
-	// children[i] lists the endpoints i forwards to.
-	children [][]int
-}
-
-// NewBroadcast builds the tree; parts[0] is the root.
-func NewBroadcast(m *core.Machine, parts []Endpoint, pages int) (*Broadcast, error) {
-	if len(parts) == 0 {
-		return nil, fmt.Errorf("msg: broadcast needs participants")
-	}
-	bc := &Broadcast{
-		m:        m,
-		parts:    parts,
-		links:    make([]*Channel, len(parts)),
-		children: make([][]int, len(parts)),
-	}
-	// Binomial tree: node i's children are i+2^k for each 2^k > i's own
-	// set bit span — the standard construction: child = i | (1<<k) for
-	// 1<<k > i, while in range.
-	for i := 1; i < len(parts); i++ {
-		parent := i &^ (1 << hsb(uint(i)))
-		bc.children[parent] = append(bc.children[parent], i)
-		ch, err := NewChannel(m, parts[parent], parts[i], pages)
-		if err != nil {
-			return nil, err
-		}
-		bc.links[i] = ch
-	}
-	return bc, nil
-}
-
-// hsb returns the index of the highest set bit of v (v > 0).
-func hsb(v uint) uint {
-	n := uint(0)
-	for v > 1 {
-		v >>= 1
-		n++
-	}
-	return n
-}
-
-// Send pushes data from the root to every endpoint, forwarding level by
-// level, and returns each endpoint's received copy (index-aligned with
-// the endpoints; the root's entry is the original).
-func (bc *Broadcast) Send(data []byte) ([][]byte, error) {
-	out := make([][]byte, len(bc.parts))
-	out[0] = data
-	// BFS order guarantees a parent has its copy before forwarding.
-	queue := []int{0}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		for _, c := range bc.children[n] {
-			if err := bc.links[c].Send(out[n]); err != nil {
-				return nil, err
-			}
-			got, err := bc.links[c].Recv()
-			if err != nil {
-				return nil, err
-			}
-			out[c] = got
-			queue = append(queue, c)
-		}
-	}
-	return out, nil
-}
-
-// Depth returns the tree depth (forwarding hops for the farthest node).
-func (bc *Broadcast) Depth() int {
-	d := 0
-	for i := 1; i < len(bc.parts); i++ {
-		depth := 0
-		for n := i; n != 0; n &^= 1 << hsb(uint(n)) {
-			depth++
-		}
-		if depth > d {
-			d = depth
-		}
-	}
-	return d
-}

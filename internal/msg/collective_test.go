@@ -1,8 +1,6 @@
 package msg
 
 import (
-	"bytes"
-	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -66,62 +64,5 @@ func TestBarrierNeedsTwo(t *testing.T) {
 	m := core.New(core.ConfigFor(1, 1, nic.GenXpress))
 	if _, err := NewBarrier(m, endpointsOn(m, 0)); err == nil {
 		t.Fatal("single-participant barrier accepted")
-	}
-}
-
-func TestBroadcastTree(t *testing.T) {
-	m := core.New(core.ConfigFor(4, 2, nic.GenEISAPrototype))
-	parts := endpointsOn(m, 0, 1, 2, 3, 4, 5, 6, 7)
-	bc, err := NewBroadcast(m, parts, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bc.Depth() != 3 { // 8 nodes -> log2 = 3 hops
-		t.Fatalf("depth %d", bc.Depth())
-	}
-	payload := []byte("broadcast through the binomial tree")
-	got, err := bc.Send(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, g := range got {
-		if !bytes.Equal(g, payload) {
-			t.Fatalf("endpoint %d got %q", i, g)
-		}
-	}
-	// Reusable.
-	payload2 := []byte("second wave")
-	got, err = bc.Send(payload2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, g := range got {
-		if !bytes.Equal(g, payload2) {
-			t.Fatalf("round 2 endpoint %d got %q", i, g)
-		}
-	}
-}
-
-func TestBroadcastVariousSizes(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 5} {
-		m := core.New(core.ConfigFor(3, 2, nic.GenXpress))
-		nodes := make([]int, n)
-		for i := range nodes {
-			nodes[i] = i
-		}
-		bc, err := NewBroadcast(m, endpointsOn(m, nodes...), 1)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		payload := []byte(fmt.Sprintf("fanout %d", n))
-		got, err := bc.Send(payload)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		for i := 0; i < n; i++ {
-			if !bytes.Equal(got[i], payload) {
-				t.Fatalf("n=%d endpoint %d", n, i)
-			}
-		}
 	}
 }

@@ -4,6 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/isa"
+	"repro/internal/nipt"
+	"repro/internal/phys"
 )
 
 func TestNX2MultipleMessages(t *testing.T) {
@@ -96,7 +101,7 @@ func TestBaselineSecondMessage(t *testing.T) {
 func TestDeliberateMultiPageMacro(t *testing.T) {
 	// The page-crossing branch of the §4.3 send macro.
 	for _, size := range []int{4096, 5000, 8192, 12288} {
-		counts, ok := MeasureMultiPageDeliberate(newEISA(), size)
+		counts, ok := measureMultiPageDeliberate(newEISA(), size)
 		if !ok {
 			t.Fatalf("size %d: data corrupted", size)
 		}
@@ -104,4 +109,32 @@ func TestDeliberateMultiPageMacro(t *testing.T) {
 			t.Fatalf("size %d: suspicious count %d", size, counts.User)
 		}
 	}
+}
+
+// measureMultiPageDeliberate runs the §4.3 send macro over a transfer
+// of the given size from node 0 to node 1 of a post-boot machine. It
+// returns the sender's instruction count and whether the receiver got
+// the payload intact.
+func measureMultiPageDeliberate(m *core.Machine, size int) (Counts, bool) {
+	p := NewPair(m, 0, 1)
+	pages := (size + phys.PageSize - 1) / phys.PageSize
+	sbuf, rbuf := p.MapBuf("DBUF", pages, 1, nipt.DeliberateUpdate)
+	p.GrantCmd(sbuf, pages)
+	p.Drain()
+
+	payload := make([]byte, size)
+	for i := range payload {
+		payload[i] = byte(i*13 + 5)
+	}
+	p.WriteSender(sbuf, payload)
+	p.Drain()
+
+	// A transfer longer than one page takes the macro's page-crossing
+	// branch.
+	sc := p.RunSender("deliberate-send", deliberateSend, "dsend", map[isa.Reg]uint32{
+		isa.ESI: uint32(sbuf),
+		isa.EBX: uint32(size),
+	})
+	p.Drain()
+	return sc, bytes.Equal(p.ReadReceiver(rbuf, size), payload)
 }

@@ -403,40 +403,6 @@ func MeasureDeliberateUpdate(m *core.Machine) Overhead {
 	}
 }
 
-// MeasureMultiPageDeliberate exercises the page-crossing path of the
-// send macro on nodes 0 and 1 of a post-boot machine (not a Table 1
-// row; used by tests). It returns the sender instruction count.
-func MeasureMultiPageDeliberate(m *core.Machine, bytes int) (Counts, bool) {
-	p := NewPair(m, 0, 1)
-	pages := (bytes + phys.PageSize - 1) / phys.PageSize
-	sbuf, rbuf := p.MapBuf("DBUF", pages, 1, nipt.DeliberateUpdate)
-	p.GrantCmd(sbuf, pages)
-	p.Drain()
-
-	payload := make([]byte, bytes)
-	for i := range payload {
-		payload[i] = byte(i*13 + 5)
-	}
-	p.WriteSender(sbuf, payload)
-	p.Drain()
-
-	// Start mid-page to force crossing when bytes > one page remainder.
-	sc := p.RunSender("deliberate-send", deliberateSend, "dsend", map[isa.Reg]uint32{
-		isa.ESI: uint32(sbuf),
-		isa.EBX: uint32(bytes),
-	})
-	p.Drain()
-	ok := true
-	got := p.ReadReceiver(rbuf, bytes)
-	for i := range got {
-		if got[i] != payload[i] {
-			ok = false
-			break
-		}
-	}
-	return sc, ok
-}
-
 // MeasureTable1 produces every row of Table 1 (csend/crecv rows come
 // from the nx2 files), each on a fresh machine booted from cfg.
 func MeasureTable1(cfg core.Config) []Overhead {

@@ -7,10 +7,7 @@
 package packet
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"sync"
 
 	"repro/internal/phys"
@@ -116,7 +113,7 @@ type Packet struct {
 // the nic→mesh→nic lifecycle: the sending NIC takes a packet with Get
 // when it packetizes a snooped store, and the receiving NIC returns it
 // with Put once the payload has been deposited into its memory. Packets
-// built by hand (tests, Decode) simply never enter the pool.
+// built by hand (tests) simply never enter the pool.
 var pool = sync.Pool{New: func() any { return new(Packet) }}
 
 // Get returns a zeroed packet from the pool. Its Payload is empty but may
@@ -150,60 +147,4 @@ func (p *Packet) WireSize() int {
 		n += RelHeaderBytes
 	}
 	return n
-}
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// Errors returned by Decode and by the receiving NIC's checks.
-var (
-	ErrBadCRC    = errors.New("packet: CRC mismatch")
-	ErrTruncated = errors.New("packet: truncated")
-	ErrTooLong   = errors.New("packet: payload exceeds page size")
-)
-
-// Encode serializes the packet to its wire format, appending the CRC.
-func (p *Packet) Encode() ([]byte, error) {
-	if len(p.Payload) > phys.PageSize {
-		return nil, ErrTooLong
-	}
-	buf := make([]byte, 0, p.WireSize())
-	buf = append(buf,
-		byte(int8(p.Dst.X)), byte(int8(p.Dst.Y)),
-		byte(int8(p.Src.X)), byte(int8(p.Src.Y)))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(p.DstAddr))
-	flags := byte(p.Kind) & 0x7f
-	if p.Interrupt {
-		flags |= 0x80
-	}
-	buf = append(buf, flags)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(p.Payload)))
-	buf = append(buf, p.Payload...)
-	crc := crc32.Checksum(buf, castagnoli)
-	buf = binary.LittleEndian.AppendUint32(buf, crc)
-	return buf, nil
-}
-
-// Decode parses a wire-format packet, verifying length and CRC.
-func Decode(b []byte) (*Packet, error) {
-	if len(b) < HeaderBytes+CRCBytes {
-		return nil, ErrTruncated
-	}
-	body, tail := b[:len(b)-CRCBytes], b[len(b)-CRCBytes:]
-	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(tail) {
-		return nil, ErrBadCRC
-	}
-	p := &Packet{
-		Dst: Coord{int(int8(b[0])), int(int8(b[1]))},
-		Src: Coord{int(int8(b[2])), int(int8(b[3]))},
-	}
-	p.DstAddr = phys.PAddr(binary.LittleEndian.Uint32(b[4:]))
-	flags := b[8]
-	p.Kind = Kind(flags & 0x7f)
-	p.Interrupt = flags&0x80 != 0
-	n := int(binary.LittleEndian.Uint16(b[9:]))
-	if len(body) != HeaderBytes+n {
-		return nil, ErrTruncated
-	}
-	p.Payload = append([]byte(nil), body[HeaderBytes:]...)
-	return p, nil
 }

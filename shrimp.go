@@ -33,8 +33,6 @@
 package shrimp
 
 import (
-	"io"
-
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/isa"
@@ -138,12 +136,6 @@ type (
 	WatchdogConfig = core.WatchdogConfig
 )
 
-// WriteOpenMetrics writes a snapshot in OpenMetrics text exposition
-// format (machines expose the same via Machine.WriteOpenMetrics).
-func WriteOpenMetrics(w io.Writer, s MetricsSnapshot, now Time) error {
-	return obs.WriteOpenMetrics(w, s, now)
-}
-
 // Simulated time.
 type Time = sim.Time
 
@@ -157,9 +149,6 @@ const (
 
 // New boots a machine.
 func New(cfg Config) *Machine { return core.New(cfg) }
-
-// DefaultConfig is the paper's 16-node EISA prototype.
-func DefaultConfig() Config { return core.DefaultConfig() }
 
 // ConfigFor builds a config for a w×h mesh of the given generation.
 func ConfigFor(w, h int, gen Generation) Config { return core.ConfigFor(w, h, gen) }
@@ -176,10 +165,6 @@ type (
 	BlockSender = msg.BlockSender
 	// Barrier synchronizes N endpoints with mapped flag words.
 	Barrier = msg.Barrier
-	// Broadcast distributes buffers along a binomial tree of channels.
-	Broadcast = msg.Broadcast
-	// SharedRegion is N-way PRAM-style shared memory with owner slices.
-	SharedRegion = msg.SharedRegion
 )
 
 // NewEndpoint creates a fresh process on a node.
@@ -203,17 +188,6 @@ func NewBlockSender(m *Machine, snd, rcv Endpoint, pages int) (*BlockSender, err
 // NewBarrier builds a reusable barrier; parts[0] is the root.
 func NewBarrier(m *Machine, parts []Endpoint) (*Barrier, error) {
 	return msg.NewBarrier(m, parts)
-}
-
-// NewBroadcast builds a binomial broadcast tree; parts[0] is the root.
-func NewBroadcast(m *Machine, parts []Endpoint, pages int) (*Broadcast, error) {
-	return msg.NewBroadcast(m, parts, pages)
-}
-
-// NewSharedRegion builds an N-way replicated region with owner slices
-// (the §4.1 PRAM sharing model generalized beyond two nodes).
-func NewSharedRegion(m *Machine, parts []Endpoint, pages int) (*SharedRegion, error) {
-	return msg.NewSharedRegion(m, parts, pages)
 }
 
 // NXPort is one side of an NX/2-compatible connection: typed messages,
@@ -254,11 +228,6 @@ func MeasureTable1(gen Generation) []Overhead { return msg.MeasureTable1(ConfigF
 // MeasureBaseline runs the kernel-mediated NX/2 baseline comparison.
 func MeasureBaseline(gen Generation) BaselineComparison {
 	return msg.MeasureBaseline(ConfigFor(2, 1, gen))
-}
-
-// MeasureStoreLatency measures one automatic-update store end to end.
-func MeasureStoreLatency(cfg Config, src, dst int) LatencyResult {
-	return core.MeasureStoreLatency(New(cfg), src, dst)
 }
 
 // LatencySweep measures store latency from node 0 to every other node.
@@ -302,12 +271,6 @@ func AUBandwidthSweep(cfg Config, modes []Mode, stores, workers int) []AUBandwid
 // deterministic worker pool.
 func MergeWindowSweep(cfg Config, windows []Time, storeGap Time, stores, workers int) []MergeWindowResult {
 	return core.MergeWindowSweep(cfg, windows, storeGap, stores, workers)
-}
-
-// OverlapSweep runs MeasureOverlap per mode on the deterministic worker
-// pool.
-func OverlapSweep(cfg Config, modes []Mode, iters, workers int) []OverlapResult {
-	return core.OverlapSweep(cfg, modes, iters, workers)
 }
 
 // MeasureAUBandwidth measures automatic-update store streaming (the
@@ -372,25 +335,10 @@ const (
 	NodeFreeze = fault.NodeFreeze
 )
 
-// MeasureFaultyTransfer streams a deliberate-update transfer through
-// the config's fault plan and reports surviving goodput; a run that
-// ends in a machine check comes back with FaultPoint.Err set rather
-// than panicking.
-func MeasureFaultyTransfer(cfg Config, src, dst, transferBytes, totalBytes int) FaultPoint {
-	return core.MeasureFaultyTransfer(New(cfg), src, dst, transferBytes, totalBytes)
-}
-
 // FaultSweep measures goodput across drop rates (ppm) with reliable
 // delivery on, fanned across the deterministic worker pool.
 func FaultSweep(cfg Config, dropsPPM []uint32, transferBytes, totalBytes, workers int) []FaultPoint {
 	return core.FaultSweep(cfg, dropsPPM, transferBytes, totalBytes, workers)
-}
-
-// CrashPlan builds a deterministic staggered node-crash plan for
-// Config.Faults.Nodes: k distinct victims crashing at base,
-// base+stagger, ...
-func CrashPlan(n, k int, base, stagger Time) [2]NodeFault {
-	return core.CrashPlan(n, k, base, stagger)
 }
 
 // MeasureAvailability runs the crash-survival ring workload under the
@@ -419,11 +367,4 @@ type (
 // Assemble parses ISA assembly text with the given symbol table.
 func Assemble(name, src string, syms map[string]int64) (*Program, error) {
 	return isa.Assemble(name, src, syms)
-}
-
-// AssembleCached is Assemble behind a process-wide predecode cache keyed
-// by (name, source, symbols); the returned Program is shared and must be
-// treated as read-only.
-func AssembleCached(name, src string, syms map[string]int64) (*Program, error) {
-	return isa.AssembleCached(name, src, syms)
 }
