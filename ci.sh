@@ -29,6 +29,10 @@ zero_alloc() {
 
 go vet ./...
 test -z "$(gofmt -l *.go bench cmd examples internal)"
+# Every RunUntilIdle result is checked: a machine check or a blown event
+# budget comes back as its error, so a call that drops it hides both.
+# Allowed forms assign the error or return it; the grep prints the rest.
+test -z "$(grep -rnE 'RunUntilIdle\(' --include='*.go' . | grep -vE 'err :?= |return |func \(m \*Machine\) RunUntilIdle|^\S+:[0-9]+:\s*//')"
 go build ./...
 # Among the race tests, TestParallelSweepsMatchSequential drives the
 # sweep worker pool with more points than workers (15 latency points on
@@ -130,10 +134,11 @@ zero_alloc ./internal/nic BenchmarkStorePeerDown 1000x
 # -race; the race runtime allocates and would mask a regression).
 go test -run TestRecorderZeroAlloc -count 1 ./internal/obs
 zero_alloc ./internal/obs BenchmarkRecorderSample 1000x
-# Progress-watchdog smoke under the race detector: a crashed receiver
-# with an unbounded retry budget must trip the retry-storm check (plus
-# the deadline/FIFO-stall and differential watchdog suites).
-go test -race -count 1 -run 'TestWatchdog' ./internal/core
+# Stall guards under the race detector: a crashed receiver must end in
+# the retry-budget machine check, and a machine that never quiesces
+# must return an error wrapping sim.ErrBudget from Settle and
+# RunUntilIdle, not panic.
+go test -race -count 1 -run 'TestNodeCrashEscalatesToMachineCheck|TestSettleBudgetError' ./internal/core
 # OpenMetrics determinism: two one-shot shrimp-top runs must compare
 # byte-identical.
 go run ./cmd/shrimp-top -mesh 2x2 -rounds 2 > "$scratch/top-a.prom"

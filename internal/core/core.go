@@ -9,7 +9,6 @@ package core
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 
 	"repro/internal/bus"
@@ -48,13 +47,6 @@ type Config struct {
 	// disables it; arming it changes no simulated result (see
 	// internal/sim/pacer.go).
 	Recorder obs.RecorderConfig
-	// Watchdog arms the progress watchdog (watchdog.go): at every
-	// Watchdog.Interval of simulated time it checks for reliable-
-	// delivery retry storms, wedged Outgoing-FIFO drains, and a missed
-	// quiescence deadline, raising a structured *fault.MachineCheck
-	// instead of letting a fault-plan deadlock spin to the event budget.
-	// Requires Metrics. The zero value disables it.
-	Watchdog WatchdogConfig
 	// Faults configures the deterministic fault-injection subsystem
 	// (internal/fault). The zero value disables it entirely: no injector
 	// is built and the machine is bit-identical to one without the
@@ -68,12 +60,6 @@ type Config struct {
 	NIC    nic.Config
 	CPU    isa.Config
 	Kernel kernel.Config
-}
-
-// DefaultConfig returns the paper's prototype: a 4×4 mesh of EISA-based
-// nodes with 4 MB of DRAM each.
-func DefaultConfig() Config {
-	return ConfigFor(4, 4, nic.GenEISAPrototype)
 }
 
 // ConfigFor builds a config for the given mesh size and NIC generation.
@@ -123,8 +109,6 @@ type Machine struct {
 	Obs    *obs.Registry   // nil unless Config.Metrics
 	Rec    *obs.Recorder   // nil unless Config.Recorder armed
 	Faults *fault.Injector // nil unless Config.Faults.Enabled()
-
-	wd *watchdog // nil unless Config.Watchdog armed
 }
 
 // CoordOf maps a node id to its mesh coordinates (row-major).
@@ -198,53 +182,11 @@ func New(cfg Config) *Machine {
 	}
 	if cfg.Recorder.Interval > 0 {
 		m.Rec = obs.NewRecorder(m.Obs, cfg.Recorder)
-	}
-	if cfg.Watchdog.Interval > 0 {
-		m.wd = newWatchdog(m, cfg.Watchdog)
-	}
-	if p := m.pacer(); p != nil {
-		m.Eng.SetPacer(p)
+		m.Eng.SetPacer(m.Rec)
 	}
 	m.bootKernels()
 	m.applyFaults()
 	return m
-}
-
-// pacer folds the armed observers into the machine's single pacer slot.
-func (m *Machine) pacer() sim.Pacer {
-	switch {
-	case m.Rec != nil && m.wd != nil:
-		return &machinePacer{rec: m.Rec, wd: m.wd}
-	case m.Rec != nil:
-		return m.Rec
-	case m.wd != nil:
-		return m.wd
-	}
-	return nil
-}
-
-// machinePacer multiplexes the flight recorder and the watchdog (their
-// cadences may differ) onto one sim.Pacer.
-type machinePacer struct {
-	rec *obs.Recorder
-	wd  *watchdog
-}
-
-func (p *machinePacer) NextDeadline() sim.Time {
-	d := p.rec.NextDeadline()
-	if w := p.wd.NextDeadline(); w < d {
-		d = w
-	}
-	return d
-}
-
-func (p *machinePacer) Pace(deadline, head sim.Time) {
-	if p.rec.NextDeadline() <= deadline {
-		p.rec.Pace(deadline, head)
-	}
-	if p.wd.NextDeadline() <= deadline {
-		p.wd.Pace(deadline, head)
-	}
 }
 
 // bootKernels runs every kernel's boot step, which seeds its page
@@ -277,17 +219,11 @@ func (m *Machine) RunWhile(cond func() bool) bool { return m.Eng.RunWhile(cond) 
 // RunFor advances the machine by d, firing everything in the window.
 func (m *Machine) RunFor(d sim.Time) { m.Eng.RunFor(d) }
 
-// RunUntilIdle drains the event queue and returns the machine check a
-// component raised through the engine's failure surface, if any. It
-// still panics after limit events (livelock guard): a blown budget is a
-// harness bug, not a simulated fault.
-func (m *Machine) RunUntilIdle(limit uint64) error {
-	err := m.Eng.DrainBudget(limit)
-	if errors.Is(err, sim.ErrBudget) {
-		panic(fmt.Sprintf("core: RunUntilIdle exceeded %d events: %v", limit, err))
-	}
-	return err
-}
+// RunUntilIdle drains the event queue. It returns the machine check a
+// component raised through the engine's failure surface, or, when limit
+// events fire before the queue drains, an error wrapping sim.ErrBudget:
+// the run was truncated, not quiescent.
+func (m *Machine) RunUntilIdle(limit uint64) error { return m.Eng.DrainBudget(limit) }
 
 // Await drives the simulation until the future resolves, then returns
 // its error. A machine check raised while waiting is returned instead.

@@ -3,16 +3,20 @@ package core
 import (
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/nic"
 	"repro/internal/nipt"
 	"repro/internal/phys"
 	"repro/internal/vm"
 )
 
-// drain runs the machine dry with a generous livelock guard.
+// drain runs the machine dry with a generous livelock guard, failing
+// the test on a machine check or a blown budget.
 func drain(t *testing.T, m *Machine) {
 	t.Helper()
-	m.RunUntilIdle(5_000_000)
+	if err := m.RunUntilIdle(5_000_000); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestBootAndMapSingleWrite(t *testing.T) {
@@ -303,7 +307,7 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestFaultInjectionCRCDrops(t *testing.T) {
-	// Mark every 5th packet as damaged in flight: the receiving NIC's
+	// Damage a fifth of the packets in flight: the receiving NIC's
 	// verification drops them; clean packets still land; memory never
 	// sees corrupt data.
 	m := New(ConfigFor(2, 1, nic.GenEISAPrototype))
@@ -315,9 +319,9 @@ func TestFaultInjectionCRCDrops(t *testing.T) {
 	m.MustMap(pa, sendVA, phys.PageSize, b.ID, pb.PID, recvVA, nipt.SingleWriteAU)
 	drain(t, m)
 	// Damage only user traffic: the kernel control plane (like the real
-	// backplane) assumes error-free delivery, and the map is done.
-	m.Net.CorruptEvery(5)
-	defer m.Net.CorruptEvery(0)
+	// backplane) assumes error-free delivery, so the injector is attached
+	// to the mesh only once the map is done.
+	m.Net.SetFaults(fault.NewInjector(fault.Config{Seed: 5, CorruptPPM: 200_000}, 2))
 
 	delivered := 0
 	for i := 1; i <= 40; i++ {

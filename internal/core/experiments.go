@@ -42,7 +42,7 @@ func (m *Machine) Settle(phase string) error {
 }
 
 func (m *Machine) settleWithin(phase string, budget uint64) error {
-	if err := m.Eng.DrainBudget(budget); err != nil {
+	if err := m.RunUntilIdle(budget); err != nil {
 		return fmt.Errorf("core: %s: %w", phase, err)
 	}
 	return nil

@@ -32,7 +32,9 @@ func driveTraffic(t *testing.T, m *Machine) {
 			t.Fatal(err)
 		}
 	}
-	m.RunUntilIdle(5_000_000)
+	if err := m.RunUntilIdle(5_000_000); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestMetricsOffByDefault(t *testing.T) {
@@ -161,7 +163,9 @@ func TestTraceJSONSixteenNodes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m.RunUntilIdle(5_000_000)
+	if err := m.RunUntilIdle(5_000_000); err != nil {
+		t.Fatal(err)
+	}
 
 	var b strings.Builder
 	if err := m.TraceJSON(&b); err != nil {

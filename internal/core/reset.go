@@ -9,8 +9,8 @@ package core
 // touched: only written DRAM frames are cleared, and a cache that never
 // filled has no lines to invalidate. Sweep harnesses that measure many
 // points on the same configuration reuse one machine per worker instead
-// of paying the construction cost per point (about 980 allocations /
-// 0.13 MB for a 16-node machine).
+// of paying the construction cost per point (about 960 allocations /
+// 0.10 MB for a 16-node machine).
 //
 // The engine is reset first, discarding any pending events, so Reset is
 // safe even when the previous measurement stopped mid-flight (e.g. a
@@ -36,7 +36,6 @@ func (m *Machine) Reset() {
 	}
 	m.Obs.Reset()
 	m.Rec.Reset()
-	m.wd.reset()
 	m.Faults.Reset()
 	m.bootKernels()
 	// Re-schedule fault-plan events (node crashes, link outages): the

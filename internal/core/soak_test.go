@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/kernel"
+	"repro/internal/nic"
 	"repro/internal/nipt"
 	"repro/internal/phys"
 	"repro/internal/vm"
@@ -15,7 +16,7 @@ import (
 // the full 16-node machine the paper describes, then audits every
 // kernel's bookkeeping and the machine-wide packet accounting.
 func TestSixteenNodeSoak(t *testing.T) {
-	cfg := DefaultConfig() // 4x4 EISA prototype
+	cfg := ConfigFor(4, 4, nic.GenEISAPrototype)
 	cfg.Kernel.Policy = kernel.InvalidateProtocol
 	m := New(cfg)
 	rng := rand.New(rand.NewSource(8))
@@ -65,7 +66,9 @@ func TestSixteenNodeSoak(t *testing.T) {
 			flows = append(flows, f)
 		}
 	}
-	m.RunUntilIdle(500_000_000)
+	if err := m.RunUntilIdle(500_000_000); err != nil {
+		t.Fatal(err)
+	}
 
 	// Traffic rounds.
 	for round := 0; round < 12; round++ {
@@ -96,7 +99,9 @@ func TestSixteenNodeSoak(t *testing.T) {
 				}
 			}
 		}
-		m.RunUntilIdle(2_000_000_000)
+		if err := m.RunUntilIdle(2_000_000_000); err != nil {
+			t.Fatal(err)
+		}
 		// Spot-check a random flow's delivery this round.
 		f := flows[rng.Intn(len(flows))]
 		words := 16

@@ -10,7 +10,7 @@ import (
 // experiment on its own Machine, so points fan out across exp.Map
 // workers; each worker keeps one machine in a machinePool and reuses it
 // via Machine.Reset whenever consecutive points share a config, paying
-// the construction cost (about 1,030 allocations / 1.4 MB for a 16-node
+// the construction cost (about 960 allocations / 0.10 MB for a 16-node
 // machine) once per worker instead of once per point. Results come back
 // in input order, bit-identical to the workers == 1 sequential path —
 // the differential tests in sweep_test.go enforce this.

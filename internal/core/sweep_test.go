@@ -149,9 +149,10 @@ func TestSweepMatchesFreshMachines(t *testing.T) {
 
 // Budget exhaustion must surface as an explicit error wrapping
 // sim.ErrBudget and naming the phase, instead of silently truncating
-// the run. (Tested through settleWithin with a small budget; Settle is
-// the same path with ExperimentEventBudget, which a healthy run never
-// reaches.)
+// the run or panicking. (Tested through settleWithin with a small
+// budget; Settle is the same path with ExperimentEventBudget, which a
+// healthy run never reaches.) RunUntilIdle, which settleWithin calls,
+// returns the same error without the phase.
 func TestSettleBudgetError(t *testing.T) {
 	m := New(ConfigFor(2, 1, nic.GenEISAPrototype))
 	var tick func()
@@ -166,6 +167,9 @@ func TestSettleBudgetError(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "livelock probe") {
 		t.Fatalf("error %v does not name the phase", err)
+	}
+	if err := m.RunUntilIdle(1000); !errors.Is(err, sim.ErrBudget) {
+		t.Fatalf("RunUntilIdle on a non-quiescing machine: %v, want sim.ErrBudget", err)
 	}
 	// A quiescent machine settles with no error.
 	if err := New(ConfigFor(2, 1, nic.GenEISAPrototype)).Settle("idle"); err != nil {

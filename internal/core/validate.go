@@ -33,15 +33,6 @@ func (c Config) Validate() error {
 	if c.Recorder.Interval > 0 && !c.Metrics {
 		return fmt.Errorf("core: the flight recorder samples the metrics registry; set Metrics: true")
 	}
-	if c.Watchdog.Interval < 0 {
-		return fmt.Errorf("core: watchdog interval %v negative", c.Watchdog.Interval)
-	}
-	if c.Watchdog.Interval > 0 && !c.Metrics {
-		return fmt.Errorf("core: the progress watchdog reads the metrics registry; set Metrics: true")
-	}
-	if c.Watchdog.Windows < 0 || c.Watchdog.StallBytes < 0 || c.Watchdog.Deadline < 0 {
-		return fmt.Errorf("core: watchdog tunables must be non-negative")
-	}
 	if ring := kernel.RingPages(n); ring+8 > c.MemPagesPerNode {
 		return fmt.Errorf("core: %d pages/node cannot hold %d kernel ring pages plus working memory",
 			c.MemPagesPerNode, ring)

@@ -4,33 +4,16 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/nic"
 	"repro/internal/sim"
 )
 
-// Telemetry validates with every observer armed at once: the recorder
-// and the watchdog share the machine's one pacer slot.
-func TestValidateTelemetryArmed(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Metrics = true
-	cfg.Recorder.Interval = 10 * sim.Microsecond
-	cfg.Watchdog.Interval = 100 * sim.Microsecond
-	if err := cfg.Validate(); err != nil {
-		t.Fatalf("recorder+watchdog rejected: %v", err)
-	}
-}
-
 func TestValidateTelemetryNeedsMetrics(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := ConfigFor(4, 4, nic.GenEISAPrototype)
 	cfg.Recorder.Interval = 10 * sim.Microsecond
 	err := cfg.Validate()
 	if err == nil || !strings.Contains(err.Error(), "Metrics: true") {
 		t.Fatalf("recorder without metrics: %v", err)
-	}
-	cfg = DefaultConfig()
-	cfg.Watchdog.Interval = 10 * sim.Microsecond
-	err = cfg.Validate()
-	if err == nil || !strings.Contains(err.Error(), "Metrics: true") {
-		t.Fatalf("watchdog without metrics: %v", err)
 	}
 }
 
@@ -47,7 +30,7 @@ func TestValidateRejectsZeroCacheGeometry(t *testing.T) {
 		{"ways", func(c *Config) { c.Cache.Ways = 0 }},
 		{"line", func(c *Config) { c.Cache.LineBytes = 0 }},
 	} {
-		cfg := DefaultConfig()
+		cfg := ConfigFor(4, 4, nic.GenEISAPrototype)
 		c.zero(&cfg)
 		err := cfg.Validate()
 		if err == nil || !strings.Contains(err.Error(), "cache") {

@@ -27,20 +27,6 @@ const (
 	// CheckNoEndpoint: a worm arrived at a mesh coordinate with no
 	// attached endpoint (a wiring error, surfaced instead of panicking).
 	CheckNoEndpoint
-	// CheckRetryStorm: the progress watchdog saw reliable-delivery
-	// retransmissions advance for several consecutive check intervals
-	// while no packet was delivered anywhere — a retry storm that would
-	// otherwise spin until the event budget, diagnosed early.
-	CheckRetryStorm
-	// CheckFIFOStall: the progress watchdog saw a node's Outgoing FIFO
-	// hold at or above the stall threshold for several consecutive check
-	// intervals without that node sending a single packet — a wedged
-	// drain path.
-	CheckFIFOStall
-	// CheckDeadline: the progress watchdog's wall deadline passed with
-	// the simulation still running — the workload was expected to
-	// quiesce by then.
-	CheckDeadline
 	numCheckKinds
 )
 
@@ -50,9 +36,6 @@ var checkKindNames = [...]string{
 	"retry-budget-exhausted",
 	"kernel-ring-corrupt",
 	"no-endpoint",
-	"retry-storm",
-	"fifo-stall",
-	"deadline-exceeded",
 }
 
 // Compile-time guards: checkKindNames lists exactly numCheckKinds names.

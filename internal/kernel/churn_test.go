@@ -99,7 +99,9 @@ func TestRandomChurnPreservesInvariants(t *testing.T) {
 			if err := l.src.node.UserWrite32(l.src.proc, l.src.va, l.seq); err != nil {
 				t.Fatalf("step %d write: %v", step, err)
 			}
-			m.RunUntilIdle(20_000_000)
+			if err := m.RunUntilIdle(20_000_000); err != nil {
+				t.Fatal(err)
+			}
 			if v, _ := l.dst.node.UserRead32(l.dst.proc, l.dst.va); v != l.seq {
 				t.Fatalf("step %d: delivered %d want %d", step, v, l.seq)
 			}
@@ -132,7 +134,9 @@ func TestRandomChurnPreservesInvariants(t *testing.T) {
 				}
 			}
 		}
-		m.RunUntilIdle(50_000_000)
+		if err := m.RunUntilIdle(50_000_000); err != nil {
+			t.Fatal(err)
+		}
 		if step%25 == 0 {
 			checkAll(step)
 		}
@@ -145,7 +149,9 @@ func TestRandomChurnPreservesInvariants(t *testing.T) {
 			t.Fatalf("final unmap: %v", err)
 		}
 	}
-	m.RunUntilIdle(50_000_000)
+	if err := m.RunUntilIdle(50_000_000); err != nil {
+		t.Fatal(err)
+	}
 	checkAll(401)
 	for i := 0; i < 4; i++ {
 		s := m.Node(i).NIC.Stats()

@@ -31,7 +31,9 @@ func TestDestroyProcessReleasesEverything(t *testing.T) {
 	if err := a.K.GrantCommandPages(victim, outVA, outVA+0x4000_0000, 1); err != nil {
 		t.Fatal(err)
 	}
-	m.RunUntilIdle(20_000_000)
+	if err := m.RunUntilIdle(20_000_000); err != nil {
+		t.Fatal(err)
+	}
 
 	inFrame, _ := victim.FrameOf(inVA)
 	if !a.NIC.Table().Entry(inFrame).MappedIn {
@@ -41,7 +43,9 @@ func TestDestroyProcessReleasesEverything(t *testing.T) {
 	if err := m.Await(a.K.DestroyProcess(victim)); err != nil {
 		t.Fatalf("destroy: %v", err)
 	}
-	m.RunUntilIdle(20_000_000)
+	if err := m.RunUntilIdle(20_000_000); err != nil {
+		t.Fatal(err)
+	}
 
 	// All frames returned.
 	if got := a.K.FreePageCount(); got != freeBefore {

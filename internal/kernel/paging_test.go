@@ -61,7 +61,9 @@ func TestEvictionOfOutgoingMappedPage(t *testing.T) {
 	if err := a.UserWrite32(pa, sendVA, 7); err != nil {
 		t.Fatal(err)
 	}
-	m.RunUntilIdle(5_000_000)
+	if err := m.RunUntilIdle(5_000_000); err != nil {
+		t.Fatal(err)
+	}
 	if err := m.Await(a.K.EvictPage(pa, sendVA.Page())); err != nil {
 		t.Fatalf("evicting outgoing-mapped page: %v", err)
 	}
@@ -76,7 +78,9 @@ func TestEvictionOfOutgoingMappedPage(t *testing.T) {
 	if err := a.UserWrite32(pa, sendVA+4, 9); err != nil {
 		t.Fatal(err)
 	}
-	m.RunUntilIdle(5_000_000)
+	if err := m.RunUntilIdle(5_000_000); err != nil {
+		t.Fatal(err)
+	}
 	if v, _ := b.UserRead32(pb, recvVA+4); v != 9 {
 		t.Fatalf("mapping not restored after page-in: %d", v)
 	}
@@ -99,7 +103,9 @@ func TestInvalidateProtocolEndToEnd(t *testing.T) {
 	if err := a.UserWrite32(pa, sendVA, 1); err != nil {
 		t.Fatal(err)
 	}
-	m.RunUntilIdle(5_000_000)
+	if err := m.RunUntilIdle(5_000_000); err != nil {
+		t.Fatal(err)
+	}
 	oldFrame, _ := pb.FrameOf(recvVA)
 
 	// Replace the receive page. All importer acks must arrive first.
@@ -140,7 +146,9 @@ poke:
 	if err := a.CPU.Start("poke"); err != nil {
 		t.Fatal(err)
 	}
-	m.RunUntilIdle(20_000_000)
+	if err := m.RunUntilIdle(20_000_000); err != nil {
+		t.Fatal(err)
+	}
 	if err := a.CPU.Err(); err != nil {
 		t.Fatalf("cpu aborted: %v", err)
 	}
@@ -195,7 +203,9 @@ read:
 	if err := a.CPU.Start("read"); err != nil {
 		t.Fatal(err)
 	}
-	m.RunUntilIdle(20_000_000)
+	if err := m.RunUntilIdle(20_000_000); err != nil {
+		t.Fatal(err)
+	}
 	if err := a.CPU.Err(); err != nil {
 		t.Fatalf("cpu aborted: %v", err)
 	}

@@ -33,7 +33,9 @@ func TestRingWrapsUnderManyRPCs(t *testing.T) {
 		if err := a.UserWrite32(pa, sendVA, uint32(i+1)); err != nil {
 			t.Fatal(err)
 		}
-		m.RunUntilIdle(5_000_000)
+		if err := m.RunUntilIdle(5_000_000); err != nil {
+			t.Fatal(err)
+		}
 		if v, _ := b.UserRead32(pb, recvVA); v != uint32(i+1) {
 			t.Fatalf("round %d: %d", i, v)
 		}
@@ -77,7 +79,9 @@ func TestRingsAcrossAllPairs(t *testing.T) {
 			if err := m.Node(s).UserWrite32(ps, sv, want); err != nil {
 				t.Fatal(err)
 			}
-			m.RunUntilIdle(10_000_000)
+			if err := m.RunUntilIdle(10_000_000); err != nil {
+				t.Fatal(err)
+			}
 			if v, _ := m.Node(d).UserRead32(pd, dv); v != want {
 				t.Fatalf("pair %d->%d: %d", s, d, v)
 			}
@@ -101,7 +105,9 @@ func TestRingStateBuiltOnFirstUse(t *testing.T) {
 	if err := src.UserWrite32(ps, sendVA, 42); err != nil {
 		t.Fatal(err)
 	}
-	m.RunUntilIdle(10_000_000)
+	if err := m.RunUntilIdle(10_000_000); err != nil {
+		t.Fatal(err)
+	}
 	if v, _ := dst.UserRead32(pd, recvVA); v != 42 {
 		t.Fatalf("mapped store delivered %d, want 42", v)
 	}
@@ -206,7 +212,9 @@ func TestConcurrentBidirectionalMaps(t *testing.T) {
 
 	_, futAB := a.K.Map(pa, aBuf, phys.PageSize, b.ID, pb.PID, bIn, nipt.SingleWriteAU)
 	_, futBA := b.K.Map(pb, bBuf, phys.PageSize, a.ID, pa.PID, aIn, nipt.SingleWriteAU)
-	m.RunUntilIdle(20_000_000)
+	if err := m.RunUntilIdle(20_000_000); err != nil {
+		t.Fatal(err)
+	}
 	if !futAB.Done() || !futBA.Done() {
 		t.Fatal("concurrent maps did not complete")
 	}
@@ -220,7 +228,9 @@ func TestConcurrentBidirectionalMaps(t *testing.T) {
 	if err := b.UserWrite32(pb, bBuf, 22); err != nil {
 		t.Fatal(err)
 	}
-	m.RunUntilIdle(10_000_000)
+	if err := m.RunUntilIdle(10_000_000); err != nil {
+		t.Fatal(err)
+	}
 	if v, _ := b.UserRead32(pb, bIn); v != 11 {
 		t.Fatalf("a->b: %d", v)
 	}
@@ -249,7 +259,9 @@ func TestSplitPageMappingThroughKernel(t *testing.T) {
 		if err := a.UserWrite32(pa, sendVA+off, want); err != nil {
 			t.Fatal(err)
 		}
-		m.RunUntilIdle(10_000_000)
+		if err := m.RunUntilIdle(10_000_000); err != nil {
+			t.Fatal(err)
+		}
 		if v, _ := b.UserRead32(pb, target+off); v != want {
 			t.Fatalf("offset %d: got %#x want %#x", off, v, want)
 		}
@@ -279,7 +291,9 @@ func TestTwoMappingsShareASplitPage(t *testing.T) {
 		if err := a.UserWrite32(pa, page+w.off, uint32(w.off)); err != nil {
 			t.Fatal(err)
 		}
-		m.RunUntilIdle(10_000_000)
+		if err := m.RunUntilIdle(10_000_000); err != nil {
+			t.Fatal(err)
+		}
 		if v, _ := w.node.UserRead32(w.proc, w.recv); v != uint32(w.off) {
 			t.Fatalf("store at offset %d delivered %d", w.off, v)
 		}

@@ -80,7 +80,9 @@ func TestMultiprogrammingWithLiveTraffic(t *testing.T) {
 		m.Eng.RunFor(2 * sim.Microsecond)
 	}
 	b.K.StopScheduler()
-	m.RunUntilIdle(50_000_000)
+	if err := m.RunUntilIdle(50_000_000); err != nil {
+		t.Fatal(err)
+	}
 
 	if b.K.Stats().ContextSwitches < 3 {
 		t.Fatalf("only %d context switches", b.K.Stats().ContextSwitches)
@@ -125,7 +127,9 @@ func TestSchedulerRunsAloneProcess(t *testing.T) {
 	}
 	m.Eng.RunFor(100 * sim.Microsecond)
 	n.K.StopScheduler()
-	m.RunUntilIdle(10_000_000)
+	if err := m.RunUntilIdle(10_000_000); err != nil {
+		t.Fatal(err)
+	}
 	if v, _ := n.UserRead32(p, resultVA); v != 405 {
 		t.Fatalf("result %d", v)
 	}

@@ -181,12 +181,6 @@ type Network struct {
 	// waiters; the NIC uses it to pace its outgoing FIFO drain.
 	injFree []func()
 
-	// corruptEvery, when positive, marks every Nth injected packet as
-	// having suffered a transmission error (fault injection: the
-	// receiving NIC's CRC check must catch and drop it).
-	corruptEvery int
-	injectCount  int
-
 	// faults is the machine-wide fault injector; nil outside fault mode
 	// (the zero-fault data path pays one nil check per injection). reg
 	// mirrors SetObs's registry so fault events can complete spans and
@@ -310,8 +304,6 @@ func (n *Network) Reset() {
 		n.park[i] = nil
 		n.dead[i] = false
 	}
-	n.corruptEvery = 0
-	n.injectCount = 0
 	n.linkFault = false
 	n.stats = Stats{}
 }
@@ -369,10 +361,6 @@ func sign(v int) int {
 func (n *Network) InjectorBusy(c packet.Coord) bool {
 	return n.inj[n.index(c)].owner != nil || len(n.inj[n.index(c)].waiters) > 0
 }
-
-// CorruptEvery enables fault injection: every nth injected packet is
-// marked as damaged in flight (n <= 0 disables).
-func (n *Network) CorruptEvery(every int) { n.corruptEvery = every }
 
 // SetFaults attaches the machine-wide fault injector (nil detaches).
 // With an injector attached, every injection rolls the drop, corrupt
@@ -440,10 +428,6 @@ func (n *Network) Inject(src packet.Coord, p *packet.Packet, wire int) {
 	defer n.eng.EnterDomain(prev)
 	if !n.Contains(src) || !n.Contains(p.Dst) {
 		panic(fmt.Sprintf("mesh: inject %v->%v outside mesh", src, p.Dst))
-	}
-	n.injectCount++
-	if n.corruptEvery > 0 && n.injectCount%n.corruptEvery == 0 {
-		p.Corrupt = true
 	}
 	w := n.getWorm()
 	w.pkt = p

@@ -118,7 +118,9 @@ func runConcurrentLoop(t *testing.T, cfg core.Config) pairRun {
 	if err := p.R.CPU.Start("cons"); err != nil {
 		t.Fatal(err)
 	}
-	p.M.RunUntilIdle(100_000_000)
+	if err := p.M.RunUntilIdle(100_000_000); err != nil {
+		t.Fatal(err)
+	}
 	for _, cpu := range []*isa.CPU{p.S.CPU, p.R.CPU} {
 		if !cpu.Halted() || cpu.Err() != nil {
 			t.Fatalf("cpu did not finish cleanly: halted=%v err=%v", cpu.Halted(), cpu.Err())

@@ -196,12 +196,16 @@ func TestBlockSenderMultiPage(t *testing.T) {
 	if err := bs.Write(0, payload); err != nil {
 		t.Fatal(err)
 	}
-	m.RunUntilIdle(50_000_000)
+	if err := m.RunUntilIdle(50_000_000); err != nil {
+		t.Fatal(err)
+	}
 	// Send a region that starts mid-page and crosses two boundaries.
 	if err := bs.Send(100, 8000); err != nil {
 		t.Fatal(err)
 	}
-	m.RunUntilIdle(50_000_000)
+	if err := m.RunUntilIdle(50_000_000); err != nil {
+		t.Fatal(err)
+	}
 	if !bs.Done() {
 		t.Fatal("DMA still busy after drain")
 	}

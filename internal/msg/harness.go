@@ -72,8 +72,14 @@ func NewPair(m *core.Machine, snode, rnode int) *Pair {
 	return p
 }
 
-// Drain runs the machine until quiescent.
-func (p *Pair) Drain() { p.M.RunUntilIdle(20_000_000) }
+// Drain runs the machine until quiescent. A machine check or a blown
+// event budget panics with its error, as a failed map or grant does in
+// MapBuf and GrantCmd.
+func (p *Pair) Drain() {
+	if err := p.M.RunUntilIdle(20_000_000); err != nil {
+		panic(err)
+	}
+}
 
 // MapBuf allocates pages pages on both sides and maps sender→receiver
 // with the given mode, registering the virtual addresses under the given

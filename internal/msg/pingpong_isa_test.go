@@ -93,7 +93,9 @@ func TestConcurrentISAPingPong(t *testing.T) {
 	}
 
 	start := p.M.Eng.Now()
-	p.M.RunUntilIdle(50_000_000)
+	if err := p.M.RunUntilIdle(50_000_000); err != nil {
+		t.Fatal(err)
+	}
 	elapsed := p.M.Eng.Now() - start
 
 	for _, cpu := range []*isa.CPU{p.S.CPU, p.R.CPU} {

@@ -73,7 +73,9 @@ func runPingPongPair(t *testing.T, p *Pair) pairRun {
 	if err := p.R.CPU.Start("pong"); err != nil {
 		t.Fatal(err)
 	}
-	p.M.RunUntilIdle(50_000_000)
+	if err := p.M.RunUntilIdle(50_000_000); err != nil {
+		t.Fatal(err)
+	}
 	for _, cpu := range []*isa.CPU{p.S.CPU, p.R.CPU} {
 		if !cpu.Halted() || cpu.Err() != nil {
 			t.Fatalf("cpu did not finish cleanly: halted=%v err=%v eip=%d",
@@ -121,18 +123,16 @@ func TestTraceMetricsOnChangesNothing(t *testing.T) {
 }
 
 // TestTraceRecorderOnChangesNothing extends the observability contract
-// to the flight recorder and the watchdog: sampling the registry at a
-// fixed cadence — and running progress checks that never trip — over the
-// ISA-level ping-pong changes no simulated result.
+// to the flight recorder: sampling the registry at a fixed cadence over
+// the ISA-level ping-pong changes no simulated result.
 func TestTraceRecorderOnChangesNothing(t *testing.T) {
 	plain := batchCfg(64)
 	plain.Metrics = true
 	want := runPingPong(t, plain)
 	armed := plain
 	armed.Recorder = obs.RecorderConfig{Interval: 5 * sim.Microsecond, Capacity: 128}
-	armed.Watchdog = core.WatchdogConfig{Interval: 20 * sim.Microsecond}
 	if got := runPingPong(t, armed); got != want {
-		t.Fatalf("recorder+watchdog armed diverged:\n got  %+v\n want %+v", got, want)
+		t.Fatalf("recorder armed diverged:\n got  %+v\n want %+v", got, want)
 	}
 }
 
@@ -272,7 +272,9 @@ func TestTraceCacheHitRateFloor(t *testing.T) {
 	if err := p.R.CPU.Start("cons"); err != nil {
 		t.Fatal(err)
 	}
-	p.M.RunUntilIdle(100_000_000)
+	if err := p.M.RunUntilIdle(100_000_000); err != nil {
+		t.Fatal(err)
+	}
 
 	snap := p.M.Obs.Snapshot()
 	var hits, misses uint64

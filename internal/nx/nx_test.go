@@ -91,7 +91,9 @@ func TestCrecvAnyAndProbe(t *testing.T) {
 	if err := pa.Csend(5, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	m.RunUntilIdle(20_000_000)
+	if err := m.RunUntilIdle(20_000_000); err != nil {
+		t.Fatal(err)
+	}
 	if ok, _ := pb.Cprobe(5); !ok {
 		t.Fatal("probe missed an arrival")
 	}
@@ -127,7 +129,9 @@ func TestAsyncSendReceive(t *testing.T) {
 	if _, err := pa.Msgwait(sh); err != nil {
 		t.Fatal(err)
 	}
-	m.RunUntilIdle(20_000_000)
+	if err := m.RunUntilIdle(20_000_000); err != nil {
+		t.Fatal(err)
+	}
 	if done, _ := pb.Msgdone(rh); !done {
 		t.Fatal("receive not completed after delivery")
 	}

@@ -28,8 +28,9 @@ const DefaultRecorderCapacity = 1024
 // DefaultRecorderInterval is the sampling cadence CLIs default to.
 const DefaultRecorderInterval = 10 * sim.Microsecond
 
-// recorderMarkCapacity bounds the retained recorder marks (watchdog
-// trips, harness annotations); later marks are counted but dropped.
+// recorderMarkCapacity bounds the retained recorder marks (peer-down
+// declarations, harness annotations); later marks are counted but
+// dropped.
 const recorderMarkCapacity = 64
 
 // RecorderConfig arms the flight recorder. The zero value disables it.
@@ -44,8 +45,8 @@ type RecorderConfig struct {
 	Capacity int
 }
 
-// Mark is one annotation pinned to the recorder timeline (a watchdog
-// machine check, a harness phase boundary).
+// Mark is one annotation pinned to the recorder timeline (a peer-down
+// declaration, a harness phase boundary).
 type Mark struct {
 	At    sim.Time `json:"at"`
 	Label string   `json:"label"`

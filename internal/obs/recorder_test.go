@@ -276,7 +276,7 @@ func TestRecorderWriteOpenMetrics(t *testing.T) {
 	reg := New(2, 0)
 	r := NewRecorder(reg, RecorderConfig{Interval: 10 * sim.Microsecond, Capacity: 8})
 	driveRecorder(r, reg, 2)
-	r.MarkAt(15*sim.Microsecond, `watchdog: "quoted"`)
+	r.MarkAt(15*sim.Microsecond, `phase: "quoted"`)
 	var b strings.Builder
 	if err := r.WriteOpenMetrics(&b); err != nil {
 		t.Fatal(err)
@@ -286,7 +286,7 @@ func TestRecorderWriteOpenMetrics(t *testing.T) {
 		"shrimp_rec_samples_total 2",
 		"shrimp_rec_packets_out_total 3 0.000010000",
 		"shrimp_rec_packets_out_total 6 0.000020000",
-		`shrimp_rec_mark{label="watchdog: \"quoted\""} 1 0.000015000`,
+		`shrimp_rec_mark{label="phase: \"quoted\""} 1 0.000015000`,
 		"# EOF\n",
 	} {
 		if !strings.Contains(out, want) {
@@ -327,7 +327,7 @@ func TestWriteChromeTraceRecorderTracks(t *testing.T) {
 	reg := New(2, 0)
 	r := NewRecorder(reg, RecorderConfig{Interval: 10 * sim.Microsecond, Capacity: 8})
 	driveRecorder(r, reg, 3)
-	r.MarkAt(25*sim.Microsecond, "watchdog: retry-storm")
+	r.MarkAt(25*sim.Microsecond, "node 0: peer down: node 1")
 	var b strings.Builder
 	if err := WriteChromeTrace(&b, 2, nil, nil, r); err != nil {
 		t.Fatal(err)
@@ -355,7 +355,7 @@ func TestWriteChromeTraceRecorderTracks(t *testing.T) {
 			if _, dead := args[CtrDrops.String()]; dead {
 				t.Fatalf("all-zero series emitted in args %v", args)
 			}
-		case "watchdog: retry-storm":
+		case "node 0: peer down: node 1":
 			marks++
 		case "process_name":
 			if n, _ := ev["args"].(map[string]any)["name"].(string); strings.Contains(n, "flight recorder") {

@@ -15,10 +15,9 @@ package sim
 
 // Pacer observes the simulation at deterministic simulated-time deadlines.
 //
-// Implementations must not schedule events, advance clocks, or otherwise
-// mutate simulation state from Pace; recording a failure via Fail is the
-// one sanctioned side effect (a watchdog's whole purpose). Pace runs
-// between events, so it may read any machine state.
+// Implementations must not schedule events, advance clocks, record a
+// failure via Fail, or otherwise mutate simulation state from Pace. Pace
+// runs between events, so it may read any machine state.
 type Pacer interface {
 	// NextDeadline returns the next simulated instant the pacer wants to
 	// observe, or Forever when it has none.

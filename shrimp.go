@@ -130,10 +130,6 @@ type (
 	RecorderConfig = obs.RecorderConfig
 	// Recorder is the armed flight recorder, on Machine.Rec.
 	Recorder = obs.Recorder
-	// WatchdogConfig arms the progress watchdog (Config.Watchdog): stall
-	// and retry-storm detection surfaced as machine checks. Requires
-	// Config.Metrics.
-	WatchdogConfig = core.WatchdogConfig
 )
 
 // Simulated time.
