@@ -180,3 +180,10 @@ rejects shrimp-hwperf -mesh 40x40
 rejects shrimp-hwperf -parallel -3
 rejects shrimp-report -parallel -1
 rejects shrimp-faults -workers -1
+rejects shrimp-sim -mesh 40x40
+rejects shrimp-trace -mesh 40x40
+rejects shrimp-faults -w 1 -h 1
+rejects shrimp-faults -avail 1 -crashat 0
+rejects shrimp-faults -avail 2 -crashat 1 -stagger -5
+rejects shrimp-faults -avail 1 -words 5000
+rejects shrimp-faults -avail 1 -rounds 0

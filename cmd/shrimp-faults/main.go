@@ -23,6 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -53,12 +54,15 @@ func main() {
 	case "xpress":
 		g = shrimp.GenXpress
 	default:
-		fmt.Fprintf(os.Stderr, "shrimp-faults: unknown -gen %q; want eisa or xpress\n", *gen)
-		os.Exit(1)
+		fatal("shrimp-faults: unknown -gen %q; want eisa or xpress", *gen)
 	}
 	if *workers < 0 {
-		fmt.Fprintf(os.Stderr, "shrimp-faults: bad -workers %d; want 0 (GOMAXPROCS), 1 (sequential) or more\n", *workers)
-		os.Exit(1)
+		fatal("shrimp-faults: bad -workers %d; want 0 (GOMAXPROCS), 1 (sequential) or more", *workers)
+	}
+	// Both modes need a second node: the transfer and every ring flow
+	// map one node onto another.
+	if *w < 1 || *h < 1 || *w**h < 2 {
+		fatal("shrimp-faults: bad mesh -w %d -h %d (want at least two nodes)", *w, *h)
 	}
 	if *avail != "" {
 		availMode(*w, *h, g, *seed, *avail, *rounds, *words, *workers,
@@ -67,34 +71,30 @@ func main() {
 	}
 	ladder, err := parsePPM(*drops)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fatal("%v", err)
 	}
 	if *transfer <= 0 || *transfer%4 != 0 || *transfer > shrimp.PageSize {
-		fmt.Fprintf(os.Stderr, "shrimp-faults: bad -transfer %d (want a positive multiple of 4, at most %d)\n",
+		fatal("shrimp-faults: bad -transfer %d (want a positive multiple of 4, at most %d)",
 			*transfer, shrimp.PageSize)
-		os.Exit(1)
 	}
 	if *total < *transfer {
-		fmt.Fprintf(os.Stderr, "shrimp-faults: bad -bytes %d (want at least one %d B transfer)\n", *total, *transfer)
-		os.Exit(1)
+		fatal("shrimp-faults: bad -bytes %d (want at least one %d B transfer)", *total, *transfer)
 	}
 
 	cfg := shrimp.ConfigFor(*w, *h, g)
 	cfg.Metrics = true // tail-latency quantiles ride the stage-total histogram
 	cfg.Faults = shrimp.FaultConfig{Seed: *seed, Reliable: true}
 	if err := cfg.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fatal("%v", err)
 	}
 
 	src, dst := 0, cfg.NodeCount()-1
 	fmt.Printf("fault sweep: %dx%d %s mesh, node %d -> %d, %d B transfers, %d B per point, seed %d\n",
 		*w, *h, g, src, dst, *transfer, *total, *seed)
 	fmt.Println()
-	fmt.Printf("  %-10s %-12s %-10s %-24s %-44s %s\n",
+	fmt.Printf("  %-10s %-12s %-10s %-15s %-44s %s\n",
 		"drop", "goodput", "delivered", "injected", "recovery", "latency p50/p99/p999")
-	fmt.Printf("  %-10s %-12s %-10s %-24s %-44s %s\n",
+	fmt.Printf("  %-10s %-12s %-10s %-15s %-44s %s\n",
 		"----", "-------", "---------", "--------", "--------", "--------------------")
 	failed := false
 	for _, p := range shrimp.FaultSweep(cfg, ladder, *transfer, *total, *workers) {
@@ -103,9 +103,8 @@ func main() {
 			fmt.Printf("  %8.2f%%  FAILED: %s\n", float64(p.DropPPM)/1e4, p.Err)
 			continue
 		}
-		fmt.Printf("  %8.2f%%  %7.2f MB/s %7d B  %5d drop %4d dup%s  %v / %v / %v\n",
-			float64(p.DropPPM)/1e4, p.GoodputMBps, p.GoodBytes,
-			p.FaultDrops, p.Dups,
+		fmt.Printf("  %8.2f%%  %7.2f MB/s %7d B  %5d drop%s  %v / %v / %v\n",
+			float64(p.DropPPM)/1e4, p.GoodputMBps, p.GoodBytes, p.FaultDrops,
 			fmt.Sprintf("  %4d rexmit %4d ack %3d nack %3d dupdrop",
 				p.Retransmits, p.AcksSent, p.NacksSent, p.DupDrops),
 			p.LatP50, p.LatP99, p.LatP999)
@@ -129,14 +128,24 @@ func availMode(w, h int, g shrimp.Generation, seed uint64, counts string, rounds
 		}
 		v, err := strconv.Atoi(f)
 		if err != nil || v < 0 || v > 2 {
-			fmt.Fprintf(os.Stderr, "shrimp-faults: bad crash count %q (want 0..2)\n", f)
-			os.Exit(1)
+			fatal("shrimp-faults: bad crash count %q (want 0..2)", f)
 		}
 		crashes = append(crashes, v)
 	}
 	if len(crashes) == 0 {
-		fmt.Fprintln(os.Stderr, "shrimp-faults: -avail is empty")
-		os.Exit(1)
+		fatal("shrimp-faults: -avail is empty")
+	}
+	if rounds < 1 {
+		fatal("shrimp-faults: bad -rounds %d (want at least 1)", rounds)
+	}
+	if words < 1 || words > shrimp.PageSize/4 {
+		fatal("shrimp-faults: bad -words %d (want 1..%d: a round fills at most one page)", words, shrimp.PageSize/4)
+	}
+	// The sweep adds each point's crash plan to the validated config, so
+	// check here that every crash it schedules has a positive time.
+	if most := slices.Max(crashes); most >= 1 && crashBase <= 0 || most == 2 && crashBase+crashStagger <= 0 {
+		fatal("shrimp-faults: bad -crashat %d -stagger %d (every crash needs a positive time)",
+			crashBase/shrimp.Microsecond, crashStagger/shrimp.Microsecond)
 	}
 
 	cfg := shrimp.ConfigFor(w, h, g)
@@ -152,8 +161,7 @@ func availMode(w, h int, g shrimp.Generation, seed uint64, counts string, rounds
 		AckTimeout:  10 * shrimp.Microsecond,
 	}
 	if err := cfg.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fatal("%v", err)
 	}
 
 	fmt.Printf("availability sweep: %dx%d %s mesh, ring flows, %d rounds x %d words, crashes at %v +%v, seed %d\n",
@@ -178,6 +186,12 @@ func availMode(w, h int, g shrimp.Generation, seed uint64, counts string, rounds
 	if failed {
 		os.Exit(1)
 	}
+}
+
+// fatal reports a bad flag on stderr and exits 1.
+func fatal(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, format+"\n", args...)
+	os.Exit(1)
 }
 
 func parsePPM(s string) ([]uint32, error) {

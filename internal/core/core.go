@@ -26,11 +26,10 @@ import (
 	"repro/internal/vm"
 )
 
-// Config describes a whole machine.
+// Config describes a whole machine. Mesh.Width and Mesh.Height give its
+// shape and NIC.Generation its network interface generation.
 type Config struct {
-	MeshWidth, MeshHeight int
-	MemPagesPerNode       int
-	Generation            nic.Generation
+	MemPagesPerNode int
 	// Metrics attaches the machine-wide observability registry
 	// (internal/obs): per-node counters and histograms, per-link mesh
 	// stats, and causal packet spans. Off by default; enabling it never
@@ -65,10 +64,7 @@ type Config struct {
 // ConfigFor builds a config for the given mesh size and NIC generation.
 func ConfigFor(w, h int, gen nic.Generation) Config {
 	cfg := Config{
-		MeshWidth:       w,
-		MeshHeight:      h,
 		MemPagesPerNode: 1024, // 4 MB
-		Generation:      gen,
 		Mesh:            mesh.DefaultConfig(w, h),
 		Xpress:          bus.DefaultXpressConfig(),
 		EISA:            bus.DefaultEISAConfig(),
@@ -112,10 +108,10 @@ type Machine struct {
 }
 
 // CoordOf maps a node id to its mesh coordinates (row-major).
-func (c Config) CoordOf(id packet.NodeID) packet.Coord { return packet.CoordOf(id, c.MeshWidth) }
+func (c Config) CoordOf(id packet.NodeID) packet.Coord { return packet.CoordOf(id, c.Mesh.Width) }
 
 // NodeCount returns the number of nodes in the machine.
-func (c Config) NodeCount() int { return c.MeshWidth * c.MeshHeight }
+func (c Config) NodeCount() int { return c.Mesh.Width * c.Mesh.Height }
 
 // New boots a machine: builds every node, attaches them to the mesh, and
 // runs every kernel's boot step. No kernel ring is installed until its
@@ -144,7 +140,7 @@ func New(cfg Config) *Machine {
 		mem := phys.NewMemory(cfg.MemPagesPerNode)
 		xbus := bus.NewXpress(eng, cfg.Xpress, mem)
 		var eisaBus *bus.EISA
-		if cfg.Generation == nic.GenEISAPrototype {
+		if cfg.NIC.Generation == nic.GenEISAPrototype {
 			eisaBus = bus.NewEISA(eng, cfg.EISA, xbus)
 		}
 		ch := cache.New(eng, cfg.Cache, xbus)

@@ -7,6 +7,7 @@ import (
 	"repro/internal/nic"
 	"repro/internal/nipt"
 	"repro/internal/phys"
+	"repro/internal/sim"
 	"repro/internal/vm"
 )
 
@@ -266,8 +267,7 @@ func TestConfigValidation(t *testing.T) {
 		name string
 		mut  func(*Config)
 	}{
-		{"zero mesh", func(c *Config) { c.MeshWidth = 0 }},
-		{"mesh disagreement", func(c *Config) { c.Mesh.Width = 7 }},
+		{"zero mesh", func(c *Config) { c.Mesh.Width = 0 }},
 		{"too few pages", func(c *Config) { c.MemPagesPerNode = 4 }},
 		// Command space [size, 2·size) wraps the 32-bit PAddr: at 2^19
 		// pages no command page is reachable, at 2^20 the size is 0.
@@ -285,6 +285,10 @@ func TestConfigValidation(t *testing.T) {
 		{"zero cpu clock", func(c *Config) { c.CPU.CycleTime = 0 }},
 		{"zero flit", func(c *Config) { c.Mesh.FlitBytes = 0 }},
 		{"negative span capacity", func(c *Config) { c.SpanCapacity = -5 }},
+		// A kind other than NodeOK and NodeCrash would schedule nothing.
+		{"unknown node fault kind", func(c *Config) {
+			c.Faults.Nodes[0] = fault.NodeFault{Node: 1, Kind: 7, At: 10 * sim.Microsecond}
+		}},
 	}
 	for _, m := range mutations {
 		cfg := ConfigFor(2, 2, nic.GenEISAPrototype)

@@ -11,37 +11,22 @@ import (
 )
 
 // applyFaults installs the deterministic fault plan on a post-boot
-// machine: the link-outage window on the mesh and the scheduled node
-// crash/freeze events on the engine. Reset calls it again after the
-// engine reset discards the pending events, so a reset machine replays
-// the identical plan. No-op without an injector.
+// machine: the scheduled node crash events on the engine. Reset calls
+// it again after the engine reset discards the pending events, so a
+// reset machine replays the identical plan. No-op without an injector.
 func (m *Machine) applyFaults() {
 	if m.Faults == nil {
 		return
 	}
 	fc := m.Cfg.Faults
-	if fc.LinkDownAt > 0 {
-		from := m.Cfg.CoordOf(packet.NodeID(fc.LinkFrom))
-		to := m.Cfg.CoordOf(packet.NodeID(fc.LinkTo))
-		if err := m.Net.SetLinkFault(from, to, fc.LinkDownAt, fc.LinkRepairAt); err != nil {
-			panic(err) // Validate already rejected non-adjacent pairs
-		}
-	}
-	// Node fault events run under the faulted node's own domain: they
-	// mutate node-owned state (CPU, NIC dead flag — the fabric learns of
-	// a crash through the NIC's SetDead entry), and the explicit domain
+	// Crash events run under the crashed node's own domain: they mutate
+	// node-owned state (CPU, NIC dead flag — the fabric learns of a
+	// crash through the NIC's SetDead entry), and the explicit domain
 	// keeps their same-instant order independent of what fired before.
 	for _, nf := range fc.Nodes {
-		node := m.Nodes[nf.Node]
-		dom := sim.DomNode(nf.Node)
-		switch nf.Kind {
-		case fault.NodeCrash:
-			node.Eng.ScheduleDom(dom, nf.At, &nodeFaultEvent{node: node, crash: true})
-		case fault.NodeFreeze:
-			node.Eng.ScheduleDom(dom, nf.At, &nodeFaultEvent{node: node})
-			if nf.Until > 0 {
-				node.Eng.ScheduleDom(dom, nf.Until, &nodeFaultEvent{node: node, thaw: true})
-			}
+		if nf.Kind == fault.NodeCrash {
+			node := m.Nodes[nf.Node]
+			node.Eng.ScheduleDom(sim.DomNode(nf.Node), nf.At, &crashEvent{node: node})
 		}
 	}
 	// Survivable-mode heartbeat: per-node liveness sweeps, installed only
@@ -65,24 +50,13 @@ func (m *Machine) applyFaults() {
 	}
 }
 
-// nodeFaultEvent fires one scheduled node fault: crash (NIC dead + CPU
-// frozen), freeze (CPU frozen), or thaw (freeze window end).
-type nodeFaultEvent struct {
-	node  *Node
-	crash bool
-	thaw  bool
-}
+// crashEvent fires one scheduled node crash: the NIC goes dead and the
+// CPU freezes.
+type crashEvent struct{ node *Node }
 
-func (ev *nodeFaultEvent) Fire() {
-	switch {
-	case ev.crash:
-		ev.node.NIC.SetDead()
-		ev.node.CPU.Freeze()
-	case ev.thaw:
-		ev.node.CPU.Thaw()
-	default:
-		ev.node.CPU.Freeze()
-	}
+func (ev *crashEvent) Fire() {
+	ev.node.NIC.SetDead()
+	ev.node.CPU.Freeze()
 }
 
 // heartbeatEvent drives one node's periodic liveness sweep (Survivable
@@ -136,7 +110,6 @@ type FaultPoint struct {
 	GoodputMBps   float64
 	FaultDrops    uint64 // worms the injector lost in flight
 	Corrupts      uint64 // packets damaged (dropped by the receiver CRC)
-	Dups          uint64 // worms delivered twice
 	Retransmits   uint64 // sender retransmissions
 	AcksSent      uint64 // receiver cumulative ACKs
 	NacksSent     uint64 // receiver gap reports
@@ -155,8 +128,8 @@ func (p FaultPoint) String() string {
 	if p.Err != "" {
 		return fmt.Sprintf("drop %5.2f%%: FAILED: %s", float64(p.DropPPM)/1e4, p.Err)
 	}
-	s := fmt.Sprintf("drop %5.2f%%: %7.2f MB/s goodput, %d lost, %d corrupt, %d dup, %d rexmit, %d ack, %d nack",
-		float64(p.DropPPM)/1e4, p.GoodputMBps, p.FaultDrops, p.Corrupts, p.Dups,
+	s := fmt.Sprintf("drop %5.2f%%: %7.2f MB/s goodput, %d lost, %d corrupt, %d rexmit, %d ack, %d nack",
+		float64(p.DropPPM)/1e4, p.GoodputMBps, p.FaultDrops, p.Corrupts,
 		p.Retransmits, p.AcksSent, p.NacksSent)
 	if p.LatP999 > 0 {
 		s += fmt.Sprintf(", lat p50/p99/p999 %v/%v/%v", p.LatP50, p.LatP99, p.LatP999)
@@ -221,10 +194,8 @@ stream:
 	if elapsed > 0 {
 		res.GoodputMBps = float64(res.GoodBytes) / 1e6 / elapsed.Seconds()
 	}
-	res.FaultDrops = net.FaultDropped + net.FaultLinkDrops -
-		netBefore.FaultDropped - netBefore.FaultLinkDrops
+	res.FaultDrops = net.FaultDropped - netBefore.FaultDropped
 	res.Corrupts = net.FaultCorrupted - netBefore.FaultCorrupted
-	res.Dups = net.FaultDuplicated - netBefore.FaultDuplicated
 	res.Retransmits = srcStats.RelRetransmits
 	res.AcksSent = after.RelAcksSent - before.RelAcksSent
 	res.NacksSent = after.RelNacksSent - before.RelNacksSent

@@ -313,7 +313,7 @@ poke:
 
 	t.Run("faulty-transfer", func(t *testing.T) {
 		cfg := faultyCfg(60_000)
-		cfg.Faults.CorruptPPM, cfg.Faults.DupPPM = 40_000, 20_000
+		cfg.Faults.CorruptPPM = 40_000
 		cfg.Metrics = true
 		m := New(cfg)
 		if res := MeasureFaultyTransfer(m, 0, 1, 1024, 64*1024); res.Err != "" {

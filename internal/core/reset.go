@@ -38,9 +38,9 @@ func (m *Machine) Reset() {
 	m.Rec.Reset()
 	m.Faults.Reset()
 	m.bootKernels()
-	// Re-schedule fault-plan events (node crashes, link outages): the
-	// engine reset discarded them along with everything else pending, and
-	// the injector's decision counters just restarted, so the reset
-	// machine replays the identical fault pattern a fresh one would.
+	// Re-schedule the fault plan's node crashes: the engine reset
+	// discarded them along with everything else pending, and the
+	// injector's decision counters just restarted, so the reset machine
+	// replays the identical fault pattern a fresh one would.
 	m.applyFaults()
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/kernel"
+	"repro/internal/nic"
 	"repro/internal/packet"
 	"repro/internal/phys"
 )
@@ -13,12 +14,8 @@ import (
 // under. New panics on an invalid config; callers that assemble configs
 // programmatically can call Validate first for a graceful error.
 func (c Config) Validate() error {
-	if c.MeshWidth < 1 || c.MeshHeight < 1 {
-		return fmt.Errorf("core: mesh %dx%d invalid", c.MeshWidth, c.MeshHeight)
-	}
-	if c.Mesh.Width != c.MeshWidth || c.Mesh.Height != c.MeshHeight {
-		return fmt.Errorf("core: mesh config %dx%d disagrees with machine %dx%d",
-			c.Mesh.Width, c.Mesh.Height, c.MeshWidth, c.MeshHeight)
+	if c.Mesh.Width < 1 || c.Mesh.Height < 1 {
+		return fmt.Errorf("core: mesh %dx%d invalid", c.Mesh.Width, c.Mesh.Height)
 	}
 	n := c.NodeCount()
 	if c.SpanCapacity < 0 {
@@ -66,7 +63,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: incoming FIFO headroom %d cannot absorb one max packet (%d)",
 			c.NIC.InFIFOBytes-c.NIC.InThreshold, maxWire)
 	}
-	if c.Generation == 0 && c.EISA.BytesPerSecond <= 0 {
+	if c.NIC.Generation == nic.GenEISAPrototype && c.EISA.BytesPerSecond <= 0 {
 		return fmt.Errorf("core: EISA generation needs a positive deposit rate")
 	}
 	if c.Cache.Sets <= 0 || c.Cache.Ways <= 0 || c.Cache.LineBytes <= 0 {
@@ -97,12 +94,12 @@ func (c Config) validateFaults() error {
 	if !f.Enabled() {
 		return nil
 	}
-	for _, ppm := range [...]uint32{f.DropPPM, f.CorruptPPM, f.DupPPM, f.StallPPM} {
+	for _, ppm := range [...]uint32{f.DropPPM, f.CorruptPPM} {
 		if ppm > 1_000_000 {
 			return fmt.Errorf("core: fault rate %d ppm exceeds 1e6", ppm)
 		}
 	}
-	if f.RetryBudget < 0 || f.AckTimeout < 0 || f.StallTime < 0 {
+	if f.RetryBudget < 0 || f.AckTimeout < 0 {
 		return fmt.Errorf("core: fault tunables must be non-negative")
 	}
 	if f.Survivable && !f.Reliable {
@@ -117,32 +114,18 @@ func (c Config) validateFaults() error {
 			"set Survivable (and Reliable) to use it")
 	}
 	n := c.NodeCount()
-	if f.LinkDownAt > 0 {
-		if f.LinkFrom < 0 || f.LinkFrom >= n || f.LinkTo < 0 || f.LinkTo >= n {
-			return fmt.Errorf("core: link fault nodes %d->%d outside machine of %d nodes",
-				f.LinkFrom, f.LinkTo, n)
-		}
-		from, to := c.CoordOf(packet.NodeID(f.LinkFrom)), c.CoordOf(packet.NodeID(f.LinkTo))
-		if from.Hops(to) != 1 {
-			return fmt.Errorf("core: link fault %v->%v is not a mesh link", from, to)
-		}
-		if f.LinkRepairAt != 0 && f.LinkRepairAt <= f.LinkDownAt {
-			return fmt.Errorf("core: link repair at %v not after outage at %v",
-				f.LinkRepairAt, f.LinkDownAt)
-		}
-	}
 	for _, nf := range f.Nodes {
 		if nf.Kind == fault.NodeOK {
 			continue
+		}
+		if nf.Kind != fault.NodeCrash {
+			return fmt.Errorf("core: node fault on node %d has unknown kind %d", nf.Node, nf.Kind)
 		}
 		if nf.Node < 0 || nf.Node >= n {
 			return fmt.Errorf("core: node fault targets node %d of %d", nf.Node, n)
 		}
 		if nf.At <= 0 {
 			return fmt.Errorf("core: node fault on node %d needs a positive schedule time", nf.Node)
-		}
-		if nf.Until != 0 && nf.Until <= nf.At {
-			return fmt.Errorf("core: node fault thaw at %v not after freeze at %v", nf.Until, nf.At)
 		}
 	}
 	return nil

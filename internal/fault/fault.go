@@ -1,13 +1,12 @@
 // Package fault is the machine-wide deterministic fault-injection
 // subsystem. A Config (carried on core.Config.Faults) describes which
-// faults a run should experience — packet drop/corrupt/duplicate rates
-// on the mesh, NIC outgoing-FIFO stalls, a link outage window, node
-// crash/freeze schedules — and an Injector turns it into per-event
-// decisions that are a pure function of (seed, node, stream, per-stream
-// count, decision-time clock). No wall-clock time and no global math/rand
-// state is ever consulted, so a given seed reproduces the exact same
-// fault pattern on every run, after Machine.Reset, and across parallel
-// sweep workers.
+// faults a run should experience — packet drop and corrupt rates on the
+// mesh and scheduled node crashes — and an Injector turns the rates
+// into per-packet decisions that are a pure function of (seed, node,
+// stream, per-stream count, decision-time clock). No wall-clock time
+// and no global math/rand state is ever consulted, so a given seed
+// reproduces the exact same fault pattern on every run, after
+// Machine.Reset, and across parallel sweep workers.
 //
 // The companion reliable-delivery layer (internal/nic/reliable.go) and
 // the structured MachineCheck error (machinecheck.go) are what let a
@@ -30,29 +29,20 @@ const (
 	// ACKs are generated). Peers talking to it exhaust their retry
 	// budgets and raise a MachineCheck naming the dead destination.
 	NodeCrash
-	// NodeFreeze freezes the node's CPU at At and thaws it at Until
-	// (Until == 0 freezes permanently). The NIC keeps running: arriving
-	// data still deposits, so a freeze models a stalled processor, not
-	// a dead node.
-	NodeFreeze
 )
 
 func (k NodeFaultKind) String() string {
-	switch k {
-	case NodeCrash:
+	if k == NodeCrash {
 		return "crash"
-	case NodeFreeze:
-		return "freeze"
 	}
 	return "ok"
 }
 
 // NodeFault schedules one node-level fault.
 type NodeFault struct {
-	Node  int
-	Kind  NodeFaultKind
-	At    sim.Time
-	Until sim.Time // NodeFreeze thaw instant; 0 = permanent
+	Node int
+	Kind NodeFaultKind
+	At   sim.Time
 }
 
 // Config describes the faults of one run. The zero value means "no
@@ -69,12 +59,6 @@ type Config struct {
 	// Per-million packet fault rates, rolled at mesh injection time.
 	DropPPM    uint32 // packet vanishes in flight (wire traffic still paid)
 	CorruptPPM uint32 // packet arrives damaged; the receiver's CRC check drops it
-	DupPPM     uint32 // packet is delivered twice back to back
-
-	// StallPPM is the per-million rate at which an outgoing-FIFO drain
-	// pauses for StallTime before injecting (a flaky NIC).
-	StallPPM  uint32
-	StallTime sim.Time // 0 selects DefaultStallTime
 
 	// Reliable enables the NIC-level reliable-delivery layer:
 	// deliberate-update and kernel-ring packets gain sequence numbers,
@@ -110,22 +94,14 @@ type Config struct {
 	// otherwise-idle machine still quiesces. Requires Survivable.
 	Heartbeat sim.Time
 
-	// Link outage: the mesh channel from node LinkFrom toward the
-	// XY-adjacent node LinkTo goes down at LinkDownAt. LinkRepairAt == 0
-	// leaves it down forever. Worms routed across the dead window are
-	// lost in flight. Active only when LinkDownAt > 0.
-	LinkFrom, LinkTo         int
-	LinkDownAt, LinkRepairAt sim.Time
-
-	// Nodes schedules up to two node-level faults (a fixed-size array
-	// keeps Config comparable).
+	// Nodes schedules up to two node crashes (a fixed-size array keeps
+	// Config comparable).
 	Nodes [2]NodeFault
 }
 
 // Defaults for the tunables left zero in Config.
 const (
 	DefaultRetryBudget = 16
-	DefaultStallTime   = 2 * sim.Microsecond
 	DefaultAckTimeout  = 50 * sim.Microsecond
 	// MaxBackoff caps the exponential backoff multiplier.
 	MaxBackoff = 16
@@ -157,22 +133,12 @@ func (c Config) AckTimeoutOrDefault() sim.Time {
 	return DefaultAckTimeout
 }
 
-// StallTimeOrDefault resolves the NIC stall duration.
-func (c Config) StallTimeOrDefault() sim.Time {
-	if c.StallTime > 0 {
-		return c.StallTime
-	}
-	return DefaultStallTime
-}
-
 // Decision streams. Each (node, stream) pair owns an independent
-// counter, so adding a new fault type never perturbs the decision
-// sequence of existing ones.
+// counter, and the stream number is part of the hash key, so the drop
+// and corrupt decisions never perturb each other.
 const (
 	streamDrop = iota
 	streamCorrupt
-	streamDup
-	streamStall
 	numStreams
 )
 
@@ -247,18 +213,6 @@ func (i *Injector) CorruptPacket(node int, now sim.Time) bool {
 	return i.roll(node, streamCorrupt, i.configCorrupt(), now)
 }
 
-// DupPacket decides whether a packet injected by node at time now is
-// delivered twice; nil-safe.
-func (i *Injector) DupPacket(node int, now sim.Time) bool {
-	return i.roll(node, streamDup, i.configDup(), now)
-}
-
-// StallOut decides whether node's outgoing-FIFO drain stalls at time
-// now; nil-safe.
-func (i *Injector) StallOut(node int, now sim.Time) bool {
-	return i.roll(node, streamStall, i.configStall(), now)
-}
-
 // The config accessors below keep roll's nil check the only one on the
 // hot path.
 func (i *Injector) configDrop() uint32 {
@@ -273,26 +227,4 @@ func (i *Injector) configCorrupt() uint32 {
 		return 0
 	}
 	return i.cfg.CorruptPPM
-}
-
-func (i *Injector) configDup() uint32 {
-	if i == nil {
-		return 0
-	}
-	return i.cfg.DupPPM
-}
-
-func (i *Injector) configStall() uint32 {
-	if i == nil {
-		return 0
-	}
-	return i.cfg.StallPPM
-}
-
-// StallTime returns the resolved stall duration; nil-safe.
-func (i *Injector) StallTime() sim.Time {
-	if i == nil {
-		return 0
-	}
-	return i.cfg.StallTimeOrDefault()
 }

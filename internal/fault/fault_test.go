@@ -24,13 +24,11 @@ func TestEnabled(t *testing.T) {
 func TestDefaults(t *testing.T) {
 	var c Config
 	if c.RetryBudgetOrDefault() != DefaultRetryBudget ||
-		c.AckTimeoutOrDefault() != DefaultAckTimeout ||
-		c.StallTimeOrDefault() != DefaultStallTime {
+		c.AckTimeoutOrDefault() != DefaultAckTimeout {
 		t.Fatal("zero config did not resolve defaults")
 	}
-	c = Config{RetryBudget: 3, AckTimeout: sim.Microsecond, StallTime: 2 * sim.Microsecond}
-	if c.RetryBudgetOrDefault() != 3 || c.AckTimeoutOrDefault() != sim.Microsecond ||
-		c.StallTimeOrDefault() != 2*sim.Microsecond {
+	c = Config{RetryBudget: 3, AckTimeout: sim.Microsecond}
+	if c.RetryBudgetOrDefault() != 3 || c.AckTimeoutOrDefault() != sim.Microsecond {
 		t.Fatal("explicit tunables not honored")
 	}
 }
@@ -39,12 +37,12 @@ func TestDefaults(t *testing.T) {
 // stream, count, clock) — two injectors over the same schedule agree
 // decision for decision, and Reset replays the identical sequence.
 func TestRollDeterminism(t *testing.T) {
-	cfg := Config{Seed: 42, DropPPM: 250_000, CorruptPPM: 100_000, DupPPM: 50_000}
+	cfg := Config{Seed: 42, DropPPM: 250_000, CorruptPPM: 100_000}
 	draw := func(i *Injector) []bool {
 		var out []bool
 		for n := 0; n < 4; n++ {
 			for k := 0; k < 64; k++ {
-				out = append(out, i.DropPacket(n, 0), i.CorruptPacket(n, 0), i.DupPacket(n, 0))
+				out = append(out, i.DropPacket(n, 0), i.CorruptPacket(n, 0))
 			}
 		}
 		return out
@@ -71,7 +69,7 @@ func TestRollDeterminism(t *testing.T) {
 		fired = fired || v
 	}
 	if !fired {
-		t.Fatal("25% rate never fired in 768 decisions")
+		t.Fatal("25% rate never fired in 512 decisions")
 	}
 }
 
@@ -87,7 +85,7 @@ func TestRollRespectsRates(t *testing.T) {
 		}
 	}
 	var nilInj *Injector
-	if nilInj.DropPacket(0, 0) || nilInj.StallOut(0, 0) || nilInj.Reliable() {
+	if nilInj.DropPacket(0, 0) || nilInj.CorruptPacket(0, 0) || nilInj.Reliable() {
 		t.Fatal("nil injector not inert")
 	}
 	nilInj.Reset() // must not panic

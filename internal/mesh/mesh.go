@@ -86,16 +86,6 @@ type channel struct {
 	injNode int
 	// stat is this channel's metrics block; nil when metrics are off.
 	stat *obs.LinkStat
-	// downFrom/downUntil is the link-outage window (fault injection):
-	// worms routed across the channel while it is down are lost in
-	// flight. downFrom == 0 means never down; downUntil == 0 with a
-	// nonzero downFrom means down forever.
-	downFrom, downUntil sim.Time
-}
-
-// down reports whether the channel is in its outage window at t.
-func (ch *channel) down(t sim.Time) bool {
-	return ch.downFrom > 0 && t >= ch.downFrom && (ch.downUntil == 0 || t < ch.downUntil)
 }
 
 // Worm lifecycle phases, dispatched by Fire.
@@ -117,12 +107,10 @@ type worm struct {
 	grantTime sim.Time
 	phase     uint8
 	parked    bool // head at ejection, endpoint refused
-	// lost marks a worm the fault injector killed in flight (drop roll
-	// or a downed link on its path): it still occupies its channels end
-	// to end but is discarded at drain instead of delivered. dup marks
-	// a worm the injector delivers twice.
+	// lost marks a worm the fault injector's drop roll killed in
+	// flight: it still occupies its channels end to end but is
+	// discarded at drain instead of delivered.
 	lost     bool
-	dup      bool
 	injected sim.Time
 	free     *worm // pool link
 }
@@ -147,10 +135,8 @@ type Stats struct {
 	MaxLatency    sim.Time
 	TotalWireByte uint64
 	// Fault-injection outcomes (zero outside fault mode).
-	FaultDropped    uint64 // worms lost to a drop roll
-	FaultCorrupted  uint64 // packets damaged in flight
-	FaultDuplicated uint64 // worms delivered twice
-	FaultLinkDrops  uint64 // worms lost to a downed link
+	FaultDropped   uint64 // worms lost to a drop roll
+	FaultCorrupted uint64 // packets damaged in flight
 }
 
 // Directions for the per-node link table.
@@ -184,11 +170,9 @@ type Network struct {
 	// faults is the machine-wide fault injector; nil outside fault mode
 	// (the zero-fault data path pays one nil check per injection). reg
 	// mirrors SetObs's registry so fault events can complete spans and
-	// charge per-node counters. linkFault gates the per-path outage
-	// scan so it costs nothing until SetLinkFault is called.
-	faults    *fault.Injector
-	reg       *obs.Registry
-	linkFault bool
+	// charge per-node counters.
+	faults *fault.Injector
+	reg    *obs.Registry
 
 	freeWorms *worm // pool of retired worms
 
@@ -281,11 +265,12 @@ func (n *Network) Attach(c packet.Coord, ep Endpoint) {
 func (n *Network) Stats() Stats { return n.stats }
 
 // Reset abandons all in-flight worms and returns the backplane to its
-// just-built state: free channels, empty park slots, zeroed statistics,
-// fault injection off. Attached endpoints and injector-free callbacks
-// persist (wiring, not state). Worms still holding channels are dropped
-// rather than pooled — their packets are garbage-collected — so Reset is
-// safe even mid-flight; the worm pool itself is retained.
+// just-built state: free channels, empty park slots, no dead nodes,
+// zeroed statistics. Attached endpoints, injector-free callbacks and
+// the fault injector persist (wiring, not state). Worms still holding
+// channels are dropped rather than pooled — their packets are
+// garbage-collected — so Reset is safe even mid-flight; the worm pool
+// itself is retained.
 func (n *Network) Reset() {
 	resetChannel := func(ch *channel) {
 		if ch == nil {
@@ -293,7 +278,6 @@ func (n *Network) Reset() {
 		}
 		ch.owner = nil
 		ch.waiters = ch.waiters[:0]
-		ch.downFrom, ch.downUntil = 0, 0
 	}
 	for i := range n.links {
 		for dir := range n.links[i] {
@@ -304,7 +288,6 @@ func (n *Network) Reset() {
 		n.park[i] = nil
 		n.dead[i] = false
 	}
-	n.linkFault = false
 	n.stats = Stats{}
 }
 
@@ -363,37 +346,9 @@ func (n *Network) InjectorBusy(c packet.Coord) bool {
 }
 
 // SetFaults attaches the machine-wide fault injector (nil detaches).
-// With an injector attached, every injection rolls the drop, corrupt
-// and duplicate streams for the source node.
+// With an injector attached, every injection rolls the drop and corrupt
+// streams for the source node.
 func (n *Network) SetFaults(inj *fault.Injector) { n.faults = inj }
-
-// SetLinkFault schedules an outage on the directed link from the node
-// at coordinate from toward the XY-adjacent node at to: the channel is
-// down in [at, until) (until == 0 means forever), and worms routed
-// across it during the window are lost in flight. It returns an error
-// if the coordinates are not mesh neighbors.
-func (n *Network) SetLinkFault(from, to packet.Coord, at, until sim.Time) error {
-	if !n.Contains(from) || !n.Contains(to) {
-		return fmt.Errorf("mesh: link fault %v->%v outside mesh", from, to)
-	}
-	var dir int
-	switch {
-	case to.X == from.X+1 && to.Y == from.Y:
-		dir = dirEast
-	case to.X == from.X-1 && to.Y == from.Y:
-		dir = dirWest
-	case to.Y == from.Y+1 && to.X == from.X:
-		dir = dirSouth
-	case to.Y == from.Y-1 && to.X == from.X:
-		dir = dirNorth
-	default:
-		return fmt.Errorf("mesh: link fault %v->%v not adjacent", from, to)
-	}
-	ch := n.links[n.index(from)][dir]
-	ch.downFrom, ch.downUntil = at, until
-	n.linkFault = true
-	return nil
-}
 
 // getWorm takes a worm from the pool (or allocates the pool's first).
 func (n *Network) getWorm() *worm {
@@ -413,7 +368,6 @@ func (n *Network) putWorm(w *worm) {
 	w.acquired = 0
 	w.parked = false
 	w.lost = false
-	w.dup = false
 	w.free = n.freeWorms
 	n.freeWorms = w
 }
@@ -444,10 +398,9 @@ func (n *Network) Inject(src packet.Coord, p *packet.Packet, wire int) {
 }
 
 // rollFaults draws the injector's per-packet decisions for a worm being
-// injected by src: drop, corrupt, duplicate, and the link-outage scan.
-// A lost worm still pays its full wire journey (the channels it holds
-// and the flit·hops it burns model the wasted traffic); only delivery
-// is withheld.
+// injected by src: drop and corrupt. A lost worm still pays its full
+// wire journey (the channels it holds and the flit·hops it burns model
+// the wasted traffic); only delivery is withheld.
 func (n *Network) rollFaults(w *worm, src packet.Coord) {
 	node := n.index(src)
 	now := n.eng.Now()
@@ -461,21 +414,6 @@ func (n *Network) rollFaults(w *worm, src packet.Coord) {
 		w.pkt.Corrupt = true
 		n.stats.FaultCorrupted++
 		scope.Inc(obs.CtrFaultCorrupts)
-	}
-	if n.faults.DupPacket(node, now) {
-		w.dup = true
-		n.stats.FaultDuplicated++
-		scope.Inc(obs.CtrFaultDups)
-	}
-	if n.linkFault && !w.lost {
-		for _, ch := range w.path {
-			if ch.down(now) {
-				w.lost = true
-				n.stats.FaultLinkDrops++
-				scope.Inc(obs.CtrFaultLinkDrops)
-				break
-			}
-		}
 	}
 }
 
@@ -616,9 +554,7 @@ func (n *Network) SetDead(c packet.Coord) {
 // drained fires when the accepted worm's tail has passed: release its
 // channels, account the delivery, and hand the packet to the endpoint.
 // Lost worms are discarded here instead (their span completes as a
-// drop); duplicated worms deliver a second, independently accounted
-// copy back to back, which per-pair ordering places immediately after
-// the original.
+// drop).
 func (n *Network) drained(w *worm) {
 	for _, ch := range w.path {
 		n.release(ch, w)
@@ -636,29 +572,9 @@ func (n *Network) drained(w *worm) {
 	if lat > n.stats.MaxLatency {
 		n.stats.MaxLatency = lat
 	}
-	var clone *packet.Packet
-	if w.dup {
-		clone = packet.Get()
-		clone.Src, clone.Dst, clone.DstAddr = pkt.Src, pkt.Dst, pkt.DstAddr
-		clone.Kind, clone.Interrupt = pkt.Kind, pkt.Interrupt
-		clone.Rel, clone.Seq = pkt.Rel, pkt.Seq
-		clone.Corrupt = pkt.Corrupt
-		clone.Payload = append(clone.Payload, pkt.Payload...)
-	}
-	i := n.index(pkt.Dst)
-	ep := n.eps[i]
+	ep := n.eps[n.index(pkt.Dst)]
 	n.putWorm(w)
 	ep.Deliver(pkt, wire)
-	if clone != nil {
-		// The duplicate pays its own Incoming-FIFO accounting; if the
-		// FIFO refuses it, the copy dies to backpressure. A dead node
-		// bit-buckets the copy like the original (no occupancy claimed).
-		if n.dead[i] || ep.Accept(clone, wire) {
-			ep.Deliver(clone, wire)
-		} else {
-			packet.Put(clone)
-		}
-	}
 }
 
 // release frees ch from w and grants the next FIFO waiter, continuing

@@ -28,8 +28,9 @@ type MeshWorkload struct {
 }
 
 // ParseMeshWorkload checks the mesh CLIs' shared flags: -mesh as WxH,
-// -workload, -bytes and -rounds of at least 1, and -gen eisa or xpress.
-// The error names the first bad flag.
+// -workload, -bytes and -rounds of at least 1, -gen eisa or xpress, and
+// last that a W×H machine of that generation validates. The error names
+// the first bad flag.
 func ParseMeshWorkload(mesh, gen, pattern string, bytes, rounds int) (MeshWorkload, error) {
 	wl := MeshWorkload{Pattern: pattern, Bytes: bytes, Rounds: rounds}
 	if _, err := fmt.Sscanf(strings.ToLower(mesh), "%dx%d", &wl.W, &wl.H); err != nil || wl.W < 1 || wl.H < 1 {
@@ -53,6 +54,11 @@ func ParseMeshWorkload(mesh, gen, pattern string, bytes, rounds int) (MeshWorklo
 		wl.Gen = nic.GenXpress
 	default:
 		return wl, fmt.Errorf("unknown -gen %q; want eisa or xpress", gen)
+	}
+	// A mesh too large for the default node memory fails here, not as a
+	// panic in core.New.
+	if err := core.ConfigFor(wl.W, wl.H, wl.Gen).Validate(); err != nil {
+		return wl, fmt.Errorf("bad -mesh %q: %v", mesh, err)
 	}
 	return wl, nil
 }

@@ -21,6 +21,8 @@ func TestParseMeshWorkloadRejectsBadFlags(t *testing.T) {
 		{"4x4", "eisa", "ring", 0, 1, `bad -bytes 0; want at least 1`},
 		{"4x4", "eisa", "ring", 1, -2, `bad -rounds -2; want at least 1`},
 		{"4x4", "EISA", "ring", 1, 1, `unknown -gen "EISA"; want eisa or xpress`},
+		// 1,600 nodes need more kernel ring pages than a node's memory holds.
+		{"40x40", "eisa", "ring", 1, 1, `bad -mesh "40x40": core: 1024 pages/node cannot hold 3198 kernel ring pages plus working memory`},
 		// The first bad flag in that order is the one named.
 		{"x", "foo", "star", 0, 0, `bad -mesh "x"; want e.g. 4x4`},
 	} {

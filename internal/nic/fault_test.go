@@ -8,7 +8,6 @@ import (
 	"repro/internal/nipt"
 	"repro/internal/packet"
 	"repro/internal/phys"
-	"repro/internal/sim"
 )
 
 // TestOutFIFOOverflowMachineCheck overflows the Outgoing FIFO on
@@ -57,33 +56,6 @@ func TestInFIFOHeadroomMachineCheck(t *testing.T) {
 	var mc *fault.MachineCheck
 	if !errors.As(r.eng.Failed(), &mc) || mc.Kind != fault.CheckInFIFOHeadroom {
 		t.Fatalf("want headroom machine check, got %v", r.eng.Failed())
-	}
-}
-
-// TestInjectedStallDelaysDrain runs the same transfer with and without
-// a certain (StallPPM = 1e6) injected outgoing-FIFO stall and checks
-// the stall shows up both in the delivery time and the stats.
-func TestInjectedStallDelaysDrain(t *testing.T) {
-	deliverAt := func(stallPPM uint32) (sim.Time, Stats) {
-		r := newRig(t, DefaultConfig())
-		if stallPPM > 0 {
-			inj := fault.NewInjector(fault.Config{Seed: 7, StallPPM: stallPPM}, 2)
-			r.nics[0].SetFaults(inj)
-			r.net.SetFaults(inj)
-		}
-		r.mapOut(4, 8, nipt.SingleWriteAU)
-		r.cpuWrite32(0, phys.PageNum(4).Addr(0), 0xabcd)
-		r.drain()
-		return r.eng.Now(), r.nics[0].Stats()
-	}
-	cleanEnd, cleanStats := deliverAt(0)
-	stallEnd, stallStats := deliverAt(1_000_000)
-	if stallStats.FaultStalls == 0 || cleanStats.FaultStalls != 0 {
-		t.Fatalf("stall accounting: clean=%d stalled=%d",
-			cleanStats.FaultStalls, stallStats.FaultStalls)
-	}
-	if stallEnd <= cleanEnd {
-		t.Fatalf("stall did not delay delivery: clean %v, stalled %v", cleanEnd, stallEnd)
 	}
 }
 

@@ -122,7 +122,6 @@ type Stats struct {
 	MaxInFIFOBytes   int
 
 	// Fault-mode accounting (all zero outside fault mode).
-	FaultStalls    uint64 // injected Outgoing-FIFO drain stalls
 	RelRetransmits uint64 // reliable-delivery data retransmissions
 	RelAcksSent    uint64 // cumulative ACK control packets sent
 	RelNacksSent   uint64 // gap-report NACK control packets sent
@@ -624,19 +623,12 @@ func (n *NIC) enqueueOut(p *packet.Packet, wire int) {
 
 // drainOut pushes the FIFO head into the backplane, one packet at a time
 // (the injection port is released when the worm's tail leaves the node).
-// Fault mode may stall the drain, modeling a transiently wedged injector.
 func (n *NIC) drainOut() {
 	if n.out.injecting || n.out.q.len() == 0 {
 		return
 	}
 	n.out.injecting = true
-	delay := n.cfg.OutFIFOLatency + n.cfg.InjectSetup
-	if n.inj != nil && n.inj.StallOut(int(n.node), n.eng.Now()) {
-		delay += n.inj.StallTime()
-		n.stats.FaultStalls++
-		n.scope.Inc(obs.CtrFaultStalls)
-	}
-	n.eng.ScheduleAfterDom(n.dom, delay, &n.injectEv)
+	n.eng.ScheduleAfterDom(n.dom, n.cfg.OutFIFOLatency+n.cfg.InjectSetup, &n.injectEv)
 }
 
 // injectorFree fires when the injected worm's tail has left this node:

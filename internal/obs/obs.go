@@ -77,13 +77,9 @@ const (
 	CtrTraceMisses
 	CtrTraceFlushes
 	// Fault injection (internal/fault): events the injector fired,
-	// charged to the node that injected the packet (or whose FIFO
-	// stalled).
-	CtrFaultDrops     // packets lost in flight
-	CtrFaultCorrupts  // packets damaged in flight
-	CtrFaultDups      // packets delivered twice
-	CtrFaultLinkDrops // packets lost to a downed link
-	CtrFaultStalls    // outgoing-FIFO drain stalls
+	// charged to the node that injected the packet.
+	CtrFaultDrops    // packets lost in flight
+	CtrFaultCorrupts // packets damaged in flight
 	// Reliable-delivery layer (internal/nic/reliable.go).
 	CtrRelRetransmits // data packets re-sent (timeout or NACK)
 	CtrRelAcks        // cumulative ACKs sent by the receiver
@@ -110,8 +106,7 @@ var counterNames = [...]string{
 	"batch-break-event", "batch-break-quantum", "batch-break-fault",
 	"batch-break-halt", "batch-break-freeze",
 	"trace-hits", "trace-misses", "trace-flushes",
-	"fault-drops", "fault-corrupts", "fault-dups", "fault-link-drops",
-	"fault-stalls",
+	"fault-drops", "fault-corrupts",
 	"rel-retransmits", "rel-acks", "rel-nacks", "rel-dups", "rel-backoffs",
 	"au-seq-gaps",
 	"peer-downs", "peer-down-drops",
@@ -390,14 +385,6 @@ func (s *NodeScope) Counter(c Counter) uint64 {
 		return 0
 	}
 	return s.counters[c]
-}
-
-// Gauge reads a gauge; nil-safe (0).
-func (s *NodeScope) Gauge(g Gauge) int64 {
-	if s == nil {
-		return 0
-	}
-	return s.gauges[g]
 }
 
 // Hist returns a copy of a histogram; nil-safe (zero histogram).

@@ -292,13 +292,13 @@ func MeasureMergeWindow(cfg Config, window, storeGap Time, stores int) MergeWind
 // Fault injection and reliable delivery (Config.Faults; DESIGN.md §9).
 type (
 	// FaultConfig is the machine-wide deterministic fault plan: seeded
-	// per-packet drop/corrupt/duplicate/stall rates, one link-outage
-	// window, scheduled node crash/freeze events, and the reliable
-	// delivery toggle.
+	// per-packet drop and corrupt rates, up to two scheduled node
+	// crashes, and the reliable, survivable and heartbeat layers.
 	FaultConfig = fault.Config
-	// NodeFault schedules one node crash or freeze window.
+	// NodeFault schedules one node crash.
 	NodeFault = fault.NodeFault
-	// NodeFaultKind selects crash versus freeze.
+	// NodeFaultKind selects whether a scheduled node crashes (NodeCrash)
+	// or is left alone (NodeOK).
 	NodeFaultKind = fault.NodeFaultKind
 	// MachineCheck is the structured unrecoverable-condition error that
 	// Machine.RunUntilIdle and the experiment harnesses surface instead
@@ -327,8 +327,6 @@ const (
 	// NodeCrash kills the node at its scheduled time: the CPU halts and
 	// the NIC bit-buckets all arriving traffic from then on.
 	NodeCrash = fault.NodeCrash
-	// NodeFreeze pauses the CPU for a window; the NIC keeps running.
-	NodeFreeze = fault.NodeFreeze
 )
 
 // FaultSweep measures goodput across drop rates (ppm) with reliable
