@@ -2,17 +2,18 @@
 # ci.sh — the repo's gate: static checks, full build, race-enabled
 # tests, exact event-count pins, a boot-footprint pin, zero-allocation
 # checks on the hot paths, byte-identity checks on the CLIs, runs of the
-# examples, exit-status checks on bad CLI flags, and five short fuzzing
-# runs. Every gate but the fuzzing runs is deterministic; those explore
-# new inputs on each run, and a failure is a real divergence between a
-# fast path and its reference — the CPU's against per-instruction
-# stepping, UserWriteBytes' store runs against one store per word, the
-# cache against a flat shadow of memory, the chunked NIPT against a flat
-# table of one entry per page, or DRAM frames that grow to their highest
-# written byte against a flat byte array — so fix it, then commit the
-# failing input as a seed under the package's testdata/fuzz/. Wall time
-# is measured by the benchmark in bench/ (bash bench/run.sh, protocol in
-# bench/README.md) and gated by nothing in this script.
+# examples, exit-status checks on bad CLI flags and on a failed fault
+# sweep point, and five short fuzzing runs. Every gate but the fuzzing
+# runs is deterministic; those explore new inputs on each run, and a
+# failure is a real divergence between a fast path and its reference —
+# the CPU's against per-instruction stepping, UserWriteBytes' store runs
+# against one store per word, the cache against a flat shadow of memory,
+# the chunked NIPT against a flat table of one entry per page, or DRAM
+# frames that grow to their highest written byte against a flat byte
+# array — so fix it, then commit the failing input as a seed under the
+# package's testdata/fuzz/. Wall time is measured by the benchmark in
+# bench/ (bash bench/run.sh, protocol in bench/README.md) and gated by
+# nothing in this script.
 set -eux
 
 scratch=$(mktemp -d)
@@ -43,10 +44,12 @@ go test -race ./...
 go -C bench test ./...
 # Event-count pins: the 16-node latency sweep with metrics off, on, and
 # with the flight recorder sampling every 10 µs; a 256 KB transfer with
-# and without reliable delivery (engine events and ACKs); and the §4.1
-# compute loop stepped per instruction and at the default CPU config.
-# The counts are exact, so instrumentation that schedules events, a
-# change to the reliable protocol or a batching regression fails here.
+# and without reliable delivery (engine events and ACKs); the 16-node
+# availability run at one and two crashes; and the §4.1 compute loop
+# stepped per instruction and at the default CPU config. The counts are
+# exact, so instrumentation that schedules events, a change to the
+# reliable protocol or to the order of same-instant events, or a
+# batching regression fails here.
 go test -count 1 -run TestEventCountPins ./internal/core
 # Boot-footprint pin: NIPT entries of at most 24 bytes; a 16x16 machine
 # at the allreduce benchmark's 1,534 pages/node built in under 2.5 MB and
@@ -187,3 +190,11 @@ rejects shrimp-faults -avail 1 -crashat 0
 rejects shrimp-faults -avail 2 -crashat 1 -stagger -5
 rejects shrimp-faults -avail 1 -words 5000
 rejects shrimp-faults -avail 1 -rounds 0
+rejects shrimp-faults -avail 1 -crashat 100000000000000
+# A fault plan that stops a sweep point's set-up prints a FAILED row on
+# stdout and exits 1, not a panic's 2: at 100% loss the map RPC itself
+# exhausts its retry budget.
+status=0
+"$scratch/bin/shrimp-faults" -drops 1000000 -bytes 4096 > "$scratch/failed.txt" || status=$?
+test "$status" -eq 1
+grep -q FAILED "$scratch/failed.txt"

@@ -28,6 +28,7 @@ import (
 	"strings"
 
 	shrimp "repro"
+	"repro/internal/sim"
 )
 
 func main() {
@@ -65,8 +66,7 @@ func main() {
 		fatal("shrimp-faults: bad mesh -w %d -h %d (want at least two nodes)", *w, *h)
 	}
 	if *avail != "" {
-		availMode(*w, *h, g, *seed, *avail, *rounds, *words, *workers,
-			shrimp.Time(*crashAt)*shrimp.Microsecond, shrimp.Time(*stagger)*shrimp.Microsecond)
+		availMode(*w, *h, g, *seed, *avail, *rounds, *words, *workers, *crashAt, *stagger)
 		return
 	}
 	ladder, err := parsePPM(*drops)
@@ -117,9 +117,9 @@ func main() {
 // availMode runs the crash-survival availability sweep: same machine,
 // same printing discipline (two runs with the same flags are
 // byte-identical), but the ladder is crashed-node counts instead of
-// loss rates.
+// loss rates. crashAt and stagger are in microseconds.
 func availMode(w, h int, g shrimp.Generation, seed uint64, counts string, rounds, words, workers int,
-	crashBase, crashStagger shrimp.Time) {
+	crashAt, stagger int) {
 	var crashes []int
 	for _, f := range strings.Split(counts, ",") {
 		f = strings.TrimSpace(f)
@@ -142,11 +142,17 @@ func availMode(w, h int, g shrimp.Generation, seed uint64, counts string, rounds
 		fatal("shrimp-faults: bad -words %d (want 1..%d: a round fills at most one page)", words, shrimp.PageSize/4)
 	}
 	// The sweep adds each point's crash plan to the validated config, so
-	// check here that every crash it schedules has a positive time.
-	if most := slices.Max(crashes); most >= 1 && crashBase <= 0 || most == 2 && crashBase+crashStagger <= 0 {
-		fatal("shrimp-faults: bad -crashat %d -stagger %d (every crash needs a positive time)",
-			crashBase/shrimp.Microsecond, crashStagger/shrimp.Microsecond)
+	// check here that every crash it schedules has a positive time on the
+	// simulated clock. Check in microseconds: converted to picoseconds, a
+	// time past sim.Forever would wrap.
+	limit := int(sim.Forever / sim.Microsecond)
+	inRange := func(us int) bool { return us > 0 && us <= limit }
+	if most := slices.Max(crashes); most >= 1 && !inRange(crashAt) ||
+		most == 2 && (stagger < -limit || stagger > limit || !inRange(crashAt+stagger)) {
+		fatal("shrimp-faults: bad -crashat %d -stagger %d (every crash needs a time in 1..%d us)",
+			crashAt, stagger, limit)
 	}
+	crashBase, crashStagger := shrimp.Time(crashAt)*shrimp.Microsecond, shrimp.Time(stagger)*shrimp.Microsecond
 
 	cfg := shrimp.ConfigFor(w, h, g)
 	cfg.Metrics = true

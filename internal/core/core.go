@@ -150,7 +150,6 @@ func New(cfg Config) *Machine {
 		box := &kernel.MemBox{Cache: ch}
 		cpu := isa.NewCPU(eng, cfg.CPU, box)
 		cpu.SetName(fmt.Sprintf("cpu%d", id))
-		cpu.SetDom(sim.DomNode(id))
 		k := kernel.New(eng, cfg.Kernel, packet.NodeID(id), nipts, mem, xbus, nicDev, cpu, box)
 		scope := m.Obs.Node(id) // nil when metrics are disabled
 		nicDev.SetObs(m.Obs)
@@ -264,20 +263,9 @@ func (n *Node) UserWrite32(p *kernel.Process, va vm.VAddr, v uint32) error {
 	return n.userStore(p, va, v, 4)
 }
 
-// enter tags the engine with this node's event domain for the duration
-// of a harness-initiated component call: anything the call schedules
-// carries the node's domain, so the (time, domain, seq) order does not
-// depend on which event happened to fire last. The caller must restore
-// the returned previous domain.
-func (n *Node) enter() sim.Domain {
-	return n.Eng.EnterDomain(sim.DomNode(int(n.ID)))
-}
-
 func (n *Node) userStore(p *kernel.Process, va vm.VAddr, v uint32, size int) error {
 	n.awaitOutFIFO()
-	prev := n.enter()
 	lat, f := n.Box.StoreAS(p.AS, va, v, size)
-	n.Eng.EnterDomain(prev)
 	if f != nil {
 		return f
 	}
@@ -297,37 +285,11 @@ func (n *Node) awaitOutFIFO() {
 
 // UserRead32 is the load counterpart of UserWrite32.
 func (n *Node) UserRead32(p *kernel.Process, va vm.VAddr) (uint32, error) {
-	prev := n.enter()
 	v, _, f := n.Box.LoadAS(p.AS, va, 4)
-	n.Eng.EnterDomain(prev)
 	if f != nil {
 		return 0, f
 	}
 	return v, nil
-}
-
-// CacheRead32 loads four bytes at physical address pa through the
-// node's cache — the harness form of a user-mode load that already
-// holds a translation. Like LockedCmpxchg it keeps the node's event
-// domain correct for anything the access schedules (miss fills, dirty
-// evictions).
-func (n *Node) CacheRead32(pa phys.PAddr) uint32 {
-	prev := n.enter()
-	v, _ := n.Cache.Load(pa, 4)
-	n.Eng.EnterDomain(prev)
-	return v
-}
-
-// LockedCmpxchg performs an atomic compare-exchange on p's virtual
-// address space through the node's cache, as a LOCK CMPXCHG instruction
-// would. Harness code uses it in place of issuing the instruction; it
-// keeps the node's event domain correct, which direct Cache access from
-// outside an event would not.
-func (n *Node) LockedCmpxchg(pa phys.PAddr, expect, repl uint32) (uint32, bool, sim.Time) {
-	prev := n.enter()
-	read, swapped, lat := n.Cache.LockedCmpxchg(pa, expect, repl)
-	n.Eng.EnterDomain(prev)
-	return read, swapped, lat
 }
 
 // UserWriteBytes stores b at va with exactly the effect of one
@@ -372,9 +334,7 @@ func (n *Node) storeRun(p *kernel.Process, va vm.VAddr, b []byte) (int, error) {
 	if f != nil {
 		return 0, f
 	}
-	prev := n.enter()
 	k, lat := n.Cache.StoreRun(tr.PA, b, tr.WriteThrough)
-	n.Eng.EnterDomain(prev)
 	if k > 0 {
 		n.m.RunFor(lat)
 	}
@@ -395,8 +355,6 @@ func (n *Node) UserReadBytes(p *kernel.Process, va vm.VAddr, out []byte) error {
 	if f != nil {
 		return f
 	}
-	prev := n.enter()
-	defer n.Eng.EnterDomain(prev)
 	for {
 		k := min(len(out), phys.PageSize-int(va.Offset()))
 		n.Cache.ReadBytes(tr.PA, out[:k])

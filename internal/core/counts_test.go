@@ -16,7 +16,10 @@ import (
 // different work: an instrumentation or recorder change that schedules
 // events, reliable delivery sending a different number of ACKs, or the
 // CPU batch quantum retiring a different number of instructions per
-// engine event. Wall time is measured by the bench/ module, not here.
+// engine event. The availability rows are shrimp-faults -avail's 1- and
+// 2-crash points, the only pinned runs whose counts depend on the order
+// of same-instant events. Wall time is measured by the bench/ module,
+// not here.
 func TestEventCountPins(t *testing.T) {
 	grid := ConfigFor(4, 4, nic.GenEISAPrototype)
 	metrics := grid
@@ -38,6 +41,10 @@ func TestEventCountPins(t *testing.T) {
 	reliable.Faults = fault.Config{Seed: 1729, Reliable: true}
 	transfer := func(cfg Config) FaultPoint { return MeasureFaultyTransfer(New(cfg), 0, 1, 1024, 256<<10) }
 
+	avail := func(crashes int) func() uint64 {
+		return func() uint64 { return MeasureAvailability(New(surviveCfg(4, 4, crashes)), 6, 64).Events }
+	}
+
 	overlap := func(cfg Config) func() uint64 {
 		return func() uint64 {
 			m := New(cfg)
@@ -57,6 +64,8 @@ func TestEventCountPins(t *testing.T) {
 		{"faulty-transfer/off", func() uint64 { return transfer(pair).Events }, 3623},
 		{"faulty-transfer/reliable", func() uint64 { return transfer(reliable).Events }, 6707},
 		{"faulty-transfer/reliable-acks", func() uint64 { return transfer(reliable).AcksSent }, 512},
+		{"availability/1-crash", avail(1), 87419},
+		{"availability/2-crash", avail(2), 79419},
 		{"overlap/max-batch-1", overlap(batchedCfg(1)), 231149},
 		{"overlap/default", overlap(ConfigFor(2, 1, nic.GenEISAPrototype)), 22080},
 	} {

@@ -67,8 +67,8 @@ type LatencyResult struct {
 	SimEnd   sim.Time
 }
 
-// pairSetup maps one page from a process on src to a process on dst and
-// returns everything needed to drive stores across it.
+// pairSetup is one page mapped from a process on src to a process on
+// dst: everything needed to drive stores across it.
 type pairSetup struct {
 	m        *Machine
 	src, dst *Node
@@ -77,28 +77,40 @@ type pairSetup struct {
 	recvVA   vm.VAddr
 }
 
-func setupPair(m *Machine, src, dst int, mode nipt.Mode) *pairSetup {
+// setupPair maps the pair's page and settles the machine. It returns any
+// failure (a machine check or a blown event budget, typically) as an
+// error, so the harnesses that measure faults can report it.
+func setupPair(m *Machine, src, dst int, mode nipt.Mode) (*pairSetup, error) {
 	s := &pairSetup{m: m, src: m.Node(src), dst: m.Node(dst)}
 	s.ps = s.src.K.CreateProcess()
 	s.pd = s.dst.K.CreateProcess()
 	var err error
-	s.sendVA, err = s.ps.AllocPages(1)
+	if s.sendVA, err = s.ps.AllocPages(1); err != nil {
+		return nil, err
+	}
+	if s.recvVA, err = s.pd.AllocPages(1); err != nil {
+		return nil, err
+	}
+	_, fut := s.src.K.Map(s.ps, s.sendVA, phys.PageSize, s.dst.ID, s.pd.PID, s.recvVA, mode)
+	if err := m.Await(fut); err != nil {
+		return nil, fmt.Errorf("core: map failed: %w", err)
+	}
+	return s, m.Settle("pair setup")
+}
+
+// mustPair is setupPair for the clean-fabric harnesses, which panic on
+// a setup error.
+func mustPair(s *pairSetup, err error) *pairSetup {
 	if err != nil {
 		panic(err)
 	}
-	s.recvVA, err = s.pd.AllocPages(1)
-	if err != nil {
-		panic(err)
-	}
-	m.MustMap(s.ps, s.sendVA, phys.PageSize, s.dst.ID, s.pd.PID, s.recvVA, mode)
-	mustSettle(m, "pair setup")
 	return s
 }
 
 // MeasureStoreLatency measures one single-write automatic-update store
 // from node src to node dst on a post-boot machine.
 func MeasureStoreLatency(m *Machine, src, dst int) LatencyResult {
-	s := setupPair(m, src, dst, nipt.SingleWriteAU)
+	s := mustPair(setupPair(m, src, dst, nipt.SingleWriteAU))
 
 	const probe = 0x5a5a_5a5a
 	start := m.Now()
@@ -149,31 +161,37 @@ func (r BandwidthResult) String() string {
 // one mapped page, filled once (content is irrelevant to timing), whose
 // command page it returns the physical address of. It panics on sizes a
 // stream cannot honour: each command moves whole words within one page,
-// and the stream carries at least one transfer.
-func setupDeliberate(m *Machine, src, dst, transferBytes, totalBytes int, phase string) (*pairSetup, phys.PAddr) {
+// and the stream carries at least one transfer. A failed set-up step (a
+// machine check in the map or the fill, say) comes back as the error.
+func setupDeliberate(m *Machine, src, dst, transferBytes, totalBytes int, phase string) (*pairSetup, phys.PAddr, error) {
 	if transferBytes <= 0 || transferBytes%4 != 0 || transferBytes > phys.PageSize {
 		panic(fmt.Sprintf("core: transfer size %d B is not a positive multiple of 4 within one page", transferBytes))
 	}
 	if totalBytes < transferBytes {
 		panic(fmt.Sprintf("core: total %d B is smaller than one %d B transfer", totalBytes, transferBytes))
 	}
-	s := setupPair(m, src, dst, nipt.DeliberateUpdate)
+	s, err := setupPair(m, src, dst, nipt.DeliberateUpdate)
+	if err != nil {
+		return nil, 0, err
+	}
 	if err := s.src.K.GrantCommandPages(s.ps, s.sendVA, s.sendVA+0x4000_0000, 1); err != nil {
-		panic(err)
+		return nil, 0, err
 	}
 	fill := make([]byte, phys.PageSize) // each word holds its own offset
 	for off := 0; off < phys.PageSize; off += 4 {
 		binary.LittleEndian.PutUint32(fill[off:], uint32(off))
 	}
 	if err := s.src.UserWriteBytes(s.ps, s.sendVA, fill); err != nil {
-		panic(err)
+		return nil, 0, err
 	}
-	mustSettle(m, phase)
+	if err := m.Settle(phase); err != nil {
+		return nil, 0, err
+	}
 	tr, f := s.ps.AS.Translate(s.sendVA+0x4000_0000, true)
 	if f != nil {
-		panic(f)
+		return nil, 0, f
 	}
-	return s, tr.PA
+	return s, tr.PA, nil
 }
 
 // MeasureDeliberateBandwidth streams totalBytes from node src to node
@@ -182,7 +200,10 @@ func setupDeliberate(m *Machine, src, dst, transferBytes, totalBytes int, phase 
 // bandwidth. transferBytes must be a positive multiple of 4 within one
 // page and totalBytes at least one transfer; anything else panics.
 func MeasureDeliberateBandwidth(m *Machine, src, dst, transferBytes, totalBytes int) BandwidthResult {
-	s, cmd := setupDeliberate(m, src, dst, transferBytes, totalBytes, "bandwidth page fill")
+	s, cmd, err := setupDeliberate(m, src, dst, transferBytes, totalBytes, "bandwidth page fill")
+	if err != nil {
+		panic(err)
+	}
 	words := uint32(transferBytes / 4)
 	transfers := totalBytes / transferBytes
 	startPkts := s.dst.NIC.Stats().PacketsIn
@@ -190,7 +211,7 @@ func MeasureDeliberateBandwidth(m *Machine, src, dst, transferBytes, totalBytes 
 	for i := 0; i < transfers; i++ {
 		// The §4.3 protocol: locked CMPXCHG until the engine accepts.
 		for {
-			_, swapped, _ := s.src.LockedCmpxchg(cmd, 0, words)
+			_, swapped, _ := s.src.Cache.LockedCmpxchg(cmd, 0, words)
 			if swapped {
 				break
 			}
@@ -239,7 +260,7 @@ func (r AUBandwidthResult) String() string {
 // precisely because single-write packetization is wildly inefficient
 // for bulk data.
 func MeasureAUBandwidth(m *Machine, mode nipt.Mode, stores int) AUBandwidthResult {
-	s := setupPair(m, 0, 1, mode)
+	s := mustPair(setupPair(m, 0, 1, mode))
 	before := s.dst.NIC.Stats()
 	beforeWire := m.Net.Stats().TotalWireByte
 	start := m.Now()

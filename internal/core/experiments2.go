@@ -138,7 +138,7 @@ type MergeWindowResult struct {
 // Reset.
 func MeasureMergeWindow(m *Machine, storeGap sim.Time, stores int) MergeWindowResult {
 	window := m.Cfg.NIC.MergeWindow
-	s := setupPair(m, 0, 1, nipt.BlockedWriteAU)
+	s := mustPair(setupPair(m, 0, 1, nipt.BlockedWriteAU))
 	before := s.dst.NIC.Stats().PacketsIn
 	off := vm.VAddr(0)
 	for i := 0; i < stores; i++ {

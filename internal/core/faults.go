@@ -19,14 +19,10 @@ func (m *Machine) applyFaults() {
 		return
 	}
 	fc := m.Cfg.Faults
-	// Crash events run under the crashed node's own domain: they mutate
-	// node-owned state (CPU, NIC dead flag — the fabric learns of a
-	// crash through the NIC's SetDead entry), and the explicit domain
-	// keeps their same-instant order independent of what fired before.
 	for _, nf := range fc.Nodes {
 		if nf.Kind == fault.NodeCrash {
 			node := m.Nodes[nf.Node]
-			node.Eng.ScheduleDom(sim.DomNode(nf.Node), nf.At, &crashEvent{node: node})
+			node.Eng.Schedule(nf.At, &crashEvent{node: node})
 		}
 	}
 	// Survivable-mode heartbeat: per-node liveness sweeps, installed only
@@ -42,8 +38,8 @@ func (m *Machine) applyFaults() {
 			}
 		}
 		if len(targets) > 0 {
-			for id, node := range m.Nodes {
-				node.Eng.ScheduleDom(sim.DomNode(id), fc.Heartbeat,
+			for _, node := range m.Nodes {
+				node.Eng.Schedule(fc.Heartbeat,
 					&heartbeatEvent{node: node, period: fc.Heartbeat, targets: targets})
 			}
 		}
@@ -86,7 +82,7 @@ func (ev *heartbeatEvent) Fire() {
 		return // every planned crash detected: the sweep's job is done
 	}
 	n.K.Heartbeat()
-	n.Eng.ScheduleAfterDom(sim.DomNode(int(n.ID)), ev.period, ev)
+	n.Eng.ScheduleAfter(ev.period, ev)
 }
 
 // notePeerDown pins one failure-detector declaration to the flight
@@ -141,12 +137,17 @@ func (p FaultPoint) String() string {
 // transfers from node src to node dst on a post-boot machine, under its
 // config's fault plan, and reports the surviving goodput. Unlike the
 // clean-fabric harnesses it never panics on a machine check: a failed
-// run comes back with Err set (graceful degradation is exactly what
-// fault sweeps measure). Sizes follow MeasureDeliberateBandwidth: a bad
-// transfer size or total panics.
+// run, set-up included, comes back with Err set (graceful degradation
+// is exactly what fault sweeps measure). Sizes follow
+// MeasureDeliberateBandwidth: a bad transfer size or total panics.
 func MeasureFaultyTransfer(m *Machine, src, dst, transferBytes, totalBytes int) FaultPoint {
 	res := FaultPoint{DropPPM: m.Cfg.Faults.DropPPM, TransferBytes: transferBytes}
-	s, cmd := setupDeliberate(m, src, dst, transferBytes, totalBytes, "faulty transfer page fill")
+	s, cmd, err := setupDeliberate(m, src, dst, transferBytes, totalBytes, "faulty transfer page fill")
+	if err != nil {
+		res.Err = err.Error()
+		res.Events = m.Fired()
+		return res
+	}
 	words := uint32(transferBytes / 4)
 	transfers := totalBytes / transferBytes
 	var latBefore obs.Histogram
@@ -170,7 +171,7 @@ stream:
 				// goodput is the measurement.
 				break stream
 			}
-			_, swapped, _ := s.src.LockedCmpxchg(cmd, 0, words)
+			_, swapped, _ := s.src.Cache.LockedCmpxchg(cmd, 0, words)
 			if swapped {
 				break
 			}

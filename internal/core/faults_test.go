@@ -122,6 +122,16 @@ func TestGracefulUnderLoss(t *testing.T) {
 	}
 }
 
+// A fault plan that stops the set-up itself is a failed point, not a
+// panic: at 100% loss the map RPC exhausts its retry budget, and the
+// machine check comes back in Err like one raised mid-stream.
+func TestFaultyTransferSetupFailureIsErr(t *testing.T) {
+	res := MeasureFaultyTransfer(New(faultyCfg(1_000_000)), 0, 1, 1024, 4096)
+	if !strings.Contains(res.Err, "map failed") || !strings.Contains(res.Err, fault.CheckRetryBudget.String()) {
+		t.Fatalf("100%% loss: Err = %q, want the map's retry-budget machine check", res.Err)
+	}
+}
+
 // A node crash is not recoverable: the sender burns its retry budget
 // against the dead NIC and the run ends in a structured machine check
 // (surfaced through the engine, not a panic) naming the retry budget.

@@ -26,7 +26,7 @@ func metricsCfg(w, h int) Config {
 // burst from node 0 to node 1 and drains the machine.
 func driveTraffic(t *testing.T, m *Machine) {
 	t.Helper()
-	s := setupPair(m, 0, 1, nipt.SingleWriteAU)
+	s := mustPair(setupPair(m, 0, 1, nipt.SingleWriteAU))
 	for i := 0; i < 4; i++ {
 		if err := s.src.UserWrite32(s.ps, s.sendVA+vm.VAddr(i*4), 0x1000+uint32(i)); err != nil {
 			t.Fatal(err)
@@ -157,7 +157,7 @@ func TestMetricsResetMatchesFresh(t *testing.T) {
 
 func TestTraceJSONSixteenNodes(t *testing.T) {
 	m := New(metricsCfg(4, 4))
-	s := setupPair(m, 0, 15, nipt.SingleWriteAU)
+	s := mustPair(setupPair(m, 0, 15, nipt.SingleWriteAU))
 	for i := 0; i < 8; i++ {
 		if err := s.src.UserWrite32(s.ps, s.sendVA+vm.VAddr(i*4), uint32(i)); err != nil {
 			t.Fatal(err)
@@ -275,7 +275,7 @@ func TestCountersMatchStats(t *testing.T) {
 		cfg := metricsCfg(2, 1)
 		cfg.Kernel.Policy = kernel.InvalidateProtocol
 		m := New(cfg)
-		s := setupPair(m, 0, 1, nipt.SingleWriteAU)
+		s := mustPair(setupPair(m, 0, 1, nipt.SingleWriteAU))
 		stack, err := s.ps.AllocPages(1)
 		if err != nil {
 			t.Fatal(err)

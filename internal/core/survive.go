@@ -92,7 +92,8 @@ func availPattern(i, r, j int) uint32 {
 // automatic update, then drives `rounds` rounds of `wordsPerRound`
 // stores each, skipping flows whose endpoint has crashed (a frozen CPU
 // stores nothing) or been declared dead (the quarantined mapping would
-// fault). Crashes come from the machine's Cfg.Faults.Nodes.
+// fault). Crashes come from the machine's Cfg.Faults.Nodes. A machine
+// check or blown event budget, set-up included, comes back in Err.
 func MeasureAvailability(m *Machine, rounds, wordsPerRound int) AvailabilityPoint {
 	n := m.Cfg.NodeCount()
 	if wordsPerRound <= 0 || wordsPerRound > phys.PageSize/4 {
@@ -139,12 +140,18 @@ func MeasureAvailability(m *Machine, rounds, wordsPerRound int) AvailabilityPoin
 			case errors.Is(err, fault.ErrPeerDown):
 				f.dead = true
 			default:
-				panic(fmt.Sprintf("core: availability flow %d map: %v", i, err))
+				res.Err = fmt.Sprintf("core: availability flow %d map: %v", i, err)
+				res.Events = m.Fired()
+				return res
 			}
 		}
 		flows[i] = f
 	}
-	mustSettle(m, "availability setup")
+	if err := m.Settle("availability setup"); err != nil {
+		res.Err = err.Error()
+		res.Events = m.Fired()
+		return res
+	}
 	var latBefore obs.Histogram
 	if m.Cfg.Metrics {
 		latBefore = m.Obs.StageHist(obs.HistStageTotal)

@@ -75,6 +75,16 @@ func TestCrashSurvivalResetMatchesFresh(t *testing.T) {
 	}
 }
 
+// A set-up the fault plan stops is a failed point, not a panic: at 100%
+// loss the first ring flow's map exhausts its retry budget before any
+// write round, and the machine check comes back in Err.
+func TestAvailabilitySetupFailureIsErr(t *testing.T) {
+	p := MeasureAvailability(New(faultyCfg(1_000_000)), 6, 64)
+	if !strings.Contains(p.Err, "flow 0 map") || !strings.Contains(p.Err, fault.CheckRetryBudget.String()) {
+		t.Fatalf("100%% loss: Err = %q, want flow 0's map retry-budget machine check", p.Err)
+	}
+}
+
 // The Survivable flag is the whole difference between a crashed run and
 // a degraded one, pinned differentially on the identical crash plan:
 // off, the deliberate-update stream into the dying node burns its retry

@@ -222,7 +222,7 @@ func newWriteRig(t testing.TB, c writeCase) *writeRig {
 			rig.startBG = func() {
 				// The engine may still be busy with the last transfer;
 				// then nothing starts, on both twins alike.
-				r.LockedCmpxchg(tr.PA, 0, nic.MaxDMAWords)
+				r.Cache.LockedCmpxchg(tr.PA, 0, nic.MaxDMAWords)
 			}
 		case bgStores:
 			m.MustMap(q, src, phys.PageSize, w.ID, b.PID, dst, nipt.SingleWriteAU)

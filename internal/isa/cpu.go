@@ -98,8 +98,6 @@ func (c Counters) Total() uint64 { return c.User + c.Kernel }
 type CPU struct {
 	Eng *sim.Engine
 	Mem MemPort
-	// dom tags root events (see SetDom); DomHost for a bare CPU.
-	dom sim.Domain
 
 	// R holds the eight general-purpose registers.
 	R [8]uint32
@@ -204,13 +202,6 @@ func (c *CPU) Reset() {
 	c.FlushTraces()
 }
 
-// SetDom sets the event domain the CPU's root events (Start, Thaw,
-// Resume, interrupt wakes) are tagged with — its node's domain in an
-// assembled machine. Events scheduled mid-execution inherit it. The
-// explicit tag keeps the (time, domain, seq) event order independent of
-// which event happened to fire before a harness call.
-func (c *CPU) SetDom(d sim.Domain) { c.dom = d }
-
 // Load installs a program without starting execution. Built
 // superblocks for previously loaded programs are retained (keyed by
 // *Program identity), so reloading a cached program reuses its trace.
@@ -242,7 +233,7 @@ func (c *CPU) Start(entry string) error {
 	if _, f := c.push(ReturnSentinel); f != nil {
 		return fmt.Errorf("isa: cannot push return sentinel: %w", f)
 	}
-	c.Eng.ScheduleAfterDom(c.dom, 0, c)
+	c.Eng.ScheduleAfter(0, c)
 	return nil
 }
 
@@ -257,7 +248,7 @@ func (c *CPU) Thaw() {
 	}
 	c.frozen = false
 	if c.started && !c.halted {
-		c.Eng.ScheduleAfterDom(c.dom, 0, c)
+		c.Eng.ScheduleAfter(0, c)
 	}
 }
 
@@ -272,7 +263,7 @@ func (c *CPU) RaiseIRQ(vector int) {
 		// Ensure a step is pending even if the CPU idles at a HLT-less
 		// boundary (it always is while started, so this is belt and
 		// braces for Go-handler reentry).
-		c.Eng.ScheduleAfterDom(c.dom, 0, nopWake)
+		c.Eng.ScheduleAfter(0, nopWake)
 	}
 }
 

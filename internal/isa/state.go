@@ -44,6 +44,6 @@ func (c *CPU) Restore(s State) {
 // Resume schedules the next step of a restored, runnable context.
 func (c *CPU) Resume() {
 	if c.started && !c.halted && !c.frozen {
-		c.Eng.ScheduleAfterDom(c.dom, 0, c)
+		c.Eng.ScheduleAfter(0, c)
 	}
 }

@@ -94,7 +94,6 @@ type Stats struct {
 // Kernel is one node's operating system.
 type Kernel struct {
 	eng   *sim.Engine
-	dom   sim.Domain // the node's event domain; tags harness-entered syscalls
 	cfg   Config
 	id    packet.NodeID
 	nodes int // machine's node count: fixes the ring layout (ring.go)
@@ -176,7 +175,7 @@ type exportKey struct {
 func New(eng *sim.Engine, cfg Config, id packet.NodeID, nipts []*nipt.Table,
 	mem *phys.Memory, xbus *bus.Xpress, n *nic.NIC, cpu *isa.CPU, box *MemBox) *Kernel {
 	k := &Kernel{
-		eng: eng, dom: sim.DomNode(int(id)), cfg: cfg, id: id, nodes: len(nipts), nipts: nipts,
+		eng: eng, cfg: cfg, id: id, nodes: len(nipts), nipts: nipts,
 		mem: mem, xbus: xbus, nic: n, cpu: cpu, box: box,
 		procs:      make(map[int]*Process),
 		nextPID:    1,
@@ -226,11 +225,6 @@ func (k *Kernel) Reset() {
 
 // ID returns the node id.
 func (k *Kernel) ID() packet.NodeID { return k.id }
-
-// enter tags the node's domain at a harness syscall entry (Map,
-// GrantCommandPages, StartScheduler); the caller restores the returned
-// previous domain.
-func (k *Kernel) enter() sim.Domain { return k.eng.EnterDomain(k.dom) }
 
 // Stats returns a snapshot of kernel statistics.
 func (k *Kernel) Stats() Stats { return k.stats }

@@ -138,11 +138,6 @@ func remotePageCount(recvVA vm.VAddr, bytes int) int {
 // future once the destination kernel has replied.
 func (k *Kernel) Map(p *Process, sendVA vm.VAddr, bytes int, dst packet.NodeID, dstPID int,
 	recvVA vm.VAddr, mode nipt.Mode) (*Mapping, *Future) {
-	// Tag everything this syscall schedules with the node's domain: Map
-	// is routinely entered from harness (Go) context, where the engine's
-	// inherited domain would be whichever event fired last.
-	prev := k.enter()
-	defer k.eng.EnterDomain(prev)
 	fut := k.newFuture()
 	m := &Mapping{
 		Proc: p, SendVA: sendVA, Bytes: bytes, Dst: dst, DstPID: dstPID,
@@ -305,8 +300,6 @@ func (k *Kernel) removeSegment(frame phys.PageNum, rec *OutMapping) {
 // Unmap tears down a mapping: NIPT segments cleared locally, then the
 // destination kernel releases its mapped-in state.
 func (k *Kernel) Unmap(m *Mapping) *Future {
-	prev := k.enter()
-	defer k.eng.EnterDomain(prev)
 	fut := k.newFuture()
 	if m.unmapped {
 		fut.resolve(fmt.Errorf("kernel: mapping already unmapped"), nil)
@@ -378,8 +371,6 @@ func (k *Kernel) GrantCommandPages(p *Process, dataVA, cmdVA vm.VAddr, pages int
 	if dataVA.Offset() != 0 || cmdVA.Offset() != 0 {
 		return fmt.Errorf("kernel: command page grant must be page aligned")
 	}
-	prev := k.enter()
-	defer k.eng.EnterDomain(prev)
 	for i := 0; i < pages; i++ {
 		frame, ok := p.AS.FrameOf(dataVA.Page() + vm.VPN(i))
 		if !ok {

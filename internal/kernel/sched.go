@@ -57,10 +57,8 @@ func (k *Kernel) StartScheduler(slice sim.Time) error {
 	}
 	k.sched.slice = slice
 	k.sched.active = true
-	prev := k.enter()
 	k.Preempt()
 	k.eng.After(slice, k.tick)
-	k.eng.EnterDomain(prev)
 	return nil
 }
 

@@ -56,11 +56,9 @@ func DefaultConfig(w, h int) Config {
 }
 
 // Endpoint is the node-side consumer attached to a router's processor
-// port (the SHRIMP network interface).
-//
-// Accept and Credit run in the mesh's (hub) domain and may touch only
-// the endpoint's fabric-facing occupancy state; Deliver runs in the
-// node's domain.
+// port (the SHRIMP network interface). Accept and Credit are the
+// fabric's view of the endpoint and touch only its Incoming-FIFO
+// occupancy; Deliver hands the drained packet to the node.
 type Endpoint interface {
 	// Accept is called when a worm's head reaches the processor port.
 	// Returning false parks the worm — it keeps holding its channels,
@@ -374,12 +372,8 @@ func (n *Network) putWorm(w *worm) {
 
 // Inject launches a packet from src toward p.Dst. The caller must have
 // checked InjectorBusy; injecting into a busy port queues behind the
-// current owner (permitted, but it defeats FIFO pacing). Like every
-// fabric entry it runs in the hub domain, so everything it schedules
-// carries the fabric's event-ordering rank.
+// current owner (permitted, but it defeats FIFO pacing).
 func (n *Network) Inject(src packet.Coord, p *packet.Packet, wire int) {
-	prev := n.eng.EnterDomain(sim.DomHub)
-	defer n.eng.EnterDomain(prev)
 	if !n.Contains(src) || !n.Contains(p.Dst) {
 		panic(fmt.Sprintf("mesh: inject %v->%v outside mesh", src, p.Dst))
 	}
@@ -494,8 +488,6 @@ func (n *Network) arrive(w *worm) {
 // Unpark retries delivery of the worm parked at c, if any. Endpoints call
 // this when receive space frees up (normally through Release).
 func (n *Network) Unpark(c packet.Coord) {
-	prev := n.eng.EnterDomain(sim.DomHub)
-	defer n.eng.EnterDomain(prev)
 	i := n.index(c)
 	w := n.park[i]
 	if w == nil {
@@ -509,13 +501,9 @@ func (n *Network) Unpark(c packet.Coord) {
 // Release is the endpoint's end-of-deposit fabric entry: it returns wire
 // bytes of Incoming-FIFO occupancy (Endpoint.Credit), completes the
 // packet's causal span (as a drop when the deposit discarded it), and
-// retries the worm parked at c now that space freed up, as one fabric
-// action in the hub domain.
+// retries the worm parked at c now that space freed up.
 func (n *Network) Release(c packet.Coord, wire int, span uint64, dropped bool) {
-	prev := n.eng.EnterDomain(sim.DomHub)
-	defer n.eng.EnterDomain(prev)
-	i := n.index(c)
-	if ep := n.eps[i]; ep != nil {
+	if ep := n.eps[n.index(c)]; ep != nil {
 		ep.Credit(wire)
 	}
 	if dropped {
@@ -523,31 +511,13 @@ func (n *Network) Release(c packet.Coord, wire int, span uint64, dropped bool) {
 	} else {
 		n.reg.SpanDeposited(span, n.eng.Now())
 	}
-	w := n.park[i]
-	if w == nil {
-		return
-	}
-	n.park[i] = nil
-	w.parked = false
-	n.arrive(w)
-}
-
-// DropSpan completes a causal span as a drop at the fabric's clock. Node
-// components use it for packets discarded before they ever reached the
-// fabric (Outgoing-FIFO overflow), keeping span completion — shared
-// machine-wide state — a fabric action.
-func (n *Network) DropSpan(span uint64) {
-	prev := n.eng.EnterDomain(sim.DomHub)
-	defer n.eng.EnterDomain(prev)
-	n.reg.SpanDropped(span, n.eng.Now())
+	n.Unpark(c)
 }
 
 // SetDead marks the node at c crashed on the fabric side: worms arriving
 // for it bit-bucket (drain without an endpoint offer) so the mesh cannot
 // deadlock through a dead node. One-way until Reset.
 func (n *Network) SetDead(c packet.Coord) {
-	prev := n.eng.EnterDomain(sim.DomHub)
-	defer n.eng.EnterDomain(prev)
 	n.dead[n.index(c)] = true
 }
 

@@ -313,7 +313,7 @@ func (b *BlockSender) Send(off, nbytes int) error {
 		}
 		words := uint32((chunk + 3) / 4)
 		for {
-			_, swapped, _ := b.snd.Node.LockedCmpxchg(tr.PA, 0, words)
+			_, swapped, _ := b.snd.Node.Cache.LockedCmpxchg(tr.PA, 0, words)
 			if swapped {
 				break
 			}
@@ -334,7 +334,8 @@ func (b *BlockSender) Done() bool {
 	if f != nil {
 		return false
 	}
-	return b.snd.Node.CacheRead32(tr.PA) == 0
+	v, _ := b.snd.Node.Cache.Load(tr.PA, 4)
+	return v == 0
 }
 
 // Read copies data out of the receiver-side region.

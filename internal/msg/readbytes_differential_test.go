@@ -7,15 +7,13 @@ import (
 	"repro/internal/core"
 	"repro/internal/nic"
 	"repro/internal/phys"
-	"repro/internal/sim"
 	"repro/internal/vm"
 )
 
 // recvPerByte is Channel.Recv with the message copied out by the
 // per-byte reference: one page-table walk and one one-byte cache load
-// per byte, under the receiving node's event domain. Node.UserReadBytes
-// (per page translation through the micro-TLB, per line cache reads)
-// must be indistinguishable from it.
+// per byte. Node.UserReadBytes (per page translation through the
+// micro-TLB, per line cache reads) must be indistinguishable from it.
 func recvPerByte(c *Channel) ([]byte, error) {
 	var n uint32
 	arrived := func() bool {
@@ -31,7 +29,6 @@ func recvPerByte(c *Channel) ([]byte, error) {
 	}
 	node := c.rcv.Node
 	out := make([]byte, n)
-	prev := node.Eng.EnterDomain(sim.DomNode(int(node.ID)))
 	for i := range out {
 		tr, f := c.rcv.Proc.AS.Translate(c.rBuf+vm.VAddr(i), false)
 		if f != nil {
@@ -40,7 +37,6 @@ func recvPerByte(c *Channel) ([]byte, error) {
 		v, _ := node.Cache.Load(tr.PA, 1)
 		out[i] = byte(v)
 	}
-	node.Eng.EnterDomain(prev)
 	if err := node.UserWrite32(c.rcv.Proc, c.rFlag, 0); err != nil {
 		return nil, err
 	}

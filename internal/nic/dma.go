@@ -191,5 +191,5 @@ func (d *dmaState) kick(n *NIC) {
 	d.cur += phys.PAddr(chunk)
 	d.remaining -= uint32(chunk) / 4
 	d.pendingFinished = d.remaining == 0
-	n.eng.ScheduleDom(n.dom, done, &n.chunkEv)
+	n.eng.Schedule(done, &n.chunkEv)
 }

@@ -84,7 +84,7 @@ func (ev *mergeTimerEvent) Fire() {
 	}
 	// A newer write moved the deadline; chase it.
 	n.merge.timerArmed = true
-	n.eng.ScheduleDom(n.dom, o.lastWrite+n.cfg.MergeWindow+sim.Picosecond, &n.mergeEv)
+	n.eng.Schedule(o.lastWrite+n.cfg.MergeWindow+sim.Picosecond, &n.mergeEv)
 }
 
 // armMergeTimer schedules the §4.1 time-limit check. The in-flight timer
@@ -95,7 +95,7 @@ func (n *NIC) armMergeTimer() {
 		return
 	}
 	n.merge.timerArmed = true
-	n.eng.ScheduleAfterDom(n.dom, n.cfg.MergeWindow+sim.Picosecond, &n.mergeEv)
+	n.eng.ScheduleAfter(n.cfg.MergeWindow+sim.Picosecond, &n.mergeEv)
 }
 
 // flushMerge terminates and sends the open blocked-write packet, if any.

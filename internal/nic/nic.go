@@ -161,12 +161,6 @@ type NIC struct {
 	eisa  *bus.EISA
 	net   *mesh.Network
 	width int // mesh width: with a node id, it gives the node's coordinate
-	// dom is this node's event domain. Every event the NIC schedules is
-	// tagged with it explicitly: NIC pipelines can be kicked from event
-	// chains carrying another node's domain (e.g. a deposit chain that
-	// triggers an IRQ reply), and inheriting that foreign domain would
-	// let two same-instant FIFO enqueues fire out of schedule order.
-	dom sim.Domain
 
 	// OnIRQ is the interrupt line to the CPU/kernel: cause plus the
 	// physical page the interrupt concerns.
@@ -304,7 +298,6 @@ func New(eng *sim.Engine, cfg Config, node packet.NodeID, coord packet.Coord,
 	table *nipt.Table, xbus *bus.Xpress, eisa *bus.EISA, net *mesh.Network) *NIC {
 	n := &NIC{
 		eng: eng, cfg: cfg, node: node, coord: coord,
-		dom:   sim.DomNode(int(node)),
 		table: table, xbus: xbus, eisa: eisa, net: net, width: net.Config().Width,
 	}
 	n.injectEv.n = n
@@ -583,7 +576,7 @@ func (n *NIC) emit(m *nipt.OutMapping, remote phys.PAddr, payload []byte, srcPag
 	}
 	ev.p = p
 	ev.wire = p.WireSize()
-	n.eng.ScheduleAfterDom(n.dom, n.cfg.SnoopPacketize, ev)
+	n.eng.ScheduleAfter(n.cfg.SnoopPacketize, ev)
 }
 
 func (n *NIC) enqueueOut(p *packet.Packet, wire int) {
@@ -597,7 +590,7 @@ func (n *NIC) enqueueOut(p *packet.Packet, wire int) {
 			Node: int(n.node), Kind: fault.CheckOutFIFOOverflow, At: n.eng.Now(),
 			Detail: fmt.Sprintf("%d+%d > %d bytes", n.out.bytes, wire, n.cfg.OutFIFOBytes),
 		})
-		n.net.DropSpan(p.Span)
+		n.obs.SpanDropped(p.Span, n.eng.Now())
 		packet.Put(p)
 		return
 	}
@@ -628,7 +621,7 @@ func (n *NIC) drainOut() {
 		return
 	}
 	n.out.injecting = true
-	n.eng.ScheduleAfterDom(n.dom, n.cfg.OutFIFOLatency+n.cfg.InjectSetup, &n.injectEv)
+	n.eng.ScheduleAfter(n.cfg.OutFIFOLatency+n.cfg.InjectSetup, &n.injectEv)
 }
 
 // injectorFree fires when the injected worm's tail has left this node:

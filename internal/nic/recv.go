@@ -60,7 +60,7 @@ func (e *endpoint) Deliver(p *packet.Packet, wire int) {
 		// The fabric bit-bucketed this worm without claiming FIFO space
 		// (see mesh.Network.SetDead), so there is nothing to Credit back.
 		n.stats.DropDead++
-		n.net.DropSpan(p.Span)
+		n.obs.SpanDropped(p.Span, n.eng.Now())
 		n.scope.Inc(obs.CtrDrops)
 		packet.Put(p)
 		return
@@ -106,7 +106,7 @@ func (n *NIC) deposit() {
 	}
 	n.in.depositing = true
 	n.depositQP = n.in.q.pop()
-	n.eng.ScheduleAfterDom(n.dom, n.cfg.InFIFOLatency, &n.depositEv)
+	n.eng.ScheduleAfter(n.cfg.InFIFOLatency, &n.depositEv)
 }
 
 func (n *NIC) depositPacket(q queuedPacket) {
@@ -142,13 +142,13 @@ func (n *NIC) depositPacket(q queuedPacket) {
 	if n.cfg.Generation == GenEISAPrototype {
 		done = n.eisa.DMAWrite(p.DstAddr, p.Payload)
 		n.finishEv.xpress = false
-		n.eng.ScheduleDom(n.dom, done, &n.finishEv)
+		n.eng.Schedule(done, &n.finishEv)
 		return
 	}
 	// Next generation: the NIC masters the Xpress bus directly.
 	done = n.eng.Now() + n.cfg.XpressDepositSetup + sim.PerByte(n.cfg.XpressDepositRate, len(p.Payload))
 	n.finishEv.xpress = true
-	n.eng.ScheduleDom(n.dom, done, &n.finishEv)
+	n.eng.Schedule(done, &n.finishEv)
 }
 
 // finishDeposit raises any arrival interrupt, recycles the packet,

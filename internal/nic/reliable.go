@@ -366,7 +366,7 @@ func (f *relFlow) arm() {
 	}
 	ev.f = f
 	ev.gen = f.gen
-	f.n.eng.ScheduleAfterDom(f.n.dom, f.rto, ev)
+	f.n.eng.ScheduleAfter(f.rto, ev)
 }
 
 // fire is the retransmission timeout: no ACK progress within rto.
@@ -486,7 +486,7 @@ func (rc *relRecv) bumpAck() {
 	}
 	ev.r = rc
 	ev.gen = rc.gen
-	rc.n.eng.ScheduleAfterDom(rc.n.dom, fault.AckDelay, ev)
+	rc.n.eng.ScheduleAfter(fault.AckDelay, ev)
 }
 
 func (rc *relRecv) sendAck() {

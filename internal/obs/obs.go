@@ -233,41 +233,12 @@ func (h *Histogram) Mean() float64 {
 	return float64(h.Sum) / float64(h.Count)
 }
 
-// Quantile returns an upper bound for the q-quantile (0 <= q <= 1): the
-// upper edge of the bucket containing it. Exact to within the log2
-// bucket width.
-func (h *Histogram) Quantile(q float64) uint64 {
-	if h.Count == 0 {
-		return 0
-	}
-	target := uint64(q * float64(h.Count))
-	if target >= h.Count {
-		target = h.Count - 1
-	}
-	var seen uint64
-	for i, n := range h.Buckets {
-		seen += n
-		if seen > target {
-			if i == 0 {
-				return 0
-			}
-			edge := uint64(1) << uint(i)
-			if edge-1 > h.Max {
-				return h.Max
-			}
-			return edge - 1
-		}
-	}
-	return h.Max
-}
-
 // QuantileInterp estimates the q-quantile (0 <= q <= 1) by linear
 // interpolation of the rank within the log2 bucket containing it,
-// assuming observations are uniform inside a bucket. Against Quantile's
-// bucket-upper-edge bound this trades a worst-case 2x overestimate for a
-// typical error of a few percent — the p99/p999 numbers the reports
-// surface. The top bucket is clamped to Max, so q=1 returns the exact
-// maximum.
+// assuming observations are uniform inside a bucket: a typical error of
+// a few percent on the p99/p999 numbers the reports surface, where a
+// bucket's upper edge could overestimate by 2x. The top bucket is
+// clamped to Max, so q=1 returns the exact maximum.
 func (h *Histogram) QuantileInterp(q float64) uint64 {
 	if h.Count == 0 {
 		return 0

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -96,13 +95,6 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	out.SpansFinished, out.SpansDropped, out.SpansTruncated = r.SpanCounts()
 	return out
-}
-
-// WriteJSON writes the snapshot as indented JSON.
-func (s Snapshot) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
 }
 
 // stageHists are the per-stage latency histograms in pipeline order.

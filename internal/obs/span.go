@@ -21,11 +21,10 @@ import "repro/internal/sim"
 //	          was dropped: Dropped is set and Deposited is the drop
 //	          instant)
 //
-// Allocation is sharded per source node: minting and the send-side
-// stage stamps happen on the minting node's event stream. Completion
-// (and the shared completed ring) is a fabric action, routed through
-// mesh.Release/DropSpan. Timestamps are passed in explicitly, so the
-// registry needs no engine reference.
+// Allocation is sharded per source node. Completion fills the shared
+// completed ring: mesh.Release completes deposited packets, and the NIC
+// or the fabric completes dropped ones. Timestamps are passed in
+// explicitly, so the registry needs no engine reference.
 
 // SpanKind classifies what initiated a span's transfer.
 type SpanKind uint8

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 // tickHandler reschedules itself a fixed distance ahead: the steady-state
 // shape of every hardware model's fast path (schedule one, fire one).
@@ -83,4 +86,36 @@ func benchScheduleFire(b *testing.B, depth int) {
 	}
 	e.Run()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
+}
+
+// TestEventIs32Bytes pins the queue entry size: time, sequence number
+// and Handler. Heap sifts copy whole entries, so the size is the
+// per-event cost every workload pays.
+func TestEventIs32Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 32 {
+		t.Fatalf("sizeof(event) = %d bytes, want 32", got)
+	}
+}
+
+// TestScheduleZeroAlloc is the allocation guard for the scheduling path:
+// Schedule, At with a preallocated closure, and Step firing both must
+// not touch the heap once the queue has its capacity.
+func TestScheduleZeroAlloc(t *testing.T) {
+	e := NewEngine()
+	h := &tickHandler{e: e}
+	fn := func() {}
+	for i := 0; i < 8; i++ {
+		e.Schedule(0, h) // grow the queue's backing array up front
+	}
+	e.Run()
+	allocs := testing.AllocsPerRun(1000, func() {
+		now := e.Now()
+		e.Schedule(now+1, h)
+		e.At(now+2, fn)
+		for e.Step() {
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("scheduling path allocates: %.1f allocs/op", allocs)
+	}
 }

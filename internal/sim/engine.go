@@ -6,23 +6,21 @@
 // a given workload is bit-for-bit reproducible.
 //
 // The pending-event queue is a hand-rolled 4-ary min-heap over a concrete
-// slice of 32-byte entries: the firing time, one uint64 key packing the
-// event's domain above its scheduling sequence number, and a Handler.
-// Unlike container/heap, nothing crosses an interface boundary, so
-// scheduling and firing allocate nothing: hot component models schedule
-// pooled Handler values (see Schedule), closures ride through the same
-// Handler path, and each heap step pays two compares on (at, key). A
-// 4-ary layout halves the tree depth of a binary heap and keeps sibling
-// keys in adjacent cache lines, which measurably helps the pop-heavy
-// access pattern of a discrete-event simulator.
+// slice of 32-byte entries: the firing time, the event's scheduling
+// sequence number, and a Handler. Unlike container/heap, nothing crosses
+// an interface boundary, so scheduling and firing allocate nothing: hot
+// component models schedule pooled Handler values (see Schedule),
+// closures ride through the same Handler path, and each heap step pays
+// two compares on (at, seq). A 4-ary layout halves the tree depth of a
+// binary heap and keeps sibling keys in adjacent cache lines, which
+// measurably helps the pop-heavy access pattern of a discrete-event
+// simulator.
 package sim
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math/bits"
-	"slices"
 )
 
 // Time is a simulated timestamp in picoseconds.
@@ -100,66 +98,29 @@ type Handler interface {
 	Fire()
 }
 
-// funcEvent adapts a closure scheduled through At/After/AtDom to Handler,
+// funcEvent adapts a closure scheduled through At/After to Handler,
 // so every event fires through the one Handler path. A func value is
 // pointer-shaped: converting it to an interface does not allocate.
 type funcEvent func()
 
 func (f funcEvent) Fire() { f() }
 
-// Domain identifies which sequential unit of the machine an event belongs
-// to: a node (its CPU, caches, buses, NIC send/deposit pipelines) or the
-// shared mesh fabric. Domains are the middle component of the event order
-// (at, dom, seq), so same-instant events fire node-by-node in ascending
-// node order with the mesh fabric last, regardless of the order they
-// were scheduled in.
-//
-// Events inherit the domain of the event that scheduled them; the few
-// true roots (CPU start/wake, kernel scheduler ticks, fault plan events,
-// mesh entry points) tag themselves explicitly.
-type Domain int32
-
-// An event's key packs its domain into the high domBits and its
-// scheduling sequence number into the low seqBits, so one uint64 compare
-// orders (dom, seq). The engine renumbers the pending events before seq
-// would carry into the domain field (see renumber).
-const (
-	seqBits = 40
-	domBits = 64 - seqBits
-	seqMask = 1<<seqBits - 1
-)
-
-const (
-	// DomHost is the default domain: harness-level scheduling from
-	// outside any event. Node domains start above it.
-	DomHost Domain = 0
-	// DomHub is the mesh fabric's domain, the top of the domain field;
-	// it sorts after every node so that, at one instant, all node-side
-	// work (injections, credits) precedes fabric arbitration. Scheduling
-	// in a domain outside [DomHost, DomHub] panics.
-	DomHub Domain = 1<<domBits - 1
-)
-
-// DomNode returns the domain of node id (node domains are 1-based so
-// they never collide with DomHost; ids run below DomHub-1).
-func DomNode(id int) Domain { return Domain(id) + 1 }
-
-// event is one pending queue entry, 32 bytes: the firing time, the packed
-// Domain<<seqBits | seq key, and the action.
+// event is one pending queue entry, 32 bytes: the firing time, the
+// scheduling sequence number, and the action. A uint64 counter that
+// grows by one per schedule never wraps in a run.
 type event struct {
 	at  Time
-	key uint64
+	seq uint64
 	h   Handler
 }
 
-// before reports the firing order: time-ordered, then key-ordered, which
-// is domain-ordered within an instant and scheduling-ordered within a
-// domain.
+// before reports the firing order: time-ordered, then scheduling-ordered
+// within an instant.
 func (a *event) before(b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
-	return a.key < b.key
+	return a.seq < b.seq
 }
 
 // Engine is a discrete-event simulator: a clock plus a pending-event queue.
@@ -167,8 +128,7 @@ func (a *event) before(b *event) bool {
 type Engine struct {
 	now        Time
 	seq        uint64
-	cur        Domain  // domain of the event being fired; inherited by schedules
-	events     []event // 4-ary min-heap on (at, key)
+	events     []event // 4-ary min-heap on (at, seq)
 	fired      uint64
 	maxPending int
 	// bound/bounded track an active RunUntil window so synchronous
@@ -237,77 +197,27 @@ func (e *Engine) RunBound() Time {
 	return e.bound
 }
 
-// EnterDomain makes d the current scheduling domain and returns the
-// previous one, so callers restore it when done:
-//
-//	prev := eng.EnterDomain(sim.DomHub)
-//	defer eng.EnterDomain(prev)
-//
-// Component entry points that cross a domain boundary inline (a NIC
-// injecting into the mesh, the mesh delivering to a NIC) wrap themselves
-// this way so everything they schedule lands in the right domain.
-func (e *Engine) EnterDomain(d Domain) Domain {
-	prev := e.cur
-	e.cur = d
-	return prev
-}
-
-// At schedules fn to run at absolute time t in the current domain.
-// Scheduling in the past (t < Now) panics: it would silently reorder
-// causality.
-func (e *Engine) At(t Time, fn func()) { e.AtDom(e.cur, t, fn) }
-
-// AtDom schedules fn to run at absolute time t in domain d.
-func (e *Engine) AtDom(d Domain, t Time, fn func()) { e.ScheduleDom(d, t, funcEvent(fn)) }
+// At schedules fn to run at absolute time t. Scheduling in the past
+// (t < Now) panics: it would silently reorder causality.
+func (e *Engine) At(t Time, fn func()) { e.Schedule(t, funcEvent(fn)) }
 
 // After schedules fn to run d after the current time.
-func (e *Engine) After(d Time, fn func()) { e.AtDom(e.cur, e.now+d, fn) }
+func (e *Engine) After(d Time, fn func()) { e.Schedule(e.now+d, funcEvent(fn)) }
 
-// Schedule schedules h to fire at absolute time t in the current domain.
-// It is the allocation-free twin of At: h is typically a pooled struct or
-// a pointer into an existing model object. Scheduling in the past panics.
-func (e *Engine) Schedule(t Time, h Handler) { e.ScheduleDom(e.cur, t, h) }
-
-// ScheduleDom schedules h to fire at absolute time t in domain d. Event
-// roots (CPU wake-ups, scheduler ticks, fault plans) use it to pin their
-// domain explicitly instead of inheriting whatever fired last.
-func (e *Engine) ScheduleDom(d Domain, t Time, h Handler) {
+// Schedule schedules h to fire at absolute time t. It is the
+// allocation-free twin of At: h is typically a pooled struct or a pointer
+// into an existing model object. Scheduling in the past panics. Events
+// at the same instant fire in the order they were scheduled.
+func (e *Engine) Schedule(t Time, h Handler) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
-	if uint32(d) > uint32(DomHub) {
-		panic(fmt.Sprintf("sim: scheduling event in domain %d outside [%d, %d]", d, DomHost, DomHub))
-	}
-	if e.seq == seqMask {
-		e.renumber()
-	}
 	e.seq++
-	e.push(event{at: t, key: uint64(d)<<seqBits | e.seq, h: h})
-}
-
-// renumber gives the pending events the sequence numbers 1..n in firing
-// order, so seq restarts low instead of carrying into the domain field.
-// Firing order is unchanged: events keep their relative order, and every
-// event scheduled afterwards still sorts after each pending one of its
-// (at, dom). Sorting in firing order leaves a valid heap.
-func (e *Engine) renumber() {
-	slices.SortFunc(e.events, func(a, b event) int {
-		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.key, b.key))
-	})
-	for i := range e.events {
-		ev := &e.events[i]
-		ev.key = ev.key&^seqMask | uint64(i+1)
-	}
-	e.seq = uint64(len(e.events))
+	e.push(event{at: t, seq: e.seq, h: h})
 }
 
 // ScheduleAfter schedules h to fire d after the current time.
-func (e *Engine) ScheduleAfter(d Time, h Handler) { e.ScheduleDom(e.cur, e.now+d, h) }
-
-// ScheduleAfterDom schedules h to fire d after the current time in domain dom.
-func (e *Engine) ScheduleAfterDom(dom Domain, d Time, h Handler) {
-	e.ScheduleDom(dom, e.now+d, h)
-}
+func (e *Engine) ScheduleAfter(d Time, h Handler) { e.Schedule(e.now+d, h) }
 
 // push appends ev and restores the heap invariant by sifting up.
 func (e *Engine) push(ev event) {
@@ -382,7 +292,6 @@ func (e *Engine) Step() bool {
 	}
 	ev := e.pop()
 	e.now = ev.at
-	e.cur = Domain(ev.key >> seqBits)
 	e.fired++
 	ev.h.Fire()
 	return true
@@ -499,7 +408,6 @@ func (e *Engine) Reset() {
 	e.events = e.events[:0]
 	e.now = 0
 	e.seq = 0
-	e.cur = 0
 	e.fired = 0
 	e.maxPending = 0
 	e.bound = 0

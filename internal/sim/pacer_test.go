@@ -92,7 +92,7 @@ func TestEnginePacerDoesNotPerturb(t *testing.T) {
 		if p != nil {
 			e.SetPacer(p)
 		}
-		log := driveRandomWorkload(newEngineAdapter{e}, 42)
+		log := driveRandomWorkload(e, 42)
 		return log, e.Fired(), e.Now()
 	}
 	plain, pf, pn := run(nil)
