@@ -3,17 +3,18 @@
 # tests, exact event-count pins, a boot-footprint pin, zero-allocation
 # checks on the hot paths, byte-identity checks on the CLIs, runs of the
 # examples, exit-status checks on bad CLI flags and on a failed fault
-# sweep point, and five short fuzzing runs. Every gate but the fuzzing
+# sweep point, and six short fuzzing runs. Every gate but the fuzzing
 # runs is deterministic; those explore new inputs on each run, and a
 # failure is a real divergence between a fast path and its reference —
 # the CPU's against per-instruction stepping, UserWriteBytes' store runs
 # against one store per word, the cache against a flat shadow of memory,
-# the chunked NIPT against a flat table of one entry per page, or DRAM
+# the chunked NIPT against a flat table of one entry per page, DRAM
 # frames that grow to their highest written byte against a flat byte
-# array — so fix it, then commit the failing input as a seed under the
-# package's testdata/fuzz/. Wall time is measured by the benchmark in
-# bench/ (bash bench/run.sh, protocol in bench/README.md) and gated by
-# nothing in this script.
+# array, or the event queue's head slot and heap against a
+# container/heap queue — so fix it, then commit the failing input as a
+# seed under the package's testdata/fuzz/. Wall time is measured by the
+# benchmark in bench/ (bash bench/run.sh, protocol in bench/README.md)
+# and gated by nothing in this script.
 set -eux
 
 scratch=$(mktemp -d)
@@ -103,6 +104,11 @@ go test -run '^$' -fuzz '^FuzzTableMatchesFlat$' -fuzztime 10s ./internal/nipt
 # byte array: every byte must read the same, each frame must be as long
 # as its page's highest byte written, and reads must build nothing.
 go test -run '^$' -fuzz '^FuzzMemoryMatchesFlat$' -fuzztime 10s ./internal/phys
+# Random schedules (on both paths, from inside handlers, at instants
+# that tie with the head slot's event), Steps, RunUntils, Advances and
+# Resets on the engine against a container/heap queue with no head
+# slot: the same firings in the same order, clock and counters.
+go test -run '^$' -fuzz '^FuzzEngineMatchesReference$' -fuzztime 10s ./internal/sim
 # Harness copy guards: Node.UserReadBytes (micro-TLB translation,
 # line-granular cache reads; the Go-level Channel.Recv path) and
 # Node.UserWriteBytes (store runs through cache, bus and NIC; the

@@ -18,8 +18,13 @@ import (
 // CPU batch quantum retiring a different number of instructions per
 // engine event. The availability rows are shrimp-faults -avail's 1- and
 // 2-crash points, the only pinned runs whose counts depend on the order
-// of same-instant events. Wall time is measured by the bench/ module,
-// not here.
+// of same-instant events. The bandwidth rows are E3's ends, 64 B
+// transfers on EISA and 4 KB on Xpress, on a fresh 2x1 machine: one run
+// each pins its events, its source bus's command reads (one LOCK
+// CMPXCHG per transfer, because the harness polls only a free DMA
+// engine) and its simulated end time, which the bus tenures of the
+// polls a busy engine refused could have moved. Wall time is measured
+// by the bench/ module, not here.
 func TestEventCountPins(t *testing.T) {
 	grid := ConfigFor(4, 4, nic.GenEISAPrototype)
 	metrics := grid
@@ -72,6 +77,26 @@ func TestEventCountPins(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			if got := tc.run(); got != tc.want {
 				t.Fatalf("got %d, want %d", got, tc.want)
+			}
+		})
+	}
+
+	for _, tc := range []struct {
+		name             string
+		gen              nic.Generation
+		transfer         int
+		events, cmdReads uint64
+		end              sim.Time
+	}{
+		{"bandwidth/eisa-64B", nic.GenEISAPrototype, 64, 65581, 8192, 25810177622},
+		{"bandwidth/xpress-4KB", nic.GenXpress, 4096, 7207, 128, 7762193866},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := New(ConfigFor(2, 1, tc.gen))
+			r := MeasureDeliberateBandwidth(m, 0, 1, tc.transfer, 512<<10)
+			if reads := m.Nodes[0].Xbus.Stats().CmdReads; r.Events != tc.events || reads != tc.cmdReads || r.SimEnd != tc.end {
+				t.Fatalf("got %d events, %d command reads, end %d ps; want %d, %d, %d ps",
+					r.Events, reads, int64(r.SimEnd), tc.events, tc.cmdReads, int64(tc.end))
 			}
 		})
 	}

@@ -210,14 +210,22 @@ func MeasureDeliberateBandwidth(m *Machine, src, dst, transferBytes, totalBytes 
 	start := m.Now()
 	for i := 0; i < transfers; i++ {
 		// The §4.3 protocol: locked CMPXCHG until the engine accepts.
+		// While the engine is busy a poll cannot succeed: it reads this
+		// transfer's own base, so it returns remaining<<1|1, never the
+		// 0 the exchange needs. The harness therefore steps the engine
+		// (user-level backoff would spin; stepping models the time
+		// passing between retries) and polls once the engine is free,
+		// at the instant and after the event where a poll per event
+		// would first succeed. The refused polls it skips each held the
+		// bus for one 8-byte tenure, which could delay a DMA chunk read;
+		// measured, they moved no E3 point's figures or event count, and
+		// TestEventCountPins pins both ends' end times.
 		for {
-			_, swapped, _ := s.src.Cache.LockedCmpxchg(cmd, 0, words)
-			if swapped {
-				break
+			if !s.src.NIC.DMABusy() {
+				if _, swapped, _ := s.src.Cache.LockedCmpxchg(cmd, 0, words); swapped {
+					break
+				}
 			}
-			// Engine busy: let simulated time advance (user-level
-			// backoff would spin; stepping the engine models the time
-			// passing between retries).
 			if !m.Step() {
 				panic("core: DMA engine never freed")
 			}

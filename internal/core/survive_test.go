@@ -85,6 +85,19 @@ func TestAvailabilitySetupFailureIsErr(t *testing.T) {
 	}
 }
 
+// A ring record must never end at the page's last byte, or the next wrap
+// marker lands in the following physical frame. Crashes 100 ms out keep
+// 2x2 heartbeat traffic lapping every ring through the set-up settle;
+// before records left the page's last 8 bytes for the marker, node 2
+// read a corrupt record from node 1 at 50 ms.
+func TestAvailabilityRingLapsCleanly(t *testing.T) {
+	cfg := surviveCfg(2, 2, 0)
+	cfg.Faults.Nodes = CrashPlan(cfg.NodeCount(), 2, 100*sim.Millisecond, sim.Microsecond)
+	if p := MeasureAvailability(New(cfg), 1, 4); p.Err != "" {
+		t.Fatalf("ring laps failed the run: %s", p.Err)
+	}
+}
+
 // The Survivable flag is the whole difference between a crashed run and
 // a degraded one, pinned differentially on the identical crash plan:
 // off, the deliberate-update stream into the dying node burns its retry

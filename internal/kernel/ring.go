@@ -219,18 +219,28 @@ func (k *Kernel) ringSend(p *peer, payload []byte, bypass bool) {
 }
 
 // recordBytes pads records to 8-byte multiples so the write cursor is
-// always 8-aligned — an 8-byte wrap record therefore always fits before
-// the end of the ring page. The CRC layout's 12-byte header keeps the
-// padded total a multiple of 8 too.
+// always 8-aligned. The CRC layout's 12-byte header keeps the padded
+// total a multiple of 8 too. The 8-byte wrap marker does not fit after
+// every record: ringWraps keeps the last 8 bytes of the page for it.
 func (k *Kernel) recordBytes(payload []byte) uint32 {
 	return (k.ringHeader() + uint32(len(payload)) + 7) &^ 7
+}
+
+// ringWraps reports whether a record of rec bytes must restart at
+// offset 0: written at the cursor, it would leave less than the 8 bytes
+// a wrap marker takes before the end of the page. A record ending at the
+// page's last byte would leave the next wrap marker, and the consumer's
+// next read, in the frame after the ring page.
+func ringWraps(p *peer, rec uint32) bool {
+	return p.wcursor+rec > phys.PageSize-ringHeaderBytes
 }
 
 // ringFits reports whether the unacked window leaves room for the record
 // (including a possible wrap marker's wasted tail).
 func (k *Kernel) ringFits(p *peer, payload []byte) bool {
-	need := uint64(k.recordBytes(payload))
-	if p.wcursor+k.recordBytes(payload) > phys.PageSize {
+	rec := k.recordBytes(payload)
+	need := uint64(rec)
+	if ringWraps(p, rec) {
 		need += uint64(phys.PageSize - p.wcursor) // wrap waste
 	}
 	return p.written-p.acked+need <= phys.PageSize-maxRecordBytes
@@ -240,7 +250,7 @@ func (k *Kernel) ringFits(p *peer, payload []byte) bool {
 // sequence word last, so the consumer sees only complete records.
 func (k *Kernel) ringWrite(p *peer, payload []byte) {
 	rec := k.recordBytes(payload)
-	if p.wcursor+rec > phys.PageSize {
+	if ringWraps(p, rec) {
 		// Wrap record: len=wrapMark, then seq.
 		base := p.outFrame.Addr(p.wcursor)
 		k.busWrite32(base+4, wrapMark)

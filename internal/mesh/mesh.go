@@ -172,7 +172,8 @@ type Network struct {
 	faults *fault.Injector
 	reg    *obs.Registry
 
-	freeWorms *worm // pool of retired worms
+	freeWorms *worm       // pool of retired worms
+	packets   packet.Pool // the machine's packet free list (see Packets)
 
 	stats Stats
 }
@@ -291,6 +292,12 @@ func (n *Network) Reset() {
 
 // Config returns the backplane configuration.
 func (n *Network) Config() Config { return n.cfg }
+
+// Packets returns the packet free list of the machine this backplane
+// belongs to: the NICs take every packet they send from it and return
+// every packet they consume, and a worm lost in flight returns its
+// packet here. Reset keeps it, as it keeps the worm pool.
+func (n *Network) Packets() *packet.Pool { return &n.packets }
 
 // flits returns the flit count of a wire-size packet.
 func (n *Network) flits(wire int) int {
@@ -533,7 +540,7 @@ func (n *Network) drained(w *worm) {
 	if w.lost {
 		n.putWorm(w)
 		n.reg.SpanDropped(pkt.Span, n.eng.Now())
-		packet.Put(pkt)
+		n.packets.Put(pkt)
 		return
 	}
 	n.stats.Delivered++

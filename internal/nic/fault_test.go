@@ -18,7 +18,7 @@ func TestOutFIFOOverflowMachineCheck(t *testing.T) {
 	r := newRig(t, DefaultConfig())
 	n := r.nics[0]
 	for i := 0; i < 200 && r.eng.Failed() == nil; i++ {
-		p := packet.Get()
+		p := &packet.Packet{}
 		p.Src = n.Coord()
 		p.Dst = packet.Coord{X: 1, Y: 0}
 		p.Payload = append(p.Payload, make([]byte, 512)...)
@@ -46,7 +46,7 @@ func TestInFIFOHeadroomMachineCheck(t *testing.T) {
 	cfg.InThreshold = 590 // headroom of 10 bytes cannot hold a full packet
 	r := newRig(t, cfg)
 	r.mapOut(4, 8, nipt.SingleWriteAU)
-	p := packet.Get()
+	p := &packet.Packet{}
 	p.Src = packet.Coord{X: 0, Y: 0}
 	p.Dst = packet.Coord{X: 1, Y: 0}
 	p.DstAddr = phys.PageNum(8).Addr(0)

@@ -161,6 +161,8 @@ type NIC struct {
 	eisa  *bus.EISA
 	net   *mesh.Network
 	width int // mesh width: with a node id, it gives the node's coordinate
+	// pkts is the machine's packet free list, owned by the backplane.
+	pkts *packet.Pool
 
 	// OnIRQ is the interrupt line to the CPU/kernel: cause plus the
 	// physical page the interrupt concerns.
@@ -299,6 +301,7 @@ func New(eng *sim.Engine, cfg Config, node packet.NodeID, coord packet.Coord,
 	n := &NIC{
 		eng: eng, cfg: cfg, node: node, coord: coord,
 		table: table, xbus: xbus, eisa: eisa, net: net, width: net.Config().Width,
+		pkts: net.Packets(),
 	}
 	n.injectEv.n = n
 	n.depositEv.n = n
@@ -426,13 +429,13 @@ func (n *NIC) Quiesced() bool {
 // pipeline events reference state cleared here.
 func (n *NIC) Reset() {
 	for n.out.q.len() > 0 {
-		packet.Put(n.out.q.pop().pkt)
+		n.pkts.Put(n.out.q.pop().pkt)
 	}
 	for n.in.q.len() > 0 {
-		packet.Put(n.in.q.pop().pkt)
+		n.pkts.Put(n.in.q.pop().pkt)
 	}
 	if n.in.depositing && n.depositQP.pkt != nil {
-		packet.Put(n.depositQP.pkt)
+		n.pkts.Put(n.depositQP.pkt)
 	}
 	n.depositQP = queuedPacket{}
 	n.out.bytes = 0
@@ -557,7 +560,7 @@ func (n *NIC) emit(m *nipt.OutMapping, remote phys.PAddr, payload []byte, srcPag
 		n.scope.Inc(obs.CtrPeerDownDrops)
 		return
 	}
-	p := packet.Get()
+	p := n.pkts.Get()
 	p.Src = n.coord
 	p.Dst = dst
 	p.DstAddr = remote
@@ -591,7 +594,7 @@ func (n *NIC) enqueueOut(p *packet.Packet, wire int) {
 			Detail: fmt.Sprintf("%d+%d > %d bytes", n.out.bytes, wire, n.cfg.OutFIFOBytes),
 		})
 		n.obs.SpanDropped(p.Span, n.eng.Now())
-		packet.Put(p)
+		n.pkts.Put(p)
 		return
 	}
 	n.out.q.push(queuedPacket{p, wire})

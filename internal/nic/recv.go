@@ -62,7 +62,7 @@ func (e *endpoint) Deliver(p *packet.Packet, wire int) {
 		n.stats.DropDead++
 		n.obs.SpanDropped(p.Span, n.eng.Now())
 		n.scope.Inc(obs.CtrDrops)
-		packet.Put(p)
+		n.pkts.Put(p)
 		return
 	}
 	n.obs.SpanDelivered(p.Span, n.eng.Now())
@@ -186,7 +186,7 @@ func (n *NIC) finishDeposit(q queuedPacket, delivered bool) {
 	// The payload has been deposited (or dropped); this NIC holds the
 	// last reference, so the packet returns to the pool for the next
 	// snooped store anywhere in the machine.
-	packet.Put(q.pkt)
+	n.pkts.Put(q.pkt)
 	// FIFO space freed and span complete: one fabric action, which also
 	// lets a parked worm in.
 	n.net.Release(n.coord, q.wire, span, !delivered)
@@ -200,7 +200,7 @@ func (n *NIC) finishDeposit(q queuedPacket, delivered bool) {
 func (n *NIC) finishControl(q queuedPacket) {
 	n.in.depositing = false
 	span := q.pkt.Span
-	packet.Put(q.pkt)
+	n.pkts.Put(q.pkt)
 	n.net.Release(n.coord, q.wire, span, false)
 	n.deposit()
 }

@@ -415,7 +415,7 @@ func (f *relFlow) fire() {
 // retransmit rebuilds and re-enqueues one retained packet.
 func (f *relFlow) retransmit(r *retained) {
 	n := f.n
-	p := packet.Get()
+	p := n.pkts.Get()
 	p.Src = n.coord
 	p.Dst = f.dst
 	p.DstAddr = r.dstAddr
@@ -497,7 +497,7 @@ func (rc *relRecv) sendAck() {
 	if n.dead {
 		return
 	}
-	p := packet.Get()
+	p := n.pkts.Get()
 	p.Src = n.coord
 	p.Dst = rc.src
 	p.Rel = packet.RelAck
@@ -516,7 +516,7 @@ func (rc *relRecv) nack() {
 		return
 	}
 	rc.lastNack = rc.expect
-	p := packet.Get()
+	p := n.pkts.Get()
 	p.Src = n.coord
 	p.Dst = rc.src
 	p.Rel = packet.RelNack

@@ -109,24 +109,53 @@ type Packet struct {
 	Span uint64
 }
 
-// pool recycles packets (and, critically, their payload buffers) through
-// the nic→mesh→nic lifecycle: the sending NIC takes a packet with Get
-// when it packetizes a snooped store, and the receiving NIC returns it
-// with Put once the payload has been deposited into its memory. Packets
-// built by hand (tests) simply never enter the pool.
-var pool = sync.Pool{New: func() any { return new(Packet) }}
+// Pool recycles packets (and, critically, their payload buffers) through
+// one machine's nic→mesh→nic lifecycle: the sending NIC takes a packet
+// with Get when it packetizes a snooped store, and the receiving NIC
+// returns it with Put once the payload has been deposited into its
+// memory. A machine runs on one goroutine, so the free list takes no
+// lock. It holds at most poolCap packets; a miss takes one from the
+// process-wide shared pool and an overflow returns one there. A packet
+// built by hand (tests) joins a pool when a NIC consumes it. The zero
+// value is ready to use.
+type Pool struct {
+	free []*Packet
+}
 
-// Get returns a zeroed packet from the pool. Its Payload is empty but may
-// have capacity left over from an earlier life; append into it.
-func Get() *Packet {
-	return pool.Get().(*Packet)
+// poolCap bounds a Pool's free list. Uncapped, a list grows to its
+// machine's peak of packets in flight (625 on E3's 64 B point; 2,588 on
+// the §4.1 single-write loop, whose FIFOs fill with 19-byte packets) and
+// a machine that is thrown away takes all of them to the garbage
+// collector, while the shared pool, fed only by overflows, serves no
+// miss. Packets past the cap go back to the shared pool for
+// the next machine. DESIGN.md §6 has the census and the measurements.
+const poolCap = 256
+
+// shared is the process-wide pool behind every Pool.
+var shared = sync.Pool{New: func() any { return new(Packet) }}
+
+// Get returns a zeroed packet. Its Payload is empty but may have
+// capacity left over from an earlier life; append into it.
+func (pl *Pool) Get() *Packet {
+	n := len(pl.free) - 1
+	if n < 0 {
+		return shared.Get().(*Packet)
+	}
+	p := pl.free[n]
+	pl.free[n] = nil
+	pl.free = pl.free[:n]
+	return p
 }
 
 // Put recycles p. The caller must hold the only remaining reference; the
 // payload's backing array is retained for the packet's next life.
-func Put(p *Packet) {
+func (pl *Pool) Put(p *Packet) {
 	*p = Packet{Payload: p.Payload[:0]}
-	pool.Put(p)
+	if len(pl.free) < poolCap {
+		pl.free = append(pl.free, p)
+		return
+	}
+	shared.Put(p)
 }
 
 // HeaderBytes is the wire size of the packet header: route/coords (4),

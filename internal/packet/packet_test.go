@@ -32,3 +32,29 @@ func TestWireSize(t *testing.T) {
 		}
 	}
 }
+
+// TestPool checks a machine's packet free list: a packet put back comes
+// out of the next Get zeroed, with its payload's capacity kept; the
+// list holds at most poolCap packets, the rest going to the shared
+// pool; and an empty list still hands out zeroed packets.
+func TestPool(t *testing.T) {
+	var pl Pool
+	p := pl.Get()
+	p.Payload = append(p.Payload, 1, 2, 3)
+	p.Seq, p.Corrupt = 9, true
+	pl.Put(p)
+	if q := pl.Get(); q != p || q.Seq != 0 || q.Corrupt || len(q.Payload) != 0 || cap(q.Payload) < 3 {
+		t.Fatalf("recycled packet %p (put %p): %+v, payload cap %d", q, p, *q, cap(q.Payload))
+	}
+	for i := 0; i < poolCap+10; i++ {
+		pl.Put(&Packet{Seq: uint32(i)})
+	}
+	if len(pl.free) != poolCap {
+		t.Fatalf("free list holds %d packets, cap %d", len(pl.free), poolCap)
+	}
+	for i := 0; i < poolCap+10; i++ {
+		if q := pl.Get(); q.Seq != 0 || len(q.Payload) != 0 {
+			t.Fatalf("Get %d: %+v, want a zeroed packet", i, *q)
+		}
+	}
+}

@@ -8,13 +8,18 @@ import (
 
 // refEngine is a reference model of the event queue built on the boxed
 // container/heap implementation the Engine replaced, ordered by the pair
-// (at, seq). The differential test below drives random event workloads
-// through both queues and requires identical firing orders, which is
-// exactly the determinism contract every component model in this
-// repository leans on: same-instant events fire in scheduling order.
+// (at, seq), with no head slot. The differential tests below drive
+// random event workloads through both queues and require identical
+// firing orders, which is exactly the determinism contract every
+// component model in this repository leans on: same-instant events fire
+// in scheduling order. It models the clock and counters too, for
+// FuzzEngineMatchesReference.
 type refEngine struct {
-	seq    uint64
-	events refEventHeap
+	now        Time
+	seq        uint64
+	events     refEventHeap
+	fired      uint64
+	maxPending int
 }
 
 type refEvent struct {
@@ -45,15 +50,51 @@ func (h *refEventHeap) Pop() (popped any) {
 func (e *refEngine) At(t Time, fn func()) {
 	e.seq++
 	heap.Push(&e.events, refEvent{at: t, seq: e.seq, fn: fn})
+	e.maxPending = max(e.maxPending, len(e.events))
 }
 
 func (e *refEngine) Schedule(t Time, h Handler) { e.At(t, h.Fire) }
 
+func (e *refEngine) Step() bool {
+	if len(e.events) == 0 {
+		return false
+	}
+	ev := heap.Pop(&e.events).(refEvent)
+	e.now = ev.at
+	e.fired++
+	ev.fn()
+	return true
+}
+
 func (e *refEngine) Run() {
-	for len(e.events) > 0 {
-		heap.Pop(&e.events).(refEvent).fn()
+	for e.Step() {
 	}
 }
+
+func (e *refEngine) RunUntil(t Time) {
+	for len(e.events) > 0 && e.events[0].at <= t {
+		e.Step()
+	}
+	e.now = max(e.now, t)
+}
+
+func (e *refEngine) NextEventAt() Time {
+	if len(e.events) == 0 {
+		return Forever
+	}
+	return e.events[0].at
+}
+
+// Advance has no guard: FuzzEngineMatchesReference calls it only where
+// the Engine must not panic.
+func (e *refEngine) Advance(d Time) { e.now += d }
+
+func (e *refEngine) Reset() { *e = refEngine{events: e.events[:0]} }
+
+func (e *refEngine) Now() Time       { return e.now }
+func (e *refEngine) Fired() uint64   { return e.fired }
+func (e *refEngine) Pending() int    { return len(e.events) }
+func (e *refEngine) MaxPending() int { return e.maxPending }
 
 // firing is one observed event execution: which logical event fired and
 // at what simulated time.

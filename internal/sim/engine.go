@@ -15,6 +15,11 @@
 // binary heap and keeps sibling keys in adjacent cache lines, which
 // measurably helps the pop-heavy access pattern of a discrete-event
 // simulator.
+//
+// In front of the heap sits a one-event slot holding the earliest
+// pending event. A pipeline stage usually schedules its successor
+// before anything else that is pending, and such an event goes into
+// the slot and fires from it without a heap push or pop.
 package sim
 
 import (
@@ -126,8 +131,14 @@ func (a *event) before(b *event) bool {
 // Engine is a discrete-event simulator: a clock plus a pending-event queue.
 // The zero value is ready to use at time zero.
 type Engine struct {
-	now        Time
-	seq        uint64
+	now Time
+	seq uint64
+	// head is the earliest pending event when hasHead is set: every
+	// entry of events fires after it. Schedule fills the slot only with
+	// an event that would fire before everything pending, and Step fires
+	// the slot before it pops the heap.
+	head       event
+	hasHead    bool
 	events     []event // 4-ary min-heap on (at, seq)
 	fired      uint64
 	maxPending int
@@ -155,7 +166,12 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending returns the number of events waiting to fire.
-func (e *Engine) Pending() int { return len(e.events) }
+func (e *Engine) Pending() int {
+	if e.hasHead {
+		return len(e.events) + 1
+	}
+	return len(e.events)
+}
 
 // MaxPending returns the deepest the event queue has been since the
 // engine was built or Reset: the simulation's peak concurrency.
@@ -180,6 +196,9 @@ func (e *Engine) Failed() error { return e.failure }
 // it as their hazard horizon: they may consume time inline only up to
 // (not through) the next scheduled event.
 func (e *Engine) NextEventAt() Time {
+	if e.hasHead {
+		return e.head.at
+	}
 	if len(e.events) == 0 {
 		return Forever
 	}
@@ -208,12 +227,29 @@ func (e *Engine) After(d Time, fn func()) { e.Schedule(e.now+d, funcEvent(fn)) }
 // allocation-free twin of At: h is typically a pooled struct or a pointer
 // into an existing model object. Scheduling in the past panics. Events
 // at the same instant fire in the order they were scheduled.
+//
+// The new event carries the largest sequence number so far, so it fires
+// before an already-pending event only when it is strictly earlier.
+// Strictly earlier than everything pending, it takes the head slot (a
+// displaced occupant moves into the heap); otherwise it joins the heap.
 func (e *Engine) Schedule(t Time, h Handler) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	e.seq++
-	e.push(event{at: t, seq: e.seq, h: h})
+	ev := event{at: t, seq: e.seq, h: h}
+	switch {
+	case e.hasHead && t < e.head.at:
+		e.push(e.head)
+		e.head = ev
+	case !e.hasHead && (len(e.events) == 0 || t < e.events[0].at):
+		e.head, e.hasHead = ev, true
+	default:
+		e.push(ev)
+	}
+	if n := e.Pending(); n > e.maxPending {
+		e.maxPending = n
+	}
 }
 
 // ScheduleAfter schedules h to fire d after the current time.
@@ -223,9 +259,6 @@ func (e *Engine) ScheduleAfter(d Time, h Handler) { e.Schedule(e.now+d, h) }
 func (e *Engine) push(ev event) {
 	h := append(e.events, ev)
 	e.events = h
-	if len(h) > e.maxPending {
-		e.maxPending = len(h)
-	}
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) >> 2
@@ -281,16 +314,27 @@ func (e *Engine) siftDown(ev event) {
 	h[i] = ev
 }
 
-// Step fires the earliest pending event, advancing the clock to it.
-// It reports false if no events are pending.
+// Step fires the earliest pending event, advancing the clock to it: the
+// head slot's, or the heap root's when the slot is empty. It reports
+// false if no events are pending.
 func (e *Engine) Step() bool {
-	if len(e.events) == 0 {
-		return false
+	var ev event
+	if e.hasHead {
+		if e.pacer != nil {
+			pace(e.pacer, e.head.at)
+		}
+		// Clearing the slot drops the Handler so fired events don't pin
+		// memory.
+		ev, e.head, e.hasHead = e.head, event{}, false
+	} else {
+		if len(e.events) == 0 {
+			return false
+		}
+		if e.pacer != nil {
+			pace(e.pacer, e.events[0].at)
+		}
+		ev = e.pop()
 	}
-	if e.pacer != nil {
-		pace(e.pacer, e.events[0].at)
-	}
-	ev := e.pop()
 	e.now = ev.at
 	e.fired++
 	ev.h.Fire()
@@ -309,7 +353,7 @@ func (e *Engine) Run() {
 func (e *Engine) RunUntil(t Time) {
 	prevBound, prevBounded := e.bound, e.bounded
 	e.bound, e.bounded = t, true
-	for len(e.events) > 0 && e.events[0].at <= t {
+	for e.Pending() > 0 && e.NextEventAt() <= t {
 		e.Step()
 	}
 	e.bound, e.bounded = prevBound, prevBounded
@@ -343,8 +387,8 @@ func (e *Engine) RunWhile(cond func() bool) bool {
 // pending events, so Advance panics if one exists inside the window.
 func (e *Engine) Advance(d Time) {
 	target := e.now + d
-	if len(e.events) > 0 && e.events[0].at < target {
-		panic(fmt.Sprintf("sim: Advance(%v) would skip event at %v", d, e.events[0].at))
+	if e.Pending() > 0 && e.NextEventAt() < target {
+		panic(fmt.Sprintf("sim: Advance(%v) would skip event at %v", d, e.NextEventAt()))
 	}
 	e.now = target
 }
@@ -392,7 +436,7 @@ func (e *Engine) DrainBudget(limit uint64) error {
 			return e.failure
 		}
 		if e.fired-start > limit {
-			return fmt.Errorf("%w (limit %d, %d still pending)", ErrBudget, limit, len(e.events))
+			return fmt.Errorf("%w (limit %d, %d still pending)", ErrBudget, limit, e.Pending())
 		}
 	}
 	return nil
@@ -404,6 +448,8 @@ func (e *Engine) DrainBudget(limit uint64) error {
 // rebuilding the engine. Pending events are discarded (their Handlers are
 // dropped so they don't pin memory).
 func (e *Engine) Reset() {
+	e.head = event{}
+	e.hasHead = false
 	clear(e.events)
 	e.events = e.events[:0]
 	e.now = 0
