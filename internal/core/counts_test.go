@@ -23,8 +23,10 @@ import (
 // each pins its events, its source bus's command reads (one LOCK
 // CMPXCHG per transfer, because the harness polls only a free DMA
 // engine) and its simulated end time, which the bus tenures of the
-// polls a busy engine refused could have moved. Wall time is measured
-// by the bench/ module, not here.
+// polls a busy engine refused could have moved. The max-pending rows pin
+// the event queue's high-water mark on the reliable transfer and the
+// availability runs, the workloads whose timers wait in lanes. Wall time
+// is measured by the bench/ module, not here.
 func TestEventCountPins(t *testing.T) {
 	grid := ConfigFor(4, 4, nic.GenEISAPrototype)
 	metrics := grid
@@ -49,6 +51,17 @@ func TestEventCountPins(t *testing.T) {
 	avail := func(crashes int) func() uint64 {
 		return func() uint64 { return MeasureAvailability(New(surviveCfg(4, 4, crashes)), 6, 64).Events }
 	}
+	// maxPending pins the event queue's high-water mark after run on a
+	// fresh machine of cfg, so a lane that loses or double-counts a
+	// pending timer fails here.
+	maxPending := func(cfg Config, run func(*Machine)) func() uint64 {
+		return func() uint64 {
+			m := New(cfg)
+			run(m)
+			return uint64(m.Eng.MaxPending())
+		}
+	}
+	availRun := func(m *Machine) { MeasureAvailability(m, 6, 64) }
 
 	overlap := func(cfg Config) func() uint64 {
 		return func() uint64 {
@@ -71,6 +84,11 @@ func TestEventCountPins(t *testing.T) {
 		{"faulty-transfer/reliable-acks", func() uint64 { return transfer(reliable).AcksSent }, 512},
 		{"availability/1-crash", avail(1), 87419},
 		{"availability/2-crash", avail(2), 79419},
+		{"max-pending/faulty-transfer/reliable", maxPending(reliable, func(m *Machine) {
+			MeasureFaultyTransfer(m, 0, 1, 1024, 256<<10)
+		}), 11},
+		{"max-pending/availability/1-crash", maxPending(surviveCfg(4, 4, 1), availRun), 918},
+		{"max-pending/availability/2-crash", maxPending(surviveCfg(4, 4, 2), availRun), 980},
 		{"overlap/max-batch-1", overlap(batchedCfg(1)), 231149},
 		{"overlap/default", overlap(ConfigFor(2, 1, nic.GenEISAPrototype)), 22080},
 	} {

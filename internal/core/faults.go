@@ -82,7 +82,7 @@ func (ev *heartbeatEvent) Fire() {
 		return // every planned crash detected: the sweep's job is done
 	}
 	n.K.Heartbeat()
-	n.Eng.ScheduleAfter(ev.period, ev)
+	n.Eng.Lane(ev.period).Schedule(ev)
 }
 
 // notePeerDown pins one failure-detector declaration to the flight

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/nic"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -153,5 +154,94 @@ func TestNodeCrashEscalatesToMachineCheck(t *testing.T) {
 	if err := m.RunUntilIdle(ExperimentEventBudget); err != nil {
 		// The crash alone (no traffic) must not fail the machine.
 		t.Fatalf("idle machine with crash plan failed: %v", err)
+	}
+}
+
+// A loss sweep re-aims one machine per worker across its drop rates
+// instead of building one per point: each point, and a last one that
+// also changes the corrupt rate, must equal the same measurement on a
+// machine built fresh from that point's config, every FaultPoint field
+// included, with metrics and the flight recorder on.
+func TestReaimedMachineMatchesFresh(t *testing.T) {
+	cfg := ConfigFor(2, 1, nic.GenXpress)
+	cfg.Metrics = true
+	cfg.Recorder = obs.RecorderConfig{Interval: 10 * sim.Microsecond}
+	cfg.Faults = fault.Config{Seed: 99, Reliable: true}
+	drops := []uint32{0, 1000, 2500, 5000, 10000, 25000, 50000} // the faults benchmark's loss sweep
+	const transfer, total = 1024, 64 << 10
+
+	var points []Config
+	for _, d := range drops {
+		c := cfg
+		c.Faults.DropPPM = d
+		points = append(points, c)
+	}
+	corrupt := points[4]
+	corrupt.Faults.CorruptPPM = 20_000
+	points = append(points, corrupt)
+
+	sweep := FaultSweep(cfg, drops, transfer, total, 1)
+	p := newMachinePool()
+	first := p.get(points[0])
+	for i, c := range points {
+		m := p.get(c)
+		if m != first {
+			t.Fatalf("point %d: the pool built a new machine for a change of rates alone", i)
+		}
+		got := MeasureFaultyTransfer(m, 0, 1, transfer, total)
+		want := MeasureFaultyTransfer(New(c), 0, 1, transfer, total)
+		if got != want {
+			t.Fatalf("point %d: re-aimed machine diverged:\nre-aimed: %+v\nfresh:    %+v", i, got, want)
+		}
+		if i < len(sweep) && sweep[i] != want {
+			t.Fatalf("sweep point %d diverged:\nsweep: %+v\nfresh: %+v", i, sweep[i], want)
+		}
+	}
+}
+
+// The pool re-aims a machine only across the injector's rates: a config
+// that differs in anything else, Reliable and Survivable included, or
+// that arms or disarms the injector, gets a fresh build.
+func TestMachinePoolRebuildsOnOtherChanges(t *testing.T) {
+	base := faultyCfg(10_000)
+	rates := base
+	rates.Faults.DropPPM, rates.Faults.CorruptPPM = 0, 7
+	unreliable := base
+	unreliable.Faults.Reliable = false
+	survivable := base
+	survivable.Faults.Survivable = true
+	seed := base
+	seed.Faults.Seed++
+	timeout := base
+	timeout.Faults.AckTimeout = 20 * sim.Microsecond
+	metrics := base
+	metrics.Metrics = true
+	clean := base
+	clean.Faults = fault.Config{}
+	dropOnly := clean
+	dropOnly.Faults.DropPPM = 5
+
+	for _, tc := range []struct {
+		name      string
+		from, to  Config
+		wantReuse bool
+	}{
+		{"rates", base, rates, true},
+		{"reliable", base, unreliable, false},
+		{"survivable", base, survivable, false},
+		{"seed", base, seed, false},
+		{"ack-timeout", base, timeout, false},
+		{"metrics", base, metrics, false},
+		{"disarm", dropOnly, clean, false},
+		{"arm", clean, dropOnly, false},
+	} {
+		p := newMachinePool()
+		m := p.get(tc.from)
+		if reused := p.get(tc.to) == m; reused != tc.wantReuse {
+			t.Errorf("%s: reused %v, want %v", tc.name, reused, tc.wantReuse)
+		}
+		if p.m.Cfg != tc.to {
+			t.Errorf("%s: pooled machine's config is %+v, want %+v", tc.name, p.m.Cfg, tc.to)
+		}
 	}
 }

@@ -1,7 +1,9 @@
 package core
 
 // Reset tears the machine back down to its post-boot state in place —
-// observationally equivalent to New(m.Cfg) — while reusing every
+// observationally equivalent to New(m.Cfg), where m.Cfg may have changed
+// since the build in the fault injector's rates alone (the injector
+// re-reads them here; see machinePool) — while reusing every
 // allocation the machine has made: DRAM frames, cache line storage, the
 // NIPT, the mesh and its worm pool, the engine's event queue, and the
 // kernels' free-frame stacks and map buckets. It allocates nothing
@@ -36,7 +38,7 @@ func (m *Machine) Reset() {
 	}
 	m.Obs.Reset()
 	m.Rec.Reset()
-	m.Faults.Reset()
+	m.Faults.Reset(m.Cfg.Faults)
 	m.bootKernels()
 	// Re-schedule the fault plan's node crashes: the engine reset
 	// discarded them along with everything else pending, and the

@@ -9,32 +9,49 @@ import (
 // Parallel sweep harnesses. Every sweep point is an independent
 // experiment on its own Machine, so points fan out across exp.Map
 // workers; each worker keeps one machine in a machinePool and reuses it
-// via Machine.Reset whenever consecutive points share a config, paying
-// the construction cost (about 960 allocations / 0.10 MB for a 16-node
-// machine) once per worker instead of once per point. Results come back
-// in input order, bit-identical to the workers == 1 sequential path —
-// the differential tests in sweep_test.go enforce this.
+// via Machine.Reset whenever consecutive points share a config, or
+// differ only in the fault injector's rates, paying the construction
+// cost (about 960 allocations / 0.10 MB for a 16-node machine, and
+// about 1.2 MB of obs buffers with metrics and the recorder on) once
+// per worker instead of once per point. Results come back in input
+// order, bit-identical to the workers == 1 sequential path — the
+// differential tests in sweep_test.go enforce this.
 
 // machinePool is the worker-private state of a parallel sweep: the last
-// machine built and the config it was built from. Config is a plain
-// comparable struct, so "same config" is an == test.
+// machine built. Config is a plain comparable struct, so "same config"
+// is an == test.
 type machinePool struct {
-	cfg Config
-	m   *Machine
+	m *Machine
 }
 
 func newMachinePool() *machinePool { return new(machinePool) }
 
 // get returns a post-boot machine for cfg: the cached one, Reset in
-// place, when the config matches; a fresh build otherwise.
+// place, when cfg matches its config or re-aims it (see reaims); a
+// fresh build otherwise.
 func (p *machinePool) get(cfg Config) *Machine {
-	if p.m != nil && p.cfg == cfg {
+	if p.m != nil && reaims(p.m.Cfg, cfg) {
+		if err := cfg.Validate(); err != nil {
+			panic(err) // as New would
+		}
+		p.m.Cfg = cfg
 		p.m.Reset()
 		return p.m
 	}
 	p.m = New(cfg)
-	p.cfg = cfg
 	return p.m
+}
+
+// reaims reports whether a machine built from built serves cfg once
+// Reset re-reads its config: the two are equal, or both arm the fault
+// injector and differ only in its drop and corrupt rates, which the
+// injector reads at every roll and nothing reads at build.
+func reaims(built, cfg Config) bool {
+	if built.Faults.Enabled() && cfg.Faults.Enabled() {
+		built.Faults.DropPPM = cfg.Faults.DropPPM
+		built.Faults.CorruptPPM = cfg.Faults.CorruptPPM
+	}
+	return built == cfg
 }
 
 // LatencySweep measures store latency from node 0 to every other node

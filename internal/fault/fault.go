@@ -167,13 +167,16 @@ func (i *Injector) Config() Config {
 // Reliable reports whether the reliable-delivery layer is on; nil-safe.
 func (i *Injector) Reliable() bool { return i != nil && i.cfg.Reliable }
 
-// Reset clears every decision counter, returning the injector to its
-// just-built state so a Reset machine replays the identical fault
-// pattern; nil-safe.
-func (i *Injector) Reset() {
+// Reset clears every decision counter and takes cfg as the injector's
+// config, returning it to the state NewInjector(cfg, nodes) builds so a
+// Reset machine replays the identical fault pattern; nil-safe. Only
+// cfg's rates may differ from the config the machine was built with:
+// every roll reads them, while the machine's build read the rest.
+func (i *Injector) Reset(cfg Config) {
 	if i == nil {
 		return
 	}
+	i.cfg = cfg
 	clear(i.counts)
 }
 

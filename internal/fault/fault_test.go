@@ -56,7 +56,7 @@ func TestRollDeterminism(t *testing.T) {
 	}
 	inj := NewInjector(cfg, 4)
 	c := draw(inj)
-	inj.Reset()
+	inj.Reset(cfg)
 	d := draw(inj)
 	for i := range c {
 		if c[i] != d[i] {
@@ -88,7 +88,7 @@ func TestRollRespectsRates(t *testing.T) {
 	if nilInj.DropPacket(0, 0) || nilInj.CorruptPacket(0, 0) || nilInj.Reliable() {
 		t.Fatal("nil injector not inert")
 	}
-	nilInj.Reset() // must not panic
+	nilInj.Reset(Config{}) // must not panic
 }
 
 func TestMachineCheck(t *testing.T) {

@@ -48,7 +48,7 @@ func TestSetDeadReleasesReliableState(t *testing.T) {
 		t.Fatalf("expected a truncated drain mid-retry, got %v", err)
 	}
 
-	flow := r.nics[0].rel.flows[packet.Coord{X: 1, Y: 0}]
+	flow := entry(r.nics[0].rel.flows, 1)
 	if flow == nil || len(flow.unacked) == 0 || !flow.armed {
 		t.Fatalf("sender flow not mid-retry before crash: %+v", flow)
 	}
@@ -103,7 +103,7 @@ func TestDeclarePeerDownSuppressesEmit(t *testing.T) {
 	if s.PeerDowns != 1 || s.RelRetransmits == 0 {
 		t.Fatalf("detector stats: %d peer-downs, %d retransmits", s.PeerDowns, s.RelRetransmits)
 	}
-	if flow := r.nics[0].rel.flows[dst]; flow != nil && (len(flow.unacked) != 0 || flow.armed) {
+	if flow := entry(r.nics[0].rel.flows, r.nics[0].rel.node(dst)); flow != nil && (len(flow.unacked) != 0 || flow.armed) {
 		t.Fatalf("declaration left retained state: %+v", flow)
 	}
 

@@ -57,13 +57,13 @@ type retained struct {
 	payload   []byte
 }
 
-// relState is one NIC's reliable-delivery state: sender flows keyed by
-// destination, receiver state keyed by source, and the detection-only
-// per-page AU tag counters.
+// relState is one NIC's reliable-delivery state: sender flows indexed
+// by destination node, receiver state indexed by source node (both
+// grown on first use), and the detection-only per-page AU tag counters.
 type relState struct {
 	n          *NIC
-	flows      map[packet.Coord]*relFlow
-	rcv        map[packet.Coord]*relRecv
+	flows      []*relFlow
+	rcv        []*relRecv
 	pageSeq    map[pageKey]uint32 // sender: last AU tag assigned
 	pageExpect map[pageKey]uint32 // receiver: last AU tag seen in order
 	freeRTO    *rtoEvent
@@ -74,8 +74,6 @@ type relState struct {
 func newRelState(n *NIC) *relState {
 	return &relState{
 		n:          n,
-		flows:      make(map[packet.Coord]*relFlow),
-		rcv:        make(map[packet.Coord]*relRecv),
 		pageSeq:    make(map[pageKey]uint32),
 		pageExpect: make(map[pageKey]uint32),
 	}
@@ -89,10 +87,14 @@ func (rs *relState) reset() {
 		return
 	}
 	for _, f := range rs.flows {
-		f.armed = false
+		if f != nil {
+			f.armed = false
+		}
 	}
 	for _, rc := range rs.rcv {
-		rc.ackArmed = false
+		if rc != nil {
+			rc.ackArmed = false
+		}
 	}
 	clear(rs.flows)
 	clear(rs.rcv)
@@ -111,10 +113,11 @@ func (rs *relState) quarantine(dst packet.Coord) {
 	if rs == nil {
 		return
 	}
-	if f := rs.flows[dst]; f != nil {
+	i := rs.node(dst)
+	if f := entry(rs.flows, i); f != nil {
 		f.release()
 	}
-	if rc := rs.rcv[dst]; rc != nil {
+	if rc := entry(rs.rcv, i); rc != nil {
 		rc.ackArmed = false
 		rc.gen++
 	}
@@ -129,11 +132,15 @@ func (rs *relState) quarantineAll() {
 		return
 	}
 	for _, f := range rs.flows {
-		f.release()
+		if f != nil {
+			f.release()
+		}
 	}
 	for _, rc := range rs.rcv {
-		rc.ackArmed = false
-		rc.gen++
+		if rc != nil {
+			rc.ackArmed = false
+			rc.gen++
+		}
 	}
 }
 
@@ -156,7 +163,7 @@ func (rs *relState) idle() bool {
 		return true
 	}
 	for _, f := range rs.flows {
-		if len(f.unacked) > 0 {
+		if f != nil && len(f.unacked) > 0 {
 			return false
 		}
 	}
@@ -204,25 +211,43 @@ func (rs *relState) tagOut(p *packet.Packet, kind obs.SpanKind, dstNode int) {
 	p.Seq = seq
 }
 
+// node returns the node index of mesh coordinate c: the flow tables'
+// index.
+func (rs *relState) node(c packet.Coord) int { return c.Y*rs.n.width + c.X }
+
+// entry returns tab[i], or nil past the table's end.
+func entry[T any](tab []*T, i int) *T {
+	if i < len(tab) {
+		return tab[i]
+	}
+	return nil
+}
+
+// slot returns a pointer to (*tab)[i], growing the table to cover i.
+func slot[T any](tab *[]*T, i int) **T {
+	if i >= len(*tab) {
+		*tab = append(*tab, make([]*T, i+1-len(*tab))...)
+	}
+	return &(*tab)[i]
+}
+
 func (rs *relState) flow(dst packet.Coord, dstNode int) *relFlow {
-	f := rs.flows[dst]
-	if f == nil {
-		f = &relFlow{
+	f := slot(&rs.flows, dstNode)
+	if *f == nil {
+		*f = &relFlow{
 			n: rs.n, dst: dst, dstNode: dstNode, nextSeq: 1,
 			rto: rs.n.inj.Config().AckTimeoutOrDefault(),
 		}
-		rs.flows[dst] = f
 	}
-	return f
+	return *f
 }
 
 func (rs *relState) recvFor(src packet.Coord) *relRecv {
-	rc := rs.rcv[src]
-	if rc == nil {
-		rc = &relRecv{n: rs.n, src: src, expect: 1}
-		rs.rcv[src] = rc
+	rc := slot(&rs.rcv, rs.node(src))
+	if *rc == nil {
+		*rc = &relRecv{n: rs.n, src: src, expect: 1}
 	}
-	return rc
+	return *rc
 }
 
 // onRecv applies the reliability discipline to an arriving packet that
@@ -284,7 +309,7 @@ func (rs *relState) onRecv(q queuedPacket) bool {
 
 // onAck advances the flow to the peer that sent the cumulative ACK.
 func (rs *relState) onAck(from packet.Coord, seq uint32) {
-	f := rs.flows[from]
+	f := entry(rs.flows, rs.node(from))
 	if f == nil {
 		return
 	}
@@ -304,7 +329,7 @@ func (rs *relState) onAck(from packet.Coord, seq uint32) {
 // acknowledged, everything from seq on is retransmitted (go-back-N),
 // bounded by Outgoing-FIFO headroom — the RTO covers whatever is left.
 func (rs *relState) onNack(from packet.Coord, seq uint32) {
-	f := rs.flows[from]
+	f := entry(rs.flows, rs.node(from))
 	if f == nil {
 		return
 	}
@@ -366,7 +391,7 @@ func (f *relFlow) arm() {
 	}
 	ev.f = f
 	ev.gen = f.gen
-	f.n.eng.ScheduleAfter(f.rto, ev)
+	f.n.eng.Lane(f.rto).Schedule(ev)
 }
 
 // fire is the retransmission timeout: no ACK progress within rto.
@@ -486,7 +511,7 @@ func (rc *relRecv) bumpAck() {
 	}
 	ev.r = rc
 	ev.gen = rc.gen
-	rc.n.eng.ScheduleAfter(fault.AckDelay, ev)
+	rc.n.eng.Lane(fault.AckDelay).Schedule(ev)
 }
 
 func (rc *relRecv) sendAck() {

@@ -116,18 +116,37 @@ type funcHandler struct{ fn func() }
 
 func (h *funcHandler) Fire() { h.fn() }
 
+// laneDelays are the delays of the lanes the differential and fuzz
+// drivers schedule on; one is zero.
+var laneDelays = [...]Time{0, 3, 9}
+
 // driveRandomWorkload schedules a randomized workload on s and returns
-// the firing order. Each event is scheduled through a random one of At
-// and Schedule at colliding timestamps. Fired events reschedule children
+// the firing order. Each event is scheduled through a random one of At,
+// Schedule and lane (which schedules h d after now on the lane of delay
+// d) at colliding timestamps. Fired events reschedule children
 // pseudo-randomly — from an rng sequence consumed only in scheduling
 // order, so both engines see the identical schedule requests in the
 // identical causal order.
-func driveRandomWorkload(s scheduler, seed int64) []firing {
+func driveRandomWorkload(s scheduler, lane func(d Time, h Handler), seed int64) []firing {
 	rng := rand.New(rand.NewSource(seed))
 	var log []firing
 	nextID := 0
-	var schedule func(at Time, depth int)
-	schedule = func(at Time, depth int) {
+	// draw picks a scheduling path (0 At, 1 Schedule, 2 and up the lane
+	// of laneDelays[path-2]) and a delay: any for At and Schedule, the
+	// lane's own for a lane.
+	draw := func(spread int) (path int, d Time) {
+		path = rng.Intn(2 + len(laneDelays))
+		if path >= 2 {
+			return path, laneDelays[path-2]
+		}
+		return path, Time(rng.Intn(spread)) // deliberately collides timestamps
+	}
+	type child struct {
+		path int
+		d    Time
+	}
+	var schedule func(at Time, path, depth int)
+	schedule = func(at Time, path, depth int) {
 		id := nextID
 		nextID++
 		// Draw this event's behavior up front so the draw order depends
@@ -136,37 +155,43 @@ func driveRandomWorkload(s scheduler, seed int64) []firing {
 		if depth < 3 && rng.Intn(4) == 0 {
 			children = 1 + rng.Intn(3)
 		}
-		delays := make([]Time, children)
-		for i := range delays {
-			delays[i] = Time(rng.Intn(50)) // deliberately collides timestamps
+		kids := make([]child, children)
+		for i := range kids {
+			kids[i].path, kids[i].d = draw(50)
 		}
 		fn := func() {
 			log = append(log, firing{id: id, at: at})
-			for _, d := range delays {
-				schedule(at+d, depth+1)
+			for _, k := range kids {
+				schedule(at+k.d, k.path, depth+1)
 			}
 		}
-		if rng.Intn(2) == 0 {
+		switch path {
+		case 0:
 			s.At(at, fn)
-		} else {
+		case 1:
 			s.Schedule(at, &funcHandler{fn})
+		default:
+			lane(laneDelays[path-2], &funcHandler{fn})
 		}
 	}
 	for i := 0; i < 500; i++ {
-		schedule(Time(rng.Intn(1000)), 0)
+		path, at := draw(1000) // the clock is at zero
+		schedule(at, path, 0)
 	}
 	s.Run()
 	return log
 }
 
 // TestDifferentialOrderingAgainstContainerHeap fires random workloads —
-// heavy same-timestamp collisions, rescheduling from inside handlers —
-// through the 4-ary heap and the container/heap reference on (at, seq),
-// and requires bit-identical firing orders.
+// heavy same-timestamp collisions, rescheduling from inside handlers,
+// lane timers among plain events — through the Engine and the
+// container/heap reference on (at, seq), and requires bit-identical
+// firing orders.
 func TestDifferentialOrderingAgainstContainerHeap(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
-		got := driveRandomWorkload(NewEngine(), seed)
-		want := driveRandomWorkload(&refEngine{}, seed)
+		e, r := NewEngine(), &refEngine{}
+		got := driveRandomWorkload(e, func(d Time, h Handler) { e.Lane(d).Schedule(h) }, seed)
+		want := driveRandomWorkload(r, func(d Time, h Handler) { r.Schedule(r.now+d, h) }, seed)
 		if len(got) != len(want) {
 			t.Fatalf("seed %d: fired %d events, reference fired %d", seed, len(got), len(want))
 		}

@@ -20,6 +20,12 @@
 // pending event. A pipeline stage usually schedules its successor
 // before anything else that is pending, and such an event goes into
 // the slot and fires from it without a heap push or pop.
+//
+// Beside both sit lanes (see Lane): one FIFO per fixed delay, for timers
+// that are always armed that delay after now. Their events are born in
+// firing order, so only each lane's front waits in the slot or heap and
+// the rest queue behind it at constant cost per event, however many are
+// pending.
 package sim
 
 import (
@@ -137,9 +143,14 @@ type Engine struct {
 	// entry of events fires after it. Schedule fills the slot only with
 	// an event that would fire before everything pending, and Step fires
 	// the slot before it pops the heap.
-	head       event
-	hasHead    bool
-	events     []event // 4-ary min-heap on (at, seq)
+	head    event
+	hasHead bool
+	events  []event // 4-ary min-heap on (at, seq)
+	// lanes are the fixed-delay FIFOs built so far (see Lane); behind
+	// counts their entries queued behind a front, which are pending but
+	// in neither the slot nor the heap.
+	lanes      []*Lane
+	behind     int
 	fired      uint64
 	maxPending int
 	// bound/bounded track an active RunUntil window so synchronous
@@ -165,12 +176,14 @@ func (e *Engine) Now() Time { return e.now }
 // Fired returns the number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending returns the number of events waiting to fire.
+// Pending returns the number of events waiting to fire, lane entries
+// included.
 func (e *Engine) Pending() int {
+	n := len(e.events) + e.behind
 	if e.hasHead {
-		return len(e.events) + 1
+		n++
 	}
-	return len(e.events)
+	return n
 }
 
 // MaxPending returns the deepest the event queue has been since the
@@ -230,30 +243,121 @@ func (e *Engine) After(d Time, fn func()) { e.Schedule(e.now+d, funcEvent(fn)) }
 //
 // The new event carries the largest sequence number so far, so it fires
 // before an already-pending event only when it is strictly earlier.
-// Strictly earlier than everything pending, it takes the head slot (a
-// displaced occupant moves into the heap); otherwise it joins the heap.
 func (e *Engine) Schedule(t Time, h Handler) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	e.seq++
-	ev := event{at: t, seq: e.seq, h: h}
+	e.place(event{at: t, seq: e.seq, h: h})
+	e.notePending()
+}
+
+// ScheduleAfter schedules h to fire d after the current time.
+func (e *Engine) ScheduleAfter(d Time, h Handler) { e.Schedule(e.now+d, h) }
+
+// place queues ev. An event that fires before everything pending takes
+// the head slot (a displaced occupant moves into the heap); any other
+// joins the heap.
+func (e *Engine) place(ev event) {
 	switch {
-	case e.hasHead && t < e.head.at:
+	case e.hasHead && ev.before(&e.head):
 		e.push(e.head)
 		e.head = ev
-	case !e.hasHead && (len(e.events) == 0 || t < e.events[0].at):
+	case !e.hasHead && (len(e.events) == 0 || ev.before(&e.events[0])):
 		e.head, e.hasHead = ev, true
 	default:
 		e.push(ev)
 	}
+}
+
+// notePending raises the high-water mark after a schedule.
+func (e *Engine) notePending() {
 	if n := e.Pending(); n > e.maxPending {
 		e.maxPending = n
 	}
 }
 
-// ScheduleAfter schedules h to fire d after the current time.
-func (e *Engine) ScheduleAfter(d Time, h Handler) { e.Schedule(e.now+d, h) }
+// Lane is a FIFO of events that all fire the same fixed delay after they
+// are scheduled: a timer class such as a retransmission timeout or a
+// delayed acknowledgement. The clock and sequence numbers only grow, so
+// such events are born in (at, seq) order. A lane therefore keeps them
+// in a ring buffer and lets only its front wait in the head slot or
+// heap, under the front's own (at, seq); firing the front queues the
+// next entry under the key it reserved when it was scheduled. The firing
+// order, Fired, Pending and MaxPending are exactly those of scheduling
+// each event with ScheduleAfter(delay, h).
+type Lane struct {
+	e     *Engine
+	delay Time
+	ring  []event // power-of-two length; entries front..front+n-1, in order
+	front int
+	n     int
+}
+
+// Lane returns the engine's lane of delay d (d >= 0), building it on
+// first use. Reset empties the engine's lanes and keeps them.
+func (e *Engine) Lane(d Time) *Lane {
+	for _, l := range e.lanes {
+		if l.delay == d {
+			return l
+		}
+	}
+	if d < 0 {
+		panic(fmt.Sprintf("sim: lane of negative delay %v", d))
+	}
+	l := &Lane{e: e, delay: d}
+	e.lanes = append(e.lanes, l)
+	return l
+}
+
+// Schedule schedules h to fire the lane's delay after the current time.
+func (l *Lane) Schedule(h Handler) {
+	e := l.e
+	e.seq++
+	ev := event{at: e.now + l.delay, seq: e.seq, h: h}
+	if l.n == len(l.ring) {
+		l.grow()
+	}
+	l.ring[(l.front+l.n)&(len(l.ring)-1)] = ev
+	l.n++
+	if l.n == 1 {
+		ev.h = (*laneFront)(l)
+		e.place(ev)
+	} else {
+		e.behind++
+	}
+	e.notePending()
+}
+
+// grow doubles the ring, unwrapping its entries to the start.
+func (l *Lane) grow() {
+	ring := make([]event, max(4, 2*len(l.ring)))
+	for i := 0; i < l.n; i++ {
+		ring[i] = l.ring[(l.front+i)&(len(l.ring)-1)]
+	}
+	l.ring, l.front = ring, 0
+}
+
+// laneFront is a lane as the Handler of its front's queue entry.
+type laneFront Lane
+
+// Fire pops the front, queues the next entry under its reserved key and
+// then fires the popped handler, so a Step still fires exactly one
+// event.
+func (f *laneFront) Fire() {
+	l := (*Lane)(f)
+	ev := l.ring[l.front]
+	l.ring[l.front] = event{} // drop the Handler so fired events don't pin memory
+	l.front = (l.front + 1) & (len(l.ring) - 1)
+	l.n--
+	if l.n > 0 {
+		next := l.ring[l.front]
+		next.h = f
+		l.e.behind--
+		l.e.place(next)
+	}
+	ev.h.Fire()
+}
 
 // push appends ev and restores the heap invariant by sifting up.
 func (e *Engine) push(ev event) {
@@ -444,14 +548,22 @@ func (e *Engine) DrainBudget(limit uint64) error {
 
 // Reset returns the engine to its initial state — time zero, no pending
 // events, zeroed counters — while keeping the event queue's backing
-// array, so a long-lived harness can run many simulations without
-// rebuilding the engine. Pending events are discarded (their Handlers are
-// dropped so they don't pin memory).
+// array and its lanes, so a long-lived harness can run many simulations
+// without rebuilding the engine. Pending events are discarded (their
+// Handlers are dropped so they don't pin memory).
 func (e *Engine) Reset() {
 	e.head = event{}
 	e.hasHead = false
 	clear(e.events)
 	e.events = e.events[:0]
+	for _, l := range e.lanes {
+		for ; l.n > 0; l.n-- {
+			l.ring[l.front] = event{}
+			l.front = (l.front + 1) & (len(l.ring) - 1)
+		}
+		l.front = 0
+	}
+	e.behind = 0
 	e.now = 0
 	e.seq = 0
 	e.fired = 0

@@ -31,6 +31,7 @@ const (
 	opAdvance          // Advance by 0..15, where no pending event is skipped
 	opReset            // Reset
 	opRun              // Run to quiescence
+	opLane             // Lane.Schedule on one of the three lanes
 	opKinds
 )
 
@@ -38,21 +39,33 @@ const (
 // numbered in scheduling order, so two worlds that agree on the order
 // of every schedule and fire give every event the same number.
 type fuzzWorld struct {
-	e      fuzzEngine
+	e fuzzEngine
+	// lane schedules h d after now: on the Engine's lane of delay d, or
+	// as a plain schedule on the reference.
+	lane   func(d Time, h Handler)
 	log    []firing
 	nextID int
 }
 
-// schedule adds an event at t through At or Schedule. kids is the fuzz
-// byte shaping what the event schedules when it fires: bits 0-1 the
-// number of children, bits 2-3 how many generations follow, bits 4-7
-// the first child's delay (each later child one step further, all
-// within 0..5, so children tie with one another and with pending
-// events).
-func (w *fuzzWorld) schedule(t Time, kids uint8, closure bool) {
+// newFuzzWorlds returns an Engine's world and the reference's.
+func newFuzzWorlds() (got, want *fuzzWorld) {
+	e, r := NewEngine(), &refEngine{}
+	got = &fuzzWorld{e: e, lane: func(d Time, h Handler) { e.Lane(d).Schedule(h) }}
+	want = &fuzzWorld{e: r, lane: func(d Time, h Handler) { r.Schedule(r.now+d, h) }}
+	return got, want
+}
+
+// event numbers a new event and returns its body. kids is the fuzz byte
+// shaping what the event schedules when it fires: bits 0-1 the number of
+// children, bits 2-3 how many generations follow, bits 4-7 the first
+// child's delay (each later child one step further, all within 0..5, so
+// children tie with one another and with pending events). With bit 7
+// set the children go to the lanes instead, the first to lane
+// (bits 4-7) mod 3.
+func (w *fuzzWorld) event(kids uint8) func() {
 	id := w.nextID
 	w.nextID++
-	fn := func() {
+	return func() {
 		now := w.e.Now()
 		w.log = append(w.log, firing{id: id, at: now})
 		gens := kids >> 2 & 3
@@ -61,43 +74,49 @@ func (w *fuzzWorld) schedule(t Time, kids uint8, closure bool) {
 		}
 		next := kids&^0x0c | (gens-1)<<2
 		for i := uint8(0); i < kids&3; i++ {
-			w.schedule(now+Time((kids>>4+i)%6), next, i%2 == 0)
+			k := kids>>4 + i
+			switch {
+			case kids&0x80 != 0:
+				w.lane(laneDelays[k%3], &funcHandler{w.event(next)})
+			case i%2 == 0:
+				w.e.At(now+Time(k%6), w.event(next))
+			default:
+				w.e.Schedule(now+Time(k%6), &funcHandler{w.event(next)})
+			}
 		}
-	}
-	if closure {
-		w.e.At(t, fn)
-	} else {
-		w.e.Schedule(t, &funcHandler{fn})
 	}
 }
 
 // FuzzEngineMatchesReference decodes the input into a sequence of
-// schedules (at small and large delays, on both scheduling paths, with
-// children scheduled from inside handlers), Steps, RunUntils, legal
-// Advances, Resets and Runs, applies it to an Engine and to the
-// container/heap reference, and after every operation requires the same
-// firings in the same order, and the same Now, Fired, Pending,
-// MaxPending and NextEventAt. Small delays keep a handful of events
-// pending, so the head slot fills, is displaced by a strictly earlier
-// event, ties with a later schedule at its own instant, and is taken by
-// Step, on most inputs.
+// schedules (at small and large delays, on both scheduling paths and the
+// three lanes, with children scheduled from inside handlers), Steps,
+// RunUntils, legal Advances, Resets and Runs, applies it to an Engine
+// and to the container/heap reference, and after every operation
+// requires the same firings in the same order, and the same Now, Fired,
+// Pending, MaxPending and NextEventAt. Small delays keep a handful of
+// events pending, so the head slot fills, is displaced by a strictly
+// earlier event, ties with a later schedule at its own instant, and is
+// taken by Step, on most inputs; lane fronts take, displace and tie
+// with the slot and the heap, and lane rings grow and are reset
+// non-empty.
 func FuzzEngineMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in []byte) {
 		if len(in) > 3*128 {
 			in = in[:3*128]
 		}
-		got := &fuzzWorld{e: NewEngine()}
-		want := &fuzzWorld{e: &refEngine{}}
+		got, want := newFuzzWorlds()
 		checked := 0 // firings already compared
 		for step := 0; len(in) >= 3; step, in = step+1, in[3:] {
 			kind, arg, kids := in[0]%opKinds, Time(in[1]), in[2]
 			for _, w := range []*fuzzWorld{got, want} {
 				now := w.e.Now()
 				switch kind {
-				case opAt, opSchedule:
-					w.schedule(now+arg%8, kids, kind == opAt)
+				case opAt:
+					w.e.At(now+arg%8, w.event(kids))
+				case opSchedule:
+					w.e.Schedule(now+arg%8, &funcHandler{w.event(kids)})
 				case opScheduleF:
-					w.schedule(now+arg*37, kids, false)
+					w.e.Schedule(now+arg*37, &funcHandler{w.event(kids)})
 				case opStep:
 					w.e.Step()
 				case opRunUntil:
@@ -112,6 +131,8 @@ func FuzzEngineMatchesReference(f *testing.F) {
 					w.e.Reset()
 				case opRun:
 					w.e.Run()
+				case opLane:
+					w.lane(laneDelays[arg%3], &funcHandler{w.event(kids)})
 				}
 			}
 			compareWorlds(t, step, kind, checked, got, want)

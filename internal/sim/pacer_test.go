@@ -92,7 +92,7 @@ func TestEnginePacerDoesNotPerturb(t *testing.T) {
 		if p != nil {
 			e.SetPacer(p)
 		}
-		log := driveRandomWorkload(e, 42)
+		log := driveRandomWorkload(e, func(d Time, h Handler) { e.Lane(d).Schedule(h) }, 42)
 		return log, e.Fired(), e.Now()
 	}
 	plain, pf, pn := run(nil)
