@@ -47,10 +47,13 @@ go -C bench test ./...
 # with the flight recorder sampling every 10 µs; a 256 KB transfer with
 # and without reliable delivery (engine events and ACKs); the 16-node
 # availability run at one and two crashes; and the §4.1 compute loop
-# stepped per instruction and at the default CPU config. The counts are
+# through a blocked-write and a single-write mapping, each stepped per
+# instruction and at the default CPU config (most single-write batches
+# end inside a pure run, where a packet event falls). The counts are
 # exact, so instrumentation that schedules events, a change to the
 # reliable protocol or to the order of same-instant events, or a
-# batching regression fails here.
+# batching regression, such as a pure run that yields an op early or
+# late, fails here.
 go test -count 1 -run TestEventCountPins ./internal/core
 # Boot-footprint pin: NIPT entries of at most 24 bytes; a 16x16 machine
 # at the allreduce benchmark's 1,534 pages/node built in under 2.5 MB and
@@ -75,11 +78,13 @@ zero_alloc ./internal/obs BenchmarkEngineMetrics 100x
 # CPU guards: the differential suites (the fast path — batching,
 # superblock dispatch and fused terminators — must be bit-identical to
 # per-instruction stepping) run under -race above;
-# here the zero-alloc contract — both CPU paths, the fused store path
-# and the bus Write32/Read32/command-read paths must not touch the heap
-# — and the trace cache must actually serve the §5 loop workload
-# (hit-rate floor asserted by the test).
-zero_alloc ./internal/isa '^Benchmark(StepPerInstruction|TraceDispatch)$' 1000x
+# here the zero-alloc contract — both CPU paths (the fast one also with
+# an engine event every 389 ns, so pure runs end on events as well as on
+# the quantum), the fused store path and the bus Write32/Read32/
+# command-read paths must not touch the heap — and the trace cache must
+# actually serve the §5 loop workload (hit-rate floor asserted by the
+# test).
+zero_alloc ./internal/isa '^Benchmark(StepPerInstruction|TraceDispatch|TraceDispatchEvents)$' 1000x
 zero_alloc ./internal/bus BenchmarkBus 1000x
 zero_alloc ./internal/msg BenchmarkFusedStore 200x
 go test -run TestTraceCacheHitRateFloor -count 1 ./internal/msg

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/nic"
 	"repro/internal/nipt"
+	"repro/internal/obs"
 )
 
 // Differential tests for batched CPU interpretation at the machine
@@ -53,5 +54,42 @@ func TestBatchDifferentialOverlapSweep(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("MaxBatch=%d parallel sweep diverged:\n got  %+v\n want %+v", mb, got, want)
 		}
+	}
+}
+
+// TestBatchTelemetryPins pins node 0's batch telemetry after the §4.1
+// loop at the default config with metrics on: how many batches the CPU
+// ran, how many instructions they retired (sum over count is the mean
+// batch length: 3.7470 single-write, 20.1193 blocked-write) and why
+// each one ended. The telemetry is read at the CPU's yield points, so a
+// pure run that yields one op early or late, or for the wrong reason,
+// fails here even when every simulated result is right.
+func TestBatchTelemetryPins(t *testing.T) {
+	for _, tc := range []struct {
+		name                                string
+		mode                                nipt.Mode
+		batches, retired                    uint64
+		event, quantum, fault, halt, freeze uint64
+	}{
+		{"single-write", nipt.SingleWriteAU, 58715, 220004, 58714, 0, 0, 1, 0},
+		{"blocked-write", nipt.BlockedWriteAU, 10935, 220004, 10934, 0, 0, 1, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := ConfigFor(2, 1, nic.GenEISAPrototype)
+			cfg.Metrics = true
+			m := New(cfg)
+			MeasureOverlap(m, tc.mode, 20000)
+			s := m.Obs.Node(0)
+			h := s.Hist(obs.HistBatchLen)
+			got := [7]uint64{h.Count, h.Sum,
+				s.Counter(obs.CtrBatchBreakEvent), s.Counter(obs.CtrBatchBreakQuantum),
+				s.Counter(obs.CtrBatchBreakFault), s.Counter(obs.CtrBatchBreakHalt),
+				s.Counter(obs.CtrBatchBreakFreeze)}
+			want := [7]uint64{tc.batches, tc.retired, tc.event, tc.quantum, tc.fault, tc.halt, tc.freeze}
+			if got != want {
+				t.Fatalf("batches, retired, event/quantum/fault/halt/freeze breaks:\n got  %v (mean %.4f)\n want %v",
+					got, h.Mean(), want)
+			}
+		})
 	}
 }

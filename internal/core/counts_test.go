@@ -25,8 +25,13 @@ import (
 // engine) and its simulated end time, which the bus tenures of the
 // polls a busy engine refused could have moved. The max-pending rows pin
 // the event queue's high-water mark on the reliable transfer and the
-// availability runs, the workloads whose timers wait in lanes. Wall time
-// is measured by the bench/ module, not here.
+// availability runs, the workloads whose timers wait in lanes. The
+// overlap rows are the §4.1 compute-and-store loop through a
+// blocked-write and a single-write mapping, stepped per instruction and
+// at the default CPU config; at the default, most single-write batches
+// end inside a pure run, where a packet event falls, so a pure run that
+// yields an op early or late fails there. Wall time is measured by the
+// bench/ module, not here.
 func TestEventCountPins(t *testing.T) {
 	grid := ConfigFor(4, 4, nic.GenEISAPrototype)
 	metrics := grid
@@ -63,10 +68,10 @@ func TestEventCountPins(t *testing.T) {
 	}
 	availRun := func(m *Machine) { MeasureAvailability(m, 6, 64) }
 
-	overlap := func(cfg Config) func() uint64 {
+	overlap := func(cfg Config, mode nipt.Mode) func() uint64 {
 		return func() uint64 {
 			m := New(cfg)
-			MeasureOverlap(m, nipt.BlockedWriteAU, 20000)
+			MeasureOverlap(m, mode, 20000)
 			return m.Fired()
 		}
 	}
@@ -89,8 +94,10 @@ func TestEventCountPins(t *testing.T) {
 		}), 11},
 		{"max-pending/availability/1-crash", maxPending(surviveCfg(4, 4, 1), availRun), 918},
 		{"max-pending/availability/2-crash", maxPending(surviveCfg(4, 4, 2), availRun), 980},
-		{"overlap/max-batch-1", overlap(batchedCfg(1)), 231149},
-		{"overlap/default", overlap(ConfigFor(2, 1, nic.GenEISAPrototype)), 22080},
+		{"overlap/max-batch-1", overlap(batchedCfg(1), nipt.BlockedWriteAU), 231149},
+		{"overlap/default", overlap(ConfigFor(2, 1, nic.GenEISAPrototype), nipt.BlockedWriteAU), 22080},
+		{"overlap/single-write/max-batch-1", overlap(batchedCfg(1), nipt.SingleWriteAU), 376973},
+		{"overlap/single-write", overlap(ConfigFor(2, 1, nic.GenEISAPrototype), nipt.SingleWriteAU), 215684},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if got := tc.run(); got != tc.want {

@@ -28,7 +28,8 @@ func newMachinePool() *machinePool { return new(machinePool) }
 
 // get returns a post-boot machine for cfg: the cached one, Reset in
 // place, when cfg matches its config or re-aims it (see reaims); a
-// fresh build otherwise.
+// fresh build otherwise, after the dropped machine's free packets go
+// back to the process-wide pool.
 func (p *machinePool) get(cfg Config) *Machine {
 	if p.m != nil && reaims(p.m.Cfg, cfg) {
 		if err := cfg.Validate(); err != nil {
@@ -37,6 +38,9 @@ func (p *machinePool) get(cfg Config) *Machine {
 		p.m.Cfg = cfg
 		p.m.Reset()
 		return p.m
+	}
+	if p.m != nil {
+		p.m.Net.Packets().Release()
 	}
 	p.m = New(cfg)
 	return p.m

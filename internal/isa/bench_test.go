@@ -26,21 +26,49 @@ bloop:
 	hlt
 `
 
-// benchStep measures whole runs of the loop at the given batch quantum.
-// ci.sh greps both benchmarks for "0 allocs/op": the entire step path —
-// dispatch, superblock lookup, execute, batch bookkeeping — must stay
-// off the heap.
-func benchStep(b *testing.B, maxBatch int) {
+// ticker is an engine event every period until cpu halts. Each time it
+// fires it also re-arms once at the same instant, behind whatever is
+// already due then, so at some instants an event is pending at Now when
+// the CPU fires and a pure run must yield after its first op.
+type ticker struct {
+	eng    *sim.Engine
+	cpu    *CPU
+	period sim.Time
+	again  bool
+}
+
+func (t *ticker) Fire() {
+	if t.cpu.Halted() {
+		return
+	}
+	t.again = !t.again
+	if t.again {
+		t.eng.ScheduleAfter(0, t)
+		return
+	}
+	t.eng.ScheduleAfter(t.period, t)
+}
+
+// benchStep measures whole runs of the loop at the given batch quantum,
+// beside a ticker of the given period when it is positive. ci.sh greps
+// the benchmarks for "0 allocs/op": the entire step path — dispatch,
+// superblock lookup, execute, batch bookkeeping, the yields on the
+// quantum and on events — must stay off the heap.
+func benchStep(b *testing.B, maxBatch int, tick sim.Time) {
 	eng := sim.NewEngine()
 	cfg := DefaultConfig()
 	cfg.MaxBatch = maxBatch
 	c := NewCPU(eng, cfg, newFlatMem())
 	c.Load(MustAssemble("bench", benchLoop, map[string]int64{"ITERS": benchIters}))
+	tk := &ticker{eng: eng, cpu: c, period: tick}
 	run := func() {
 		c.R = [8]uint32{}
 		c.R[ESP] = 0x8000
 		if err := c.Start("main"); err != nil {
 			b.Fatal(err)
+		}
+		if tick > 0 {
+			eng.ScheduleAfter(tick, tk)
 		}
 		eng.Drain(100_000_000)
 		if !c.Halted() || c.Err() != nil {
@@ -59,8 +87,13 @@ func benchStep(b *testing.B, maxBatch int) {
 	b.ReportMetric(float64(perRun)*float64(b.N)/b.Elapsed().Seconds(), "instr/s")
 }
 
-func BenchmarkStepPerInstruction(b *testing.B) { benchStep(b, 1) }
+func BenchmarkStepPerInstruction(b *testing.B) { benchStep(b, 1, 0) }
 
 // BenchmarkTraceDispatch is the headline superblock number: the same
-// workload on the shipping path at the default quantum.
-func BenchmarkTraceDispatch(b *testing.B) { benchStep(b, 64) }
+// workload on the shipping path at the default quantum, whose edges
+// fall inside the loop's 5-op pure runs.
+func BenchmarkTraceDispatch(b *testing.B) { benchStep(b, 64, 0) }
+
+// BenchmarkTraceDispatchEvents is BenchmarkTraceDispatch beside an
+// event every 389 ns, so pure runs also end where an event falls.
+func BenchmarkTraceDispatchEvents(b *testing.B) { benchStep(b, 64, 389*sim.Nanosecond) }

@@ -2,6 +2,7 @@ package isa
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -310,6 +311,13 @@ func (c *CPU) Fire() { c.step() }
 // Yielding schedules the CPU at the exact timestamp the next instruction
 // would have started, before any intervening event fires, so the (at,
 // seq) event order matches per-instruction stepping event for event.
+//
+// A run of pure instructions (tracecache.go) retires as one block: the
+// first op after which one of the quantum, event or run-bound hazards
+// holds is computed before the run, the ops up to it retire together,
+// and the CPU yields after it exactly as the literal loop would have;
+// with no hazard inside, the whole run retires and its terminator
+// follows.
 func (c *CPU) step() {
 	if c.halted || c.frozen || !c.started {
 		return
@@ -355,29 +363,46 @@ func (c *CPU) step() {
 		var blk *sblock
 		if tr != nil {
 			blk = c.block(tr, c.eip)
-			// Pure-run dispatch: the whole run fits inside the quantum
-			// and completes strictly before the next event and the run
-			// bound — the same hazard conditions the literal loop tests
-			// per instruction, evaluated once (every intermediate
-			// completion time is below end, so one comparison subsumes
-			// them all). Pure micro-ops touch nothing but registers and
-			// flags, so no event, IRQ, fault, halt or freeze can appear
-			// mid-run.
-			if n := len(blk.pure); n > 0 && batched+n < quantum {
-				end := c.Eng.Now() + blk.pureCost
-				if end < c.Eng.NextEventAt() && end <= c.Eng.RunBound() {
-					c.runPure(blk.pure)
-					if c.kernelMode {
-						c.counters.Kernel += uint64(n)
-					} else {
-						c.counters.User += uint64(n)
+			// Pure-run dispatch. Pure micro-ops touch nothing but
+			// registers and flags, so no event, IRQ, fault, halt or
+			// freeze can appear mid-run, and the hazards the literal loop
+			// tests after each op — quantum first, then the next event
+			// and the run bound — are fixed for the whole run: the first
+			// op k that meets one is known up front.
+			if n := len(blk.pure); n > 0 {
+				now, ct := c.Eng.Now(), c.cfg.CycleTime
+				k, why, yield := n, obs.CtrBatchBreakEvent, false
+				if left := quantum - batched; left <= n {
+					k, why, yield = left, obs.CtrBatchBreakQuantum, true
+				}
+				// Completion times only grow, so when op k's meets neither
+				// the horizon nor the bound, no earlier op's does either.
+				if end := now + sim.Time(k)*ct; end >= c.Eng.NextEventAt() || end > c.Eng.RunBound() {
+					e := min(opsUntil(c.Eng.NextEventAt()-now, ct), opsUntil(c.Eng.RunBound()-now+1, ct))
+					if e < k {
+						k, why = e, obs.CtrBatchBreakEvent
 					}
-					batched += n
-					c.Eng.AdvanceTo(end)
-					c.eip = blk.end
-					if c.eip >= len(c.prog.Instrs) {
-						continue // bounds abort at the loop top
-					}
+					yield = true
+				}
+				c.runPure(blk.pure[:k])
+				if c.kernelMode {
+					c.counters.Kernel += uint64(k)
+				} else {
+					c.counters.User += uint64(k)
+				}
+				batched += k
+				c.eip += k
+				if yield {
+					// The literal loop yields from op k's start time and
+					// schedules the next op one cycle later.
+					c.Eng.AdvanceTo(now + sim.Time(k-1)*ct)
+					c.Eng.ScheduleAfter(ct, c)
+					c.endBatch(batched, why)
+					return
+				}
+				c.Eng.AdvanceTo(now + blk.pureCost)
+				if c.eip >= len(c.prog.Instrs) {
+					continue // bounds abort at the loop top
 				}
 			}
 		}
@@ -435,6 +460,19 @@ func (c *CPU) step() {
 		}
 		c.Eng.AdvanceTo(next)
 	}
+}
+
+// opsUntil returns the first i >= 1 with i*ct >= d: the first op of a
+// pure run, each op ct long, whose completion lies d or more past the
+// run's start. With ct 0 no op moves the clock, so only d <= 0 is met.
+func opsUntil(d, ct sim.Time) int {
+	switch {
+	case d <= ct:
+		return 1
+	case ct == 0:
+		return math.MaxInt
+	}
+	return int((d + ct - 1) / ct)
 }
 
 // endBatch records one batch's telemetry at its yield point; nil-scope

@@ -23,6 +23,12 @@ import (
 // counter (ecx), the window base (ebp) or esp, subroutine bodies leave
 // the stack alone, loops do not nest, and every flag poll is released
 // by the external write, which always stores a nonzero value to fzFlag.
+//
+// Two committed seeds cut pure runs short: in write-mid-pure-run the
+// external write at 200 ns lands inside main's opening 31-op pure run
+// (at quantum 64 the run yields after op 14 for it), and in
+// quantum-mid-pure-run quantum edges fall inside runs at quantum 3,
+// among them after op 2 of a run that starts behind a store.
 func FuzzFastPathMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		src, events := fuzzProgram(data)

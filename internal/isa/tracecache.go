@@ -29,15 +29,20 @@ import (
 // cache decode only — data access still goes through translation every
 // time (see kernel.MemBox and its generation-tagged micro-TLB).
 //
-// Correctness. A pure run executes only when it fits inside the batch
-// quantum and strictly before the engine's next event and run bound —
-// exactly the per-instruction hazard conditions the literal loop would
-// have tested, evaluated once for the whole run (the run's intermediate
-// completion times are all below the run's end, so one comparison
-// subsumes them). Pure instructions cannot observe or perturb anything
-// outside the register file, so retiring them back-to-back with a
-// single clock advance is bit-identical to stepping them. Anything not
-// provably pure falls through to the literal interpreter.
+// Correctness. Pure instructions cannot observe or perturb anything
+// outside the register file: they schedule nothing, touch no memory,
+// raise no IRQ and cannot halt or freeze. So the hazards the literal
+// loop tests after each instruction — the batch quantum, the engine's
+// next event and its run bound — stay fixed across a run, and CPU.step
+// finds the first op at which one holds before it retires any: one
+// comparison of the run's end when none falls inside (completion times
+// only grow), one division per hazard when one does. It retires the
+// run up to that op back-to-back and yields where the literal loop
+// would, with the same clock, eip, counters and batch telemetry, or
+// retires the whole run with a single clock advance and goes on to the
+// terminator. Either way the result is bit-identical to stepping the
+// ops one by one. Anything not provably pure goes to the literal
+// interpreter.
 
 // maxRun bounds how many instructions a superblock scan considers.
 const maxRun = 48

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -279,5 +280,155 @@ func TestTraceKeyedByProgramIdentity(t *testing.T) {
 	}
 	if len(c.traces) != 2 {
 		t.Fatalf("expected 2 program traces, got %d", len(c.traces))
+	}
+}
+
+// windowSrc is a loop of long pure runs: 22 pure ops closed by a store,
+// then one (dec) closed by a jump.
+const windowSrc = `
+main:
+	mov	ecx, 300
+	xor	ebx, ebx
+lp:
+	mov	eax, ebx
+	mov	edx, ecx
+	add	eax, 12345
+	adc	edx, eax
+	xor	eax, 0x5a5a
+	sub	edx, 7
+	shl	eax, 3
+	or	edx, 1
+	sar	eax, 1
+	and	edx, 0xffff
+	lea	esi, [eax + edx*2 + 8]
+	neg	esi
+	not	edx
+	cmp	eax, edx
+	sbb	esi, 3
+	test	esi, 4
+	xchg	eax, edx
+	inc	ebx
+	shr	edx, 2
+	add	eax, edx
+	mov	edi, eax
+	inc	edi
+	mov	[0x2000], edi
+	dec	ecx
+	jnz	lp
+	hlt
+`
+
+// windowLengths are the RunFor windows runWindows cycles through: whole
+// and fractional cycles, so window edges fall at every offset into a run.
+var windowLengths = []sim.Time{
+	1 * sim.Nanosecond, 15 * sim.Nanosecond, 14999, 15001, 29 * sim.Nanosecond,
+	0, 44 * sim.Nanosecond, 7 * sim.Nanosecond, 211 * sim.Nanosecond,
+	16 * sim.Nanosecond, 330 * sim.Nanosecond, 997 * sim.Nanosecond, 2 * sim.Nanosecond,
+}
+
+// windowEdge is the state a mode must reproduce at a RunFor window edge.
+type windowEdge struct {
+	R        [8]uint32
+	Flags    uint8
+	Counters Counters
+	Now      sim.Time
+}
+
+// windowRun is one run of windowSrc: the state at every window edge,
+// and where the CPU yielded — the engine events fired and the batch
+// telemetry.
+type windowRun struct {
+	edges                   []windowEdge
+	fired                   uint64
+	batches, event, quantum uint64
+}
+
+// runWindows runs windowSrc at one batch quantum and cycle time through
+// RunFor windows of windowLengths, beside a ticker, recording the state
+// at every window edge until the CPU halts. At a zero cycle time an
+// iteration takes only its store's 1 ns, so windows and ticks shrink a
+// hundredfold to keep many of them inside the run.
+func runWindows(t *testing.T, batch int, cycle sim.Time) windowRun {
+	t.Helper()
+	scale := sim.Time(1)
+	if cycle == 0 {
+		scale = 100
+	}
+	eng := sim.NewEngine()
+	cfg := DefaultConfig()
+	cfg.MaxBatch = batch
+	cfg.CycleTime = cycle
+	c := NewCPU(eng, cfg, newFlatMem())
+	reg := obs.New(1, 0)
+	c.SetObs(reg.Node(0))
+	c.Load(MustAssemble("window", windowSrc, nil))
+	c.R[ESP] = 0x8000
+	if err := c.Start("main"); err != nil {
+		t.Fatal(err)
+	}
+	// Scheduled after Start, the ticker's first fire at 0 waits behind
+	// the CPU's first step.
+	eng.Schedule(0, &ticker{eng: eng, cpu: c, period: 389 * sim.Nanosecond / scale})
+	var r windowRun
+	for i := 0; !c.Halted(); i++ {
+		if i == 100_000 {
+			t.Fatalf("batch=%d cycle=%v: no halt after %d windows", batch, cycle, i)
+		}
+		eng.RunFor(windowLengths[i%len(windowLengths)] / scale)
+		r.edges = append(r.edges, windowEdge{c.R, flagBits(c), c.Counters(), eng.Now()})
+	}
+	if c.Err() != nil {
+		t.Fatalf("batch=%d cycle=%v: %v", batch, cycle, c.Err())
+	}
+	s := reg.Node(0)
+	r.fired = eng.Fired()
+	r.batches = s.Hist(obs.HistBatchLen).Count
+	r.event, r.quantum = s.Counter(obs.CtrBatchBreakEvent), s.Counter(obs.CtrBatchBreakQuantum)
+	return r
+}
+
+// TestPureRunWindowEdgesDifferential stops a loop of long pure runs at
+// RunFor window edges of many lengths, with events due inside runs and
+// at the instant a run starts, so pure runs end at the run bound, at an
+// event and at the quantum, at every offset. At every edge, registers,
+// flags, counters and the clock must equal per-instruction stepping's,
+// at the default cycle time and at a zero one (no op moves the clock;
+// only the stores' memory latency does).
+//
+// A batch that ends early or late without crossing an event leaves the
+// same state, so the test also pins where each mode yields: the events
+// fired and the batches, with their event and quantum breaks, as the
+// literal interpreter yields when it steps a run one op at a time.
+func TestPureRunWindowEdgesDifferential(t *testing.T) {
+	for _, pin := range []struct {
+		cycle                          sim.Time
+		batch                          int
+		fired, batches, event, quantum uint64
+	}{
+		{DefaultConfig().CycleTime, 1, 8132, 7503, 0, 7502},
+		{DefaultConfig().CycleTime, 3, 3524, 2895, 711, 2183},
+		{DefaultConfig().CycleTime, 7, 2314, 1685, 920, 764},
+		{DefaultConfig().CycleTime, 64, 1604, 975, 974, 0},
+		{0, 1, 7659, 7503, 0, 7502},
+		{0, 3, 2726, 2570, 119, 2450},
+		{0, 7, 1308, 1152, 141, 1010},
+		{0, 64, 349, 193, 141, 51},
+	} {
+		ref := runWindows(t, 1, pin.cycle)
+		got := runWindows(t, pin.batch, pin.cycle)
+		if len(got.edges) != len(ref.edges) {
+			t.Fatalf("cycle=%v batch=%d: halted after %d windows, want %d", pin.cycle, pin.batch, len(got.edges), len(ref.edges))
+		}
+		for i := range ref.edges {
+			if got.edges[i] != ref.edges[i] {
+				t.Fatalf("cycle=%v batch=%d: window %d edge diverges:\n got  %+v\n want %+v",
+					pin.cycle, pin.batch, i, got.edges[i], ref.edges[i])
+			}
+		}
+		yields := [4]uint64{got.fired, got.batches, got.event, got.quantum}
+		if want := [4]uint64{pin.fired, pin.batches, pin.event, pin.quantum}; yields != want {
+			t.Errorf("cycle=%v batch=%d: events fired, batches, event and quantum breaks: got %v, want %v",
+				pin.cycle, pin.batch, yields, want)
+		}
 	}
 }

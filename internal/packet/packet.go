@@ -115,7 +115,8 @@ type Packet struct {
 // returns it with Put once the payload has been deposited into its
 // memory. A machine runs on one goroutine, so the free list takes no
 // lock. It holds at most poolCap packets; a miss takes one from the
-// process-wide shared pool and an overflow returns one there. A packet
+// process-wide shared pool and an overflow returns one there, as does
+// Release with the whole list when its machine is dropped. A packet
 // built by hand (tests) joins a pool when a NIC consumes it. The zero
 // value is ready to use.
 type Pool struct {
@@ -156,6 +157,18 @@ func (pl *Pool) Put(p *Packet) {
 		return
 	}
 	shared.Put(p)
+}
+
+// Release hands every packet on the free list to the process-wide
+// shared pool and empties the list. Call it when the list's machine is
+// about to be dropped, so the next machine's Gets find those packets
+// instead of the garbage collector taking them.
+func (pl *Pool) Release() {
+	for i, p := range pl.free {
+		shared.Put(p)
+		pl.free[i] = nil
+	}
+	pl.free = pl.free[:0]
 }
 
 // HeaderBytes is the wire size of the packet header: route/coords (4),

@@ -58,3 +58,25 @@ func TestPool(t *testing.T) {
 		}
 	}
 }
+
+// TestPoolRelease: Release empties the free list and keeps no pointer to
+// a released packet in the list's backing array.
+func TestPoolRelease(t *testing.T) {
+	var pl Pool
+	for i := 0; i < 5; i++ {
+		pl.Put(&Packet{Seq: uint32(i)})
+	}
+	backing := pl.free[:cap(pl.free)]
+	pl.Release()
+	if len(pl.free) != 0 {
+		t.Fatalf("free list holds %d packets after Release", len(pl.free))
+	}
+	for i, p := range backing {
+		if p != nil {
+			t.Fatalf("backing slot %d still points at a released packet", i)
+		}
+	}
+	if q := pl.Get(); q.Seq != 0 || len(q.Payload) != 0 {
+		t.Fatalf("Get after Release: %+v, want a zeroed packet", *q)
+	}
+}

@@ -226,6 +226,16 @@ func MeasureBaseline(gen Generation) BaselineComparison {
 	return msg.MeasureBaseline(ConfigFor(2, 1, gen))
 }
 
+// once runs measure on a machine built for this one call, then hands
+// the machine's free packets back to the process-wide pool, so the next
+// machine's packets come from there rather than from new allocations.
+func once[R any](cfg Config, measure func(*Machine) R) R {
+	m := New(cfg)
+	r := measure(m)
+	m.Net.Packets().Release()
+	return r
+}
+
 // LatencySweep measures store latency from node 0 to every other node.
 func LatencySweep(cfg Config) []LatencyResult { return core.LatencySweep(cfg, 1) }
 
@@ -238,12 +248,14 @@ func LatencySweepParallel(cfg Config, workers int) []LatencyResult {
 }
 
 // MaxLatency measures the corner-to-corner store latency.
-func MaxLatency(cfg Config) LatencyResult { return core.MaxLatency(New(cfg)) }
+func MaxLatency(cfg Config) LatencyResult { return once(cfg, core.MaxLatency) }
 
 // MeasureDeliberateBandwidth measures sustained deliberate-update
 // bandwidth at one transfer size.
 func MeasureDeliberateBandwidth(cfg Config, src, dst, transferBytes, totalBytes int) BandwidthResult {
-	return core.MeasureDeliberateBandwidth(New(cfg), src, dst, transferBytes, totalBytes)
+	return once(cfg, func(m *Machine) BandwidthResult {
+		return core.MeasureDeliberateBandwidth(m, src, dst, transferBytes, totalBytes)
+	})
 }
 
 // BandwidthSweep sweeps deliberate-update bandwidth over transfer sizes.
@@ -272,21 +284,21 @@ func MergeWindowSweep(cfg Config, windows []Time, storeGap Time, stores, workers
 // MeasureAUBandwidth measures automatic-update store streaming (the
 // single-write versus blocked-write ablation).
 func MeasureAUBandwidth(cfg Config, mode Mode, stores int) AUBandwidthResult {
-	return core.MeasureAUBandwidth(New(cfg), mode, stores)
+	return once(cfg, func(m *Machine) AUBandwidthResult { return core.MeasureAUBandwidth(m, mode, stores) })
 }
 
 // MeasureOverlap compares CPU-visible completion time of one compute
 // loop with and without an automatic-update mapping on its output
 // buffer (the §4.1 overlap claim).
 func MeasureOverlap(cfg Config, mode Mode, iters int) OverlapResult {
-	return core.MeasureOverlap(New(cfg), mode, iters)
+	return once(cfg, func(m *Machine) OverlapResult { return core.MeasureOverlap(m, mode, iters) })
 }
 
 // MeasureMergeWindow sweeps the §4.1 blocked-write programmable time
 // limit against a fixed inter-store gap.
 func MeasureMergeWindow(cfg Config, window, storeGap Time, stores int) MergeWindowResult {
 	cfg.NIC.MergeWindow = window
-	return core.MeasureMergeWindow(New(cfg), storeGap, stores)
+	return once(cfg, func(m *Machine) MergeWindowResult { return core.MeasureMergeWindow(m, storeGap, stores) })
 }
 
 // Fault injection and reliable delivery (Config.Faults; DESIGN.md §9).
@@ -339,7 +351,7 @@ func FaultSweep(cfg Config, dropsPPM []uint32, transferBytes, totalBytes, worker
 // config's fault plan (Survivable mode) and reports survivor goodput
 // and teardown accounting.
 func MeasureAvailability(cfg Config, rounds, wordsPerRound int) AvailabilityPoint {
-	return core.MeasureAvailability(New(cfg), rounds, wordsPerRound)
+	return once(cfg, func(m *Machine) AvailabilityPoint { return core.MeasureAvailability(m, rounds, wordsPerRound) })
 }
 
 // AvailabilitySweep measures availability across crash counts with
